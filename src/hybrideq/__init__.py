@@ -23,6 +23,7 @@ from .equilibrium import (
     solve_resolvent_certified,
 )
 from .errors import (
+    AuditError,
     InfeasibleError,
     NonConvergedError,
     ScenarioParseError,

@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 converged with all audits passing, 2 audit failure,
-3 solver non-convergence, 1 usage or IO error.
+Exit codes: 0 converged with all audits passing, 2 audit failure (a
+failed audit, or outcome audit_error when an audit could not be
+evaluated), 3 solver failure (outcomes non_converged, iteration_cap,
+unsupported and infeasible), 1 usage or IO error.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _load_with_overrides(args) -> "ScenarioSpec":
 def _report_exit_code(report) -> int:
     if report.outcome == "converged" and report.audits_passed:
         return 0
-    if report.outcome in ("non_converged", "iteration_cap", "unsupported"):
+    if report.outcome in ("non_converged", "iteration_cap", "unsupported", "infeasible"):
         return 3
     return 2
 
@@ -93,8 +95,7 @@ def main(argv=None) -> int:
         )
     if report.outcome != "converged":
         print(f"solver outcome: {report.outcome}", file=sys.stderr)
-        return 3
-    return 0 if report.audits_passed else 2
+    return _report_exit_code(report)
 
 
 if __name__ == "__main__":

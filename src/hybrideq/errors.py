@@ -9,6 +9,10 @@ class InfeasibleError(RuntimeError):
     """A constraint set is (numerically) empty or unreachable."""
 
 
+class AuditError(ValueError):
+    """An audit cannot be evaluated on its input (e.g. an infeasible iterate)."""
+
+
 class UnsupportedCombinationError(ValueError):
     """Problem data fall outside the documented support matrix."""
 

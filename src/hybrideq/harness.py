@@ -42,6 +42,8 @@ from .equilibrium import (
     classify_problem,
 )
 from .errors import (
+    AuditError,
+    InfeasibleError,
     NonConvergedError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -562,6 +564,7 @@ class RunReport:
     wall_time: float
     rows: tuple
     error: Optional[str] = None
+    failed_iteration: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
@@ -576,6 +579,7 @@ class RunReport:
             "wall_time": self.wall_time,
             "rows": [dict(row) for row in self.rows],
             "error": self.error,
+            "failed_iteration": self.failed_iteration,
         }
 
     @classmethod
@@ -592,6 +596,7 @@ class RunReport:
             wall_time=doc["wall_time"],
             rows=tuple(dict(row) for row in doc["rows"]),
             error=doc["error"],
+            failed_iteration=doc.get("failed_iteration"),
         )
 
 
@@ -613,12 +618,22 @@ def _rows_from_history(history, exponent: float) -> tuple:
     return tuple(rows)
 
 
+#: report outcome of each solver failure; the exception's `iteration`
+#: attribute, when set, becomes the report's failed_iteration
+_FAILURE_OUTCOMES = (
+    (UnsupportedCombinationError, "unsupported"),
+    (NonConvergedError, "non_converged"),
+    (InfeasibleError, "infeasible"),
+    (AuditError, "audit_error"),
+)
+
+
 def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
     """Build the bundle, run the solver, audit, optionally write outputs."""
     bundle = build_bundle(spec)
     config = build_config(spec)
     started = time.perf_counter()
-    error = None
+    error = failed_iteration = None
     try:
         result = run(bundle, config)
         outcome = result.stop_reason.value
@@ -627,10 +642,9 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
         final = result.x_star
         rows = _rows_from_history(result.history, bundle.space.exponent)
         iterations = result.iterations
-    except (NonConvergedError, UnsupportedCombinationError) as exc:
-        outcome = (
-            "unsupported" if isinstance(exc, UnsupportedCombinationError) else "non_converged"
-        )
+    except tuple(cls for cls, _ in _FAILURE_OUTCOMES) as exc:
+        outcome = next(name for cls, name in _FAILURE_OUTCOMES if isinstance(exc, cls))
+        failed_iteration = getattr(exc, "iteration", None)
         converged = False
         audits = {}
         final = bundle.anchor
@@ -650,6 +664,7 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
         wall_time=wall,
         rows=rows,
         error=error,
+        failed_iteration=failed_iteration,
     )
     if out_dir is not None:
         emit_report(report, out_dir)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, NonConvergedError
+from .errors import AuditError, InfeasibleError, NonConvergedError
 from .sets import ConstraintSet, Frame, project_intersection, sample_feasible, worst_violation
 from .space import PrimalPoint, SpaceConfig, gauge_coords, pnorm
 
@@ -83,20 +83,16 @@ def sunny_retract(
     projected-gradient norm falls at or below tol.
 
     Raises NonConvergedError at the iteration cap and InfeasibleError when
-    Dykstra cannot reach the feasible set.
+    the projection cannot reach the feasible set.
     """
     space = prob.space
     q = space.conjugate
     x = prob.anchor.coords
     if q == 2.0:
         # h(w) = |w - x|^2 - |x|^2 here, so the retraction is exactly the
-        # Euclidean projection of the anchor; solve it directly
-        try:
-            w = project_intersection(
-                prob.dual_feasible, x, tol=dykstra_tol, max_iter=200_000
-            )
-        except NonConvergedError as exc:
-            raise InfeasibleError(f"dual feasible set unreachable: {exc}") from exc
+        # Euclidean projection of the anchor; the exact engine solves it
+        # directly and raises InfeasibleError itself on an empty set
+        w = project_intersection(prob.dual_feasible, x, tol=dykstra_tol, max_iter=200_000)
         return PrimalPoint(gauge_coords(w, q), space)
     start = gauge_coords(x, space.exponent) if init is None else np.asarray(init, dtype=float)
     try:
@@ -158,7 +154,8 @@ def retraction_vi_residual(
 
     A correct retraction yields a value at tolerance-scale or below; a
     clearly positive value certifies that z is not the retraction of the
-    anchor.  Requires Jz to be feasible within feasibility_tol.
+    anchor.  Requires Jz to be feasible within feasibility_tol and raises
+    AuditError otherwise.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -166,7 +163,7 @@ def retraction_vi_residual(
     wz = gauge_coords(z.coords, space.exponent)
     gap = worst_violation(prob.dual_feasible, wz)
     if gap > feasibility_tol:
-        raise ValueError(f"z is not feasible: J(z) violates the dual set by {gap:g}")
+        raise AuditError(f"z is not feasible: J(z) violates the dual set by {gap:g}")
     direction = prob.anchor.coords - z.coords
     points = sample_feasible(
         prob.dual_feasible, rng, samples, dimension=space.dimension, anchor=wz

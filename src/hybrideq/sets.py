@@ -5,7 +5,10 @@ halfspace cuts, tagged with the frame (primal or dual coordinates) it lives
 in.  All projections here are Euclidean regardless of the space exponent:
 they serve only as inner subroutines of convex minimizations whose
 objectives carry the p-geometry, and Dykstra's convergence guarantee is
-specific to the Euclidean metric.
+specific to the Euclidean metric.  Onto a box, whole-space or 2-ball base
+with cuts the projection is a least-distance program, solved exactly
+through NNLS and closed by a KKT check; balls of other exponents use
+Dykstra, active-set polishes and consensus ADMM.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NonConvergedError
+from .errors import InfeasibleError, NonConvergedError
 from .space import pnorm
 
 # Halfspace cuts whose unit normals differ by less than this chord length are
@@ -672,19 +675,203 @@ def _admm_project(cset: ConstraintSet, v: np.ndarray, tol: float, max_iter: int)
     return z
 
 
+# -- exact least-distance engine (box, whole-space and 2-ball bases) ----------
+
+
+def _nnls(e: np.ndarray, f: np.ndarray):
+    """Lawson-Hanson active-set NNLS: argmin |E u - f| over u >= 0.
+
+    Returns (u, f - E u).  A column whose entry would enter the passive set
+    with a nonpositive value through rounding is skipped until the next
+    exchange (Lawson & Hanson 1974, ch. 23).  Raises NonConvergedError at
+    the exchange cap.
+    """
+    n = e.shape[1]
+    u = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    blocked = np.zeros(n, dtype=bool)
+    resid = np.array(f)
+    tol = 10.0 * max(e.shape) * np.finfo(float).eps
+    for _ in range(3 * n + 30):
+        w = e.T @ resid
+        w[passive | blocked] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            return u, resid
+        trial = passive.copy()
+        trial[j] = True
+        idx = np.flatnonzero(trial)
+        s = np.linalg.lstsq(e[:, idx], f, rcond=None)[0]
+        if s[np.searchsorted(idx, j)] <= 0.0:
+            blocked[j] = True
+            continue
+        blocked[:] = False
+        passive = trial
+        while s.size and np.min(s) <= 0.0:
+            # step from u toward s until the first passive entry reaches 0
+            neg = s <= 0.0
+            ratios = u[idx][neg] / (u[idx][neg] - s[neg])
+            k = int(np.argmin(ratios))
+            u[idx] += ratios[k] * (s - u[idx])
+            u[idx[np.flatnonzero(neg)[k]]] = 0.0
+            passive &= u > 0.0
+            u[~passive] = 0.0
+            idx = np.flatnonzero(passive)
+            s = np.linalg.lstsq(e[:, idx], f, rcond=None)[0]
+        u[:] = 0.0
+        u[idx] = s
+        resid = f - e @ u
+    raise NonConvergedError("NNLS exchange cap reached")
+
+
+def _ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray):
+    """Nearest point of {z : a z <= b} to v and the multipliers of the rows.
+
+    Least-distance programming through NNLS (Lawson & Hanson 1974, ch. 23):
+    with h = (a v - b) / s for s = max(a v - b), the NNLS solution u of
+    [-a^T; h^T] u ~ e_{d+1} gives lam = s u / |r|^2 and z = v - a^T lam,
+    where r is the NNLS residual.  A zero residual certifies that the rows
+    are inconsistent.  InfeasibleError is raised once |r|^2 <= 1e3 eps:
+    then the nearest point would lie over 10^6 times the largest row
+    violation away, and lam would carry a relative error eps / |r|^2 of
+    over 0.1 %, so the set is empty or numerically unreachable.
+    """
+    excess = a @ v - b
+    shift = float(np.max(excess, initial=0.0))
+    if shift <= 0.0:
+        return np.array(v), np.zeros(b.shape[0])
+    e = np.vstack([-a.T, excess / shift])
+    f = np.zeros(e.shape[0])
+    f[-1] = 1.0
+    u, resid = _nnls(e, f)
+    rr = float(np.dot(resid, resid))
+    if rr <= 1e3 * np.finfo(float).eps:
+        raise InfeasibleError("the cut rows admit no common point")
+    lam = (shift / rr) * u
+    return v - a.T @ lam, lam
+
+
+def _affine_radius_step(a: np.ndarray, b: np.ndarray, v: np.ndarray, lam, radius: float):
+    """The ball multiplier nu with |P_F(v / (1 + nu))| = radius, None if none.
+
+    F is the affine span {a_P z = b_P} of the rows with positive lam.  With
+    c the least-norm point of F and m the component of v along F,
+    |P_F(v / (1 + nu))|^2 = |c|^2 + |m|^2 / (1 + nu)^2, so nu is explicit.
+    """
+    rows = lam > 0.0
+    if np.any(rows):
+        a_p = a[rows]
+        c = np.linalg.lstsq(a_p, b[rows], rcond=None)[0]
+        m = v - np.linalg.lstsq(a_p, a_p @ v, rcond=None)[0]
+    else:
+        c = np.zeros_like(v)
+        m = v
+    room = radius * radius - float(np.dot(c, c))
+    if room <= 0.0:
+        return None
+    return float(np.linalg.norm(m)) / np.sqrt(room) - 1.0
+
+
+def _ball_ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray, radius: float):
+    """Nearest point of {|z|_2 <= radius, a z <= b} to v: (z, lam, nu).
+
+    For a ball multiplier nu the answer is z(nu) = P_poly(v / (1 + nu)),
+    and |z(nu)| is nonincreasing in nu.  nu is found by a bracketed scalar
+    search whose steps solve the ball equation on the current active set
+    exactly (bisection when that step leaves the bracket), one LDP per
+    step, until ||z| - radius| <= 1e-14 radius.  The cut multipliers of
+    the original problem are (1 + nu) times those of the LDP.  Raises
+    InfeasibleError when P_poly(0), the least-norm point of the
+    polyhedron, lies outside the ball.
+    """
+    z, lam = _ldp(a, b, v)
+    if float(np.linalg.norm(z)) <= radius:
+        return z, lam, 0.0
+    lo, hi = 0.0, np.inf  # |z(lo)| > radius >= |z(hi)|
+    nu = _affine_radius_step(a, b, v, lam, radius)
+    for _ in range(200):
+        if nu is None or not lo < nu < hi:
+            if np.isinf(hi):
+                z_min = _ldp(a, b, np.zeros_like(v))[0]
+                if float(np.linalg.norm(z_min)) > radius:
+                    raise InfeasibleError("the cut polyhedron misses the ball")
+                nu = 4.0 * lo + 1.0
+            else:
+                nu = 0.5 * (lo + hi)
+        z, mu = _ldp(a, b, v / (1.0 + nu))
+        gap = float(np.linalg.norm(z)) - radius
+        if gap > 0.0:
+            lo = nu
+        else:
+            hi = nu
+        if abs(gap) <= 1e-14 * radius or hi - lo <= 1e-15 * hi < np.inf:
+            return z, (1.0 + nu) * mu, nu
+        nu = _affine_radius_step(a, b, v, mu, radius)
+    raise NonConvergedError("ball multiplier search did not close")
+
+
+def _kkt_residual(a, b, v, z, lam, nu: float = 0.0, radius: float | None = None) -> float:
+    """Largest KKT violation of (z, lam, nu) for min 1/2 |z - v|^2 over a z <= b
+    (and |z|_2 <= radius when given).
+
+    Stationarity is z - v + nu z + a^T lam = 0; each constraint contributes
+    the natural residual |min(multiplier, slack)|, which vanishes iff the
+    multiplier is nonnegative, the constraint holds, and one of the two is
+    zero.
+    """
+    worst = max(
+        float(np.max(np.abs(z - v + nu * z + a.T @ lam))),
+        float(np.max(np.abs(np.minimum(lam, b - a @ z)), initial=0.0)),
+    )
+    if radius is not None:
+        nz = float(np.linalg.norm(z))
+        worst = max(worst, abs(min(nu * nz, radius - nz)))
+    return worst
+
+
+def _least_distance(cset: ConstraintSet, v: np.ndarray):
+    """Exact projection onto a box, whole-space or 2-ball base ∩ cuts.
+
+    Box faces join the cuts as +/- unit rows and every row is normalized.
+    Returns (z, nu, KKT residual of the answer), nu being the ball
+    multiplier (0 for other bases).
+    """
+    a, b = _linear_rows(cset, v.shape[0])
+    norms = np.linalg.norm(a, axis=1)
+    a = a / norms[:, None]
+    b = b / norms
+    if isinstance(cset.base, PBall):
+        radius = cset.base.radius
+        z, lam, nu = _ball_ldp(a, b, v, radius)
+    else:
+        radius, nu = None, 0.0
+        z, lam = _ldp(a, b, v)
+    return z, nu, _kkt_residual(a, b, v, z, lam, nu, radius)
+
+
 def project_intersection(
     cset: ConstraintSet, v: np.ndarray, tol: float = 1e-11, max_iter: int = 20_000
 ) -> np.ndarray:
-    """Projection onto base ∩ cuts, robust to large crowded cut families.
+    """Projection onto base ∩ cuts.
 
-    The active-set exchange solves the whole problem exactly whenever the
-    ball part is inactive at the optimum, so it runs first.  Remaining
-    cases (ball boundary active, degenerate exchange) go to Dykstra when
-    small and to the consensus ADMM engine otherwise.
+    Box, whole-space and 2-ball bases go to the exact least-distance engine
+    (NNLS); its answer is returned only when its KKT residual is within
+    max(10 tol, 1e-10) (1 + |v|), NonConvergedError is raised otherwise,
+    and InfeasibleError when the intersection is empty.  Balls of other
+    exponents use the layered chain: the active-set exchange, which is
+    exact whenever the ball part is inactive at the optimum, then Dykstra
+    when the cuts are few and consensus ADMM otherwise.
     """
     v = np.asarray(v, dtype=float)
     if not cset.cuts:
         return project_primitive(v, cset.base)
+    if not isinstance(cset.base, PBall) or cset.base.exponent == 2.0:
+        z, _, resid = _least_distance(cset, v)
+        if not resid <= max(10.0 * tol, 1e-10) * (1.0 + float(np.linalg.norm(v))):
+            raise NonConvergedError(
+                f"least-distance projection failed its KKT check (residual {resid:.3g})"
+            )
+        return z
     scale = 1.0 + float(np.linalg.norm(v))
     polished = _exact_polish(cset, v)
     if polished is not None and worst_violation(cset, polished) <= max(
@@ -699,16 +886,31 @@ def project_intersection(
     return _admm_project(cset, v, tol, max_iter)
 
 
-def _pull_feasible(cset: ConstraintSet, anchor: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Furthest feasible point on the segment [anchor, cand] by bisection."""
-    lo, hi = 0.0, 1.0
-    for _ in range(36):
-        mid = 0.5 * (lo + hi)
-        if worst_violation(cset, anchor + mid * (cand - anchor)) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return anchor + lo * (cand - anchor)
+def _pull_feasible(
+    cset: ConstraintSet, anchor: np.ndarray, cand: np.ndarray, allowed: float
+) -> np.ndarray:
+    """Furthest point of the segment [anchor, cand] violating nothing by more than `allowed`.
+
+    Both ends lie in the convex base, so only the cuts bind on the segment:
+    the ratio test over the cuts that cand - anchor moves toward gives the
+    exact step, which is then backed off by growing multiples of the unit
+    roundoff until the point passes worst_violation.  `allowed` is at least
+    the anchor's own violation, so the anchor itself always passes.
+    """
+    step = cand - anchor
+    rates = cset._cut_normals @ step
+    room = cset._cut_offsets + allowed - cset._cut_normals @ anchor
+    toward = rates > 0.0
+    t = float(np.min(room[toward] / rates[toward], initial=1.0))
+    t = min(max(t, 0.0), 1.0)
+    back = np.finfo(float).eps
+    while t > 0.0:
+        point = anchor + t * step
+        if worst_violation(cset, point) <= allowed:
+            return point
+        t -= back
+        back *= 2.0
+    return np.array(anchor)
 
 
 def sample_feasible(
@@ -724,8 +926,8 @@ def sample_feasible(
     Raw candidates are drawn from the base set (uniformly for boxes and
     2-balls, approximately so for other exponents).  Candidates violating a
     cut are pulled back along the segment toward `anchor` when one is
-    given (cheap and robust on thin cut intersections), and
-    Dykstra-projected otherwise.
+    given (cheap and robust on thin cut intersections), and projected onto
+    the set otherwise.
     """
     base = cset.base
     if isinstance(base, Box):
@@ -734,8 +936,10 @@ def sample_feasible(
         dim = dimension
         if dim is None:
             raise ValueError("dimension required to sample this base set")
-    if anchor is not None and worst_violation(cset, anchor) > 1e-9:
-        anchor = None  # an infeasible anchor cannot guide the pull-back
+    if anchor is not None:
+        allowed = max(worst_violation(cset, anchor), 0.0)
+        if allowed > 1e-9:
+            anchor = None  # an infeasible anchor cannot guide the pull-back
     out = np.empty((count, dim))
     for i in range(count):
         if isinstance(base, Box):
@@ -751,7 +955,7 @@ def sample_feasible(
             cand = scale * rng.standard_normal(dim)
         if cset.cuts and worst_violation(cset, cand) > 0.0:
             if anchor is not None:
-                cand = _pull_feasible(cset, anchor, cand)
+                cand = _pull_feasible(cset, anchor, cand, allowed)
             else:
                 cand = project_intersection(cset, cand, tol=1e-9, max_iter=50_000)
         out[i] = cand

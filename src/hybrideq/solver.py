@@ -38,7 +38,7 @@ from .equilibrium import (
     classify_problem,
     solve_resolvent_certified,
 )
-from .errors import NonConvergedError, UnsupportedCombinationError
+from .errors import AuditError, InfeasibleError, NonConvergedError, UnsupportedCombinationError
 from .operators import OperatorFamily
 from .retraction import RetractionProblem, retraction_vi_residual, sunny_retract
 from .sets import (
@@ -200,12 +200,22 @@ def _retag(hs: Halfspace, frame: Frame) -> Halfspace:
     return Halfspace(hs.normal, hs.offset, frame)
 
 
+def _at_iteration(exc: Exception, n: int) -> Exception:
+    """A copy of exc whose message starts with iteration n and whose
+    `iteration` attribute holds n."""
+    tagged = type(exc)(f"iteration {n}: {exc}")
+    tagged.iteration = n
+    return tagged
+
+
 def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     """Execute the outer loop; returns the full audited trace.
 
     Raises NonConvergedError / UnsupportedCombinationError from the
-    submodules with the failing iteration prepended, and NonConvergedError
-    when the accumulated cuts exceed the configured cap.
+    resolvent, NonConvergedError / InfeasibleError from the retraction and
+    AuditError from the retraction audit, each with the failing iteration
+    prepended to the message and stored as its `iteration` attribute, and
+    NonConvergedError when the accumulated cuts exceed the configured cap.
     """
     space = bundle.space
     if config.mode is Mode.HILBERT_MAIN and not space.is_hilbert:
@@ -254,7 +264,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
                 rng=np.random.default_rng([config.seed, n, 1]),
             )
         except (NonConvergedError, UnsupportedCombinationError) as exc:
-            raise type(exc)(f"iteration {n}: {exc}") from exc
+            raise _at_iteration(exc, n) from exc
 
         cut = make_comparison_halfspace(config.mode, u, x, space)
         if cut is not None:
@@ -264,8 +274,8 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
             else:
                 dual_set = add_cut(dual_set, cut)
             if len(dual_set.cuts) > config.cut_cap:
-                raise NonConvergedError(
-                    f"iteration {n}: accumulated cuts exceed the cap {config.cut_cap}"
+                raise _at_iteration(
+                    NonConvergedError(f"accumulated cuts exceed the cap {config.cut_cap}"), n
                 )
 
         retraction_problem = RetractionProblem(space, dual_set, anchor)
@@ -288,15 +298,18 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
                     dykstra_tol=config.dykstra_tol,
                     seed=config.seed,
                 )
-        except NonConvergedError as exc:
-            raise NonConvergedError(f"iteration {n}: {exc}") from exc
+        except (NonConvergedError, InfeasibleError) as exc:
+            raise _at_iteration(exc, n) from exc
 
-        retraction_residual = retraction_vi_residual(
-            retraction_problem,
-            x_next,
-            samples=config.audit_samples,
-            rng=np.random.default_rng([config.seed, n, 2]),
-        )
+        try:
+            retraction_residual = retraction_vi_residual(
+                retraction_problem,
+                x_next,
+                samples=config.audit_samples,
+                rng=np.random.default_rng([config.seed, n, 2]),
+            )
+        except AuditError as exc:
+            raise _at_iteration(exc, n) from exc
         if config.mode is Mode.HILBERT_MAIN:
             feasibility = worst_violation(primal_set, x_next.coords)
         else:

@@ -98,11 +98,34 @@ class DualPoint:
         return pnorm(self.coords, self.space.conjugate)
 
 
+# A norm inside this band comes out of the plain power sum exact to
+# rounding: for every exponent up to 11 (the conjugate of 1.1) the largest
+# power |v_i|^e is then a normal float and the sum has not overflowed.
+# Outside it the sum may have under- or overflowed.
+_SAFE_MIN = 2.0**-80
+_SAFE_MAX = 2.0**80
+
+
 def pnorm(v: np.ndarray, exponent: float) -> float:
-    """The exponent-norm of a raw coordinate vector."""
+    """The exponent-norm of a raw coordinate vector, safe at extreme magnitudes.
+
+    The plain power sum is kept whenever its result lies in the safe band;
+    since max|v_i| <= |v| <= d^(1/e) max|v_i|, that is a band on the
+    magnitude of v.  Otherwise v is scaled exactly by the power of two
+    nearest its largest entry first (numpy may still report the overflow
+    of the plain sum that this repairs).
+    """
     if exponent == 2.0:
-        return float(np.sqrt(np.dot(v, v)))
-    return float(np.sum(np.abs(v) ** exponent) ** (1.0 / exponent))
+        nrm = float(np.sqrt(np.dot(v, v)))
+    else:
+        nrm = float(np.sum(np.abs(v) ** exponent) ** (1.0 / exponent))
+    if _SAFE_MIN <= nrm <= _SAFE_MAX:
+        return nrm
+    top = float(np.max(np.abs(v), initial=0.0))
+    if top == 0.0 or not np.isfinite(top):
+        return nrm
+    shift = int(np.frexp(top)[1])
+    return float(np.ldexp(pnorm(np.ldexp(v, -shift), exponent), shift))
 
 
 def pairing(primal: np.ndarray, dual: np.ndarray) -> float:
@@ -115,13 +138,16 @@ def gauge_coords(v: np.ndarray, exponent: float) -> np.ndarray:
 
     Total on finite inputs; maps 0 to 0 explicitly, guarding the
     |v|^(2 - exponent) prefactor, which is 0 to a negative power when
-    exponent > 2.
+    exponent > 2.  Outside pnorm's safe band the map is evaluated as
+    |v| (|v_i| / |v|)^(exponent - 1) sign(v_i), whose factors stay finite.
     """
     if exponent == 2.0:
         return np.array(v, dtype=float)
     nrm = pnorm(v, exponent)
     if nrm == 0.0:
         return np.zeros_like(np.asarray(v, dtype=float))
+    if not _SAFE_MIN <= nrm <= _SAFE_MAX:
+        return nrm * (np.abs(v) / nrm) ** (exponent - 1.0) * np.sign(v)
     return nrm ** (2.0 - exponent) * np.abs(v) ** (exponent - 1.0) * np.sign(v)
 
 

@@ -1,6 +1,10 @@
 """Scenario loading, strict schema validation, reports, CSV/JSON output, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +291,71 @@ class TestFailureReporting:
         assert _report_exit_code(audit_fail) == 2
         capped = dataclasses.replace(base, outcome="iteration_cap")
         assert _report_exit_code(capped) == 3
+
+    @staticmethod
+    def _empty_primal_set(monkeypatch):
+        """Each Hilbert-mode projection first gains a cut that misses the ball."""
+        import hybrideq.solver as solver_module
+        from hybrideq.sets import Halfspace, add_cut
+
+        real = solver_module.project_intersection
+
+        def onto_empty_set(cset, v, **kwargs):
+            beyond = Halfspace(np.ones(v.shape[0]), -10.0, cset.frame)
+            return real(add_cut(cset, beyond), v, **kwargs)
+
+        monkeypatch.setattr(solver_module, "project_intersection", onto_empty_set)
+
+    @staticmethod
+    def _infeasible_iterate(monkeypatch):
+        """Each Hilbert-mode projection returns a point far outside the set."""
+        import hybrideq.solver as solver_module
+
+        monkeypatch.setattr(
+            solver_module, "project_intersection", lambda cset, v, **kwargs: v + 10.0
+        )
+
+    @pytest.mark.parametrize(
+        "fault, outcome, exit_code",
+        [("_empty_primal_set", "infeasible", 3), ("_infeasible_iterate", "audit_error", 2)],
+    )
+    def test_solver_faults_become_outcomes(
+        self, monkeypatch, tmp_path, capsys, fault, outcome, exit_code
+    ):
+        getattr(self, fault)(monkeypatch)
+        report = run_scenario(load_scenario(dict(TINY)))
+        assert report.outcome == outcome
+        assert report.failed_iteration == 1
+        assert report.error.startswith("iteration 1: ")
+        assert not report.audits_passed
+
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY))
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        assert cli_main(["solve", "--scenario", str(path), "--out", str(out_dir)]) == exit_code
+        printed = json.loads(capsys.readouterr().out)
+        assert (printed["outcome"], printed["failed_iteration"]) == (outcome, 1)
+        summary = json.loads((out_dir / "tiny_summary.json").read_text())
+        assert (summary["outcome"], summary["failed_iteration"]) == (outcome, 1)
+        assert cli_main(["verify", "--scenario", str(path)]) == exit_code
+
+
+class TestDependencies:
+    def test_optimization_app_runs_without_scipy(self):
+        # the package depends on numpy alone; a stray scipy import would
+        # also add tens of MB to every run's resident set
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "from hybrideq.cli import main\n"
+            "code = main(['solve', '--scenario', 'optimization_app'])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"

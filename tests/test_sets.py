@@ -1,18 +1,23 @@
-"""Constraint sets, primitive projections, and Dykstra's algorithm.
+"""Constraint sets, primitive projections, Dykstra's algorithm, and the
+exact least-distance engine.
 
 The Dykstra example from the operation contract (unit 2-ball cut by
 z_1 <= 0, projecting (2, 0)) is checked against a dense grid search over
-the feasible set, which is the stated independent oracle.
+the feasible set, which is the stated independent oracle.  Dykstra is in
+turn the reference for the least-distance engine, and the 36-step
+bisection it replaced is the reference for the ratio-test pull-back.
 """
 
 import numpy as np
 import pytest
 
+import hybrideq.sets as sets_module
 from hybrideq import (
     Box,
     ConstraintSet,
     Frame,
     Halfspace,
+    InfeasibleError,
     NonConvergedError,
     PBall,
     WholeSpace,
@@ -22,7 +27,7 @@ from hybrideq import (
     project_primitive,
     sample_feasible,
 )
-from hybrideq.sets import project_intersection, worst_violation
+from hybrideq.sets import _least_distance, _pull_feasible, project_intersection, worst_violation
 
 
 def _grid_nearest(cset, v, lo=-1.5, hi=1.5, steps=301):
@@ -177,10 +182,128 @@ class TestProjectIntersection:
         v = np.array([4.0, 4.0, 4.0])
         z = project_intersection(cset, v, tol=1e-12)
         assert worst_violation(cset, z) <= 1e-9
+        assert _least_distance(cset, v)[2] <= 1e-12 * np.linalg.norm(v)
+        np.testing.assert_allclose(
+            z, dykstra_project(cset, v, tol=1e-12, max_iter=20000), atol=1e-7
+        )
         # optimality spot check against feasible samples pulled toward z
         samples = sample_feasible(cset, rng, 400, dimension=3, anchor=z)
         dists = np.linalg.norm(samples - v, axis=1)
         assert np.all(dists >= np.linalg.norm(v - z) - 1e-6)
+
+
+def _random_cut_set(rng, kind):
+    """A nonempty base ∩ cuts set (the origin is interior) of a random dimension."""
+    d = int(rng.integers(2, 6))
+    cuts = tuple(
+        Halfspace(rng.standard_normal(d), rng.uniform(0.05, 0.6))
+        for _ in range(int(rng.integers(1, 6)))
+    )
+    base = {
+        "box": Box(-np.ones(d), np.ones(d)),
+        "ball": PBall(1.0, 2.0),
+        "whole": WholeSpace(),
+        "qball": PBall(1.0, 1.5),
+    }[kind]
+    return ConstraintSet(base, cuts), d
+
+
+class TestLeastDistanceEngine:
+    @pytest.mark.parametrize("kind", ["box", "ball", "whole"])
+    def test_matches_dykstra_with_kkt_certificate(self, kind):
+        rng = np.random.default_rng(["box", "ball", "whole"].index(kind))
+        ball_active = set()
+        for _ in range(40):
+            cset, d = _random_cut_set(rng, kind)
+            v = 2.5 * rng.standard_normal(d)
+            z, nu, resid = _least_distance(cset, v)
+            assert resid <= 1e-12 * (1.0 + np.linalg.norm(v))
+            ref = dykstra_project(cset, v, tol=1e-12, max_iter=300_000)
+            np.testing.assert_allclose(z, ref, atol=1e-7)
+            ball_active.add(nu > 0.0)
+        if kind == "ball":
+            assert ball_active == {True, False}  # both regimes exercised
+
+    def test_empty_box_with_cuts_raises_infeasible(self):
+        beyond_box = ConstraintSet(Box([-1.0, -1.0], [1.0, 1.0]), (Halfspace([1.0, 0.0], -2.0),))
+        with pytest.raises(InfeasibleError):
+            project_intersection(beyond_box, np.array([0.5, 0.5]))
+        contradictory = ConstraintSet(
+            WholeSpace(), (Halfspace([1.0, 1.0], -1.0), Halfspace([-1.0, -1.0], -1.0))
+        )
+        with pytest.raises(InfeasibleError):
+            project_intersection(contradictory, np.array([0.0, 0.0]))
+
+    def test_cut_missing_the_2ball_raises_infeasible(self):
+        cset = ConstraintSet(PBall(1.0, 2.0), (Halfspace([1.0, 0.0], -3.0),))
+        with pytest.raises(InfeasibleError):
+            project_intersection(cset, np.array([0.0, 0.0]))
+
+    def test_iterative_engines_are_not_reached(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an iterative projection engine was reached")
+
+        for name in ("dykstra_project", "_admm_project", "_exact_polish"):
+            monkeypatch.setattr(sets_module, name, forbidden)
+        rng = np.random.default_rng(9)
+        for kind in ("box", "ball", "whole"):
+            for _ in range(20):
+                cset, d = _random_cut_set(rng, kind)
+                project_intersection(cset, 2.5 * rng.standard_normal(d))
+
+
+def _bisect_pull(cset, anchor, cand):
+    """The 36-step bisection the ratio test replaced."""
+    lo, hi = 0.0, 1.0
+    for _ in range(36):
+        mid = 0.5 * (lo + hi)
+        if worst_violation(cset, anchor + mid * (cand - anchor)) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return anchor + lo * (cand - anchor)
+
+
+class TestPullFeasible:
+    @pytest.mark.parametrize("kind", ["box", "ball", "qball"])
+    def test_ratio_test_matches_bisection(self, kind):
+        rng = np.random.default_rng(["box", "ball", "qball"].index(kind) + 20)
+        compared = 0
+        for _ in range(30):
+            cset, d = _random_cut_set(rng, kind)
+            boundary = project_intersection(cset, 3.0 * rng.standard_normal(d), tol=1e-12)
+            for shrink in (0.0, 0.5, 1.0):  # interior anchors and a boundary one
+                anchor = shrink * boundary
+                allowed = max(worst_violation(cset, anchor), 0.0)
+                for cand in sample_feasible(ConstraintSet(cset.base), rng, 10, dimension=d):
+                    if worst_violation(cset, cand) <= 0.0:
+                        continue
+                    step = cand - anchor
+                    point = _pull_feasible(cset, anchor, cand, allowed)
+                    assert worst_violation(cset, point) <= allowed
+                    t = float(np.dot(point - anchor, step) / np.dot(step, step))
+                    ref = _bisect_pull(cset, anchor, cand)
+                    t_ref = float(np.dot(ref - anchor, step) / np.dot(step, step))
+                    assert t >= t_ref - 1e-12
+                    if allowed == 0.0:
+                        assert t - t_ref <= 2.0**-36 + 1e-12
+                        compared += 1
+        assert compared >= 100
+
+    def test_anchor_violating_by_rounding_does_not_collapse_samples(self):
+        # the anchor violates the cut it sits on by 1e-13, as a projection's
+        # answer can; a candidate moving along that cut face is cut off by
+        # the other cut half-way, which the bisection never reached
+        cset = ConstraintSet(
+            PBall(2.0, 2.0), (Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.5))
+        )
+        anchor = np.array([1e-13, 0.0])
+        cand = np.array([1e-13, 1.0])
+        allowed = worst_violation(cset, anchor)
+        np.testing.assert_array_equal(_bisect_pull(cset, anchor, cand), anchor)
+        point = _pull_feasible(cset, anchor, cand, allowed)
+        assert worst_violation(cset, point) <= allowed
+        np.testing.assert_allclose(point, [1e-13, 0.5], atol=1e-12)
 
 
 class TestAddCut:

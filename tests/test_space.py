@@ -7,6 +7,8 @@ Expected values are frozen from independent computations: the p = 3 map of
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hybrideq import (
     DualPoint,
@@ -194,3 +196,47 @@ class TestDualityJacobian:
         v = np.array([0.3, -1.2, 0.7])
         jac = duality_jacobian(v, 3.0)
         np.testing.assert_allclose(jac, jac.T, atol=1e-14)
+
+
+class TestScaleSafety:
+    """pnorm and the duality map at magnitudes where plain power sums fail."""
+
+    # the plain sum is tried first and numpy reports its overflow
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p", [2.0, 10.0])
+    def test_extreme_magnitudes_keep_norm_and_map(self, p):
+        # at p = 10 the plain sum gives |1e-33 * 1| = 0 and |1e32 * 1| = inf;
+        # at p = 2 the same happens at 1e-170 and 1e160
+        for mag in (1e-170, 1e-33, 1e32, 1e160):
+            x = np.full(3, mag)
+            assert pnorm(x, p) == pytest.approx(3.0 ** (1.0 / p) * mag, rel=1e-14)
+            jx = gauge_coords(x, p)
+            assert np.all(np.isfinite(jx)) and np.all(jx > 0.0)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 10.0])
+    def test_in_band_inputs_keep_the_plain_power_sum(self, p):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            v = rng.standard_normal(6) * 10.0 ** rng.uniform(-12.0, 12.0)
+            plain = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+            assert pnorm(v, p) == plain
+            assert np.array_equal(
+                gauge_coords(v, p), plain ** (2.0 - p) * np.abs(v) ** (p - 1.0) * np.sign(v)
+            )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.floats(1.1, 10.0),
+        mantissas=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+        decade=st.integers(-150, 150),
+    )
+    def test_duality_identities_across_magnitudes(self, p, mantissas, decade):
+        m = np.array(mantissas)
+        assume(np.max(np.abs(m)) >= 0.5)
+        x = m * 10.0**decade
+        q = p / (p - 1.0)
+        nrm = pnorm(x, p)
+        jx = gauge_coords(x, p)
+        assert pnorm(jx, q) == pytest.approx(nrm, rel=1e-12)
+        assert float(np.dot(x, jx)) == pytest.approx(nrm * nrm, rel=1e-12)
