@@ -19,7 +19,6 @@ from .equilibrium import (
     ZeroTerm,
     resolvent_gap,
     resolvent_lhs,
-    solve_resolvent,
     solve_resolvent_certified,
 )
 from .errors import (

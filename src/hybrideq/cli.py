@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import ScenarioParseError, ScenarioValidationError, UnsupportedCombinationError
-from .harness import BUILTIN_SCENARIOS, load_scenario, run_scenario
+from .harness import BUILTIN_SCENARIOS, load_scenario, read_scenario, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,16 +40,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args) -> "ScenarioSpec":
-    spec = load_scenario(args.scenario)
-    doc = spec.to_dict()
-    if getattr(args, "max_iter", None) is not None:
-        doc["config"]["max_outer"] = args.max_iter
-    if getattr(args, "tol", None) is not None:
-        doc["config"]["outer_tol"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-    if getattr(args, "mode", None) is not None:
-        doc["config"]["mode"] = args.mode
+    """Apply the command-line overrides to the scenario document, then validate it once."""
+    doc = read_scenario(args.scenario)
+    # a document of the wrong shape is left to validation to report
+    if isinstance(doc, dict) and isinstance(doc.get("config", {}), dict):
+        config = doc.setdefault("config", {})
+        if getattr(args, "max_iter", None) is not None:
+            config["max_outer"] = args.max_iter
+        if getattr(args, "tol", None) is not None:
+            config["outer_tol"] = args.tol
+        if getattr(args, "mode", None) is not None:
+            config["mode"] = args.mode
+        if args.seed is not None:
+            doc["seed"] = args.seed
     return load_scenario(doc)
 
 

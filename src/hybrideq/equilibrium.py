@@ -326,7 +326,8 @@ def resolvent_lhs(prob: ResolventProblem, u: PrimalPoint, y: PrimalPoint) -> flo
 # -- classification -------------------------------------------------------------
 
 
-def _classify(prob: ResolventProblem) -> str:
+def classify_problem(prob: ResolventProblem) -> str:
+    """'hilbert' or 'banach_lp'; raises UnsupportedCombinationError otherwise."""
     space = prob.space
     if space.is_hilbert:
         for f in prob.bifunctions:
@@ -366,11 +367,6 @@ def _classify(prob: ResolventProblem) -> str:
             "pairings, dual-norm mixed term, duality perturbation"
         )
     return "banach_lp"
-
-
-def classify_problem(prob: ResolventProblem) -> str:
-    """'hilbert' or 'banach_lp'; raises UnsupportedCombinationError otherwise."""
-    return _classify(prob)
 
 
 # -- composite prox of t*phi + indicator(Omega) ---------------------------------
@@ -638,7 +634,7 @@ def resolvent_gap(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    kind = _classify(prob)
+    kind = classify_problem(prob)
     uc = u.coords
     starts = _gap_starts(prob, uc, samples, rng)
     if kind == "hilbert":
@@ -715,7 +711,7 @@ def solve_resolvent_certified(
     rng: np.random.Generator | None = None,
 ) -> tuple:
     """Solve for T_r(input) and certify; returns (PrimalPoint, certified gap)."""
-    kind = _classify(prob)
+    kind = classify_problem(prob)
     if rng is None:
         rng = np.random.default_rng([seed, 0x5E50])
     if kind == "hilbert":
@@ -729,14 +725,6 @@ def solve_resolvent_certified(
         raise NonConvergedError(f"resolvent gap {gap:g} stayed above tol={tol:g}")
     uc, gap = _solve_banach(prob, tol, rng)
     return PrimalPoint(uc, prob.space), gap
-
-
-def solve_resolvent(
-    prob: ResolventProblem, tol: float = 1e-8, seed: int = 0
-) -> PrimalPoint:
-    """The resolvent point T_r(input); see solve_resolvent_certified for the gap."""
-    point, _ = solve_resolvent_certified(prob, tol=tol, seed=seed)
-    return point
 
 
 # -- validation helpers -----------------------------------------------------------

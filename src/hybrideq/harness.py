@@ -19,9 +19,10 @@ from __future__ import annotations
 import copy
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -137,7 +138,7 @@ BUILTIN_SCENARIOS = {
 }
 
 
-# -- strict validation ---------------------------------------------------------
+# -- scenario schema -------------------------------------------------------------
 
 
 def _fail(path: str, message: str):
@@ -155,122 +156,196 @@ def _require_keys(obj, allowed, required, path):
             _fail(path, f"missing required key {key!r}")
 
 
-def _number(obj, key, path, default=None, positive=False, integer=False):
-    if key not in obj:
-        if default is None:
-            _fail(path, f"missing required key {key!r}")
-        return default
-    val = obj[key]
+def _number(val, path) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        _fail(f"{path}.{key}", "must be a number")
-    if integer and int(val) != val:
-        _fail(f"{path}.{key}", "must be an integer")
-    if positive and val <= 0:
-        _fail(f"{path}.{key}", "must be positive")
-    return int(val) if integer else float(val)
+        _fail(path, "must be a number")
+    return float(val)
 
 
-def _vector(val, path, length=None):
+def _positive(val, path, dimension=None) -> float:
+    val = _number(val, path)
+    if val <= 0:
+        _fail(path, "must be positive")
+    return val
+
+
+def _integer(val, path, minimum=1) -> int:
+    val = _number(val, path)
+    if not val.is_integer():
+        _fail(path, "must be an integer")
+    if val < minimum:
+        _fail(path, f"must be at least {minimum}")
+    return int(val)
+
+
+def _vector(val, path, length=None) -> np.ndarray:
     if not isinstance(val, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
     ):
         _fail(path, "must be a list of numbers")
     if length is not None and len(val) != length:
         _fail(path, f"must have length {length}")
-    return [float(x) for x in val]
+    return np.array(val, dtype=float)
 
 
-def _validate_base_set(obj, dim, path):
-    _require_keys(obj, {"kind", "radius", "lower", "upper"}, {"kind"}, path)
-    kind = obj.get("kind")
-    if kind == "p_ball":
-        _require_keys(obj, {"kind", "radius"}, {"kind", "radius"}, path)
-        _number(obj, "radius", path, positive=True)
-    elif kind == "box":
-        _require_keys(obj, {"kind", "lower", "upper"}, {"kind", "lower", "upper"}, path)
-        lower = _vector(obj["lower"], f"{path}.lower", dim)
-        upper = _vector(obj["upper"], f"{path}.upper", dim)
-        if any(lo > up for lo, up in zip(lower, upper)):
-            _fail(path, "lower must not exceed upper")
-    elif kind == "whole_space":
-        _require_keys(obj, {"kind"}, {"kind"}, path)
-    else:
-        _fail(f"{path}.kind", f"unknown base-set kind {kind!r}")
+def _matrix(val, path, dimension) -> np.ndarray:
+    if not isinstance(val, list) or len(val) != dimension:
+        _fail(path, f"must be a {dimension}x{dimension} matrix (list of rows)")
+    return np.array([_vector(row, f"{path}[{i}]", dimension) for i, row in enumerate(val)])
 
 
-def _validate_operator(obj, path):
-    _require_keys(obj, {"kind", "relax_weight"}, {"kind"}, path)
-    if obj.get("kind") not in ("shift", "duality"):
-        _fail(f"{path}.kind", f"unknown operator kind {obj.get('kind')!r}")
-    alpha = _number(obj, "relax_weight", path, default=0.5)
+def _relax_weight(val, path, dimension=None) -> float:
+    alpha = _number(val, path)
     if not (0.0 < alpha < 1.0) or 1.0 - alpha < 0.5:
-        _fail(f"{path}.relax_weight", "must lie in (0, 1) with 1 - value >= 1/2")
+        _fail(path, "must lie in (0, 1) with 1 - value >= 1/2")
+    return alpha
 
 
-def _validate_bifunction(obj, dim, path):
-    _require_keys(
-        obj, {"kind", "center", "weight", "matrix", "offset"}, {"kind"}, path
-    )
-    kind = obj.get("kind")
-    if kind == "inverse_duality_pairing":
-        _require_keys(obj, {"kind"}, {"kind"}, path)
-    elif kind == "quadratic_potential":
-        _require_keys(obj, {"kind", "center", "weight"}, {"kind", "center"}, path)
-        _vector(obj["center"], f"{path}.center", dim)
-        _number(obj, "weight", path, default=1.0, positive=True)
-    elif kind == "affine_pairing":
-        _require_keys(obj, {"kind", "matrix", "offset"}, {"kind", "matrix", "offset"}, path)
-        _validate_matrix(obj["matrix"], dim, f"{path}.matrix")
-        _vector(obj["offset"], f"{path}.offset", dim)
-    else:
-        _fail(f"{path}.kind", f"unknown bifunction kind {kind!r}")
+def _mode(val, path) -> Mode:
+    try:
+        return Mode(val)
+    except ValueError:
+        _fail(path, f"must be 'hilbert' or 'banach', got {val!r}")
 
 
-def _validate_matrix(val, dim, path):
-    if not isinstance(val, list) or len(val) != dim:
-        _fail(path, f"must be a {dim}x{dim} matrix (list of rows)")
-    for i, row in enumerate(val):
-        _vector(row, f"{path}[{i}]", dim)
+#: the check of each field a section kind may carry, by field name; each
+#: takes (value, path, space dimension) and returns the checked value
+_FIELD_CHECKS = {
+    "radius": _positive,
+    "weight": _positive,
+    "relax_weight": _relax_weight,
+    "lower": _vector,
+    "upper": _vector,
+    "center": _vector,
+    "offset": _vector,
+    "matrix": _matrix,
+}
 
 
-def _validate_mixed(obj, dim, path):
-    _require_keys(obj, {"kind", "weight", "center"}, {"kind"}, path)
-    kind = obj.get("kind")
-    if kind in ("zero", "dual_norm"):
-        _require_keys(obj, {"kind"}, {"kind"}, path)
-    elif kind == "weighted_l1":
-        _require_keys(obj, {"kind", "weight"}, {"kind", "weight"}, path)
-        _number(obj, "weight", path, positive=True)
-    elif kind == "quadratic":
-        _require_keys(obj, {"kind", "center"}, {"kind", "center"}, path)
-        _vector(obj["center"], f"{path}.center", dim)
-    else:
-        _fail(f"{path}.kind", f"unknown mixed-term kind {kind!r}")
+@dataclass(frozen=True)
+class _Kind:
+    """One kind of a bundle section: its builder, called as build(space,
+    checked fields), its required keys and its optional keys with defaults."""
+
+    build: Callable
+    required: tuple = ()
+    optional: dict = field(default_factory=dict)
 
 
-def _validate_perturbation(obj, dim, path):
-    _require_keys(obj, {"kind", "matrix", "offset"}, {"kind"}, path)
-    kind = obj.get("kind")
-    if kind in ("zero", "duality"):
-        _require_keys(obj, {"kind"}, {"kind"}, path)
-    elif kind == "affine":
-        _require_keys(obj, {"kind", "matrix", "offset"}, {"kind", "matrix", "offset"}, path)
-        _validate_matrix(obj["matrix"], dim, f"{path}.matrix")
-        _vector(obj["offset"], f"{path}.offset", dim)
-    else:
-        _fail(f"{path}.kind", f"unknown perturbation kind {kind!r}")
+def _box(space, f):
+    if not space.is_hilbert:
+        raise UnsupportedCombinationError(
+            "box base sets are supported only at p = 2 (their dual image "
+            "is not representable otherwise)"
+        )
+    return Box(f["lower"], f["upper"], Frame.PRIMAL), Box(f["lower"], f["upper"], Frame.DUAL)
 
 
-_CONFIG_KEYS = {
-    "mode",
-    "r",
-    "outer_tol",
-    "max_outer",
-    "resolvent_tol",
-    "retraction_tol",
-    "min_r",
-    "audit_samples",
-    "cut_cap",
+def _relaxed(base_map):
+    def build(space, f):
+        alpha = f["relax_weight"]
+        return RelaxedFamily(base_map(space), lambda n: alpha)
+
+    return build
+
+
+#: base-set kinds build the (primal, dual-frame) pair of base sets
+_BASE_SETS = {
+    "p_ball": _Kind(
+        lambda space, f: (
+            PBall(f["radius"], space.exponent, Frame.PRIMAL),
+            PBall(f["radius"], space.conjugate, Frame.DUAL),
+        ),
+        required=("radius",),
+    ),
+    "box": _Kind(_box, required=("lower", "upper")),
+    "whole_space": _Kind(lambda space, f: (WholeSpace(Frame.PRIMAL), WholeSpace(Frame.DUAL))),
+}
+
+_OPERATORS = {
+    "shift": _Kind(_relaxed(ShiftMap), optional={"relax_weight": 0.5}),
+    "duality": _Kind(_relaxed(JMap), optional={"relax_weight": 0.5}),
+}
+
+_BIFUNCTIONS = {
+    "inverse_duality_pairing": _Kind(
+        lambda space, f: PairingBifunction(InverseDualityPairing(space))
+    ),
+    "quadratic_potential": _Kind(
+        lambda space, f: PotentialBifunction(QuadraticPotential(f["center"], f["weight"])),
+        required=("center",),
+        optional={"weight": 1.0},
+    ),
+    "affine_pairing": _Kind(
+        lambda space, f: PairingBifunction(AffinePairing(f["matrix"], f["offset"])),
+        required=("matrix", "offset"),
+    ),
+}
+
+_MIXED_TERMS = {
+    "zero": _Kind(lambda space, f: ZeroTerm()),
+    "dual_norm": _Kind(lambda space, f: DualNormTerm(space.conjugate)),
+    "weighted_l1": _Kind(lambda space, f: WeightedL1Term(f["weight"]), required=("weight",)),
+    "quadratic": _Kind(lambda space, f: QuadraticTerm(f["center"]), required=("center",)),
+}
+
+_PERTURBATIONS = {
+    "zero": _Kind(lambda space, f: ZeroPerturbation()),
+    "duality": _Kind(lambda space, f: DualityPerturbation(space)),
+    "affine": _Kind(
+        lambda space, f: AffinePerturbation(f["matrix"], f["offset"]),
+        required=("matrix", "offset"),
+    ),
+}
+
+
+def _build_kind(table: dict, desc, path: str, space: SpaceConfig):
+    """Check one section description against its kind's table entry and build it."""
+    if not isinstance(desc, dict):
+        _fail(path, f"expected an object, got {type(desc).__name__}")
+    if "kind" not in desc:
+        _fail(path, "missing required key 'kind'")
+    kind = desc["kind"]
+    entry = table.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        _fail(f"{path}.kind", f"unknown kind {kind!r}")
+    _require_keys(desc, {"kind", *entry.required, *entry.optional}, entry.required, path)
+    fields = {
+        key: _FIELD_CHECKS[key](value, f"{path}.{key}", space.dimension)
+        for key, value in {**entry.optional, **desc}.items()
+        if key != "kind"
+    }
+    try:
+        return entry.build(space, fields)
+    except UnsupportedCombinationError:
+        raise
+    except ValueError as exc:
+        # a constructor's own check, e.g. a matrix whose symmetric part is not PSD
+        _fail(path, str(exc))
+
+
+#: config key -> (default, check); the checks take (value, path)
+_CONFIG_FIELDS = {
+    "mode": ("hilbert", _mode),
+    "r": (1.0, _positive),
+    "outer_tol": (1e-6, _positive),
+    "max_outer": (200, lambda val, path: _integer(val, path, minimum=0)),
+    "resolvent_tol": (1e-6, _positive),
+    "retraction_tol": (1e-10, _positive),
+    "min_r": (1e-3, _positive),
+    "audit_samples": (24, _integer),
+    "cut_cap": (500, _integer),
+}
+
+_BUNDLE_KEYS = {
+    "base_set",
+    "operators",
+    "combination_weights",
+    "bifunctions",
+    "mixed_term",
+    "perturbation",
+    "start",
+    "reference_solution",
 }
 
 
@@ -293,8 +368,32 @@ class ScenarioSpec:
             "seed": self.seed,
         }
 
+    @cached_property
+    def problem(self) -> ProblemBundle:
+        """The solver inputs, built on first use and kept: one build per spec."""
+        return build_bundle(self)
 
-def _validate_document(doc) -> ScenarioSpec:
+
+def read_scenario(source):
+    """The unvalidated scenario document of a built-in name, a JSON path, or a dict."""
+    if isinstance(source, dict):
+        return source
+    if isinstance(source, str) and source in BUILTIN_SCENARIOS:
+        return copy.deepcopy(BUILTIN_SCENARIOS[source])
+    path = Path(source)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ScenarioParseError(f"{path}: cannot read scenario file: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def load_scenario(source) -> ScenarioSpec:
+    """Load and validate a scenario from a built-in name, a JSON path, or a dict."""
+    doc = read_scenario(source)
     _require_keys(
         doc,
         {"name", "space", "bundle", "config", "seed"},
@@ -305,64 +404,11 @@ def _validate_document(doc) -> ScenarioSpec:
         _fail("scenario.name", "must be a nonempty string")
     space = doc["space"]
     _require_keys(space, {"dimension", "exponent"}, {"dimension", "exponent"}, "space")
-    dim = _number(space, "dimension", "space", positive=True, integer=True)
-    _number(space, "exponent", "space", positive=True)
-
-    bundle = doc["bundle"]
-    _require_keys(
-        bundle,
-        {
-            "base_set",
-            "operators",
-            "combination_weights",
-            "bifunctions",
-            "mixed_term",
-            "perturbation",
-            "start",
-            "reference_solution",
-        },
-        {"base_set", "operators"},
-        "bundle",
-    )
-    _validate_base_set(bundle["base_set"], dim, "bundle.base_set")
-    ops = bundle["operators"]
-    if not isinstance(ops, list) or not ops:
-        _fail("bundle.operators", "must be a nonempty list")
-    for i, op in enumerate(ops):
-        _validate_operator(op, f"bundle.operators[{i}]")
-    weights = bundle.get("combination_weights")
-    if weights is not None:
-        weights = _vector(weights, "bundle.combination_weights", len(ops) + 1)
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-12:
-            _fail("bundle.combination_weights", "must lie on the probability simplex")
-    for i, bf in enumerate(bundle.get("bifunctions", [])):
-        _validate_bifunction(bf, dim, f"bundle.bifunctions[{i}]")
-    _validate_mixed(bundle.get("mixed_term", {"kind": "zero"}), dim, "bundle.mixed_term")
-    _validate_perturbation(
-        bundle.get("perturbation", {"kind": "zero"}), dim, "bundle.perturbation"
-    )
-    start = bundle.get("start", "random_feasible")
-    if start != "random_feasible":
-        _vector(start, "bundle.start", dim)
-    reference = bundle.get("reference_solution")
-    if reference is not None:
-        _vector(reference, "bundle.reference_solution", dim)
-
-    config = doc.get("config", {})
-    _require_keys(config, _CONFIG_KEYS, set(), "config")
-    mode = config.get("mode", "hilbert")
-    if mode not in ("hilbert", "banach"):
-        _fail("config.mode", f"must be 'hilbert' or 'banach', got {mode!r}")
-    _number(config, "r", "config", default=1.0, positive=True)
-    _number(config, "outer_tol", "config", default=1e-6, positive=True)
-    _number(config, "max_outer", "config", default=200, integer=True)
-    if config.get("max_outer", 200) < 0:
-        _fail("config.max_outer", "must be nonnegative")
-    _number(config, "resolvent_tol", "config", default=1e-6, positive=True)
-    _number(config, "retraction_tol", "config", default=1e-10, positive=True)
-    _number(config, "min_r", "config", default=1e-3, positive=True)
-    _number(config, "audit_samples", "config", default=24, positive=True, integer=True)
-    _number(config, "cut_cap", "config", default=500, positive=True, integer=True)
+    dimension = _integer(space["dimension"], "space.dimension")
+    try:
+        SpaceConfig(dimension, _number(space["exponent"], "space.exponent"))
+    except ValueError as exc:
+        _fail("space.exponent", str(exc))
     seed = doc.get("seed", 7)
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("scenario.seed", "must be an integer")
@@ -370,180 +416,107 @@ def _validate_document(doc) -> ScenarioSpec:
     spec = ScenarioSpec(
         name=doc["name"],
         space=copy.deepcopy(space),
-        bundle=copy.deepcopy(bundle),
-        config=copy.deepcopy(config),
+        bundle=copy.deepcopy(doc["bundle"]),
+        config=copy.deepcopy(doc.get("config", {})),
         seed=seed,
     )
-    # reject combinations the solvers cannot honor before any work happens
-    build_bundle(spec)
+    # build the bundle and check the config before any work happens; the
+    # spec keeps the bundle, so run_scenario does not build it again
+    spec.problem
+    build_config(spec)
     return spec
-
-
-def load_scenario(source) -> ScenarioSpec:
-    """Load and validate a scenario from a built-in name, a JSON path, or a dict."""
-    if isinstance(source, dict):
-        return _validate_document(source)
-    if isinstance(source, Path) or (isinstance(source, str) and source not in BUILTIN_SCENARIOS):
-        path = Path(source)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ScenarioParseError(f"{path}: cannot read scenario file: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioParseError(
-                f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-            ) from exc
-        return _validate_document(doc)
-    return _validate_document(copy.deepcopy(BUILTIN_SCENARIOS[source]))
 
 
 # -- construction ----------------------------------------------------------------
 
 
-def build_space(spec: ScenarioSpec) -> SpaceConfig:
-    return SpaceConfig(int(spec.space["dimension"]), float(spec.space["exponent"]))
-
-
-def _build_sets(spec: ScenarioSpec, space: SpaceConfig):
-    desc = spec.bundle["base_set"]
-    kind = desc["kind"]
-    if kind == "p_ball":
-        primal = PBall(float(desc["radius"]), space.exponent, Frame.PRIMAL)
-        dual = PBall(float(desc["radius"]), space.conjugate, Frame.DUAL)
-    elif kind == "box":
-        if not space.is_hilbert:
-            raise UnsupportedCombinationError(
-                "box base sets are supported only at p = 2 (their dual image "
-                "is not representable otherwise)"
-            )
-        primal = Box(np.array(desc["lower"]), np.array(desc["upper"]), Frame.PRIMAL)
-        dual = Box(np.array(desc["lower"]), np.array(desc["upper"]), Frame.DUAL)
-    else:
-        primal = WholeSpace(Frame.PRIMAL)
-        dual = WholeSpace(Frame.DUAL)
-    return (
-        ConstraintSet(primal, (), Frame.PRIMAL),
-        ConstraintSet(dual, (), Frame.DUAL),
-    )
-
-
-def _build_family(spec: ScenarioSpec, space: SpaceConfig) -> OperatorFamily:
-    members = []
-    for desc in spec.bundle["operators"]:
-        base = ShiftMap(space) if desc["kind"] == "shift" else JMap(space)
-        alpha = float(desc.get("relax_weight", 0.5))
-        members.append(RelaxedFamily(base, (lambda a: (lambda n: a))(alpha)))
-    weights = spec.bundle.get("combination_weights")
-    if weights is None:
-        schedule = None
-    else:
-        values = tuple(float(w) for w in weights)
-        schedule = lambda n: values  # noqa: E731 - constant schedule
-    return OperatorFamily(members, schedule)
-
-
-def _build_equilibrium(spec: ScenarioSpec, space: SpaceConfig):
-    bifunctions = []
-    for desc in spec.bundle.get("bifunctions", []):
-        kind = desc["kind"]
-        if kind == "inverse_duality_pairing":
-            bifunctions.append(PairingBifunction(InverseDualityPairing(space)))
-        elif kind == "quadratic_potential":
-            bifunctions.append(
-                PotentialBifunction(
-                    QuadraticPotential(np.array(desc["center"]), float(desc.get("weight", 1.0)))
-                )
-            )
-        else:
-            bifunctions.append(
-                PairingBifunction(
-                    AffinePairing(np.array(desc["matrix"]), np.array(desc["offset"]))
-                )
-            )
-    mdesc = spec.bundle.get("mixed_term", {"kind": "zero"})
-    if mdesc["kind"] == "zero":
-        mixed = ZeroTerm()
-    elif mdesc["kind"] == "dual_norm":
-        mixed = DualNormTerm(space.conjugate)
-    elif mdesc["kind"] == "weighted_l1":
-        mixed = WeightedL1Term(float(mdesc["weight"]))
-    else:
-        mixed = QuadraticTerm(np.array(mdesc["center"]))
-    pdesc = spec.bundle.get("perturbation", {"kind": "zero"})
-    if pdesc["kind"] == "zero":
-        perturbation = ZeroPerturbation()
-    elif pdesc["kind"] == "duality":
-        perturbation = DualityPerturbation(space)
-    else:
-        perturbation = AffinePerturbation(np.array(pdesc["matrix"]), np.array(pdesc["offset"]))
-    return tuple(bifunctions), mixed, perturbation
-
-
 def build_config(spec: ScenarioSpec) -> SolverConfig:
-    cfg = spec.config
-    space = build_space(spec)
+    """The solver configuration, checking each config field as it is read.
+
+    Raises ScenarioValidationError naming the offending field, and
+    UnsupportedCombinationError for mode 'hilbert' at an exponent other than 2.
+    """
+    _require_keys(spec.config, _CONFIG_FIELDS, (), "config")
+    cfg = {
+        key: check(spec.config.get(key, default), f"config.{key}")
+        for key, (default, check) in _CONFIG_FIELDS.items()
+    }
+    if cfg["r"] < cfg["min_r"]:
+        _fail("config.r", f"{cfg['r']:g} is below min_r = {cfg['min_r']:g}")
+    space = spec.problem.space
+    if cfg["mode"] is Mode.HILBERT_MAIN and not space.is_hilbert:
+        raise UnsupportedCombinationError("mode 'hilbert' requires exponent 2")
     reference = spec.bundle.get("reference_solution")
-    ref_point = None if reference is None else PrimalPoint(np.array(reference), space)
+    if reference is not None:
+        reference = PrimalPoint(
+            _vector(reference, "bundle.reference_solution", space.dimension), space
+        )
     return SolverConfig(
-        mode=Mode.HILBERT_MAIN if cfg.get("mode", "hilbert") == "hilbert" else Mode.BANACH_MAIN2,
-        r_schedule=float(cfg.get("r", 1.0)),
-        outer_tol=float(cfg.get("outer_tol", 1e-6)),
-        max_outer=int(cfg.get("max_outer", 200)),
-        resolvent_tol=float(cfg.get("resolvent_tol", 1e-6)),
-        retraction_tol=float(cfg.get("retraction_tol", 1e-10)),
-        reference_solution=ref_point,
-        seed=spec.seed,
-        min_r=float(cfg.get("min_r", 1e-3)),
-        cut_cap=int(cfg.get("cut_cap", 500)),
-        audit_samples=int(cfg.get("audit_samples", 24)),
+        r_schedule=cfg.pop("r"), reference_solution=reference, seed=spec.seed, **cfg
     )
 
 
 def build_bundle(spec: ScenarioSpec) -> ProblemBundle:
-    """Construct the solver inputs; raises UnsupportedCombinationError when the
-    declared data fall outside the support matrix."""
-    space = build_space(spec)
-    config_mode = spec.config.get("mode", "hilbert")
-    if config_mode == "hilbert" and not space.is_hilbert:
-        raise UnsupportedCombinationError("mode 'hilbert' requires exponent 2")
-    omega, omega_dual = _build_sets(spec, space)
-    family = _build_family(spec, space)
-    bifunctions, mixed, perturbation = _build_equilibrium(spec, space)
+    """Construct the solver inputs, checking each section against its kind table.
 
-    start = spec.bundle.get("start", "random_feasible")
+    Raises ScenarioValidationError naming the offending field, and
+    UnsupportedCombinationError when the declared data fall outside the
+    support matrix.
+    """
+    space = SpaceConfig(int(spec.space["dimension"]), float(spec.space["exponent"]))
+    desc = spec.bundle
+    _require_keys(desc, _BUNDLE_KEYS, ("base_set", "operators"), "bundle")
+
+    def build(table, value, path):
+        return _build_kind(table, value, path, space)
+
+    primal, dual = build(_BASE_SETS, desc["base_set"], "bundle.base_set")
+    omega = ConstraintSet(primal, (), Frame.PRIMAL)
+    ops = desc["operators"]
+    if not isinstance(ops, list) or not ops:
+        _fail("bundle.operators", "must be a nonempty list")
+    members = [build(_OPERATORS, op, f"bundle.operators[{i}]") for i, op in enumerate(ops)]
+    weights = desc.get("combination_weights")
+    schedule = None
+    if weights is not None:
+        values = tuple(_vector(weights, "bundle.combination_weights", len(ops) + 1))
+        if any(w < 0 for w in values) or abs(sum(values) - 1.0) > 1e-12:
+            _fail("bundle.combination_weights", "must lie on the probability simplex")
+        schedule = lambda n: values  # noqa: E731 - constant schedule
+    bifunctions = desc.get("bifunctions", [])
+    if not isinstance(bifunctions, list):
+        _fail("bundle.bifunctions", "must be a list")
+    bifunctions = tuple(
+        build(_BIFUNCTIONS, bf, f"bundle.bifunctions[{i}]") for i, bf in enumerate(bifunctions)
+    )
+    mixed = build(_MIXED_TERMS, desc.get("mixed_term", {"kind": "zero"}), "bundle.mixed_term")
+    perturbation = build(
+        _PERTURBATIONS, desc.get("perturbation", {"kind": "zero"}), "bundle.perturbation"
+    )
+
+    start = desc.get("start", "random_feasible")
     if start == "random_feasible":
         rng = np.random.default_rng([spec.seed, 101])
         coords = sample_feasible(omega, rng, 1, dimension=space.dimension)[0]
     else:
-        coords = np.array(start, dtype=float)
+        coords = _vector(start, "bundle.start", space.dimension)
         if not contains(omega, coords, 1e-9):
-            raise ScenarioValidationError("bundle.start: point is not in the base set")
+            _fail("bundle.start", "point is not in the base set")
     anchor = PrimalPoint(coords, space)
 
-    bundle = ProblemBundle(
+    # probe the resolvent support matrix once, before any solve; the
+    # classification does not depend on r
+    classify_problem(ResolventProblem(bifunctions, mixed, perturbation, omega, 1.0, anchor))
+    return ProblemBundle(
         space=space,
         omega=omega,
-        omega_dual=omega_dual,
-        family=family,
+        omega_dual=ConstraintSet(dual, (), Frame.DUAL),
+        family=OperatorFamily(members, schedule),
         bifunctions=bifunctions,
         mixed=mixed,
         perturbation=perturbation,
         anchor=anchor,
     )
-    # probe the resolvent support matrix once, before any solve
-    classify_problem(
-        ResolventProblem(
-            bifunctions,
-            mixed,
-            perturbation,
-            omega,
-            max(float(spec.config.get("r", 1.0)), 1e-8),
-            anchor,
-        )
-    )
-    return bundle
 
 
 # -- reports ----------------------------------------------------------------------
@@ -629,8 +602,8 @@ _FAILURE_OUTCOMES = (
 
 
 def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
-    """Build the bundle, run the solver, audit, optionally write outputs."""
-    bundle = build_bundle(spec)
+    """Run the solver on the spec's bundle, audit, optionally write outputs."""
+    bundle = spec.problem
     config = build_config(spec)
     started = time.perf_counter()
     error = failed_iteration = None

@@ -93,28 +93,6 @@ class RelaxedFamily:
         tx = self.base.apply(x).coords
         return DualPoint(alpha * jx + (1.0 - alpha) * tx, space)
 
-    def at(self, n: int) -> "BoundMember":
-        return BoundMember(self, n)
-
-
-@dataclass(frozen=True)
-class BoundMember:
-    """A relaxed family member frozen at one iteration index."""
-
-    family: RelaxedFamily
-    n: int
-
-    @property
-    def space(self) -> SpaceConfig:
-        return self.family.base.space
-
-    def apply(self, x: PrimalPoint) -> DualPoint:
-        return self.family.apply_at(self.n, x)
-
-    @property
-    def known_j_fixed_points(self):
-        return self.family.base.known_j_fixed_points
-
 
 @dataclass(frozen=True)
 class OperatorFamily:

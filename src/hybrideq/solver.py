@@ -4,16 +4,13 @@ Each outer iteration blends the operator family into y_n, solves the
 regularized equilibrium problem at y_n for u_n, rewrites the comparison
 inequality between u_n and x_n as a halfspace cut, intersects it with the
 accumulated feasible region, and retracts the *initial* anchor x_1 onto the
-shrunken set.  Two modes:
-
-* HILBERT_MAIN (p = 2): cuts live in the primal frame
-  (phi(z, u_n) <= phi(z, x_n)) and the retraction is the Euclidean
-  projection of the anchor.
-* BANACH_MAIN2: cuts live in the dual frame via w = Jz
-  (phi(u_n, z) <= phi(x_n, z)) and the retraction is the sunny generalized
-  nonexpansive retraction computed in dual coordinates.
-
-At p = 2 the two modes coincide step for step.
+shrunken set.  There is one loop for every exponent: cuts live in the dual
+frame via w = Jz (phi(u_n, z) <= phi(x_n, z)) and the retraction is the
+sunny generalized nonexpansive retraction computed in dual coordinates.
+At p = 2, J is the identity and phi is symmetric, so the same formulas are
+the Hilbert ones and the retraction is the Euclidean projection of the
+anchor.  The Mode label records which setting a scenario declares;
+HILBERT_MAIN requires p = 2.
 
 Every proof inequality of the convergence argument is evaluated each
 iteration and its slack stored on the IterationRecord: anchor
@@ -41,19 +38,14 @@ from .equilibrium import (
 from .errors import AuditError, InfeasibleError, NonConvergedError, UnsupportedCombinationError
 from .operators import OperatorFamily
 from .retraction import RetractionProblem, retraction_vi_residual, sunny_retract
-from .sets import (
-    ConstraintSet,
-    Frame,
-    Halfspace,
-    add_cut,
-    contains,
-    project_intersection,
-    worst_violation,
-)
+from .sets import ConstraintSet, Frame, Halfspace, add_cut, contains, worst_violation
 from .space import PrimalPoint, SpaceConfig, gauge_coords, phi_coords, pnorm
 
 
 class Mode(enum.Enum):
+    """The setting a scenario declares; both run the same loop, and
+    HILBERT_MAIN additionally requires p = 2."""
+
     HILBERT_MAIN = "hilbert"
     BANACH_MAIN2 = "banach"
 
@@ -154,21 +146,15 @@ class SolverResult:
         return len(self.history)
 
 
-def step_y(mode: Mode, family: OperatorFamily, x: PrimalPoint, n: int) -> PrimalPoint:
+def step_y(family: OperatorFamily, x: PrimalPoint, n: int) -> PrimalPoint:
     """One blending step of the operator family.
 
-    HILBERT_MAIN blends in the dual frame and pulls back through J^{-1};
-    BANACH_MAIN2 pulls each member back first and blends in the primal
-    frame.  At p = 2 the two coincide.
+    Each member is pulled back through J^{-1} and the results are blended
+    with x in the primal frame; at p = 2 this is the Hilbert blend.
     """
     space = family.space
     weights = family.weights_at(n)
     q = space.conjugate
-    if mode is Mode.HILBERT_MAIN:
-        acc = weights[0] * gauge_coords(x.coords, space.exponent)
-        for i, member in enumerate(family.members):
-            acc = acc + weights[i + 1] * member.apply_at(n, x).coords
-        return PrimalPoint(gauge_coords(acc, q), space)
     acc = weights[0] * x.coords
     for i, member in enumerate(family.members):
         acc = acc + weights[i + 1] * gauge_coords(member.apply_at(n, x).coords, q)
@@ -176,14 +162,12 @@ def step_y(mode: Mode, family: OperatorFamily, x: PrimalPoint, n: int) -> Primal
 
 
 def make_comparison_halfspace(
-    mode: Mode, u: PrimalPoint, x: PrimalPoint, space: SpaceConfig
+    u: PrimalPoint, x: PrimalPoint, space: SpaceConfig
 ) -> Optional[Halfspace]:
-    """The comparison inequality between u_n and x_n as a linear cut.
+    """The comparison inequality between u_n and x_n as a dual-frame cut.
 
-    HILBERT_MAIN: phi(z, u) <= phi(z, x) becomes <z, 2(x - u)> <= |x|^2 - |u|^2
-    in the primal frame.  BANACH_MAIN2: phi(u, z) <= phi(x, z) becomes
-    <2(x - u), w> <= |x|^2 - |u|^2 for w = Jz in the dual frame.  Returns
-    None for the degenerate u = x whole-space cut.
+    phi(u, z) <= phi(x, z) becomes <2(x - u), w> <= |x|^2 - |u|^2 for
+    w = Jz.  Returns None for the degenerate u = x whole-space cut.
     """
     p = space.exponent
     diff = x.coords - u.coords
@@ -191,13 +175,7 @@ def make_comparison_halfspace(
         return None
     nx = pnorm(x.coords, p)
     nu = pnorm(u.coords, p)
-    offset = nx * nx - nu * nu
-    frame = Frame.PRIMAL if mode is Mode.HILBERT_MAIN else Frame.DUAL
-    return Halfspace(2.0 * diff, offset, frame)
-
-
-def _retag(hs: Halfspace, frame: Frame) -> Halfspace:
-    return Halfspace(hs.normal, hs.offset, frame)
+    return Halfspace(2.0 * diff, nx * nx - nu * nu, Frame.DUAL)
 
 
 def _at_iteration(exc: Exception, n: int) -> Exception:
@@ -237,7 +215,6 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
 
     p = space.exponent
     reference = config.reference_solution
-    primal_set = bundle.omega
     dual_set = bundle.omega_dual
     x = bundle.anchor
     anchor = bundle.anchor
@@ -247,7 +224,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
 
     for n in range(1, config.max_outer + 1):
         r_n = config.r_at(n)
-        y = step_y(config.mode, bundle.family, x, n)
+        y = step_y(bundle.family, x, n)
         problem = ResolventProblem(
             bundle.bifunctions,
             bundle.mixed,
@@ -266,13 +243,9 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
         except (NonConvergedError, UnsupportedCombinationError) as exc:
             raise _at_iteration(exc, n) from exc
 
-        cut = make_comparison_halfspace(config.mode, u, x, space)
+        cut = make_comparison_halfspace(u, x, space)
         if cut is not None:
-            if config.mode is Mode.HILBERT_MAIN:
-                primal_set = add_cut(primal_set, cut)
-                dual_set = add_cut(dual_set, _retag(cut, Frame.DUAL))
-            else:
-                dual_set = add_cut(dual_set, cut)
+            dual_set = add_cut(dual_set, cut)
             if len(dual_set.cuts) > config.cut_cap:
                 raise _at_iteration(
                     NonConvergedError(f"accumulated cuts exceed the cap {config.cut_cap}"), n
@@ -280,24 +253,15 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
 
         retraction_problem = RetractionProblem(space, dual_set, anchor)
         try:
-            if config.mode is Mode.HILBERT_MAIN:
-                # the sunny retraction reduces to the metric projection here
-                x_next = PrimalPoint(
-                    project_intersection(
-                        primal_set, anchor.coords, tol=config.dykstra_tol, max_iter=200_000
-                    ),
-                    space,
-                )
-            else:
-                # warm start from the current iterate's dual image; at n = 1
-                # this equals the default initialization at the anchor
-                x_next = sunny_retract(
-                    retraction_problem,
-                    tol=config.retraction_tol,
-                    init=gauge_coords(x.coords, p),
-                    dykstra_tol=config.dykstra_tol,
-                    seed=config.seed,
-                )
+            # warm start from the current iterate's dual image; at n = 1
+            # this equals the default initialization at the anchor
+            x_next = sunny_retract(
+                retraction_problem,
+                tol=config.retraction_tol,
+                init=gauge_coords(x.coords, p),
+                dykstra_tol=config.dykstra_tol,
+                seed=config.seed,
+            )
         except (NonConvergedError, InfeasibleError) as exc:
             raise _at_iteration(exc, n) from exc
 
@@ -310,23 +274,16 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
             )
         except AuditError as exc:
             raise _at_iteration(exc, n) from exc
-        if config.mode is Mode.HILBERT_MAIN:
-            feasibility = worst_violation(primal_set, x_next.coords)
-        else:
-            feasibility = max(
-                worst_violation(bundle.omega, x_next.coords),
-                worst_violation(dual_set, gauge_coords(x_next.coords, p)),
-            )
+        feasibility = max(
+            worst_violation(bundle.omega, x_next.coords),
+            worst_violation(dual_set, gauge_coords(x_next.coords, p)),
+        )
 
         fejer = fejer_y = None
         if reference is not None:
             rc, xc, uc, yc = reference.coords, x.coords, u.coords, y.coords
-            if config.mode is Mode.HILBERT_MAIN:
-                fejer = phi_coords(rc, uc, p) - phi_coords(rc, xc, p)
-                fejer_y = phi_coords(rc, yc, p) - phi_coords(rc, xc, p)
-            else:
-                fejer = phi_coords(uc, rc, p) - phi_coords(xc, rc, p)
-                fejer_y = phi_coords(yc, rc, p) - phi_coords(xc, rc, p)
+            fejer = phi_coords(uc, rc, p) - phi_coords(xc, rc, p)
+            fejer_y = phi_coords(yc, rc, p) - phi_coords(xc, rc, p)
 
         displacement = pnorm(x_next.coords - x.coords, p)
         history.append(

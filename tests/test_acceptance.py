@@ -34,7 +34,7 @@ from hybrideq import (
     retraction_vi_residual,
     run,
     run_scenario,
-    solve_resolvent,
+    solve_resolvent_certified,
     sunny_retract,
 )
 from hybrideq.equilibrium import (
@@ -162,7 +162,7 @@ def test_criterion_3_resolvent_suite():
             (), ZeroTerm(), ZeroPerturbation(), ball2, 1.0, PrimalPoint([2.0, 0.0], h2)
         )
         np.testing.assert_allclose(
-            solve_resolvent(proj_prob, tol=1e-9).coords, [1.0, 0.0], atol=1e-8
+            solve_resolvent_certified(proj_prob, tol=1e-9)[0].coords, [1.0, 0.0], atol=1e-8
         )
         from hybrideq import WholeSpace
 
@@ -173,7 +173,7 @@ def test_criterion_3_resolvent_suite():
             ZeroTerm(), ZeroPerturbation(), whole2, 1.0, PrimalPoint(x0, h2),
         )
         np.testing.assert_allclose(
-            solve_resolvent(prox_prob, tol=1e-9).coords, x0 / 2.0, atol=1e-8
+            solve_resolvent_certified(prox_prob, tol=1e-9)[0].coords, x0 / 2.0, atol=1e-8
         )
 
         # pairing-contraction and phi-decomposition inequalities on 100 sampled pairs
@@ -187,8 +187,8 @@ def test_criterion_3_resolvent_suite():
                 xc = rng.uniform(0.1, 0.9) * xc / pnorm(xc, 3.0)
                 yc = rng.standard_normal(4)
                 yc = rng.uniform(0.1, 0.9) * yc / pnorm(yc, 3.0)
-                tx = solve_resolvent(_banach_resolvent(b4, xc, 1.0), tol=1e-7).coords
-                ty = solve_resolvent(_banach_resolvent(b4, yc, 1.0), tol=1e-7).coords
+                tx = solve_resolvent_certified(_banach_resolvent(b4, xc, 1.0), tol=1e-7)[0].coords
+                ty = solve_resolvent_certified(_banach_resolvent(b4, yc, 1.0), tol=1e-7)[0].coords
                 p_exp = 3.0
                 p_sol = PrimalPoint(np.zeros(4), b4)  # the known solution
                 space = b4
@@ -205,8 +205,8 @@ def test_criterion_3_resolvent_suite():
                     )
 
                 xc, yc = 1.5 * rng.standard_normal(4), 1.5 * rng.standard_normal(4)
-                tx = solve_resolvent(make(xc), tol=1e-8).coords
-                ty = solve_resolvent(make(yc), tol=1e-8).coords
+                tx = solve_resolvent_certified(make(xc), tol=1e-8)[0].coords
+                ty = solve_resolvent_certified(make(yc), tol=1e-8)[0].coords
                 p_exp = 2.0
                 # the GMEP solution is the constrained minimizer of psi
                 p_coords = center if pnorm(center, 2.0) <= 1.0 else center / pnorm(center, 2.0)

@@ -26,7 +26,6 @@ from hybrideq import (
     ZeroTerm,
     resolvent_gap,
     resolvent_lhs,
-    solve_resolvent,
     solve_resolvent_certified,
 )
 from hybrideq.equilibrium import (
@@ -102,13 +101,13 @@ class TestResolventLhs:
 class TestSolveClosedForms:
     def test_projection_case(self):
         prob = _projection_problem(np.array([2.0, 0.0]))
-        u = solve_resolvent(prob, tol=1e-8)
+        u = solve_resolvent_certified(prob, tol=1e-8)[0]
         np.testing.assert_allclose(u.coords, [1.0, 0.0], atol=1e-8)
 
     def test_projection_case_r_independent(self):
         for r in (0.5, 1.0, 10.0):
             prob = _projection_problem(np.array([2.0, 0.0]), r=r)
-            u = solve_resolvent(prob, tol=1e-8)
+            u = solve_resolvent_certified(prob, tol=1e-8)[0]
             np.testing.assert_allclose(u.coords, [1.0, 0.0], atol=1e-7)
 
     def test_prox_case_matches_analytic_value(self):
@@ -122,7 +121,7 @@ class TestSolveClosedForms:
             1.0,
             PrimalPoint(x, HILBERT2),
         )
-        u = solve_resolvent(prob, tol=1e-8)
+        u = solve_resolvent_certified(prob, tol=1e-8)[0]
         np.testing.assert_allclose(u.coords, x / 2.0, atol=1e-8)
 
     def test_prox_case_finite_difference_optimality(self):
@@ -143,7 +142,7 @@ class TestSolveClosedForms:
 
     def test_lp_example_fixes_zero(self):
         prob = _lp_problem(np.zeros(8))
-        u = solve_resolvent(prob, tol=1e-6)
+        u = solve_resolvent_certified(prob, tol=1e-6)[0]
         assert pnorm(u.coords, 3.0) <= 1e-6
 
     def test_lp_example_random_input_certifies(self):
@@ -187,7 +186,7 @@ class TestResolventContractionInvariants:
                     1.0,
                     PrimalPoint(c, HILBERT2),
                 )
-                return solve_resolvent(prob, tol=1e-8).coords
+                return solve_resolvent_certified(prob, tol=1e-8)[0].coords
             tx, ty = solve(xc), solve(yc)
             lhs = float(np.dot(tx - ty, tx - ty))
             rhs = float(np.dot(xc - yc, tx - ty))
@@ -200,8 +199,8 @@ class TestResolventContractionInvariants:
             xc = 0.8 * xc / pnorm(xc, 3.0)
             yc = rng.standard_normal(4)
             yc = 0.8 * yc / pnorm(yc, 3.0)
-            tx = solve_resolvent(_lp_problem(xc, d=4), tol=1e-7).coords
-            ty = solve_resolvent(_lp_problem(yc, d=4), tol=1e-7).coords
+            tx = solve_resolvent_certified(_lp_problem(xc, d=4), tol=1e-7)[0].coords
+            ty = solve_resolvent_certified(_lp_problem(yc, d=4), tol=1e-7)[0].coords
             jtx, jty = gauge_coords(tx, 3.0), gauge_coords(ty, 3.0)
             lhs = float(np.dot(tx - ty, jtx - jty))
             rhs = float(np.dot(xc - yc, jtx - jty))
@@ -215,7 +214,7 @@ class TestResolventContractionInvariants:
         for _ in range(20):
             xc = np.array([2.0, 0.0]) + 0.5 * rng.standard_normal(2)
             prob = _projection_problem(xc)
-            u = solve_resolvent(prob, tol=1e-8)
+            u = solve_resolvent_certified(prob, tol=1e-8)[0]
             x_pt = PrimalPoint(xc, space)
             assert (
                 lyapunov_phi(p_sol, u) + lyapunov_phi(u, x_pt)
@@ -230,7 +229,7 @@ class TestResolventContractionInvariants:
         for _ in range(8):
             xc = rng.standard_normal(4)
             xc = 0.7 * xc / pnorm(xc, 3.0)
-            u = solve_resolvent(_lp_problem(xc, d=4), tol=1e-7)
+            u = solve_resolvent_certified(_lp_problem(xc, d=4), tol=1e-7)[0]
             x_pt = PrimalPoint(xc, space)
             assert (
                 lyapunov_phi(zero, u) + lyapunov_phi(u, x_pt)
@@ -249,7 +248,7 @@ class TestResolventContractionInvariants:
             1.0,
             PrimalPoint(b, HILBERT2),  # b minimizes psi, hence solves the MEP
         )
-        u = solve_resolvent(prob, tol=1e-8)
+        u = solve_resolvent_certified(prob, tol=1e-8)[0]
         np.testing.assert_allclose(u.coords, b, atol=1e-6)
 
 
@@ -321,7 +320,7 @@ class TestSupportMatrix:
             (), ZeroTerm(), ZeroPerturbation(), ball, 1.0, PrimalPoint(np.zeros(4), space)
         )
         with pytest.raises(UnsupportedCombinationError):
-            solve_resolvent(prob, tol=1e-6)
+            solve_resolvent_certified(prob, tol=1e-6)[0]
 
     def test_banach_potential_rejected(self):
         space = SpaceConfig(4, 3.0)

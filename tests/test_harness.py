@@ -148,6 +148,57 @@ class TestStrictValidation:
             load_scenario(doc)
 
 
+def _affine_bifunction(doc):
+    doc["bundle"]["bifunctions"] = [
+        {"kind": "affine_pairing", "matrix": [[-1, 0], [0, -1]], "offset": [0, 0]}
+    ]
+
+
+def _affine_perturbation(doc):
+    doc["bundle"]["perturbation"] = {
+        "kind": "affine",
+        "matrix": [[-1, 0], [0, -1]],
+        "offset": [0, 0],
+    }
+
+
+def _r_below_min_r(doc):
+    doc["config"]["r"] = 1e-4  # the default min_r is 1e-3
+
+
+def _exponent_out_of_band(doc):
+    doc["space"]["exponent"] = 20.0
+
+
+class TestRejectedAtLoad:
+    """Data that a constructor or the solver refuses is a validation error
+    naming its field, at load and through the CLI, never a traceback."""
+
+    CASES = [
+        (_affine_bifunction, "bundle.bifunctions[0]"),
+        (_affine_perturbation, "bundle.perturbation"),
+        (_r_below_min_r, "config.r"),
+        (_exponent_out_of_band, "space.exponent"),
+    ]
+
+    @pytest.mark.parametrize("mutate, path", CASES)
+    def test_load_names_the_field(self, mutate, path):
+        doc = json.loads(json.dumps(TINY))
+        mutate(doc)
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(doc)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("mutate, path", CASES)
+    def test_cli_exits_one_with_error_line(self, tmp_path, capsys, mutate, path):
+        doc = json.loads(json.dumps(TINY))
+        mutate(doc)
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(doc))
+        assert cli_main(["solve", "--scenario", str(scenario)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 class TestRunScenario:
     def test_anchor_at_solution_converges_immediately(self):
         report = run_scenario(load_scenario(dict(TINY)))
@@ -259,6 +310,22 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    def test_solve_builds_the_bundle_once(self, tmp_path, monkeypatch):
+        import hybrideq.harness as harness_module
+
+        real = harness_module.build_bundle
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.name)
+            return real(spec)
+
+        monkeypatch.setattr(harness_module, "build_bundle", counted)
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY))
+        assert cli_main(["solve", "--scenario", str(path), "--max-iter", "2", "--seed", "5"]) == 0
+        assert calls == ["tiny"]
+
     def test_seed_override_changes_start(self, tmp_path):
         doc = json.loads(json.dumps(TINY))
         doc["bundle"]["start"] = "random_feasible"
@@ -294,25 +361,25 @@ class TestFailureReporting:
 
     @staticmethod
     def _empty_primal_set(monkeypatch):
-        """Each Hilbert-mode projection first gains a cut that misses the ball."""
-        import hybrideq.solver as solver_module
+        """Each projection of the retraction first gains a cut that misses the ball."""
+        import hybrideq.retraction as retraction_module
         from hybrideq.sets import Halfspace, add_cut
 
-        real = solver_module.project_intersection
+        real = retraction_module.project_intersection
 
         def onto_empty_set(cset, v, **kwargs):
             beyond = Halfspace(np.ones(v.shape[0]), -10.0, cset.frame)
             return real(add_cut(cset, beyond), v, **kwargs)
 
-        monkeypatch.setattr(solver_module, "project_intersection", onto_empty_set)
+        monkeypatch.setattr(retraction_module, "project_intersection", onto_empty_set)
 
     @staticmethod
     def _infeasible_iterate(monkeypatch):
-        """Each Hilbert-mode projection returns a point far outside the set."""
-        import hybrideq.solver as solver_module
+        """Each projection of the retraction returns a point far outside the set."""
+        import hybrideq.retraction as retraction_module
 
         monkeypatch.setattr(
-            solver_module, "project_intersection", lambda cset, v, **kwargs: v + 10.0
+            retraction_module, "project_intersection", lambda cset, v, **kwargs: v + 10.0
         )
 
     @pytest.mark.parametrize(

@@ -146,7 +146,11 @@ class TestNonexpansiveViolation:
         omega = ConstraintSet(PBall(1.0, 3.0), (), Frame.PRIMAL)
         zero = PrimalPoint(np.zeros(8), B8)
         v = jstar_nonexpansive_violation(
-            fam.at(4), zero, omega, samples=200, rng=np.random.default_rng(4)
+            CustomMap(B8, lambda x: fam.apply_at(4, x)),
+            zero,
+            omega,
+            samples=200,
+            rng=np.random.default_rng(4),
         )
         assert v <= 1e-8
 

@@ -58,7 +58,7 @@ class TestStepY:
         fam = OperatorFamily(
             [RelaxedFamily(ShiftMap(space), lambda n: 0.5)], lambda n: (0.5, 0.5)
         )
-        y = step_y(Mode.HILBERT_MAIN, fam, PrimalPoint([1.0, 2.0], space), 1)
+        y = step_y(fam, PrimalPoint([1.0, 2.0], space), 1)
         np.testing.assert_allclose(y.coords, [0.75, 1.75])
 
     def test_modes_coincide_in_hilbert(self):
@@ -67,17 +67,16 @@ class TestStepY:
             [RelaxedFamily(ShiftMap(space), lambda n: 0.5)], lambda n: (0.5, 0.5)
         )
         x = PrimalPoint([0.4, -0.7], space)
-        yh = step_y(Mode.HILBERT_MAIN, fam, x, 3)
-        yb = step_y(Mode.BANACH_MAIN2, fam, x, 3)
-        np.testing.assert_allclose(yh.coords, yb.coords, atol=1e-15)
+        # the Hilbert blend 0.5 x + 0.5 (0.5 x + 0.5 Tx) with Tx = (0, 0.4)
+        y = step_y(fam, x, 3)
+        np.testing.assert_allclose(y.coords, [0.3, -0.425], atol=1e-15)
 
     def test_fixed_point_is_fixed(self):
         space = SpaceConfig(8, 3.0)
         fam = OperatorFamily([RelaxedFamily(ShiftMap(space), lambda n: 0.5)])
         zero = PrimalPoint(np.zeros(8), space)
-        for mode in Mode:
-            y = step_y(mode, fam, zero, 1)
-            np.testing.assert_allclose(y.coords, np.zeros(8), atol=1e-15)
+        y = step_y(fam, zero, 1)
+        np.testing.assert_allclose(y.coords, np.zeros(8), atol=1e-15)
 
     def test_near_identity_combination(self):
         # combination weight nearly all on the identity slot returns ~x
@@ -88,20 +87,20 @@ class TestStepY:
             min_weight_product=1e-10,
         )
         x = PrimalPoint([0.3, 0.9], space)
-        y = step_y(Mode.BANACH_MAIN2, fam, x, 1)
+        y = step_y(fam, x, 1)
         np.testing.assert_allclose(y.coords, x.coords, atol=1e-8)
 
 
 class TestComparisonHalfspace:
     def test_degenerate_returns_none(self):
         x = PrimalPoint([0.5, 0.5], H2)
-        assert make_comparison_halfspace(Mode.HILBERT_MAIN, x, x, H2) is None
+        assert make_comparison_halfspace(x, x, H2) is None
 
     def test_hilbert_bisector(self):
         u = PrimalPoint([0.0, 0.0], H2)
         x = PrimalPoint([1.0, 0.0], H2)
-        hs = make_comparison_halfspace(Mode.HILBERT_MAIN, u, x, H2)
-        assert hs.frame is Frame.PRIMAL
+        hs = make_comparison_halfspace(u, x, H2)
+        assert hs.frame is Frame.DUAL
         np.testing.assert_allclose(hs.normal, [2.0, 0.0])
         assert hs.offset == pytest.approx(1.0)
         # u satisfies the cut, x violates it (perpendicular bisector side)
@@ -112,7 +111,7 @@ class TestComparisonHalfspace:
         space = SpaceConfig(2, 3.0)
         u = PrimalPoint([0.0, 0.0], space)
         x = PrimalPoint([1.0, 0.0], space)
-        hs = make_comparison_halfspace(Mode.BANACH_MAIN2, u, x, space)
+        hs = make_comparison_halfspace(u, x, space)
         assert hs.frame is Frame.DUAL
         np.testing.assert_allclose(hs.normal, [2.0, 0.0])
         assert hs.offset == pytest.approx(1.0)  # |(1,0)|_3^2 = 1
@@ -121,7 +120,7 @@ class TestComparisonHalfspace:
         space = SpaceConfig(2, 3.0)
         u = PrimalPoint([0.0, 0.0], space)
         x = PrimalPoint([1.0, 1.0], space)
-        hs = make_comparison_halfspace(Mode.BANACH_MAIN2, u, x, space)
+        hs = make_comparison_halfspace(u, x, space)
         assert hs.offset == pytest.approx(2.0 ** (2.0 / 3.0))  # |x|_3^2
 
 
@@ -207,6 +206,28 @@ class TestRun:
         assert not result.converged
         assert result.iterations == 0
         np.testing.assert_allclose(result.x_star.coords, bundle.anchor.coords)
+
+
+class TestIterationHook:
+    @pytest.mark.parametrize("p, mode", [(2.0, Mode.HILBERT_MAIN), (3.0, Mode.BANACH_MAIN2)])
+    def test_step_y_called_once_per_iteration(self, monkeypatch, p, mode):
+        # timing tools wrap the module-level step_y by name and mark one
+        # outer iteration per call
+        import hybrideq.solver as solver_module
+
+        real = solver_module.step_y
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "step_y", counted)
+        start = np.random.default_rng(3).standard_normal(8)
+        bundle = _lp_bundle(p=p, anchor=0.8 * start / pnorm(start, p))
+        result = run(bundle, SolverConfig(mode=mode, max_outer=4, audit_samples=8))
+        assert result.iterations == 4
+        assert calls == [1, 2, 3, 4]
 
 
 class TestAuditResult:
