@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -159,6 +160,8 @@ def _require_keys(obj, allowed, required, path):
 def _number(val, path) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         _fail(path, "must be a number")
+    if not math.isfinite(val):
+        _fail(path, "must be finite")  # json reads NaN and +/-Infinity
     return float(val)
 
 
@@ -185,6 +188,8 @@ def _vector(val, path, length=None) -> np.ndarray:
         _fail(path, "must be a list of numbers")
     if length is not None and len(val) != length:
         _fail(path, f"must have length {length}")
+    if not all(map(math.isfinite, val)):
+        _fail(path, "must be finite")  # json reads NaN and +/-Infinity
     return np.array(val, dtype=float)
 
 
@@ -482,6 +487,12 @@ def build_bundle(spec: ScenarioSpec) -> ProblemBundle:
         values = tuple(_vector(weights, "bundle.combination_weights", len(ops) + 1))
         if any(w < 0 for w in values) or abs(sum(values) - 1.0) > 1e-12:
             _fail("bundle.combination_weights", "must lie on the probability simplex")
+        floor = OperatorFamily.min_weight_product
+        if any(values[0] * w < floor for w in values[1:]):
+            _fail(
+                "bundle.combination_weights",
+                f"each product of the first weight with another must be at least {floor:g}",
+            )
         schedule = lambda n: values  # noqa: E731 - constant schedule
     bifunctions = desc.get("bifunctions", [])
     if not isinstance(bifunctions, list):

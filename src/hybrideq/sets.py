@@ -1,14 +1,15 @@
-"""Convex feasible sets: base shapes, halfspace cuts, and Euclidean projections.
+"""Convex feasible sets: base shapes, halfspace cuts, and their projections.
 
 A ConstraintSet is a base convex set intersected with an ordered list of
 halfspace cuts, tagged with the frame (primal or dual coordinates) it lives
-in.  All projections here are Euclidean regardless of the space exponent:
-they serve only as inner subroutines of convex minimizations whose
-objectives carry the p-geometry, and Dykstra's convergence guarantee is
-specific to the Euclidean metric.  Onto a box, whole-space or 2-ball base
-with cuts the projection is a least-distance program, solved exactly
-through NNLS and closed by a KKT check; balls of other exponents use
-Dykstra, active-set polishes and consensus ADMM.
+in.  `project_intersection` finds the nearest point of such a set in the
+geometry of an exponent p, the minimizer of |w|_q^2 - 2 <v, w>, which is
+the Euclidean projection at p = 2.  For p != 2 a working-set Newton on the
+cut multipliers solves it exactly.  At p = 2, onto a box, whole-space or
+2-ball base with cuts, it is a least-distance program, solved exactly
+through NNLS; both exact engines are closed by a KKT check.  Euclidean
+projections onto balls of other exponents use Dykstra, active-set
+polishes and consensus ADMM.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InfeasibleError, NonConvergedError
-from .space import pnorm
+from .space import duality_jacobian, gauge_coords, pnorm
 
 # Halfspace cuts whose unit normals differ by less than this chord length are
 # treated as parallel for pruning purposes.
@@ -810,21 +811,27 @@ def _ball_ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray, radius: float):
     raise NonConvergedError("ball multiplier search did not close")
 
 
-def _kkt_residual(a, b, v, z, lam, nu: float = 0.0, radius: float | None = None) -> float:
-    """Largest KKT violation of (z, lam, nu) for min 1/2 |z - v|^2 over a z <= b
-    (and |z|_2 <= radius when given).
+def _kkt_residual(
+    a, b, v, z, lam, nu: float = 0.0, radius: float | None = None, exponent: float = 2.0
+) -> float:
+    """Largest KKT violation of (z, lam, nu) for min |z|_q^2 - 2 <v, z> over
+    a z <= b (and |z|_q <= radius when given), q the conjugate of exponent;
+    at exponent 2 that is min |z - v|^2.
 
-    Stationarity is z - v + nu z + a^T lam = 0; each constraint contributes
-    the natural residual |min(multiplier, slack)|, which vanishes iff the
+    Stationarity is (1 + nu) J_q(z) - v + a^T lam = 0, J_q the duality map
+    of the q-norm (the identity at q = 2); each constraint contributes the
+    natural residual |min(multiplier, slack)|, which vanishes iff the
     multiplier is nonnegative, the constraint holds, and one of the two is
     zero.
     """
+    q = exponent / (exponent - 1.0)
+    gz = gauge_coords(z, q)
     worst = max(
-        float(np.max(np.abs(z - v + nu * z + a.T @ lam))),
+        float(np.max(np.abs(gz - v + nu * gz + a.T @ lam))),
         float(np.max(np.abs(np.minimum(lam, b - a @ z)), initial=0.0)),
     )
     if radius is not None:
-        nz = float(np.linalg.norm(z))
+        nz = pnorm(z, q)
         worst = max(worst, abs(min(nu * nz, radius - nz)))
     return worst
 
@@ -849,41 +856,329 @@ def _least_distance(cset: ConstraintSet, v: np.ndarray):
     return z, nu, _kkt_residual(a, b, v, z, lam, nu, radius)
 
 
-def project_intersection(
-    cset: ConstraintSet, v: np.ndarray, tol: float = 1e-11, max_iter: int = 20_000
-) -> np.ndarray:
-    """Projection onto base ∩ cuts.
+# -- exact generalized projection (p-geometry) ---------------------------------
 
-    Box, whole-space and 2-ball bases go to the exact least-distance engine
-    (NNLS); its answer is returned only when its KKT residual is within
-    max(10 tol, 1e-10) (1 + |v|), NonConvergedError is raised otherwise,
-    and InfeasibleError when the intersection is empty.  Balls of other
-    exponents use the layered chain: the active-set exchange, which is
-    exact whenever the ball part is inactive at the optimum, then Dykstra
-    when the cuts are few and consensus ADMM otherwise.
+# A row entering the working set whose residual against the working columns is
+# at most this is traded for a working multiplier instead of being added: a
+# pair of nearly parallel cuts in the Newton system would leave it singular.
+_DEPENDENT_RESIDUAL = 1e-5
+
+
+def _dual_hessian(cols: np.ndarray, c: np.ndarray, s: float, exponent: float) -> np.ndarray:
+    """Hessian 2 s B^T H B of the cut-multiplier dual on the working columns B.
+
+    H is the Jacobian of the duality map at c.  Below exponent 2 it is
+    infinite where c_i = 0, so |c_i| is floored at 1e-150 max|c| there.
+    """
+    if exponent < 2.0:
+        floor = 1e-150 * float(np.max(np.abs(c)))
+        c = np.where(np.abs(c) < floor, np.copysign(floor, c), c)
+    return 2.0 * s * (cols.T @ duality_jacobian(c, exponent) @ cols)
+
+
+def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: float, radius):
+    """Minimizer of |w|_q^2 - 2 <v, w> over {a w <= b}, and over |w|_q <= radius
+    when a radius is given, q the conjugate of exponent: (w, lam, mu).
+
+    The rows of a are unit vectors.  For cut multipliers lam >= 0 and a
+    ball multiplier mu >= 0 the inner minimizer is explicit,
+    w = J_p(c) / (1 + mu) with c = v - a^T lam, which leaves the smooth
+    convex dual
+
+        F(lam, mu) = |c|_p^2 / (1 + mu) + 2 lam^T b + mu radius^2
+
+    with gradient (2 (b - a w), radius^2 - |w|_q^2).  A dual working-set
+    method minimizes it (Goldfarb & Idnani, Math. Prog. 27, 1983): Newton
+    steps with an Armijo search on the working set, each clipped where a
+    working multiplier first reaches 0, which then leaves the set; once the
+    working equations hold, the most violated constraint enters.  A row
+    that depends on the working columns (ball column c included) enters by
+    exchange: multiplier moves onto it along the direction that keeps w
+    fixed until a working multiplier reaches 0, and that one leaves.
+
+    Below exponent 2 the map c -> w has slope |c_i|^(p - 2): the rounding of
+    c reaches w magnified by 10^8 and more, and at a vertex w is lost
+    altogether.  There the working set is solved by Newton on its KKT
+    equations in (w, lam, mu), (1 + mu) J_q(w) + a_W^T lam = v, a_W w = b_W
+    and |w|_q = radius, whose J_q at q > 2 has bounded slope.  Its answer
+    is taken when its multipliers are nonnegative; otherwise the dual
+    Newton solves the working set, and the KKT Newton finishes from there.
+
+    Raises InfeasibleError when the dual is unbounded below, that is when an
+    exchange finds no multiplier to trade or F falls below the bound that
+    weak duality gives over the ball, and NonConvergedError at the
+    working-set change cap.
+    """
+    m = a.shape[0]
+    q = exponent / (exponent - 1.0)
+    scale = 1.0 + float(np.linalg.norm(v))
+    r2 = 0.0 if radius is None else radius * radius
+    # h(w) <= radius^2 + 2 |v|_p radius on the ball and -F <= h(w) at every
+    # feasible w, so F below this bound certifies an empty set
+    f_floor = -np.inf
+    if radius is not None:
+        f_floor = -(1.0 + 1e-9) * (r2 + 2.0 * pnorm(v, exponent) * radius) - 1e-12 * scale
+    lam = np.zeros(m)
+    mu = 0.0
+    work = []  # working cut rows
+    ball = False  # whether the ball constraint is working
+
+    def dual(lam_, mu_):
+        c = v - a.T @ lam_
+        nc = pnorm(c, exponent)
+        return c, nc, nc * nc / (1.0 + mu_) + 2.0 * float(lam_ @ b) + mu_ * r2
+
+    def multipliers():
+        z = lam[work]
+        return np.append(z, mu) if ball else z
+
+    def set_multipliers(z):
+        nonlocal mu
+        lam[work] = z[: len(work)]
+        mu = float(z[-1]) if ball else 0.0
+
+    def drop(k):
+        nonlocal ball, mu
+        if k == len(work):
+            ball, mu = False, 0.0
+        else:
+            lam[work[k]] = 0.0
+            del work[k]
+
+    def newton_on_working_set():
+        """Dual Newton until the working equations hold or stop improving."""
+        best, f_best, stalls = np.inf, np.inf, 0
+        for _ in range(500):
+            c, nc, f = dual(lam, mu)
+            s = 1.0 / (1.0 + mu)
+            w = s * gauge_coords(c, exponent)
+            rows = a[work]
+            resid = b[work] - rows @ w
+            grad = 2.0 * resid
+            cols = rows.T
+            err = float(np.max(np.abs(resid), initial=0.0))
+            if ball:
+                grad = np.append(grad, r2 - (s * nc) ** 2)
+                cols = np.column_stack([cols, s * c])
+                err = max(err, abs(radius - s * nc))
+            if err <= 1e-14 * scale:
+                return w, True
+            if err < best or f < f_best - 1e-13 * abs(f):
+                best, f_best, stalls = min(err, best), min(f, f_best), 0
+            else:
+                stalls += 1
+                if stalls >= 5:
+                    return w, False
+            hess = _dual_hessian(cols, c, s, exponent)
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            slope = float(grad @ step)
+            if not slope < 0.0:
+                step = -grad
+                slope = -float(grad @ grad)
+            z = multipliers()
+            shrink = np.flatnonzero(step < 0.0)
+            ratios = z[shrink] / -step[shrink]
+            block = int(shrink[np.argmin(ratios)]) if shrink.size else -1
+            clipped = block >= 0 and ratios.min() <= 1.0
+            alpha = float(ratios.min()) if clipped else 1.0
+            for _ in range(60):
+                trial = np.maximum(z + alpha * step, 0.0)
+                if clipped:
+                    trial[block] = 0.0
+                lam_t = lam.copy()
+                lam_t[work] = trial[: len(work)]
+                f_t = dual(lam_t, float(trial[-1]) if ball else 0.0)[2]
+                # the last term admits steps whose change is rounding noise
+                if f_t <= f + 1e-4 * alpha * slope + 1e-14 * abs(f):
+                    break
+                alpha *= 0.5
+                clipped = False
+            else:
+                return w, False
+            set_multipliers(trial)
+            if f_t < f_floor:
+                raise InfeasibleError("the cuts admit no point of the ball")
+            if clipped:
+                drop(block)
+                best, f_best, stalls = np.inf, np.inf, 0
+        return w, False
+
+    def kkt_newton_on_working_set(w):
+        """Newton on the working KKT equations from w.  Once they hold within
+        1e-15 (1 + |v|) with nonnegative multipliers, those are kept and the
+        solution w is returned; None where the steps stall or a multiplier
+        comes out negative."""
+        rows, b_w = a[work], b[work]
+        d, k = v.shape[0], len(work)
+        z = multipliers()
+
+        def equations(w_, z_):
+            g = gauge_coords(w_, q)
+            mu_ = z_[-1] if ball else 0.0
+            parts = [(1.0 + mu_) * g + rows.T @ z_[:k] - v, rows @ w_ - b_w]
+            if ball:
+                parts.append([pnorm(w_, q) - radius])
+            return np.concatenate(parts), g
+
+        r, g = equations(w, z)
+        err = float(np.linalg.norm(r))
+        for _ in range(50):
+            if err <= 1e-15 * scale:
+                if z.min(initial=0.0) < 0.0:
+                    return None
+                set_multipliers(z)
+                return w
+            n = r.shape[0]
+            jac = np.zeros((n, n))
+            jac[:d, :d] = (1.0 + (z[-1] if ball else 0.0)) * duality_jacobian(w, q)
+            jac[:d, d : d + k] = rows.T
+            jac[d : d + k, :d] = rows
+            if ball:
+                jac[:d, -1] = g
+                jac[-1, :d] = g / pnorm(w, q)
+            try:
+                step = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError:
+                return None
+            alpha = 1.0
+            for _ in range(30):
+                w_t, z_t = w + alpha * step[:d], z + alpha * step[d:]
+                r_t, g_t = equations(w_t, z_t)
+                if float(np.linalg.norm(r_t)) < err:
+                    break
+                alpha *= 0.5
+            else:
+                return None
+            w, z, r, g = w_t, z_t, r_t, g_t
+            err = float(np.linalg.norm(r))
+        return None
+
+    def solve_working_set(w):
+        """The working set's solution w, its multipliers left in lam and mu."""
+        if exponent < 2.0:
+            found = kkt_newton_on_working_set(w)
+            if found is not None:
+                return found
+        w, solved = newton_on_working_set()
+        if solved or exponent >= 2.0:
+            return w
+        found = kkt_newton_on_working_set(w)
+        return w if found is None else found
+
+    w = gauge_coords(v, exponent)
+    for _ in range(4 * m + 50):
+        w = solve_working_set(w)
+        viol = a @ w - b
+        viol[work] = -np.inf
+        j = int(np.argmax(viol)) if m else -1
+        row_gap = float(viol[j]) if m else -np.inf
+        ball_gap = pnorm(w, q) - radius if radius is not None and not ball else -np.inf
+        # smaller violations are left to the KKT gate, at least 1e-10 (1 + |v|)
+        if max(row_gap, ball_gap) <= 1e-12 * scale:
+            return w, lam, mu
+        if ball_gap >= row_gap:
+            ball = True  # enters with mu = 0
+            continue
+        cols = a[work].T
+        if ball:
+            g = gauge_coords(w, q)  # the ball's normal at w, (v - a^T lam) / (1 + mu)
+            cols = np.column_stack([cols, g / np.linalg.norm(g)])
+        if cols.shape[1]:
+            coef = np.linalg.lstsq(cols, a[j], rcond=None)[0]
+            if np.linalg.norm(a[j] - cols @ coef) <= _DEPENDENT_RESIDUAL:
+                # a[j] = a_W^T t + tau g: raising lam_j by sigma while lam_W
+                # falls by sigma t and mu by sigma tau keeps w fixed and
+                # lowers F at the rate 2 (b_j - a_j w) < 0
+                rates = coef.copy()
+                if ball:
+                    rates[-1] /= np.linalg.norm(g)
+                trade = np.flatnonzero(rates > 1e-12)
+                if not trade.size:
+                    raise InfeasibleError("the cut rows admit no common point")
+                z = multipliers()
+                ratios = z[trade] / rates[trade]
+                k = int(trade[np.argmin(ratios)])
+                sigma = float(ratios.min())
+                z = np.maximum(z - sigma * rates, 0.0)
+                z[k] = 0.0
+                set_multipliers(z)
+                drop(k)
+                lam[j] = sigma
+        work.append(j)
+    raise NonConvergedError("cut-multiplier working set did not settle")
+
+
+def _generalized_projection(cset: ConstraintSet, v: np.ndarray, exponent: float):
+    """Minimizer of |w|_q^2 - 2 <v, w> over base ∩ cuts, q the conjugate of exponent.
+
+    Box faces join the cuts as +/- unit rows and every row is normalized;
+    a ball base must be a q-ball.  Returns (w, KKT residual of the answer).
+    """
+    a, b = _linear_rows(cset, v.shape[0])
+    norms = np.linalg.norm(a, axis=1)
+    a = a / norms[:, None]
+    b = b / norms
+    radius = None
+    if isinstance(cset.base, PBall):
+        q = exponent / (exponent - 1.0)
+        if abs(cset.base.exponent - q) > 1e-12 * q:
+            raise ValueError(
+                f"a ball of exponent {cset.base.exponent:g} is not a ball of the "
+                f"conjugate exponent {q:g}"
+            )
+        radius = cset.base.radius
+    w, lam, mu = _multiplier_newton(a, b, v, exponent, radius)
+    return w, _kkt_residual(a, b, v, w, lam, mu, radius, exponent)
+
+
+def project_intersection(
+    cset: ConstraintSet,
+    v: np.ndarray,
+    tol: float = 1e-11,
+    max_iter: int = 20_000,
+    exponent: float = 2.0,
+) -> np.ndarray:
+    """Nearest point of base ∩ cuts to v in the geometry of the exponent p.
+
+    That is the minimizer of |w|_q^2 - 2 <v, w>, q = p / (p - 1); at the
+    default p = 2 it is the Euclidean projection.  For p != 2 the base is
+    the whole space, a box or a q-ball, and the exact working-set Newton on
+    the cut multipliers solves the problem (`_multiplier_newton`).  At p = 2,
+    box, whole-space and 2-ball bases go to the exact least-distance engine
+    (NNLS).  An exact engine's answer is returned only when its KKT residual
+    is within max(10 tol, 1e-10) (1 + |v|); NonConvergedError is raised
+    otherwise, and InfeasibleError when the intersection is empty.  The
+    Euclidean projection onto a ball of another exponent uses the layered
+    chain: the active-set exchange, which is exact whenever the ball part
+    is inactive at the optimum, then Dykstra when the cuts are few and
+    consensus ADMM otherwise.
     """
     v = np.asarray(v, dtype=float)
-    if not cset.cuts:
+    if exponent != 2.0:
+        z, resid = _generalized_projection(cset, v, exponent)
+    elif not cset.cuts:
         return project_primitive(v, cset.base)
-    if not isinstance(cset.base, PBall) or cset.base.exponent == 2.0:
+    elif not isinstance(cset.base, PBall) or cset.base.exponent == 2.0:
         z, _, resid = _least_distance(cset, v)
-        if not resid <= max(10.0 * tol, 1e-10) * (1.0 + float(np.linalg.norm(v))):
-            raise NonConvergedError(
-                f"least-distance projection failed its KKT check (residual {resid:.3g})"
-            )
-        return z
-    scale = 1.0 + float(np.linalg.norm(v))
-    polished = _exact_polish(cset, v)
-    if polished is not None and worst_violation(cset, polished) <= max(
-        10.0 * tol, 1e-10 * scale
-    ):
-        return polished
-    if len(cset.cuts) <= 6:
-        try:
-            return dykstra_project(cset, v, tol=tol, max_iter=min(max_iter, 20_000))
-        except NonConvergedError:
-            pass
-    return _admm_project(cset, v, tol, max_iter)
+    else:
+        scale = 1.0 + float(np.linalg.norm(v))
+        polished = _exact_polish(cset, v)
+        if polished is not None and worst_violation(cset, polished) <= max(
+            10.0 * tol, 1e-10 * scale
+        ):
+            return polished
+        if len(cset.cuts) <= 6:
+            try:
+                return dykstra_project(cset, v, tol=tol, max_iter=min(max_iter, 20_000))
+            except NonConvergedError:
+                pass
+        return _admm_project(cset, v, tol, max_iter)
+    if not resid <= max(10.0 * tol, 1e-10) * (1.0 + float(np.linalg.norm(v))):
+        raise NonConvergedError(f"exact projection failed its KKT check (residual {resid:.3g})")
+    return z
 
 
 def _pull_feasible(

@@ -170,6 +170,24 @@ def _exponent_out_of_band(doc):
     doc["space"]["exponent"] = 20.0
 
 
+def _infinite_start(doc):
+    # whole space: no membership check stands between the start and PrimalPoint
+    doc["bundle"]["base_set"] = {"kind": "whole_space"}
+    doc["bundle"]["start"] = [float("inf"), 0.0]  # json writes and reads Infinity
+
+
+def _nan_reference(doc):
+    doc["bundle"]["reference_solution"] = [float("nan"), 0.0]
+
+
+def _infinite_r(doc):
+    doc["config"]["r"] = float("inf")
+
+
+def _weight_product_below_floor(doc):
+    doc["bundle"]["combination_weights"] = [1.0, 0.0]
+
+
 class TestRejectedAtLoad:
     """Data that a constructor or the solver refuses is a validation error
     naming its field, at load and through the CLI, never a traceback."""
@@ -179,6 +197,10 @@ class TestRejectedAtLoad:
         (_affine_perturbation, "bundle.perturbation"),
         (_r_below_min_r, "config.r"),
         (_exponent_out_of_band, "space.exponent"),
+        (_infinite_start, "bundle.start"),
+        (_nan_reference, "bundle.reference_solution"),
+        (_infinite_r, "config.r"),
+        (_weight_product_below_floor, "bundle.combination_weights"),
     ]
 
     @pytest.mark.parametrize("mutate, path", CASES)
@@ -219,6 +241,20 @@ class TestRunScenario:
         report = run_scenario(load_scenario(dict(TINY)))
         doc = json.loads(json.dumps(report.to_dict()))
         assert RunReport.from_dict(doc) == report
+
+    def test_wide_shift_problem_runs_its_budget(self):
+        # the d = 128 shift problem at scenario seed 4 once stopped at
+        # iteration 1, its projected-gradient retraction capped
+        d = 128
+        doc = json.loads(json.dumps(BUILTIN_SCENARIOS["lp_shift_example"]))
+        doc["space"]["dimension"] = d
+        doc["bundle"]["reference_solution"] = [0.0] * d
+        doc["config"]["max_outer"] = 10
+        doc["seed"] = 4
+        report = run_scenario(load_scenario(doc))
+        assert report.outcome == "iteration_cap", report.error
+        assert report.iterations == 10
+        assert report.audits_passed
 
     def test_deterministic_rows(self):
         doc = json.loads(json.dumps(BUILTIN_SCENARIOS["optimization_app"]))
