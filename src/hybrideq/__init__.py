@@ -59,7 +59,6 @@ from .sets import (
     WholeSpace,
     add_cut,
     contains,
-    dykstra_project,
     project_primitive,
     sample_feasible,
 )

@@ -36,7 +36,7 @@ from typing import Union
 import numpy as np
 
 from .errors import NonConvergedError, UnsupportedCombinationError
-from .sets import Box, ConstraintSet, PBall, WholeSpace, dykstra_project, project_primitive, sample_feasible
+from .sets import Box, ConstraintSet, PBall, WholeSpace, project_primitive, sample_feasible
 from .space import PrimalPoint, SpaceConfig, gauge_coords, pnorm
 
 # -- potentials ---------------------------------------------------------------
@@ -285,7 +285,10 @@ PerturbationMap = Union[ZeroPerturbation, DualityPerturbation, AffinePerturbatio
 
 @dataclass(frozen=True)
 class ResolventProblem:
-    """Data of one T_r solve: bifunction family, phi, A, Omega, r, input point."""
+    """Data of one T_r solve: bifunction family, phi, A, Omega, r, input point.
+
+    Omega is a base set (ball, box or whole space) without cuts.
+    """
 
     bifunctions: tuple
     mixed: MixedTerm
@@ -297,6 +300,9 @@ class ResolventProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "bifunctions", tuple(self.bifunctions))
+        if self.feasible.cuts:
+            # every solve and gap step projects onto the base set alone
+            raise ValueError("the resolvent's feasible set Omega must carry no cuts")
         if self.min_r <= 0:
             raise ValueError("min_r must be positive")
         if self.r < self.min_r:
@@ -374,10 +380,10 @@ def classify_problem(prob: ResolventProblem) -> str:
 
 def _composite_prox(mixed, cset: ConstraintSet, v: np.ndarray, t: float) -> np.ndarray:
     if isinstance(mixed, ZeroTerm):
-        return dykstra_project(cset, v)
-    if isinstance(cset.base, WholeSpace) and not cset.cuts:
+        return project_primitive(v, cset.base)
+    if isinstance(cset.base, WholeSpace):
         return mixed.prox(v, t)
-    if isinstance(cset.base, Box) and not cset.cuts and mixed.separable:
+    if isinstance(cset.base, Box) and mixed.separable:
         # prox and interval clip compose exactly for separable convex terms
         return project_primitive(mixed.prox(v, t), cset.base)
     # Dykstra-like proximal alternation between the prox and the projection
@@ -387,7 +393,7 @@ def _composite_prox(mixed, cset: ConstraintSet, v: np.ndarray, t: float) -> np.n
     for _ in range(500):
         y = mixed.prox(x + p, t)
         p = x + p - y
-        x_new = dykstra_project(cset, y + q)
+        x_new = project_primitive(y + q, cset.base)
         q = y + q - x_new
         if float(np.linalg.norm(x_new - x)) <= 1e-13 * (1.0 + float(np.linalg.norm(x))):
             return x_new
@@ -441,7 +447,7 @@ def _forward_terms(prob: ResolventProblem):
 def _solve_hilbert(prob: ResolventProblem, tol: float, max_iter: int) -> np.ndarray:
     forward, lipschitz, modulus = _forward_terms(prob)
     step = modulus / (lipschitz * lipschitz)
-    u = dykstra_project(prob.feasible, prob.input_point.coords)
+    u = project_primitive(prob.input_point.coords, prob.feasible.base)
     target = tol / 10.0
     for _ in range(max_iter):
         u_new = _composite_prox(prob.mixed, prob.feasible, u - step * forward(u), step)
@@ -506,16 +512,13 @@ def _banach_inner_objective(prob: ResolventProblem, uc: np.ndarray):
 
 def _project_rows(cset, ys):
     base = cset.base
-    if not cset.cuts and isinstance(base, PBall):
-        # vectorized fast path: only rows outside the ball need the root-find
-        norms = np.sum(np.abs(ys) ** base.exponent, axis=1) ** (1.0 / base.exponent)
-        out = np.array(ys)
-        for i in np.nonzero(norms > base.radius)[0]:
-            out[i] = project_primitive(ys[i], base)
-        return out
-    out = np.empty_like(ys)
-    for i in range(ys.shape[0]):
-        out[i] = dykstra_project(cset, ys[i])
+    if not isinstance(base, PBall):
+        return project_primitive(ys, base)  # clip and copy act row by row
+    # only rows outside the ball need the root-find
+    norms = np.sum(np.abs(ys) ** base.exponent, axis=1) ** (1.0 / base.exponent)
+    out = np.array(ys)
+    for i in np.nonzero(norms > base.radius)[0]:
+        out[i] = project_primitive(ys[i], base)
     return out
 
 
@@ -598,7 +601,7 @@ def _gap_hilbert(prob, uc, starts, max_iter=400):
     best_y, best_v = None, np.inf
     u_pt = PrimalPoint(uc, prob.space)
     for y0 in starts:
-        y = dykstra_project(prob.feasible, np.asarray(y0, dtype=float))
+        y = project_primitive(y0, prob.feasible.base)
         for _ in range(max_iter):
             y_new = _composite_prox(prob.mixed, prob.feasible, y - step * smooth_grad(y), step)
             moved = float(np.linalg.norm(y_new - y))
@@ -646,7 +649,7 @@ def resolvent_gap(
 
 def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
     """Damped best-response fixed-point loop, pattern-search fallback, certification."""
-    u = dykstra_project(prob.feasible, prob.input_point.coords)
+    u = project_primitive(prob.input_point.coords, prob.feasible.base)
     dim = prob.space.dimension
     theta = 1.0  # halved permanently on the first sign of oscillation
     y_warm = None
@@ -676,7 +679,7 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
                 return u, gap
         if len(history) > 40 and history[-1] > 0.9 * history[-40]:
             break  # stalled; fall through to pattern search
-        u = dykstra_project(prob.feasible, (1.0 - theta) * u + theta * y_star)
+        u = project_primitive((1.0 - theta) * u + theta * y_star, prob.feasible.base)
 
     # coordinate pattern search on the gap estimate
     step = 0.25
@@ -687,7 +690,7 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
             for sign in (1.0, -1.0):
                 cand = np.array(u)
                 cand[i] += sign * step
-                cand = dykstra_project(prob.feasible, cand)
+                cand = project_primitive(cand, prob.feasible.base)
                 _, g = cheap_gap(cand)
                 if g < best_gap - 1e-16:
                     u, best_gap, improved = cand, g, True

@@ -4,12 +4,12 @@ A ConstraintSet is a base convex set intersected with an ordered list of
 halfspace cuts, tagged with the frame (primal or dual coordinates) it lives
 in.  `project_intersection` finds the nearest point of such a set in the
 geometry of an exponent p, the minimizer of |w|_q^2 - 2 <v, w>, which is
-the Euclidean projection at p = 2.  For p != 2 a working-set Newton on the
-cut multipliers solves it exactly.  At p = 2, onto a box, whole-space or
-2-ball base with cuts, it is a least-distance program, solved exactly
-through NNLS; both exact engines are closed by a KKT check.  Euclidean
-projections onto balls of other exponents use Dykstra, active-set
-polishes and consensus ADMM.
+the Euclidean projection at p = 2.  There is one exact engine per
+geometry, each closed by a KKT check: for p != 2 (a box, whole-space or
+q-ball base) a working-set Newton on the cut multipliers, and at p = 2 (a
+box, whole-space or 2-ball base) a least-distance program solved through
+NNLS.  A set without cuts is projected in closed form, or by a scalar
+multiplier search onto an e-ball (`project_primitive`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InfeasibleError, NonConvergedError
+from .errors import InfeasibleError, NonConvergedError, UnsupportedCombinationError
 from .space import duality_jacobian, gauge_coords, pnorm
 
 # Halfspace cuts whose unit normals differ by less than this chord length are
@@ -203,44 +203,38 @@ def _shrink_coords(vabs: np.ndarray, lam: float, e: float) -> np.ndarray:
     return np.where(vabs == 0.0, 0.0, t)
 
 
-def _project_pball_multiplier(
-    v: np.ndarray, ball: PBall, seed: float | None = None, max_iter: int = 200
-):
-    """Euclidean projection onto an e-norm ball plus its Lagrange multiplier.
+def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
+    """Euclidean projection onto an e-norm ball.
 
-    Solves sum_i t_i(lam)^e = R^e for lam by a doubling bracket followed by
-    bisection-safeguarded Newton, tolerance 1e-12 on the multiplier.  The
-    optional seed (e.g. the multiplier of a nearby projection) shortens the
-    bracketing phase.
+    Solves sum_i t_i(lam)^e = R^e for the multiplier lam by a doubling
+    bracket from a radial-scaling guess, followed by bisection-safeguarded
+    Newton, tolerance 1e-12 on the multiplier.
     """
     e = ball.exponent
     radius = ball.radius
     nrm = pnorm(v, e)
     if nrm <= radius:
-        return np.array(v, dtype=float), 0.0
+        return np.array(v, dtype=float)
     if e == 2.0:
-        lam = 0.5 * (nrm / radius - 1.0)
-        return v * (radius / nrm), lam
+        return v * (radius / nrm)
     vabs = np.abs(v)
     target = radius**e
 
     def excess(lam):
         return float(np.sum(_shrink_coords(vabs, lam, e) ** e)) - target
 
-    if seed is None or seed <= 0.0:
-        # radial-scaling guess from the largest coordinate's equation
-        vmax = float(np.max(vabs))
-        t_guess = max(vmax * radius / nrm, 1e-30)
-        seed = max((vmax - t_guess) / (e * t_guess ** (e - 1.0)), 1e-8)
-    lo, hi = 0.0, seed
+    # radial-scaling guess from the largest coordinate's equation
+    vmax = float(np.max(vabs))
+    t_guess = max(vmax * radius / nrm, 1e-30)
+    lo, hi = 0.0, max((vmax - t_guess) / (e * t_guess ** (e - 1.0)), 1e-8)
     iters = 0
     while excess(hi) > 0.0:
         lo, hi = hi, hi * 4.0
         iters += 1
-        if iters >= max_iter:
+        if iters >= 200:
             raise NonConvergedError("p-ball projection: multiplier bracket did not close")
     lam = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(200):
         t = _shrink_coords(vabs, lam, e)
         g = float(np.sum(t**e)) - target
         if g > 0.0:
@@ -263,12 +257,7 @@ def _project_pball_multiplier(
         lam = lam_new
     else:
         raise NonConvergedError("p-ball projection: multiplier iteration cap reached")
-    t = _shrink_coords(vabs, lam, e)
-    return np.sign(v) * t, lam
-
-
-def _project_pball(v: np.ndarray, ball: PBall, max_iter: int = 200) -> np.ndarray:
-    return _project_pball_multiplier(v, ball, max_iter=max_iter)[0]
+    return np.sign(v) * _shrink_coords(vabs, lam, e)
 
 
 def project_primitive(v: np.ndarray, primitive) -> np.ndarray:
@@ -288,44 +277,11 @@ def project_primitive(v: np.ndarray, primitive) -> np.ndarray:
     raise TypeError(f"cannot project onto {type(primitive).__name__}")
 
 
-def _cone_misfit(piece, x: np.ndarray, c: np.ndarray, act_tol: float) -> np.ndarray:
-    """Component of a Dykstra correction outside the normal cone of the piece at x.
-
-    A zero misfit for every piece certifies x as the exact projection
-    (KKT: the corrections sum to v - x and must be normal-cone elements).
-    """
-    if isinstance(piece, WholeSpace):
-        return c
-    if isinstance(piece, Halfspace):
-        nn = float(np.dot(piece.normal, piece.normal))
-        slack = (piece.offset - float(np.dot(piece.normal, x))) / np.sqrt(nn)
-        if slack > act_tol:
-            return c
-        lam = max(0.0, float(np.dot(c, piece.normal)) / nn)
-        return c - lam * piece.normal
-    if isinstance(piece, Box):
-        misfit = np.array(c)
-        at_upper = x >= piece.upper - act_tol
-        at_lower = x <= piece.lower + act_tol
-        misfit[at_upper & (c > 0)] = 0.0
-        misfit[at_lower & (c < 0)] = 0.0
-        return misfit
-    # norm ball: cone is the ray along the gradient of |x|_e^e at boundary points
-    if pnorm(x, piece.exponent) < piece.radius - act_tol:
-        return c
-    grad = np.abs(x) ** (piece.exponent - 1.0) * np.sign(x)
-    gg = float(np.dot(grad, grad))
-    if gg == 0.0:
-        return c
-    lam = max(0.0, float(np.dot(c, grad)) / gg)
-    return c - lam * grad
-
-
 def _linear_rows(cset: ConstraintSet, dim: int):
-    """The linear constraints of the set as rows (A, b): A z <= b.
+    """The linear constraints of the set as unit rows (A, b): A z <= b.
 
     Box faces contribute +/- unit rows; a ball base contributes nothing
-    (its boundary is not linear; callers must re-check ball membership).
+    (its boundary is not linear; the exact engines carry it separately).
     """
     rows, offs = [], []
     base = cset.base
@@ -340,340 +296,9 @@ def _linear_rows(cset: ConstraintSet, dim: int):
         offs.append(cut.offset)
     if not rows:
         return np.zeros((0, dim)), np.zeros(0)
-    return np.stack(rows), np.array(offs)
-
-
-def _greedy_basis(a_all: np.ndarray, rows, forced=()):
-    """A well-conditioned independent subset of the given rows, forced first.
-
-    Greedy Gram-Schmidt: repeatedly take the row with the largest component
-    orthogonal to the span so far; rows in `forced` are seeded first so a
-    specific constraint can be guaranteed a slot in the working basis.
-    """
-    basis = []
-    chosen = []
-
-    def residual(vec):
-        r = np.array(vec)
-        for b in basis:
-            r -= np.dot(r, b) * b
-        return r
-
-    for f in forced:
-        r = residual(a_all[f])
-        nr = float(np.linalg.norm(r))
-        if nr > 1e-7:
-            basis.append(r / nr)
-            chosen.append(f)
-    while True:
-        best, best_norm = -1, 1e-7
-        for i in rows:
-            if i in chosen:
-                continue
-            nr = float(np.linalg.norm(residual(a_all[i])))
-            if nr > best_norm:
-                best, best_norm = i, nr
-        if best < 0:
-            return chosen
-        r = residual(a_all[best])
-        basis.append(r / float(np.linalg.norm(r)))
-        chosen.append(best)
-
-
-def _active_set_polish(cset: ConstraintSet, v: np.ndarray):
-    """Exact projection onto the set's linear constraints by active-set exchange.
-
-    Grows the active set from scratch, one most-violated row at a time,
-    restricting each equality solve to a well-conditioned independent
-    basis; a violated row that an ill-conditioned basis cannot represent
-    is forced into the next basis.  When the base is a ball the
-    polish projects onto the cut polyhedron alone; a result inside the
-    ball is then also the exact projection onto the full intersection
-    (nearest point of a superset that lies in the subset).  Returns None
-    when no exact certificate closes (ball boundary active, cycling,
-    iteration cap).
-    """
-    dim = v.shape[0]
-    a_all, b_all = _linear_rows(cset, dim)
-    if a_all.shape[0] == 0:
-        return None
-    norms = np.linalg.norm(a_all, axis=1)
-    a_all = a_all / norms[:, None]
-    b_all = b_all / norms
-    scale = 1.0 + float(np.linalg.norm(v))
-    active = set()
-    forced = []
-    sel = []
-    seen = set()
-    for _ in range(120):
-        state = (frozenset(active), tuple(forced))
-        if state in seen:
-            return None  # degenerate cycling; no exact certificate here
-        seen.add(state)
-        if active:
-            sel = _greedy_basis(a_all, sorted(active), forced)
-            a = a_all[sel]
-            lam = np.linalg.lstsq(a @ a.T, a @ v - b_all[sel], rcond=None)[0]
-            cand = v - a.T @ lam
-            if lam.size and np.min(lam) < -1e-12 * scale:
-                drop = sel[int(np.argmin(lam))]
-                active.discard(drop)
-                forced = [f for f in forced if f != drop]
-                continue
-        else:
-            sel = []
-            cand = np.array(v)
-        violations = a_all @ cand - b_all
-        worst = int(np.argmax(violations))
-        if violations[worst] > 1e-12 * scale:
-            if worst in active:
-                if worst in sel or worst in forced:
-                    return None  # enforced yet violated: inconsistent rows
-                forced.insert(0, worst)  # give the violated row a basis slot
-                continue
-            active.add(worst)
-            continue
-        if isinstance(cset.base, PBall) and (
-            pnorm(cand, cset.base.exponent) > cset.base.radius * (1.0 + 1e-14)
-        ):
-            return None  # ball boundary active; polish cannot certify
-        return cand
-    return None
-
-
-def _ball_active_polish(cset: ConstraintSet, v: np.ndarray):
-    """Exact projection when the ball boundary is active: Newton on the KKT system.
-
-    Solves z - v + nu g(z) + A^T lam = 0, A z = b on the active rows, and
-    |z|_e = R, with g the gradient of |z|_e^e / e, via damped Newton inside
-    an active-set exchange on the cuts.  Returns None when no certificate
-    closes (negative ball multiplier, cycling, Newton failure).
-    """
-    base = cset.base
-    if not isinstance(base, PBall):
-        return None
-    e, radius = base.exponent, base.radius
-    z, nu = _project_pball_multiplier(v, base)
-    nu *= e  # our stationarity uses g = |z|^(e-1) sgn(z), not e*that
-    if nu <= 0.0:
-        return None  # ball inactive; the linear polish owns this case
-    dim = v.shape[0]
-    a_all = cset._cut_normals
-    b_all = cset._cut_offsets
-    norms = np.linalg.norm(a_all, axis=1)
-    a_all = a_all / norms[:, None]
-    b_all = b_all / norms
-    scale = 1.0 + float(np.linalg.norm(v))
-    target = radius**e
-
-    def newton(active):
-        nonlocal z, nu
-        k = len(active)
-        a = a_all[active] if k else np.zeros((0, dim))
-        b = b_all[active] if k else np.zeros(0)
-        zz = np.array(z)
-        lam = np.zeros(k)
-        vv = max(nu, 1e-10)
-        best = np.inf
-        for _ in range(60):
-            absz = np.abs(zz)
-            g = absz ** (e - 1.0) * np.sign(zz)
-            resid = np.concatenate(
-                [
-                    zz - v + vv * g + (a.T @ lam if k else 0.0),
-                    (a @ zz - b) if k else np.zeros(0),
-                    [(float(np.sum(absz**e)) - target) / e],
-                ]
-            )
-            rnorm = float(np.linalg.norm(resid))
-            if rnorm <= 1e-13 * scale:
-                return zz, lam, vv
-            if rnorm > best * 4.0:
-                return None
-            best = min(best, rnorm)
-            diag = (e - 1.0) * np.maximum(absz, 1e-12) ** (e - 2.0)
-            jac = np.zeros((dim + k + 1, dim + k + 1))
-            jac[:dim, :dim] = np.eye(dim) + vv * np.diag(diag)
-            if k:
-                jac[:dim, dim : dim + k] = a.T
-                jac[dim : dim + k, :dim] = a
-            jac[:dim, -1] = g
-            jac[-1, :dim] = g
-            try:
-                step = np.linalg.solve(jac, -resid)
-            except np.linalg.LinAlgError:
-                return None
-            zz = zz + step[:dim]
-            if k:
-                lam = lam + step[dim : dim + k]
-            vv = vv + step[-1]
-        return None
-
-    active = []
-    seen = set()
-    for _ in range(40):
-        state = frozenset(active)
-        if state in seen:
-            return None
-        seen.add(state)
-        sol = newton(active)
-        if sol is None:
-            return None
-        z_new, lam, nu_new = sol
-        if nu_new < -1e-11:
-            return None  # ball multiplier negative: boundary not active after all
-        if lam.size and float(np.min(lam)) < -1e-11 * scale:
-            del active[int(np.argmin(lam))]
-            continue
-        if a_all.shape[0]:
-            violations = a_all @ z_new - b_all
-            worst = int(np.argmax(violations))
-            if violations[worst] > 1e-11 * scale:
-                if worst in active:
-                    return None
-                active.append(worst)
-                continue
-        z, nu = z_new, nu_new
-        return z
-    return None
-
-
-def _exact_polish(cset: ConstraintSet, v: np.ndarray):
-    """Try the linear-constraints polish, then the ball-active Newton polish."""
-    polished = _active_set_polish(cset, v)
-    if polished is not None:
-        return polished
-    return _ball_active_polish(cset, v)
-
-
-def dykstra_project(
-    cset: ConstraintSet, v: np.ndarray, tol: float = 1e-11, max_iter: int = 2000
-) -> np.ndarray:
-    """Euclidean projection onto base ∩ cuts by Dykstra's alternating corrections.
-
-    Terminates when a full sweep moves the iterate less than tol, the
-    iterate is feasible within 10*tol, and the accumulated corrections pass
-    a normal-cone (KKT) check.  Displacement alone is not trusted: on thin
-    cut intersections Dykstra can stall transiently at points that are
-    infeasible or feasible-but-not-nearest.  When the cone check fails on a
-    fully polyhedral set, a finite active-set polish seeded by the current
-    iterate recovers the exact projection instead of waiting for the
-    corrections to settle.  Raises NonConvergedError after max_iter sweeps
-    (the usual symptom of a near-empty intersection).
-    """
-    v = np.asarray(v, dtype=float)
-    pieces = [cset.base, *cset.cuts]
-    if len(pieces) == 1:
-        return project_primitive(v, pieces[0])
-    x = v.copy()
-    corrections = [np.zeros_like(v) for _ in pieces]
-    scale = 1.0 + float(np.linalg.norm(v))
-    act_tol = 1e-7 * scale
-    kkt_tol = max(1e3 * tol, 1e-10) * scale
-    lam_cache = {}  # per-piece ball multipliers, warm-started across sweeps
-    for _ in range(max_iter):
-        x_prev = x
-        for k, piece in enumerate(pieces):
-            shifted = x + corrections[k]
-            if isinstance(piece, PBall) and piece.exponent != 2.0:
-                x, lam = _project_pball_multiplier(shifted, piece, seed=lam_cache.get(k))
-                lam_cache[k] = lam
-            else:
-                x = project_primitive(shifted, piece)
-            corrections[k] = shifted - x
-        if float(np.linalg.norm(x - x_prev)) <= tol:
-            if worst_violation(cset, x) <= 10.0 * tol:
-                misfit = np.zeros_like(v)
-                for k, piece in enumerate(pieces):
-                    misfit = misfit + _cone_misfit(piece, x, corrections[k], act_tol)
-                if float(np.linalg.norm(misfit)) <= kkt_tol:
-                    return x
-            # stalled: either infeasible or feasible-but-not-nearest
-            polished = _exact_polish(cset, v)
-            if polished is not None and worst_violation(cset, polished) <= max(
-                10.0 * tol, 1e-10 * scale
-            ):
-                return polished
-    raise NonConvergedError(
-        f"Dykstra did not converge in {max_iter} sweeps (tol={tol:g}); "
-        "the intersection may be empty"
-    )
-
-
-def _admm_project(cset: ConstraintSet, v: np.ndarray, tol: float, max_iter: int):
-    """Projection onto base ∩ cuts by consensus ADMM.
-
-    Splits the base set and each cut into their own blocks, so every
-    sub-step is a primitive projection or a scalar clamp; immune to the
-    active-set degeneracy that stalls Dykstra on crowded, nearly parallel
-    cuts.  Periodically attempts the exact active-set polish and returns
-    its certified answer as soon as the active set has settled.
-    """
-    row_norms = np.linalg.norm(cset._cut_normals, axis=1)
-    a = cset._cut_normals / row_norms[:, None]
-    b = cset._cut_offsets / row_norms
-    dim = v.shape[0]
-    rho = 1.0
-    relax = 1.7
-    gram = a.T @ a
-
-    def factor(rho):
-        return np.linalg.cholesky(np.eye(dim) * (1.0 + rho) + rho * gram)
-
-    chol = factor(rho)
-    scale = 1.0 + float(np.linalg.norm(v))
-    eps = max(10.0 * tol, 1e-12) * scale
-    x = np.array(v)
-    z = project_primitive(x, cset.base)
-    s = np.minimum(a @ x, b)
-    u = np.zeros(dim)
-    w = np.zeros(len(b))
-    next_polish = 10
-    polish_gap = 25
-    for it in range(max_iter):
-        rhs = v + rho * (z - u) + rho * (a.T @ (s - w))
-        x = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-        ax = a @ x
-        x_r = relax * x + (1.0 - relax) * z
-        ax_r = relax * ax + (1.0 - relax) * s
-        z_new = project_primitive(x_r + u, cset.base)
-        s_new = np.minimum(ax_r + w, b)
-        u = u + x_r - z_new
-        w = w + ax_r - s_new
-        r_dual = rho * (np.linalg.norm(z_new - z) + np.linalg.norm(a.T @ (s_new - s)))
-        z, s = z_new, s_new
-        r_primal = max(float(np.linalg.norm(x - z)), float(np.max(np.abs(ax - s), initial=0.0)))
-        if it == next_polish:
-            polished = _exact_polish(cset, v)
-            if polished is not None and worst_violation(cset, polished) <= max(
-                10.0 * tol, 1e-10 * scale
-            ):
-                return polished
-            polish_gap = min(polish_gap * 2, 800)
-            next_polish = it + polish_gap
-            # residual balancing keeps the two ADMM blocks on one scale
-            if r_primal > 10.0 * r_dual and rho < 1e6:
-                rho *= 2.0
-                u /= 2.0
-                w /= 2.0
-                chol = factor(rho)
-            elif r_dual > 10.0 * r_primal and rho > 1e-6:
-                rho /= 2.0
-                u *= 2.0
-                w *= 2.0
-                chol = factor(rho)
-        if r_primal <= eps and r_dual <= eps:
-            break
-        if r_primal <= 1e-10 * scale and r_dual <= 1e-10 * scale:
-            break  # accuracy floor for degenerate cases the polish cannot close
-    if worst_violation(cset, z) > max(100.0 * tol, 1e-9) * scale:
-        raise NonConvergedError("ADMM projection did not reach feasibility")
-    polished = _exact_polish(cset, v)
-    if polished is not None and worst_violation(cset, polished) <= max(
-        10.0 * tol, 1e-10 * scale
-    ):
-        return polished
-    return z
+    a, b = np.stack(rows), np.array(offs)
+    norms = np.linalg.norm(a, axis=1)
+    return a / norms[:, None], b / norms
 
 
 # -- exact least-distance engine (box, whole-space and 2-ball bases) ----------
@@ -839,14 +464,10 @@ def _kkt_residual(
 def _least_distance(cset: ConstraintSet, v: np.ndarray):
     """Exact projection onto a box, whole-space or 2-ball base ∩ cuts.
 
-    Box faces join the cuts as +/- unit rows and every row is normalized.
-    Returns (z, nu, KKT residual of the answer), nu being the ball
-    multiplier (0 for other bases).
+    Box faces join the cuts as +/- unit rows.  Returns (z, nu, KKT residual
+    of the answer), nu being the ball multiplier (0 for other bases).
     """
     a, b = _linear_rows(cset, v.shape[0])
-    norms = np.linalg.norm(a, axis=1)
-    a = a / norms[:, None]
-    b = b / norms
     if isinstance(cset.base, PBall):
         radius = cset.base.radius
         z, lam, nu = _ball_ldp(a, b, v, radius)
@@ -1114,13 +735,10 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
 def _generalized_projection(cset: ConstraintSet, v: np.ndarray, exponent: float):
     """Minimizer of |w|_q^2 - 2 <v, w> over base ∩ cuts, q the conjugate of exponent.
 
-    Box faces join the cuts as +/- unit rows and every row is normalized;
-    a ball base must be a q-ball.  Returns (w, KKT residual of the answer).
+    Box faces join the cuts as +/- unit rows; a ball base must be a q-ball.
+    Returns (w, KKT residual of the answer).
     """
     a, b = _linear_rows(cset, v.shape[0])
-    norms = np.linalg.norm(a, axis=1)
-    a = a / norms[:, None]
-    b = b / norms
     radius = None
     if isinstance(cset.base, PBall):
         q = exponent / (exponent - 1.0)
@@ -1135,47 +753,35 @@ def _generalized_projection(cset: ConstraintSet, v: np.ndarray, exponent: float)
 
 
 def project_intersection(
-    cset: ConstraintSet,
-    v: np.ndarray,
-    tol: float = 1e-11,
-    max_iter: int = 20_000,
-    exponent: float = 2.0,
+    cset: ConstraintSet, v: np.ndarray, tol: float = 1e-11, exponent: float = 2.0
 ) -> np.ndarray:
     """Nearest point of base ∩ cuts to v in the geometry of the exponent p.
 
     That is the minimizer of |w|_q^2 - 2 <v, w>, q = p / (p - 1); at the
-    default p = 2 it is the Euclidean projection.  For p != 2 the base is
-    the whole space, a box or a q-ball, and the exact working-set Newton on
-    the cut multipliers solves the problem (`_multiplier_newton`).  At p = 2,
-    box, whole-space and 2-ball bases go to the exact least-distance engine
-    (NNLS).  An exact engine's answer is returned only when its KKT residual
-    is within max(10 tol, 1e-10) (1 + |v|); NonConvergedError is raised
-    otherwise, and InfeasibleError when the intersection is empty.  The
-    Euclidean projection onto a ball of another exponent uses the layered
-    chain: the active-set exchange, which is exact whenever the ball part
-    is inactive at the optimum, then Dykstra when the cuts are few and
-    consensus ADMM otherwise.
+    default p = 2 it is the Euclidean projection.  One exact engine serves
+    each geometry: for p != 2 the base is the whole space, a box or a
+    q-ball, and the working-set Newton on the cut multipliers solves the
+    problem (`_multiplier_newton`); at p = 2 the base is the whole space, a
+    box or a 2-ball, and the least-distance engine (NNLS) solves it.  The
+    answer is returned only when its KKT residual is within
+    max(10 tol, 1e-10) (1 + |v|); NonConvergedError is raised otherwise, and
+    InfeasibleError when the intersection is empty.  A set without cuts is
+    projected by `project_primitive`.  The Euclidean projection onto a ball
+    of another exponent with cuts has no engine and raises
+    UnsupportedCombinationError.
     """
     v = np.asarray(v, dtype=float)
     if exponent != 2.0:
         z, resid = _generalized_projection(cset, v, exponent)
     elif not cset.cuts:
         return project_primitive(v, cset.base)
-    elif not isinstance(cset.base, PBall) or cset.base.exponent == 2.0:
-        z, _, resid = _least_distance(cset, v)
+    elif isinstance(cset.base, PBall) and cset.base.exponent != 2.0:
+        raise UnsupportedCombinationError(
+            f"no Euclidean projection onto a ball of exponent {cset.base.exponent:g} "
+            "with cuts; project in its own geometry, exponent e / (e - 1)"
+        )
     else:
-        scale = 1.0 + float(np.linalg.norm(v))
-        polished = _exact_polish(cset, v)
-        if polished is not None and worst_violation(cset, polished) <= max(
-            10.0 * tol, 1e-10 * scale
-        ):
-            return polished
-        if len(cset.cuts) <= 6:
-            try:
-                return dykstra_project(cset, v, tol=tol, max_iter=min(max_iter, 20_000))
-            except NonConvergedError:
-                pass
-        return _admm_project(cset, v, tol, max_iter)
+        z, _, resid = _least_distance(cset, v)
     if not resid <= max(10.0 * tol, 1e-10) * (1.0 + float(np.linalg.norm(v))):
         raise NonConvergedError(f"exact projection failed its KKT check (residual {resid:.3g})")
     return z
@@ -1222,7 +828,9 @@ def sample_feasible(
     2-balls, approximately so for other exponents).  Candidates violating a
     cut are pulled back along the segment toward `anchor` when one is
     given (cheap and robust on thin cut intersections), and projected onto
-    the set otherwise.
+    the set otherwise, in the set's own geometry: at exponent e / (e - 1)
+    for an e-ball base, the geometry whose q-ball it is, and Euclidean for
+    every other base.
     """
     base = cset.base
     if isinstance(base, Box):
@@ -1235,6 +843,7 @@ def sample_feasible(
         allowed = max(worst_violation(cset, anchor), 0.0)
         if allowed > 1e-9:
             anchor = None  # an infeasible anchor cannot guide the pull-back
+    geometry = base.exponent / (base.exponent - 1.0) if isinstance(base, PBall) else 2.0
     out = np.empty((count, dim))
     for i in range(count):
         if isinstance(base, Box):
@@ -1252,6 +861,6 @@ def sample_feasible(
             if anchor is not None:
                 cand = _pull_feasible(cset, anchor, cand, allowed)
             else:
-                cand = project_intersection(cset, cand, tol=1e-9, max_iter=50_000)
+                cand = project_intersection(cset, cand, tol=1e-9, exponent=geometry)
         out[i] = cand
     return out

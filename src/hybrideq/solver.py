@@ -62,15 +62,14 @@ class SolverConfig:
     outer_tol: float = 1e-6
     max_outer: int = 200
     resolvent_tol: float = 1e-6
-    # no longer read: the retraction is exact, gated at dykstra_tol; kept
-    # because scenario documents set it
+    # no longer read: the retraction is exact, gated by `sunny_retract`'s
+    # own KKT tolerance; kept because scenario documents set it
     retraction_tol: float = 1e-10
     reference_solution: Optional[PrimalPoint] = None
     seed: int = 7
     min_r: float = 1e-3
     cut_cap: int = 500
     audit_samples: int = 24
-    dykstra_tol: float = 1e-12  # KKT tolerance of the retraction's projection
 
     def __post_init__(self):
         if self.outer_tol <= 0 or self.resolvent_tol <= 0 or self.retraction_tol <= 0:
@@ -255,7 +254,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
 
         retraction_problem = RetractionProblem(space, dual_set, anchor)
         try:
-            x_next = sunny_retract(retraction_problem, tol=config.dykstra_tol)
+            x_next = sunny_retract(retraction_problem)
         except (NonConvergedError, InfeasibleError) as exc:
             raise _at_iteration(exc, n) from exc
 

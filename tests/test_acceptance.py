@@ -10,6 +10,7 @@ soft-thresholding minimizer, and negative controls must be flagged.
 import time
 
 import numpy as np
+from _reference import dykstra
 
 from hybrideq import (
     ConstraintSet,
@@ -25,7 +26,6 @@ from hybrideq import (
     ZeroTerm,
     build_bundle,
     build_config,
-    dykstra_project,
     inverse_duality_map,
     jstar_nonexpansive_violation,
     load_scenario,
@@ -128,7 +128,7 @@ def test_criterion_2_retraction_suite():
                 )
                 assert slack <= 1e-6, f"case {case}: phi decomposition slack {slack:.2e}"
             if p == 2.0:
-                proj = dykstra_project(dual, anchor.coords, tol=1e-12, max_iter=100_000)
+                proj = dykstra(dual, anchor.coords, tol=1e-12, max_iter=100_000)
                 assert pnorm(z.coords - proj, 2.0) <= 1e-6, f"case {case}: Hilbert agreement"
 
 

@@ -12,6 +12,7 @@ import pytest
 from hybrideq import (
     ConstraintSet,
     Frame,
+    Halfspace,
     InverseDualityPairing,
     PBall,
     PairingBifunction,
@@ -303,6 +304,15 @@ class TestTypeInvariants:
             ResolventProblem(
                 (), ZeroTerm(), ZeroPerturbation(), BALL2, 1e-12,
                 PrimalPoint([0.0, 0.0], HILBERT2), min_r=1e-3,
+            )
+
+    def test_feasible_set_with_cuts_rejected(self):
+        # the solvers and the gap project onto Omega's base alone, so a cut
+        # would be dropped without notice
+        cut = ConstraintSet(PBall(1.0, 2.0), (Halfspace([1.0, 0.0], 0.2),), Frame.PRIMAL)
+        with pytest.raises(ValueError, match="no cuts"):
+            ResolventProblem(
+                (), ZeroTerm(), ZeroPerturbation(), cut, 1.0, PrimalPoint([0.5, 0.0], HILBERT2)
             )
 
 

@@ -1,17 +1,19 @@
-"""Constraint sets, primitive projections, Dykstra's algorithm, and the
-exact least-distance engine.
+"""Constraint sets, primitive projections, the exact least-distance engine,
+and the reference Dykstra projection the engine is checked against.
 
 The Dykstra example from the operation contract (unit 2-ball cut by
 z_1 <= 0, projecting (2, 0)) is checked against a dense grid search over
-the feasible set, which is the stated independent oracle.  Dykstra is in
-turn the reference for the least-distance engine, and the 36-step
-bisection it replaced is the reference for the ratio-test pull-back.
+the feasible set, which is the stated independent oracle.  The plain
+Dykstra of `tests/_reference.py`, which shares no code with the engines
+but the primitive projections, is in turn the reference for the
+least-distance engine, and the 36-step bisection it replaced is the
+reference for the ratio-test pull-back.
 """
 
 import numpy as np
 import pytest
+from _reference import dykstra
 
-import hybrideq.sets as sets_module
 from hybrideq import (
     Box,
     ConstraintSet,
@@ -20,10 +22,10 @@ from hybrideq import (
     InfeasibleError,
     NonConvergedError,
     PBall,
+    UnsupportedCombinationError,
     WholeSpace,
     add_cut,
     contains,
-    dykstra_project,
     project_primitive,
     sample_feasible,
 )
@@ -115,18 +117,18 @@ class TestDykstra:
     def test_single_set_is_primitive(self):
         cset = ConstraintSet(PBall(1.0, 2.0))
         np.testing.assert_allclose(
-            dykstra_project(cset, np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-10
+            dykstra(cset, np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-10
         )
 
     def test_fixed_point_when_feasible(self):
         cset = ConstraintSet(PBall(1.0, 2.0), (Halfspace([0.0, 1.0], 0.5),))
         v = np.array([0.2, 0.1])
-        np.testing.assert_allclose(dykstra_project(cset, v), v, atol=1e-10)
+        np.testing.assert_allclose(dykstra(cset, v), v, atol=1e-10)
 
     def test_ball_cut_by_halfspace_matches_grid_oracle(self):
         cset = ConstraintSet(PBall(1.0, 2.0), (Halfspace([1.0, 0.0], 0.0),))
         v = np.array([2.0, 0.0])
-        z = dykstra_project(cset, v, tol=1e-12, max_iter=20000)
+        z = dykstra(cset, v, tol=1e-12, max_iter=20000)
         oracle = _grid_nearest(cset, v)
         # grid resolution 0.01; the true answer is (0, 0)
         assert np.linalg.norm(z - oracle) <= 2e-2
@@ -139,7 +141,7 @@ class TestDykstra:
             (Halfspace([1.0, 1.0], 0.3), Halfspace([-1.0, 0.5], 0.4)),
         )
         v = np.array([1.5, 1.5])
-        z = dykstra_project(cset, v, tol=1e-12, max_iter=20000)
+        z = dykstra(cset, v, tol=1e-12, max_iter=20000)
         assert contains(cset, z, 1e-6)
         dz = np.linalg.norm(v - z)
         samples = sample_feasible(cset, rng, 1000, dimension=2)
@@ -151,7 +153,7 @@ class TestDykstra:
             PBall(1.0, 2.0), (Halfspace([1.0, 0.0], -3.0),)  # disjoint from the ball
         )
         with pytest.raises(NonConvergedError):
-            dykstra_project(cset, np.array([0.0, 0.0]), tol=1e-10, max_iter=200)
+            dykstra(cset, np.array([0.0, 0.0]), tol=1e-10, max_iter=200)
 
 
 class TestProjectIntersection:
@@ -164,7 +166,7 @@ class TestProjectIntersection:
             cset = ConstraintSet(PBall(1.0, 2.0), cuts)
             v = 2.0 * rng.standard_normal(3)
             try:
-                a = dykstra_project(cset, v, tol=1e-12, max_iter=50000)
+                a = dykstra(cset, v, tol=1e-12, max_iter=50000)
             except NonConvergedError:
                 continue
             b = project_intersection(cset, v, tol=1e-12)
@@ -183,13 +185,21 @@ class TestProjectIntersection:
         z = project_intersection(cset, v, tol=1e-12)
         assert worst_violation(cset, z) <= 1e-9
         assert _least_distance(cset, v)[2] <= 1e-12 * np.linalg.norm(v)
-        np.testing.assert_allclose(
-            z, dykstra_project(cset, v, tol=1e-12, max_iter=20000), atol=1e-7
-        )
+        np.testing.assert_allclose(z, dykstra(cset, v, tol=1e-12, max_iter=20000), atol=1e-7)
         # optimality spot check against feasible samples pulled toward z
         samples = sample_feasible(cset, rng, 400, dimension=3, anchor=z)
         dists = np.linalg.norm(samples - v, axis=1)
         assert np.all(dists >= np.linalg.norm(v - z) - 1e-6)
+
+    def test_euclidean_qball_with_cuts_is_unsupported(self):
+        # a q-ball with cuts is projected in its own geometry, exponent
+        # q / (q - 1); the Euclidean projection onto it has no engine
+        cset = ConstraintSet(PBall(1.0, 1.5), (Halfspace([1.0, 0.0], 0.2),))
+        v = np.array([2.0, 0.5])
+        with pytest.raises(UnsupportedCombinationError):
+            project_intersection(cset, v)
+        z = project_intersection(cset, v, exponent=3.0)
+        assert worst_violation(cset, z) <= 1e-10
 
 
 def _random_cut_set(rng, kind):
@@ -218,7 +228,7 @@ class TestLeastDistanceEngine:
             v = 2.5 * rng.standard_normal(d)
             z, nu, resid = _least_distance(cset, v)
             assert resid <= 1e-12 * (1.0 + np.linalg.norm(v))
-            ref = dykstra_project(cset, v, tol=1e-12, max_iter=300_000)
+            ref = dykstra(cset, v, tol=1e-12, max_iter=300_000)
             np.testing.assert_allclose(z, ref, atol=1e-7)
             ball_active.add(nu > 0.0)
         if kind == "ball":
@@ -238,18 +248,6 @@ class TestLeastDistanceEngine:
         cset = ConstraintSet(PBall(1.0, 2.0), (Halfspace([1.0, 0.0], -3.0),))
         with pytest.raises(InfeasibleError):
             project_intersection(cset, np.array([0.0, 0.0]))
-
-    def test_iterative_engines_are_not_reached(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("an iterative projection engine was reached")
-
-        for name in ("dykstra_project", "_admm_project", "_exact_polish"):
-            monkeypatch.setattr(sets_module, name, forbidden)
-        rng = np.random.default_rng(9)
-        for kind in ("box", "ball", "whole"):
-            for _ in range(20):
-                cset, d = _random_cut_set(rng, kind)
-                project_intersection(cset, 2.5 * rng.standard_normal(d))
 
 
 def _bisect_pull(cset, anchor, cand):
@@ -271,7 +269,10 @@ class TestPullFeasible:
         compared = 0
         for _ in range(30):
             cset, d = _random_cut_set(rng, kind)
-            boundary = project_intersection(cset, 3.0 * rng.standard_normal(d), tol=1e-12)
+            e = cset.base.exponent if isinstance(cset.base, PBall) else 2.0
+            boundary = project_intersection(
+                cset, 3.0 * rng.standard_normal(d), tol=1e-12, exponent=e / (e - 1.0)
+            )
             for shrink in (0.0, 0.5, 1.0):  # interior anchors and a boundary one
                 anchor = shrink * boundary
                 allowed = max(worst_violation(cset, anchor), 0.0)
@@ -351,11 +352,14 @@ class TestValidation:
 
 class TestSampleFeasible:
     def test_samples_are_feasible(self):
-        rng = np.random.default_rng(0)
-        cset = ConstraintSet(PBall(1.0, 3.0), (Halfspace([1.0, 0.0, 0.0], 0.2),))
-        pts = sample_feasible(cset, rng, 200, dimension=3)
-        for row in pts:
-            assert worst_violation(cset, row) <= 1e-7
+        # without an anchor, violating candidates are projected in the
+        # ball's own geometry; the exponents cover both sides of 2
+        for e in (3.0, 1.5, 10.0):
+            rng = np.random.default_rng(0)
+            cset = ConstraintSet(PBall(1.0, e), (Halfspace([1.0, 0.0, 0.0], 0.2),))
+            pts = sample_feasible(cset, rng, 200, dimension=3)
+            for row in pts:
+                assert worst_violation(cset, row) <= 1e-7, f"exponent {e}"
 
     def test_anchor_pull_back_stays_feasible(self):
         rng = np.random.default_rng(1)
@@ -366,28 +370,3 @@ class TestSampleFeasible:
         pts = sample_feasible(cset, rng, 200, dimension=2, anchor=anchor)
         for row in pts:
             assert worst_violation(cset, row) <= 1e-7
-
-
-class TestBallActivePolish:
-    def test_matches_long_dykstra_when_applicable(self):
-        from hybrideq.sets import _ball_active_polish
-
-        rng = np.random.default_rng(42)
-        matched = 0
-        for _ in range(40):
-            cuts = tuple(
-                Halfspace(rng.standard_normal(4), rng.uniform(-0.1, 0.3))
-                for _ in range(rng.integers(1, 4))
-            )
-            cset = ConstraintSet(PBall(1.0, 1.5), cuts)
-            v = 2.5 * rng.standard_normal(4)
-            polished = _ball_active_polish(cset, v)
-            if polished is None:
-                continue  # ball inactive or degenerate; other engines own it
-            try:
-                ref = dykstra_project(cset, v, tol=1e-12, max_iter=300_000)
-            except NonConvergedError:
-                continue
-            assert np.linalg.norm(polished - ref) < 1e-7
-            matched += 1
-        assert matched >= 15  # the sampler must actually exercise the path
