@@ -12,7 +12,8 @@ The map x -> u is single valued; its fixed points are exactly the solutions
 of the underlying generalized mixed equilibrium problem.  No closed form
 exists in general, so solutions are certified a posteriori by the gap
 functional (resolvent_gap): the sampled, multi-start minimum of the left
-side over y.
+side over y.  Where an exact bound on the gap is known it is recorded
+beside the sampled one, and the larger of the two is the certified gap.
 
 Support matrix
 --------------
@@ -21,9 +22,10 @@ Support matrix
   perturbations: strongly monotone forward-backward splitting (the
   (1/r)(u - x) term has modulus 1/r, making the forward map a contraction).
 * Banach mode, the shift-example class: pairings with g = J*, dual-norm
-  mixed term, duality perturbation: damped best-response fixed-point loop
-  on the gap, with a coordinate pattern-search fallback, certified by
-  resolvent_gap.
+  mixed term, duality perturbation: closed form, T_r(x) = 0 when
+  |x|_p <= r (certified exactly by Hölder's inequality) and otherwise the
+  stationary point s x / |x|_p.  resolvent_gap cross-checks the candidate
+  once; a candidate outside Omega or a gap above tolerance raises.
 
 Everything else raises UnsupportedCombinationError.
 """
@@ -36,7 +38,7 @@ from typing import Union
 import numpy as np
 
 from .errors import NonConvergedError, UnsupportedCombinationError
-from .sets import Box, ConstraintSet, PBall, WholeSpace, project_primitive, sample_feasible
+from .sets import Box, ConstraintSet, PBall, WholeSpace, contains, project_primitive, sample_feasible
 from .space import PrimalPoint, SpaceConfig, gauge_coords, pnorm
 
 # -- potentials ---------------------------------------------------------------
@@ -398,7 +400,7 @@ def _composite_prox(mixed, cset: ConstraintSet, v: np.ndarray, t: float) -> np.n
         if float(np.linalg.norm(x_new - x)) <= 1e-13 * (1.0 + float(np.linalg.norm(x))):
             return x_new
         x = x_new
-    return x
+    raise NonConvergedError("prox-projection alternation did not settle in 500 rounds")
 
 
 # -- Hilbert-mode solver ---------------------------------------------------------
@@ -633,7 +635,9 @@ def resolvent_gap(
 
     The inner minimization runs projected gradient (proximal gradient in
     Hilbert mode) from `samples` random feasible multi-starts plus y = u
-    and y = 0.
+    and y = 0, so the value is a sampled estimate: it can miss a negative
+    minimum but never reports a false one.  The Banach solver pairs it
+    with Hölder's exact bound at u = 0.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -648,62 +652,35 @@ def resolvent_gap(
 
 
 def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
-    """Damped best-response fixed-point loop, pattern-search fallback, certification."""
-    u = project_primitive(prob.input_point.coords, prob.feasible.base)
-    dim = prob.space.dimension
-    theta = 1.0  # halved permanently on the first sign of oscillation
-    y_warm = None
+    """Closed-form T_r for the shift-example class, certified once.
 
-    def cheap_gap(uc):
-        value, gradient = _banach_inner_objective(prob, uc)
-        starts = [uc, np.zeros(dim)]
-        if y_warm is not None:
-            starts.append(y_warm)
-        y, val = _pgd_minimize(value, gradient, prob.feasible, starts, max_iter=150)
-        return y, max(0.0, -val)
-
-    def certify(uc):
-        gap = resolvent_gap(prob, PrimalPoint(uc, prob.space), rng=rng)
-        return gap
-
-    history = []
-    for _ in range(300):
-        y_star, gap_est = cheap_gap(u)
-        y_warm = y_star
-        if history and gap_est > history[-1]:
-            theta = 0.5
-        history.append(gap_est)
-        if gap_est <= 0.7 * tol:
-            gap = certify(u)
-            if gap <= tol:
-                return u, gap
-        if len(history) > 40 and history[-1] > 0.9 * history[-40]:
-            break  # stalled; fall through to pattern search
-        u = project_primitive((1.0 - theta) * u + theta * y_star, prob.feasible.base)
-
-    # coordinate pattern search on the gap estimate
-    step = 0.25
-    _, best_gap = cheap_gap(u)
-    while step > 1e-9:
-        improved = False
-        for i in range(dim):
-            for sign in (1.0, -1.0):
-                cand = np.array(u)
-                cand[i] += sign * step
-                cand = project_primitive(cand, prob.feasible.base)
-                _, g = cheap_gap(cand)
-                if g < best_gap - 1e-16:
-                    u, best_gap, improved = cand, g, True
-        if best_gap <= 0.7 * tol:
-            gap = certify(u)
-            if gap <= tol:
-                return u, gap
-        if not improved:
-            step *= 0.5
-    gap = certify(u)
-    if gap <= tol:
-        return u, gap
-    raise NonConvergedError(f"Banach resolvent gap stalled at {gap:g} > tol={tol:g}")
+    With k pairings the stationarity condition of the resolvent inequality
+    makes u a nonnegative multiple of the input x: u = 0 when |x|_p <= r,
+    and otherwise u = s x / |x|_p with s = (|x|_p / r - 1) / (k + 1 + 1/r).
+    Either candidate must lie in Omega.  At u = 0 Hölder's inequality
+    bounds the gap exactly: lhs(0, y) = |y|_p - <x, Jy>/r
+    >= |y|_p (1 - |x|_p / r) >= 0.  The sampled resolvent_gap runs once as
+    the independent cross-check; the larger of the two is the certified
+    gap, and NonConvergedError is raised when it exceeds tol.
+    """
+    xc = prob.input_point.coords
+    nx = pnorm(xc, prob.space.exponent)
+    exact = None
+    if nx <= prob.r:
+        uc = np.zeros_like(xc)
+        exact = 0.0  # the Hölder bound above: no y makes lhs(0, y) negative
+    else:
+        inv_r = 1.0 / prob.r
+        s = (nx * inv_r - 1.0) / (len(prob.bifunctions) + 1.0 + inv_r)
+        uc = (s / nx) * xc
+    if not contains(prob.feasible, uc):
+        raise NonConvergedError("the closed-form resolvent candidate lies outside Omega")
+    gap = resolvent_gap(prob, PrimalPoint(uc, prob.space), rng=rng)
+    if exact is not None:
+        gap = max(exact, gap)
+    if gap > tol:
+        raise NonConvergedError(f"closed-form Banach resolvent gap {gap:g} > tol={tol:g}")
+    return uc, gap
 
 
 def solve_resolvent_certified(

@@ -6,14 +6,20 @@ T_r(x) = x / (1 + r), verified here by finite-difference optimality of the
 regularized objective rather than by the solver's own path.
 """
 
+import copy
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hybrideq import (
     ConstraintSet,
     Frame,
     Halfspace,
     InverseDualityPairing,
+    NonConvergedError,
     PBall,
     PairingBifunction,
     PotentialBifunction,
@@ -36,10 +42,12 @@ from hybrideq.equilibrium import (
     DualityPerturbation,
     QuadraticTerm,
     WeightedL1Term,
+    _composite_prox,
     bifunction_monotonicity_defect,
     classify_problem,
     perturbation_monotonicity_defect,
 )
+from hybrideq.harness import BUILTIN_SCENARIOS, load_scenario, run_scenario
 from hybrideq.space import gauge_coords, lyapunov_phi, pnorm
 
 HILBERT2 = SpaceConfig(2, 2.0)
@@ -53,9 +61,9 @@ def _projection_problem(input_coords, r=1.0):
     )
 
 
-def _lp_problem(input_coords, r=1.0, d=8, p=3.0):
+def _lp_problem(input_coords, r=1.0, d=8, p=3.0, radius=1.0, min_r=1e-8):
     space = SpaceConfig(d, p)
-    ball = ConstraintSet(PBall(1.0, p), (), Frame.PRIMAL)
+    ball = ConstraintSet(PBall(radius, p), (), Frame.PRIMAL)
     return ResolventProblem(
         (PairingBifunction(InverseDualityPairing(space)),),
         DualNormTerm(space.conjugate),
@@ -63,7 +71,13 @@ def _lp_problem(input_coords, r=1.0, d=8, p=3.0):
         ball,
         r,
         PrimalPoint(input_coords, space),
+        min_r=min_r,
     )
+
+
+def _unit_direction(seed, d=8, p=3.0):
+    v = np.random.default_rng(seed).standard_normal(d)
+    return v / pnorm(v, p)
 
 
 class TestResolventLhs:
@@ -152,6 +166,85 @@ class TestSolveClosedForms:
         x = 0.8 * x / pnorm(x, 3.0)
         u, gap = solve_resolvent_certified(_lp_problem(x), tol=1e-6)
         assert gap <= 1e-6
+
+
+class TestBanachClosedForm:
+    """T_r of the shift class with one pairing: 0 when |x|_p <= r, otherwise
+    s x / |x|_p with s = (|x|_p / r - 1) / (2 + 1/r)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.floats(1.1, 10.0),
+        d=st.integers(1, 8),
+        data=st.data(),
+        x_exp=st.integers(-150, 150),
+        y_exp=st.integers(-150, 150),
+        ratio=st.floats(1e-6, 1.0),
+    )
+    def test_zero_is_holder_certified(self, p, d, data, x_exp, y_exp, ratio):
+        # lhs(0, y) = |Jy|_q - <x, Jy>/r >= |y|_p (1 - |x|_p / r) >= 0
+        unit = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=d, max_size=d)
+        x = np.array(data.draw(unit)) * 10.0**x_exp
+        y = np.array(data.draw(unit)) * 10.0**y_exp
+        nx = pnorm(x, p)
+        assume(nx > 0.0)
+        r = nx / ratio
+        prob = _lp_problem(x, r=r, d=d, p=p, min_r=r)
+        zero = PrimalPoint(np.zeros(d), prob.space)
+        lhs = resolvent_lhs(prob, zero, PrimalPoint(y, prob.space))
+        assert lhs >= -1e-12 * pnorm(y, p)
+
+    @pytest.mark.parametrize("r, norm", [(0.5, 0.75), (0.8, 0.95), (0.3, 0.9), (0.1, 0.5)])
+    def test_interior_candidate_when_r_below_norm(self, r, norm):
+        direction = _unit_direction(20)
+        started = time.perf_counter()
+        u, gap = solve_resolvent_certified(_lp_problem(norm * direction, r=r), tol=1e-6)
+        elapsed = time.perf_counter() - started
+        s = (norm / r - 1.0) / (2.0 + 1.0 / r)
+        np.testing.assert_allclose(u.coords, s * direction, rtol=0.0, atol=1e-12)
+        assert gap <= 1e-6
+        assert elapsed < 1.0, f"resolvent took {elapsed:.2f} s"
+
+    def test_uncertifiable_candidate_raises(self):
+        # the stationary point at r = 0.05 is not T_r: lhs(u, .) dips below 0
+        started = time.perf_counter()
+        with pytest.raises(NonConvergedError, match="gap"):
+            solve_resolvent_certified(_lp_problem(0.99 * _unit_direction(20), r=0.05), tol=1e-6)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 5.0, f"failure took {elapsed:.2f} s to report"
+
+    def test_candidate_outside_omega_raises(self):
+        # s = (5 - 1) / (2 + 10) = 1/3 exceeds the radius 0.2
+        prob = _lp_problem(0.5 * _unit_direction(21), r=0.1, radius=0.2)
+        with pytest.raises(NonConvergedError, match="outside Omega"):
+            solve_resolvent_certified(prob, tol=1e-6)
+
+    def test_shift_example_at_small_r_passes_audits(self):
+        doc = copy.deepcopy(BUILTIN_SCENARIOS["lp_shift_example"])
+        doc["config"]["r"] = 0.3
+        report = run_scenario(load_scenario(doc))
+        assert report.outcome == "converged"
+        assert report.audits_passed, {
+            k: v for k, v in report.audits.items() if not v["passed"]
+        }
+        # u = 0 would give gap_xu == x_norm; the nonzero branch must have run
+        assert any(row["gap_xu"] != row["x_norm"] for row in report.rows)
+
+
+class TestCompositeProx:
+    def test_alternation_cap_raises(self):
+        class Flip:
+            """Not a prox: it answers two points in turn, so nothing settles."""
+
+            separable = False
+            sign = 1.0
+
+            def prox(self, v, t):
+                self.sign = -self.sign
+                return np.array([0.5 * self.sign, 0.0])
+
+        with pytest.raises(NonConvergedError, match="alternation"):
+            _composite_prox(Flip(), BALL2, np.array([0.3, 0.1]), 1.0)
 
 
 class TestResolventGap:
