@@ -327,7 +327,10 @@ def resolvent_lhs(prob: ResolventProblem, u: PrimalPoint, y: PrimalPoint) -> flo
         total += f.evaluate(ju, jy)
     total += prob.mixed.value(jy) - prob.mixed.value(ju)
     total += float(np.dot(yc - uc, prob.perturbation.apply(uc)))
-    total += (1.0 / prob.r) * float(np.dot(uc - prob.input_point.coords, jy - ju))
+    pair = float(np.dot(uc - prob.input_point.coords, jy - ju))
+    inv_r = 1.0 / prob.r
+    # 1/r overflows for a subnormal r, and inf * 0 would be NaN: divide there
+    total += inv_r * pair if inv_r < np.inf else pair / prob.r
     return total
 
 
@@ -468,10 +471,15 @@ def _solve_hilbert(prob: ResolventProblem, tol: float, max_iter: int) -> np.ndar
 def _banach_inner_objective(prob: ResolventProblem, uc: np.ndarray):
     """Closed-form inner objective y -> lhs(u, y) and its gradient for the lp class.
 
-    Batched over rows: value takes (k, d) and returns (k,); gradient
-    likewise.  The Jacobian-transpose product of the duality map is
-    evaluated through its rank-one-plus-diagonal form, never materializing
-    the matrix.
+    Batched over rows.  evaluate takes (k, d) and returns the (k,) values
+    with the intermediates the gradient reuses: |y|, the row norms, the
+    signed powers |y_i|^(p-1) sign(y_i) and their products with c1.
+    gradient maps those intermediates to the (k, d) gradients, so an
+    accepted line-search trial needs no second evaluation.  Row reductions
+    are einsum and sums over axis 1, never BLAS products, so each row's
+    result does not depend on which rows share its batch.  The
+    Jacobian-transpose product of the duality map is evaluated through its
+    rank-one-plus-diagonal form, never materializing the matrix.
     """
     space = prob.space
     p = space.exponent
@@ -483,24 +491,21 @@ def _banach_inner_objective(prob: ResolventProblem, uc: np.ndarray):
     c1 = k * uc + inv_r * (uc - x0)
     const = -k * nu * nu - nu - nu * nu - inv_r * float(np.dot(uc - x0, ju))
 
-    def value(ys):
-        ys = np.atleast_2d(ys)
+    def evaluate(ys):
         absy = np.abs(ys)
-        norms = np.sum(absy**p, axis=1) ** (1.0 / p)
-        s = absy ** (p - 1.0) * np.sign(ys)
+        power = absy ** (p - 1.0)
+        norms = np.sum(power * absy, axis=1) ** (1.0 / p)
+        s = np.copysign(power, ys)
+        sc1 = np.einsum("ij,j->i", s, c1)
         safe = np.where(norms > 0.0, norms, 1.0)
-        jy = safe[:, None] ** (2.0 - p) * s
-        jy[norms == 0.0] = 0.0
-        return jy @ c1 + norms + ys @ ju + const
+        # <Jy, c1> with Jy = |y|^(2-p) s, and Jy = 0 at y = 0
+        jyc1 = np.where(norms > 0.0, safe ** (2.0 - p) * sc1, 0.0)
+        return jyc1 + norms + np.einsum("ij,j->i", ys, ju) + const, (absy, norms, s, sc1)
 
-    def gradient(ys):
-        ys = np.atleast_2d(ys)
-        absy = np.abs(ys)
-        norms = np.sum(absy**p, axis=1) ** (1.0 / p)
+    def gradient(parts):
+        absy, norms, s, sc1 = parts
         tiny = norms < 1e-14
         safe = np.where(tiny, 1.0, norms)
-        s = absy ** (p - 1.0) * np.sign(ys)
-        sc1 = s @ c1
         # DJ(y)^T c1 = (2-p) |y|^(2-2p) (s.c1) s + (p-1) |y|^(2-p) |y_i|^(p-2) c1_i
         absy_diag = np.maximum(absy, 1e-12) if p < 2.0 else absy
         grad = (2.0 - p) * (safe ** (2.0 - 2.0 * p) * sc1)[:, None] * s
@@ -509,62 +514,128 @@ def _banach_inner_objective(prob: ResolventProblem, uc: np.ndarray):
         grad = np.where(tiny[:, None], 0.0, grad)
         return grad + ju
 
-    return value, gradient
+    return evaluate, gradient
 
 
-def _project_rows(cset, ys):
+def _outside_ball(cset, ys):
+    """Mask of the rows of ys that only the ball's root-find can project."""
+    base = cset.base
+    if not isinstance(base, PBall):
+        return np.zeros(len(ys), dtype=bool)  # clip and copy are cheap
+    e = base.exponent
+    absy = np.abs(ys)
+    # |y|^(e-1) |y|: numpy squares in place of pow at e = 3
+    norms = np.sum(absy ** (e - 1.0) * absy, axis=1) ** (1.0 / e)
+    return norms > base.radius
+
+
+def _project_rows(cset, ys, outside=None):
+    """Project each row of ys onto the base set; `outside` is _outside_ball's mask."""
     base = cset.base
     if not isinstance(base, PBall):
         return project_primitive(ys, base)  # clip and copy act row by row
-    # only rows outside the ball need the root-find
-    norms = np.sum(np.abs(ys) ** base.exponent, axis=1) ** (1.0 / base.exponent)
+    if outside is None:
+        outside = _outside_ball(cset, ys)
     out = np.array(ys)
-    for i in np.nonzero(norms > base.radius)[0]:
+    for i in np.nonzero(outside)[0]:
         out[i] = project_primitive(ys[i], base)
     return out
 
 
-def _pgd_minimize(value, gradient, cset, starts, max_iter=200, tol=1e-9):
-    """Projected gradient with backtracking, batched over all starts at once.
+# A row's line search tries at most _HALVINGS steps t, t/2, t/4, ...  One
+# batched call tries up to _STEP_BLOCK of them (t, ..., t/32) per row
+_HALVINGS = 40
+_STEP_BLOCK = 6
+_COLUMNS = np.arange(_STEP_BLOCK)
 
-    value/gradient operate on (k, d) row batches.  Rows run independent
-    Armijo line searches via masks; the best row wins, ties broken by the
-    lowest start index for reproducibility.
+
+def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
+    """Projected gradient with Armijo backtracking from each start; all rows.
+
+    Each row follows its own sequential rule: from step t, try t, t/2, ...
+    (at most _HALVINGS halvings) until the projected trial passes the
+    Armijo model; stop the row when its line search fails or it moves by
+    at most tol * t, and otherwise grow t by 1.3 (capped at 1e6).
+
+    Only the rows still searching are evaluated.  Their line searches test
+    a block of _STEP_BLOCK steps per call and take the first that passes,
+    which is the step the sequential halving picks; a trial beyond it
+    changes nothing.  A trial outside a ball base is projected only as the
+    first of its row's block, so every root-find, and any error it raises,
+    is one the sequential rule reaches.  An accepted trial's value and
+    intermediates feed the next gradient.  Every reduction is row-wise, so
+    each row's trajectory depends only on its own start.  Returns the
+    final rows and their values.
     """
     ys = _project_rows(cset, np.array([np.asarray(s, dtype=float) for s in starts]))
-    k = ys.shape[0]
-    t = np.ones(k)
-    fy = np.asarray(value(ys), dtype=float)
-    alive = np.ones(k, dtype=bool)
+    fy, parts = evaluate(ys)
+    t = np.ones(len(ys))
+    live = np.arange(len(ys))  # rows still searching
     for _ in range(max_iter):
-        if not alive.any():
+        if live.size == 0:
             break
-        g = gradient(ys)
-        pending = alive.copy()
-        cand = ys.copy()
-        for _ in range(40):
-            if not pending.any():
-                break
-            trial = ys - t[:, None] * g
-            trial[~pending] = ys[~pending]
-            trial = _project_rows(cset, trial)
-            f_trial = np.asarray(value(trial), dtype=float)
-            delta = trial - ys
+        y0, f0, tl = ys[live], fy[live], t[live]
+        g = gradient(parts)
+        parts = tuple(np.empty_like(a) for a in parts)  # filled by accepted trials
+        accepted = np.zeros(live.size, dtype=bool)
+        tried = np.zeros(live.size, dtype=int)
+        pending = np.arange(live.size)  # positions in live still backtracking
+        while pending.size:
+            halves = np.full((pending.size, _STEP_BLOCK), 0.5)
+            halves[:, 0] = tl[pending]
+            steps = np.cumprod(halves, axis=1)  # the sequential halvings, exactly
+            base_y = np.repeat(y0[pending], _STEP_BLOCK, axis=0)
+            base_g = np.repeat(g[pending], _STEP_BLOCK, axis=0)
+            raw = base_y - steps.reshape(-1, 1) * base_g
+            # a row's block stops before its first trial outside the ball,
+            # or holds that trial alone when it comes first: every root-find
+            # (and every error it raises) is one the sequential rule reaches
+            outside = _outside_ball(cset, raw).reshape(steps.shape)
+            first_out = np.where(outside.any(axis=1), np.argmax(outside, axis=1), _STEP_BLOCK)
+            width = np.minimum(_HALVINGS - tried[pending], np.where(first_out == 0, 1, first_out))
+            usable = _COLUMNS < width[:, None]
+            trial = _project_rows(cset, raw, (outside & usable).ravel())
+            f_trial, trial_parts = evaluate(trial)
+            delta = trial - base_y
             model = (
-                fy
-                + np.einsum("ij,ij->i", g, delta)
-                + np.einsum("ij,ij->i", delta, delta) / (2.0 * t)
+                np.repeat(f0[pending], _STEP_BLOCK)
+                + np.einsum("ij,ij->i", base_g, delta)
+                + np.einsum("ij,ij->i", delta, delta) / (2.0 * steps.ravel())
             )
-            ok = pending & (f_trial <= model)
-            cand[ok] = trial[ok]
-            pending &= ~ok
-            t[pending] *= 0.5
-        alive &= ~pending  # rows whose line search failed go idle
-        moved = np.linalg.norm(cand - ys, axis=1)
-        ys = cand
-        fy = np.asarray(value(ys), dtype=float)
-        alive &= moved > tol * t
-        t = np.minimum(t * 1.3, 1e6)
+            passed = (f_trial <= model).reshape(steps.shape) & usable
+            first = np.where(passed.any(axis=1), np.argmax(passed, axis=1), _STEP_BLOCK)
+            hit = first < _STEP_BLOCK
+            pick = np.nonzero(hit)[0] * _STEP_BLOCK + first[hit]
+            rows = pending[hit]
+            ys[live[rows]] = trial[pick]
+            fy[live[rows]] = f_trial[pick]
+            for kept, new in zip(parts, trial_parts):
+                kept[rows] = new[pick]
+            tl[rows] = steps[hit, first[hit]]
+            accepted[rows] = True
+            if hit.all():
+                break
+            miss = ~hit
+            rows = pending[miss]
+            tl[rows] = steps[miss, width[miss] - 1] * 0.5
+            tried[rows] += width[miss]
+            pending = rows[tried[rows] < _HALVINGS]
+        # a row whose line search failed stays at y0 and stops
+        moved = np.linalg.norm(ys[live] - y0, axis=1)
+        t[live] = np.minimum(tl * 1.3, 1e6)
+        keep = accepted & (moved > tol * tl)
+        live = live[keep]
+        parts = tuple(a[keep] for a in parts)
+    return ys, fy
+
+
+def _pgd_minimize(evaluate, gradient, cset, starts, max_iter=200, tol=1e-9):
+    """Best (y, value) of _pgd_search, ties broken by the lowest start index.
+
+    The batch evaluates live rows only and backtracks in blocks of steps;
+    each row's trajectory is the one its start follows alone.
+    """
+    ys, fy = _pgd_search(evaluate, gradient, cset, starts, max_iter, tol)
     best = int(np.argmin(fy))
     return ys[best], float(fy[best])
 
@@ -617,8 +688,8 @@ def _gap_hilbert(prob, uc, starts, max_iter=400):
 
 
 def _gap_banach(prob, uc, starts, max_iter=200):
-    value, gradient = _banach_inner_objective(prob, uc)
-    y, _ = _pgd_minimize(value, gradient, prob.feasible, starts, max_iter=max_iter)
+    evaluate, gradient = _banach_inner_objective(prob, uc)
+    y, _ = _pgd_minimize(evaluate, gradient, prob.feasible, starts, max_iter=max_iter)
     # report the certified value through the generic evaluation
     val = resolvent_lhs(prob, PrimalPoint(uc, prob.space), PrimalPoint(y, prob.space))
     return y, val
@@ -637,7 +708,10 @@ def resolvent_gap(
     Hilbert mode) from `samples` random feasible multi-starts plus y = u
     and y = 0, so the value is a sampled estimate: it can miss a negative
     minimum but never reports a false one.  The Banach solver pairs it
-    with Hölder's exact bound at u = 0.
+    with Hölder's exact bound at u = 0.  In Banach mode the starts run as
+    one batch (_pgd_minimize) that evaluates only the rows still searching
+    and tests six halvings per line-search call, yet returns what each
+    start's sequential search returns alone.
     """
     if rng is None:
         rng = np.random.default_rng(0)

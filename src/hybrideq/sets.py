@@ -167,7 +167,10 @@ def _shrink_coords(vabs: np.ndarray, lam: float, e: float) -> np.ndarray:
     """Solve t + lam*e*t^(e-1) = vabs coordinatewise for t in [0, vabs].
 
     Closed forms for e in {1.5, 2, 3}; safeguarded Newton/bisection
-    otherwise.  This is the coordinatewise stationarity condition of the
+    otherwise, raising NonConvergedError at its 100-iteration cap.  For
+    e >= 2 the left side is convex in t, so Newton starts from the upper
+    bound min(vabs, (vabs / (lam e))^(1/(e-1))) and descends monotonically
+    to the root.  This is the coordinatewise stationarity condition of the
     Euclidean projection onto an e-norm ball.
     """
     if lam == 0.0:
@@ -185,7 +188,10 @@ def _shrink_coords(vabs: np.ndarray, lam: float, e: float) -> np.ndarray:
         return 2.0 * vabs / (1.0 + np.sqrt(1.0 + 12.0 * lam * vabs))
     lo = np.zeros_like(vabs)
     hi = vabs.copy()
-    t = 0.5 * vabs
+    if e >= 2.0:
+        t = np.minimum(vabs, (vabs / (lam * e)) ** (1.0 / (e - 1.0)))
+    else:
+        t = 0.5 * vabs
     for _ in range(100):
         g = t + lam * e * np.where(t > 0, t, 1.0) ** (e - 1.0) - vabs
         g = np.where(vabs == 0.0, 0.0, g)
@@ -194,13 +200,13 @@ def _shrink_coords(vabs: np.ndarray, lam: float, e: float) -> np.ndarray:
         dg = 1.0 + lam * e * (e - 1.0) * np.where(t > 0, t, 1.0) ** (e - 2.0)
         step = np.where(vabs == 0.0, 0.0, g / dg)
         t_new = t - step
-        bad = (t_new <= lo) | (t_new >= hi)
+        # a step that rounds to nothing has converged; do not bisect it away
+        bad = ((t_new <= lo) | (t_new >= hi)) & (t_new != t)
         t_new = np.where(bad, 0.5 * (lo + hi), t_new)
-        if np.max(np.abs(t_new - t), initial=0.0) < 1e-15 * (1.0 + np.max(vabs, initial=0.0)):
-            t = t_new
-            break
+        if np.all(np.abs(t_new - t) <= 1e-15 * (1.0 + t_new)):
+            return np.where(vabs == 0.0, 0.0, t_new)
         t = t_new
-    return np.where(vabs == 0.0, 0.0, t)
+    raise NonConvergedError("p-ball projection: coordinate Newton iteration cap reached")
 
 
 def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
@@ -208,7 +214,7 @@ def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
 
     Solves sum_i t_i(lam)^e = R^e for the multiplier lam by a doubling
     bracket from a radial-scaling guess, followed by bisection-safeguarded
-    Newton, tolerance 1e-12 on the multiplier.
+    Newton, tolerance 1e-12 max(lam, radius^(2-e)) on the multiplier.
     """
     e = ball.exponent
     radius = ball.radius
@@ -234,6 +240,8 @@ def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
         if iters >= 200:
             raise NonConvergedError("p-ball projection: multiplier bracket did not close")
     lam = 0.5 * (lo + hi)
+    # the multiplier scales as radius^(2-e) when v and the ball scale together
+    unit = radius ** (2.0 - e)
     for _ in range(200):
         t = _shrink_coords(vabs, lam, e)
         g = float(np.sum(t**e)) - target
@@ -241,7 +249,7 @@ def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
             lo = lam
         else:
             hi = lam
-        if hi - lo <= 1e-12 * max(1.0, lam):
+        if hi - lo <= 1e-12 * max(unit, lam):
             break
         # Newton step on the multiplier, clipped into the bracket
         pos = t > 0
@@ -251,7 +259,7 @@ def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
         lam_new = lam - g / dg if dg != 0.0 else 0.5 * (lo + hi)
         if not (lo < lam_new < hi):
             lam_new = 0.5 * (lo + hi)
-        if abs(lam_new - lam) <= 1e-12 * max(1.0, lam):
+        if abs(lam_new - lam) <= 1e-12 * max(unit, lam):
             lam = lam_new
             break
         lam = lam_new

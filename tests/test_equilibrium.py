@@ -12,9 +12,11 @@ import time
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from _reference import pgd_sequential
 from hypothesis import strategies as st
 
 from hybrideq import (
+    Box,
     ConstraintSet,
     Frame,
     Halfspace,
@@ -42,11 +44,16 @@ from hybrideq.equilibrium import (
     DualityPerturbation,
     QuadraticTerm,
     WeightedL1Term,
+    _banach_inner_objective,
     _composite_prox,
+    _gap_starts,
+    _pgd_minimize,
+    _pgd_search,
     bifunction_monotonicity_defect,
     classify_problem,
     perturbation_monotonicity_defect,
 )
+from hybrideq import equilibrium
 from hybrideq.harness import BUILTIN_SCENARIOS, load_scenario, run_scenario
 from hybrideq.space import gauge_coords, lyapunov_phi, pnorm
 
@@ -194,6 +201,16 @@ class TestBanachClosedForm:
         lhs = resolvent_lhs(prob, zero, PrimalPoint(y, prob.space))
         assert lhs >= -1e-12 * pnorm(y, p)
 
+    def test_zero_is_certified_at_subnormal_r(self):
+        # |x|_p = r = 2.6e-309: 1/r overflows, and y = 0 once gave inf * 0 = NaN
+        x = np.array([2.64920695564977e-309])
+        r = pnorm(x, 2.0)
+        prob = _lp_problem(x, r=r, d=1, p=2.0, min_r=r)
+        zero = PrimalPoint(np.zeros(1), prob.space)
+        assert resolvent_lhs(prob, zero, zero) == 0.0
+        y = PrimalPoint(np.array([-1.0]), prob.space)
+        assert resolvent_lhs(prob, zero, y) >= 0.0
+
     @pytest.mark.parametrize("r, norm", [(0.5, 0.75), (0.8, 0.95), (0.3, 0.9), (0.1, 0.5)])
     def test_interior_candidate_when_r_below_norm(self, r, norm):
         direction = _unit_direction(20)
@@ -262,6 +279,88 @@ class TestResolventGap:
         prob = _lp_problem(np.zeros(8))
         wrong = PrimalPoint(0.5 * np.ones(8) / pnorm(np.ones(8), 3.0), prob.space)
         assert resolvent_gap(prob, wrong) > 0.1
+
+
+class TestGapSearch:
+    """The batched gap search against its one-start-at-a-time reference."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        p=st.floats(1.1, 10.0),
+        d=st.integers(1, 40),
+        base=st.sampled_from(["ball", "box", "whole"]),
+        shifted=st.booleans(),
+        ratio=st.floats(0.1, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sequential_reference(self, p, d, base, shifted, ratio, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(d)
+        x = ratio * x / pnorm(x, p)
+        space = SpaceConfig(d, p)
+        sets = {
+            "ball": PBall(1.0, p),
+            "box": Box(-np.ones(d), np.ones(d)),
+            "whole": WholeSpace(),
+        }
+        prob = ResolventProblem(
+            (PairingBifunction(InverseDualityPairing(space)),),
+            DualNormTerm(space.conjugate),
+            DualityPerturbation(space),
+            ConstraintSet(sets[base], (), Frame.PRIMAL),
+            1.0,
+            PrimalPoint(x, space),
+        )
+        uc = 0.3 * x if shifted else np.zeros(d)
+        starts = _gap_starts(prob, uc, 2, rng)
+        evaluate, gradient = _banach_inner_objective(prob, uc)
+        ys, fy = _pgd_search(evaluate, gradient, prob.feasible, starts, 300, 1e-9)
+        for i, start in enumerate(starts):
+            y_ref, f_ref = pgd_sequential(evaluate, gradient, prob.feasible, start)
+            assert np.array_equal(ys[i], y_ref) and fy[i] == f_ref
+            y_one, f_one = _pgd_search(evaluate, gradient, prob.feasible, [start], 300, 1e-9)
+            assert np.array_equal(y_one[0], ys[i]) and f_one[0] == fy[i]
+        best = int(np.argmin(fy))
+        y_best, f_best = _pgd_minimize(evaluate, gradient, prob.feasible, starts, max_iter=300)
+        assert np.array_equal(y_best, ys[best]) and f_best == fy[best]
+
+    @staticmethod
+    def _quadratic(center):
+        # f(y) = |y - center|^2 / 2 in the batched evaluate/gradient form
+        def evaluate(ys):
+            diff = ys - center
+            return 0.5 * np.einsum("ij,ij->i", diff, diff), (diff,)
+
+        return evaluate, lambda parts: parts[0]
+
+    def test_projection_error_beyond_accepted_step_is_ignored(self, monkeypatch):
+        # a fake projection leaves the start (1.5, 0) outside the unit ball
+        # and raises below norm 1.2.  Toward 0, step 1 lands on the origin and
+        # passes Armijo; step 1/4 gives (1.125, 0), which the sequential
+        # search never tries, so its projection must not run
+        def project(v, base):
+            if np.linalg.norm(v) < 1.2:
+                raise NonConvergedError("projection failed")
+            return np.array(v)
+
+        monkeypatch.setattr(equilibrium, "project_primitive", project)
+        evaluate, gradient = self._quadratic(np.zeros(2))
+        ball = ConstraintSet(PBall(1.0, 2.0), (), Frame.PRIMAL)
+        start = np.array([1.5, 0.0])
+        y, value = _pgd_minimize(evaluate, gradient, ball, [start], max_iter=300)
+        assert np.array_equal(y, [0.0, 0.0]) and value == 0.0
+        y_ref, value_ref = pgd_sequential(evaluate, gradient, ball, start)
+        assert np.array_equal(y, y_ref) and value == value_ref
+
+    def test_projection_error_on_a_reached_step_raises(self, monkeypatch):
+        def project(v, base):
+            raise NonConvergedError("projection failed")
+
+        monkeypatch.setattr(equilibrium, "project_primitive", project)
+        evaluate, gradient = self._quadratic(np.array([3.0, 0.0]))
+        ball = ConstraintSet(PBall(1.0, 2.0), (), Frame.PRIMAL)
+        with pytest.raises(NonConvergedError, match="projection failed"):
+            _pgd_minimize(evaluate, gradient, ball, [np.zeros(2)], max_iter=300)
 
 
 class TestResolventContractionInvariants:

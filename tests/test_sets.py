@@ -13,6 +13,8 @@ reference for the ratio-test pull-back.
 import numpy as np
 import pytest
 from _reference import dykstra
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hybrideq import (
     Box,
@@ -29,7 +31,14 @@ from hybrideq import (
     project_primitive,
     sample_feasible,
 )
-from hybrideq.sets import _least_distance, _pull_feasible, project_intersection, worst_violation
+from hybrideq.sets import (
+    _least_distance,
+    _pull_feasible,
+    _shrink_coords,
+    project_intersection,
+    worst_violation,
+)
+from hybrideq.space import pnorm
 
 
 def _grid_nearest(cset, v, lo=-1.5, hi=1.5, steps=301):
@@ -111,6 +120,45 @@ class TestProjectPrimitive:
             w = rng.uniform(-1, 1, 3)
             if np.sum(np.abs(w) ** e) <= 1.0:
                 assert np.linalg.norm(v - w) >= dz - 1e-9
+
+
+class TestShrinkCoords:
+    """The ball projection's coordinate Newton at exponents without a closed form."""
+
+    def test_large_coordinate_reaches_its_root(self):
+        # from vabs / 2 the Newton iteration used to stop at 1.17, residual 9.4e5
+        t = _shrink_coords(np.array([3e5]), 3e4, 10.0)
+        assert abs(t[0] + 3e4 * 10.0 * t[0] ** 9 - 3e5) <= 1e-9 * 3e5
+
+    @pytest.mark.parametrize(
+        "e, v",
+        [(10.0, [1e4, 0.5, 0.0, 0.0]), (10.0, [3e5, 0.5, 0.0, 0.0]), (11.0, [1e5, 0.5, 0.0, 0.0])],
+    )
+    def test_far_point_lands_on_the_unit_sphere(self, e, v):
+        # these came back 1.2e-7 inside the sphere or raised "bracket did not close"
+        z = project_primitive(np.array(v), PBall(1.0, e))
+        assert abs(pnorm(z, e) - 1.0) <= 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        e=st.floats(4.0, 11.0),
+        mantissas=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=12),
+        data=st.data(),
+        scale_exp=st.floats(-3.0, 12.0),
+        radius_exp=st.floats(-3.0, 3.0),
+    )
+    def test_projection_lands_on_the_sphere(self, e, mantissas, data, scale_exp, radius_exp):
+        size = len(mantissas)
+        exps = data.draw(st.lists(st.integers(-15, 0), min_size=size, max_size=size))
+        v = np.array(mantissas) * 10.0 ** np.array(exps, dtype=float) * 10.0**scale_exp
+        radius = 10.0**radius_exp
+        assume(pnorm(v, e) > radius)
+        z = project_primitive(v, PBall(radius, e))
+        assert abs(pnorm(z, e) - radius) <= 1e-8 * radius
+
+    def test_iteration_cap_raises(self):
+        with pytest.raises(NonConvergedError, match="coordinate Newton"):
+            _shrink_coords(np.array([np.nan]), 1.0, 4.0)
 
 
 class TestDykstra:
