@@ -565,7 +565,8 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
     is one the sequential rule reaches.  An accepted trial's value and
     intermediates feed the next gradient.  Every reduction is row-wise, so
     each row's trajectory depends only on its own start.  Returns the
-    final rows and their values.
+    final rows, their values and the number of rows that reached max_iter
+    still moving.
     """
     ys = _project_rows(cset, np.array([np.asarray(s, dtype=float) for s in starts]))
     fy, parts = evaluate(ys)
@@ -626,18 +627,19 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
         keep = accepted & (moved > tol * tl)
         live = live[keep]
         parts = tuple(a[keep] for a in parts)
-    return ys, fy
+    return ys, fy, live.size
 
 
 def _pgd_minimize(evaluate, gradient, cset, starts, max_iter=200, tol=1e-9):
-    """Best (y, value) of _pgd_search, ties broken by the lowest start index.
+    """Best (y, value) of _pgd_search, ties broken by the lowest start index,
+    and the number of starts that reached max_iter still moving.
 
     The batch evaluates live rows only and backtracks in blocks of steps;
     each row's trajectory is the one its start follows alone.
     """
-    ys, fy = _pgd_search(evaluate, gradient, cset, starts, max_iter, tol)
+    ys, fy, capped = _pgd_search(evaluate, gradient, cset, starts, max_iter, tol)
     best = int(np.argmin(fy))
-    return ys[best], float(fy[best])
+    return ys[best], float(fy[best]), capped
 
 
 def _gap_starts(prob: ResolventProblem, uc: np.ndarray, samples: int, rng) -> list:
@@ -650,7 +652,11 @@ def _gap_starts(prob: ResolventProblem, uc: np.ndarray, samples: int, rng) -> li
 
 
 def _gap_hilbert(prob, uc, starts, max_iter=400):
-    """Convex inner minimization of lhs(u, .) by proximal gradient."""
+    """Convex inner minimization of lhs(u, .) by proximal gradient.
+
+    Returns the best (y, value) over the starts and the number of starts
+    that reached max_iter still moving.
+    """
     lin = (1.0 / prob.r) * (uc - prob.input_point.coords)
     lin = lin + prob.perturbation.apply(uc)
     grads = []
@@ -671,7 +677,7 @@ def _gap_hilbert(prob, uc, starts, max_iter=400):
         return total
 
     step = 1.0 / max(lipschitz, 1.0)
-    best_y, best_v = None, np.inf
+    best_y, best_v, capped = None, np.inf, 0
     u_pt = PrimalPoint(uc, prob.space)
     for y0 in starts:
         y = project_primitive(y0, prob.feasible.base)
@@ -681,18 +687,20 @@ def _gap_hilbert(prob, uc, starts, max_iter=400):
             y = y_new
             if moved <= 1e-11:
                 break
+        else:
+            capped += 1
         val = resolvent_lhs(prob, u_pt, PrimalPoint(y, prob.space))
         if val < best_v:
             best_y, best_v = y, val
-    return best_y, best_v
+    return best_y, best_v, capped
 
 
 def _gap_banach(prob, uc, starts, max_iter=200):
     evaluate, gradient = _banach_inner_objective(prob, uc)
-    y, _ = _pgd_minimize(evaluate, gradient, prob.feasible, starts, max_iter=max_iter)
+    y, _, capped = _pgd_minimize(evaluate, gradient, prob.feasible, starts, max_iter=max_iter)
     # report the certified value through the generic evaluation
     val = resolvent_lhs(prob, PrimalPoint(uc, prob.space), PrimalPoint(y, prob.space))
-    return y, val
+    return y, val, capped
 
 
 def resolvent_gap(
@@ -701,7 +709,8 @@ def resolvent_gap(
     samples: int = 16,
     rng: np.random.Generator | None = None,
     max_iter: int = 300,
-) -> float:
+    count_capped: bool = False,
+):
     """max(0, -min_y lhs(u, y)): zero (within tolerance) certifies u = T_r(input).
 
     The inner minimization runs projected gradient (proximal gradient in
@@ -712,6 +721,10 @@ def resolvent_gap(
     one batch (_pgd_minimize) that evaluates only the rows still searching
     and tests six halvings per line-search call, yet returns what each
     start's sequential search returns alone.
+
+    A start that reaches max_iter still moving ends its search there, so
+    the value can then miss part of the descent; with count_capped the
+    answer is (gap, the number of such starts).
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -719,10 +732,11 @@ def resolvent_gap(
     uc = u.coords
     starts = _gap_starts(prob, uc, samples, rng)
     if kind == "hilbert":
-        _, best = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
+        _, best, capped = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
     else:
-        _, best = _gap_banach(prob, uc, starts, max_iter=max_iter)
-    return max(0.0, -best)
+        _, best, capped = _gap_banach(prob, uc, starts, max_iter=max_iter)
+    gap = max(0.0, -best)
+    return (gap, capped) if count_capped else gap
 
 
 def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
@@ -735,7 +749,8 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
     bounds the gap exactly: lhs(0, y) = |y|_p - <x, Jy>/r
     >= |y|_p (1 - |x|_p / r) >= 0.  The sampled resolvent_gap runs once as
     the independent cross-check; the larger of the two is the certified
-    gap, and NonConvergedError is raised when it exceeds tol.
+    gap, and NonConvergedError is raised when it exceeds tol.  Returns
+    (u, gap, the number of gap-search starts capped still moving).
     """
     xc = prob.input_point.coords
     nx = pnorm(xc, prob.space.exponent)
@@ -749,12 +764,12 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
         uc = (s / nx) * xc
     if not contains(prob.feasible, uc):
         raise NonConvergedError("the closed-form resolvent candidate lies outside Omega")
-    gap = resolvent_gap(prob, PrimalPoint(uc, prob.space), rng=rng)
+    gap, capped = resolvent_gap(prob, PrimalPoint(uc, prob.space), rng=rng, count_capped=True)
     if exact is not None:
         gap = max(exact, gap)
     if gap > tol:
         raise NonConvergedError(f"closed-form Banach resolvent gap {gap:g} > tol={tol:g}")
-    return uc, gap
+    return uc, gap, capped
 
 
 def solve_resolvent_certified(
@@ -763,22 +778,34 @@ def solve_resolvent_certified(
     seed: int = 0,
     max_iter: int = 200_000,
     rng: np.random.Generator | None = None,
+    count_capped: bool = False,
 ) -> tuple:
-    """Solve for T_r(input) and certify; returns (PrimalPoint, certified gap)."""
+    """Solve for T_r(input) and certify; returns (PrimalPoint, certified gap).
+
+    With count_capped a third entry counts the gap-search starts, over
+    every gap search of the solve, that reached their iteration cap still
+    moving.
+    """
     kind = classify_problem(prob)
     if rng is None:
         rng = np.random.default_rng([seed, 0x5E50])
     if kind == "hilbert":
         target = tol / 10.0
+        total = 0
         for _ in range(3):
             uc = _solve_hilbert(prob, target * 10.0, max_iter)
-            gap = resolvent_gap(prob, PrimalPoint(uc, prob.space), rng=rng)
+            gap, capped = resolvent_gap(
+                prob, PrimalPoint(uc, prob.space), rng=rng, count_capped=True
+            )
+            total += capped
             if gap <= tol:
-                return PrimalPoint(uc, prob.space), gap
+                found = (PrimalPoint(uc, prob.space), gap)
+                return found + (total,) if count_capped else found
             target /= 10.0
         raise NonConvergedError(f"resolvent gap {gap:g} stayed above tol={tol:g}")
-    uc, gap = _solve_banach(prob, tol, rng)
-    return PrimalPoint(uc, prob.space), gap
+    uc, gap, capped = _solve_banach(prob, tol, rng)
+    found = (PrimalPoint(uc, prob.space), gap)
+    return found + (capped,) if count_capped else found
 
 
 # -- validation helpers -----------------------------------------------------------

@@ -549,6 +549,9 @@ class RunReport:
     rows: tuple
     error: Optional[str] = None
     failed_iteration: Optional[int] = None
+    # resolvent-gap search starts that reached their iteration cap still
+    # moving, over the whole run
+    capped_starts: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -564,6 +567,7 @@ class RunReport:
             "rows": [dict(row) for row in self.rows],
             "error": self.error,
             "failed_iteration": self.failed_iteration,
+            "capped_starts": self.capped_starts,
         }
 
     @classmethod
@@ -581,6 +585,7 @@ class RunReport:
             rows=tuple(dict(row) for row in doc["rows"]),
             error=doc["error"],
             failed_iteration=doc.get("failed_iteration"),
+            capped_starts=doc.get("capped_starts", 0),
         )
 
 
@@ -618,6 +623,7 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
     config = build_config(spec)
     started = time.perf_counter()
     error = failed_iteration = None
+    capped = 0
     try:
         result = run(bundle, config)
         outcome = result.stop_reason.value
@@ -626,6 +632,7 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
         final = result.x_star
         rows = _rows_from_history(result.history, bundle.space.exponent)
         iterations = result.iterations
+        capped = sum(rec.capped_starts for rec in result.history)
     except tuple(cls for cls, _ in _FAILURE_OUTCOMES) as exc:
         outcome = next(name for cls, name in _FAILURE_OUTCOMES if isinstance(exc, cls))
         failed_iteration = getattr(exc, "iteration", None)
@@ -649,6 +656,7 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
         rows=rows,
         error=error,
         failed_iteration=failed_iteration,
+        capped_starts=capped,
     )
     if out_dir is not None:
         emit_report(report, out_dir)

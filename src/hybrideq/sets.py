@@ -10,11 +10,17 @@ q-ball base) a working-set Newton on the cut multipliers, and at p = 2 (a
 box, whole-space or 2-ball base) a least-distance program solved through
 NNLS.  A set without cuts is projected in closed form, or by a scalar
 multiplier search onto an e-ball (`project_primitive`).
+
+Each set stores its cuts' unit rows and levels once; `add_cut` extends
+that store, and both engines read it.  The NNLS engine can start from a
+hint of cuts, the active cuts of a previous projection, which the outer
+loop passes from one retraction of its fixed anchor to the next.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -91,9 +97,30 @@ class WholeSpace:
 BaseSet = Union[PBall, Box, WholeSpace]
 
 
+def _unit_rows(normals: np.ndarray, offsets: np.ndarray):
+    """Cuts a z <= b scaled to unit rows: (a / |a_i|, b / |a_i|), row by row."""
+    norms = np.linalg.norm(normals, axis=1)
+    return normals / norms[:, None], offsets / norms
+
+
+def _fitting_dimension(dim: int | None, cut: Halfspace) -> int:
+    """The cut's dimension, which must be dim unless dim is None."""
+    size = cut.normal.shape[0]
+    if dim is not None and size != dim:
+        raise ValueError(f"a cut of dimension {size} does not fit a set of dimension {dim}")
+    return size
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
-    """base intersected with all cuts; every member shares the frame tag."""
+    """base intersected with all cuts; every member shares the frame tag.
+
+    The set keeps a store of its cuts as stacked arrays, built once here
+    and extended row by row by `add_cut`: the raw normals and offsets
+    (`worst_violation` and the audit pull-back read them) and the unit
+    rows and levels the exact engines read.  Every cut must have the
+    dimension of the others and of a box base.
+    """
 
     base: BaseSet
     cuts: tuple = ()
@@ -103,17 +130,31 @@ class ConstraintSet:
         cuts = tuple(self.cuts)
         if self.base.frame != self.frame:
             raise ValueError("base set frame does not match the constraint-set frame")
+        dim = self.base.lower.shape[0] if isinstance(self.base, Box) else None
         for cut in cuts:
             if cut.frame != self.frame:
                 raise ValueError("cut frame does not match the constraint-set frame")
+            dim = _fitting_dimension(dim, cut)
         object.__setattr__(self, "cuts", cuts)
         if cuts:
             normals = np.stack([c.normal for c in cuts])
             offsets = np.array([c.offset for c in cuts])
+            self._store(normals, offsets, *_unit_rows(normals, offsets))
         else:
-            normals = offsets = None
+            self._store(None, None, None, None)
+
+    def _store(self, normals, offsets, rows, levels):
         object.__setattr__(self, "_cut_normals", normals)
         object.__setattr__(self, "_cut_offsets", offsets)
+        object.__setattr__(self, "_cut_rows", rows)
+        object.__setattr__(self, "_cut_levels", levels)
+
+    @property
+    def dimension(self) -> int | None:
+        """The dimension of the cuts or of a box base; None when neither fixes it."""
+        if self.cuts:
+            return self._cut_normals.shape[1]
+        return self.base.lower.shape[0] if isinstance(self.base, Box) else None
 
 
 def contains(cset: ConstraintSet, v: np.ndarray, tol: float = 0.0) -> bool:
@@ -140,24 +181,35 @@ def add_cut(cset: ConstraintSet, cut: Halfspace) -> ConstraintSet:
     """Append a halfspace cut, pruning cuts dominated along the same direction.
 
     Two cuts with unit normals within chord 1e-9 of each other are nested;
-    only the one with the smaller normalized offset (the stronger
-    constraint) is kept.
+    only the one with the smaller level (offset over normal length, the
+    stronger constraint) is kept: when an old near-parallel cut has a level
+    at most the new one's, the set is returned unchanged, and otherwise
+    every near-parallel old cut is dropped.  The test is one pass over the
+    stored unit rows, and the new set's store is the old one's surviving
+    rows followed by the new cut's row.  Raises ValueError when the cut's
+    frame or dimension does not match the set's.
     """
     if cut.frame != cset.frame:
         raise ValueError("cut frame does not match the constraint-set frame")
-    new_unit = cut.normal / np.linalg.norm(cut.normal)
-    new_level = cut.offset / np.linalg.norm(cut.normal)
-    kept = []
-    for old in cset.cuts:
-        old_unit = old.normal / np.linalg.norm(old.normal)
-        if np.linalg.norm(new_unit - old_unit) <= _PARALLEL_CHORD:
-            old_level = old.offset / np.linalg.norm(old.normal)
-            if old_level <= new_level:
-                return cset  # existing cut already dominates the new one
-            continue  # new cut dominates; drop the old one
-        kept.append(old)
-    kept.append(cut)
-    return ConstraintSet(cset.base, tuple(kept), cset.frame)
+    _fitting_dimension(cset.dimension, cut)
+    normal, offset = cut.normal[None, :], np.array([cut.offset])
+    store = (normal, offset, *_unit_rows(normal, offset))
+    cuts = cset.cuts
+    if cuts:
+        near = np.linalg.norm(cset._cut_rows - store[2], axis=1) <= _PARALLEL_CHORD
+        if np.any(cset._cut_levels[near] <= store[3][0]):
+            return cset  # an existing cut already dominates the new one
+        old = (cset._cut_normals, cset._cut_offsets, cset._cut_rows, cset._cut_levels)
+        if np.any(near):  # the new cut dominates these; drop them
+            cuts = tuple(itertools.compress(cuts, ~near))
+            old = tuple(x[~near] for x in old)
+        store = tuple(np.concatenate(pair) for pair in zip(old, store))
+    out = object.__new__(ConstraintSet)
+    object.__setattr__(out, "base", cset.base)
+    object.__setattr__(out, "cuts", cuts + (cut,))
+    object.__setattr__(out, "frame", cset.frame)
+    out._store(*store)
+    return out
 
 
 # -- primitive projections ---------------------------------------------------
@@ -288,43 +340,79 @@ def project_primitive(v: np.ndarray, primitive) -> np.ndarray:
 def _linear_rows(cset: ConstraintSet, dim: int):
     """The linear constraints of the set as unit rows (A, b): A z <= b.
 
-    Box faces contribute +/- unit rows; a ball base contributes nothing
-    (its boundary is not linear; the exact engines carry it separately).
+    The cuts' unit rows come from the set's store; a box base prepends its
+    faces as +/- unit rows, and a ball base contributes nothing (its
+    boundary is not linear; the exact engines carry it separately).
     """
-    rows, offs = [], []
+    if cset.cuts:
+        rows, levels = cset._cut_rows, cset._cut_levels
+    else:
+        rows, levels = np.zeros((0, dim)), np.zeros(0)
     base = cset.base
     if isinstance(base, Box):
         eye = np.eye(dim)
-        rows.extend(eye)
-        offs.extend(base.upper)
-        rows.extend(-eye)
-        offs.extend(-base.lower)
-    for cut in cset.cuts:
-        rows.append(cut.normal)
-        offs.append(cut.offset)
-    if not rows:
-        return np.zeros((0, dim)), np.zeros(0)
-    a, b = np.stack(rows), np.array(offs)
-    norms = np.linalg.norm(a, axis=1)
-    return a / norms[:, None], b / norms
+        rows = np.concatenate((eye, -eye, rows))
+        levels = np.concatenate((base.upper, -base.lower, levels))
+    return rows, levels
+
+
+def _hint_rows(cset: ConstraintSet, hint, count: int):
+    """Mask over the `count` engine rows (box faces first) of the hint's cuts.
+
+    Cuts are matched by identity, so a cut pruned from the set since the
+    hint was taken is skipped, never mistaken for another; None when the
+    hint is empty.
+    """
+    if not hint:
+        return None
+    where = {id(cut): k for k, cut in enumerate(cset.cuts)}
+    first = count - len(cset.cuts)
+    start = np.zeros(count, dtype=bool)
+    for cut in hint:
+        k = where.get(id(cut))
+        if k is not None:
+            start[first + k] = True
+    return start
+
+
+def _active_cuts(cset: ConstraintSet, lam: np.ndarray) -> tuple:
+    """The set's cuts whose multipliers in lam (box faces first) are positive."""
+    return tuple(itertools.compress(cset.cuts, lam[lam.shape[0] - len(cset.cuts) :] > 0.0))
 
 
 # -- exact least-distance engine (box, whole-space and 2-ball bases) ----------
 
 
-def _nnls(e: np.ndarray, f: np.ndarray):
+def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
     """Lawson-Hanson active-set NNLS: argmin |E u - f| over u >= 0.
 
     Returns (u, f - E u).  A column whose entry would enter the passive set
     with a nonpositive value through rounding is skipped until the next
     exchange (Lawson & Hanson 1974, ch. 23).  Raises NonConvergedError at
     the exchange cap.
+
+    `start`, a boolean mask over the columns, warm-starts the passive set
+    (Bro & De Jong, J. Chemometrics 11, 1997): the least-squares solution
+    on those columns is solved, the columns whose coefficients are not
+    positive are dropped, and the rest are re-solved until every
+    coefficient is positive; that feasible point is where the exchanges
+    begin.  A start holding the final passive set returns after one
+    least-squares solve the answer a cold start reaches, bit for bit.
     """
     n = e.shape[1]
     u = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     blocked = np.zeros(n, dtype=bool)
     resid = np.array(f)
+    idx = np.flatnonzero(start) if start is not None else np.zeros(0, dtype=int)
+    while idx.size:
+        s = np.linalg.lstsq(e[:, idx], f, rcond=None)[0]
+        if np.min(s) > 0.0:
+            u[idx] = s
+            passive[idx] = True
+            resid = f - e @ u
+            break
+        idx = idx[s > 0.0]
     tol = 10.0 * max(e.shape) * np.finfo(float).eps
     for _ in range(3 * n + 30):
         w = e.T @ resid
@@ -358,7 +446,7 @@ def _nnls(e: np.ndarray, f: np.ndarray):
     raise NonConvergedError("NNLS exchange cap reached")
 
 
-def _ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray):
+def _ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray, start: np.ndarray | None = None):
     """Nearest point of {z : a z <= b} to v and the multipliers of the rows.
 
     Least-distance programming through NNLS (Lawson & Hanson 1974, ch. 23):
@@ -368,7 +456,8 @@ def _ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray):
     are inconsistent.  InfeasibleError is raised once |r|^2 <= 1e3 eps:
     then the nearest point would lie over 10^6 times the largest row
     violation away, and lam would carry a relative error eps / |r|^2 of
-    over 0.1 %, so the set is empty or numerically unreachable.
+    over 0.1 %, so the set is empty or numerically unreachable.  `start`,
+    a boolean mask over the rows, warm-starts the NNLS passive set.
     """
     excess = a @ v - b
     shift = float(np.max(excess, initial=0.0))
@@ -377,7 +466,7 @@ def _ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray):
     e = np.vstack([-a.T, excess / shift])
     f = np.zeros(e.shape[0])
     f[-1] = 1.0
-    u, resid = _nnls(e, f)
+    u, resid = _nnls(e, f, start)
     rr = float(np.dot(resid, resid))
     if rr <= 1e3 * np.finfo(float).eps:
         raise InfeasibleError("the cut rows admit no common point")
@@ -406,7 +495,9 @@ def _affine_radius_step(a: np.ndarray, b: np.ndarray, v: np.ndarray, lam, radius
     return float(np.linalg.norm(m)) / np.sqrt(room) - 1.0
 
 
-def _ball_ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray, radius: float):
+def _ball_ldp(
+    a: np.ndarray, b: np.ndarray, v: np.ndarray, radius: float, start: np.ndarray | None = None
+):
     """Nearest point of {|z|_2 <= radius, a z <= b} to v: (z, lam, nu).
 
     For a ball multiplier nu the answer is z(nu) = P_poly(v / (1 + nu)),
@@ -416,23 +507,27 @@ def _ball_ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray, radius: float):
     step, until ||z| - radius| <= 1e-14 radius.  The cut multipliers of
     the original problem are (1 + nu) times those of the LDP.  Raises
     InfeasibleError when P_poly(0), the least-norm point of the
-    polyhedron, lies outside the ball.
+    polyhedron, lies outside the ball.  The first LDP's NNLS starts from
+    `start` (a boolean mask over the rows), and each later one from the
+    rows active in the one before it.
     """
-    z, lam = _ldp(a, b, v)
+    z, lam = _ldp(a, b, v, start)
     if float(np.linalg.norm(z)) <= radius:
         return z, lam, 0.0
+    active = lam > 0.0
     lo, hi = 0.0, np.inf  # |z(lo)| > radius >= |z(hi)|
     nu = _affine_radius_step(a, b, v, lam, radius)
     for _ in range(200):
         if nu is None or not lo < nu < hi:
             if np.isinf(hi):
-                z_min = _ldp(a, b, np.zeros_like(v))[0]
+                z_min = _ldp(a, b, np.zeros_like(v), active)[0]
                 if float(np.linalg.norm(z_min)) > radius:
                     raise InfeasibleError("the cut polyhedron misses the ball")
                 nu = 4.0 * lo + 1.0
             else:
                 nu = 0.5 * (lo + hi)
-        z, mu = _ldp(a, b, v / (1.0 + nu))
+        z, mu = _ldp(a, b, v / (1.0 + nu), active)
+        active = mu > 0.0
         gap = float(np.linalg.norm(z)) - radius
         if gap > 0.0:
             lo = nu
@@ -469,20 +564,23 @@ def _kkt_residual(
     return worst
 
 
-def _least_distance(cset: ConstraintSet, v: np.ndarray):
+def _least_distance(cset: ConstraintSet, v: np.ndarray, hint=()):
     """Exact projection onto a box, whole-space or 2-ball base ∩ cuts.
 
-    Box faces join the cuts as +/- unit rows.  Returns (z, nu, KKT residual
-    of the answer), nu being the ball multiplier (0 for other bases).
+    Box faces join the cuts as +/- unit rows, and the NNLS starts from the
+    rows of the hint's cuts.  Returns (z, nu, KKT residual of the answer,
+    the cuts with positive multipliers), nu being the ball multiplier (0
+    for other bases).
     """
     a, b = _linear_rows(cset, v.shape[0])
+    start = _hint_rows(cset, hint, a.shape[0])
     if isinstance(cset.base, PBall):
         radius = cset.base.radius
-        z, lam, nu = _ball_ldp(a, b, v, radius)
+        z, lam, nu = _ball_ldp(a, b, v, radius, start)
     else:
         radius, nu = None, 0.0
-        z, lam = _ldp(a, b, v)
-    return z, nu, _kkt_residual(a, b, v, z, lam, nu, radius)
+        z, lam = _ldp(a, b, v, start)
+    return z, nu, _kkt_residual(a, b, v, z, lam, nu, radius), _active_cuts(cset, lam)
 
 
 # -- exact generalized projection (p-geometry) ---------------------------------
@@ -744,7 +842,8 @@ def _generalized_projection(cset: ConstraintSet, v: np.ndarray, exponent: float)
     """Minimizer of |w|_q^2 - 2 <v, w> over base ∩ cuts, q the conjugate of exponent.
 
     Box faces join the cuts as +/- unit rows; a ball base must be a q-ball.
-    Returns (w, KKT residual of the answer).
+    Returns (w, KKT residual of the answer, the cuts with positive
+    multipliers).
     """
     a, b = _linear_rows(cset, v.shape[0])
     radius = None
@@ -757,12 +856,16 @@ def _generalized_projection(cset: ConstraintSet, v: np.ndarray, exponent: float)
             )
         radius = cset.base.radius
     w, lam, mu = _multiplier_newton(a, b, v, exponent, radius)
-    return w, _kkt_residual(a, b, v, w, lam, mu, radius, exponent)
+    return w, _kkt_residual(a, b, v, w, lam, mu, radius, exponent), _active_cuts(cset, lam)
 
 
 def project_intersection(
-    cset: ConstraintSet, v: np.ndarray, tol: float = 1e-11, exponent: float = 2.0
-) -> np.ndarray:
+    cset: ConstraintSet,
+    v: np.ndarray,
+    tol: float = 1e-11,
+    exponent: float = 2.0,
+    hint: tuple | None = None,
+):
     """Nearest point of base ∩ cuts to v in the geometry of the exponent p.
 
     That is the minimizer of |w|_q^2 - 2 <v, w>, q = p / (p - 1); at the
@@ -777,22 +880,30 @@ def project_intersection(
     projected by `project_primitive`.  The Euclidean projection onto a ball
     of another exponent with cuts has no engine and raises
     UnsupportedCombinationError.
+
+    With a `hint`, a tuple of cuts (typically the active cuts of the
+    previous projection of the same point onto a smaller set), the answer
+    comes as (point, the cuts whose multipliers are positive), and at p = 2
+    the NNLS starts from the hint's cuts that are still in the set.  The
+    hint changes the path to the answer, never the gate it must pass.
     """
     v = np.asarray(v, dtype=float)
+    active = ()
     if exponent != 2.0:
-        z, resid = _generalized_projection(cset, v, exponent)
+        z, resid, active = _generalized_projection(cset, v, exponent)
     elif not cset.cuts:
-        return project_primitive(v, cset.base)
+        z = project_primitive(v, cset.base)
+        return z if hint is None else (z, active)
     elif isinstance(cset.base, PBall) and cset.base.exponent != 2.0:
         raise UnsupportedCombinationError(
             f"no Euclidean projection onto a ball of exponent {cset.base.exponent:g} "
             "with cuts; project in its own geometry, exponent e / (e - 1)"
         )
     else:
-        z, _, resid = _least_distance(cset, v)
+        z, _, resid, active = _least_distance(cset, v, hint)
     if not resid <= max(10.0 * tol, 1e-10) * (1.0 + float(np.linalg.norm(v))):
         raise NonConvergedError(f"exact projection failed its KKT check (residual {resid:.3g})")
-    return z
+    return z if hint is None else (z, active)
 
 
 def _pull_feasible(

@@ -114,7 +114,9 @@ class IterationRecord:
     x is the iterate entering iteration n; the retraction residual and
     feasibility violation refer to the iterate produced at the end of the
     iteration.  fejer slacks are None when no reference solution is
-    declared.
+    declared.  capped_starts counts the resolvent-gap search starts that
+    reached their iteration cap still moving: a nonzero count flags a gap
+    value that may miss part of the descent.
     """
 
     n: int
@@ -130,6 +132,7 @@ class IterationRecord:
     feasibility_violation: float
     cut_count: int
     displacement: float
+    capped_starts: int
 
 
 @dataclass(frozen=True)
@@ -220,6 +223,9 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     x = bundle.anchor
     anchor = bundle.anchor
     history = []
+    # the cuts active in the last retraction: the anchor is fixed and the set
+    # only shrinks, so they seed the next one's NNLS passive set
+    active = ()
     stop_reason = StopReason.ITERATION_CAP
     converged = False
 
@@ -236,10 +242,11 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
             min_r=config.min_r,
         )
         try:
-            u, resolvent_gap_value = solve_resolvent_certified(
+            u, resolvent_gap_value, capped_starts = solve_resolvent_certified(
                 problem,
                 tol=config.resolvent_tol,
                 rng=np.random.default_rng([config.seed, n, 1]),
+                count_capped=True,
             )
         except (NonConvergedError, UnsupportedCombinationError) as exc:
             raise _at_iteration(exc, n) from exc
@@ -254,7 +261,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
 
         retraction_problem = RetractionProblem(space, dual_set, anchor)
         try:
-            x_next = sunny_retract(retraction_problem)
+            x_next, active = sunny_retract(retraction_problem, hint=active)
         except (NonConvergedError, InfeasibleError) as exc:
             raise _at_iteration(exc, n) from exc
 
@@ -294,6 +301,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
                 feasibility_violation=feasibility,
                 cut_count=len(dual_set.cuts),
                 displacement=displacement,
+                capped_starts=capped_starts,
             )
         )
         x = x_next

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from hybrideq import NonConvergedError, project_primitive
+from hybrideq import ConstraintSet, NonConvergedError, project_primitive
 from hybrideq.equilibrium import _project_rows
-from hybrideq.sets import worst_violation
+from hybrideq.sets import _PARALLEL_CHORD, Box, worst_violation
 
 
 def dykstra(cset, v, tol=1e-11, max_iter=2000):
@@ -69,3 +69,47 @@ def pgd_sequential(evaluate, gradient, cset, start, max_iter=300, tol=1e-9):
             break
         t = min(t * 1.3, 1e6)
     return y[0], float(f[0])
+
+
+def add_cut_loop(cset, cut):
+    """Append a cut the way `sets.add_cut` did before its cut store: one
+    renormalization of every kept cut per call, in a Python loop.
+
+    Two cuts with unit normals within chord 1e-9 of each other are nested;
+    only the one with the smaller normalized offset is kept.  The set is
+    rebuilt through the public constructor.
+    """
+    new_unit = cut.normal / np.linalg.norm(cut.normal)
+    new_level = cut.offset / np.linalg.norm(cut.normal)
+    kept = []
+    for old in cset.cuts:
+        old_unit = old.normal / np.linalg.norm(old.normal)
+        if np.linalg.norm(new_unit - old_unit) <= _PARALLEL_CHORD:
+            old_level = old.offset / np.linalg.norm(old.normal)
+            if old_level <= new_level:
+                return cset  # existing cut already dominates the new one
+            continue  # new cut dominates; drop the old one
+        kept.append(old)
+    kept.append(cut)
+    return ConstraintSet(cset.base, tuple(kept), cset.frame)
+
+
+def linear_rows_restacked(cset, dim):
+    """The set's unit rows (A, b) as the engines built them before the cut
+    store: box faces and cut normals stacked, then every row normalized."""
+    rows, offs = [], []
+    base = cset.base
+    if isinstance(base, Box):
+        eye = np.eye(dim)
+        rows.extend(eye)
+        offs.extend(base.upper)
+        rows.extend(-eye)
+        offs.extend(-base.lower)
+    for cut in cset.cuts:
+        rows.append(cut.normal)
+        offs.append(cut.offset)
+    if not rows:
+        return np.zeros((0, dim)), np.zeros(0)
+    a, b = np.stack(rows), np.array(offs)
+    norms = np.linalg.norm(a, axis=1)
+    return a / norms[:, None], b / norms

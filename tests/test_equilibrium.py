@@ -314,14 +314,14 @@ class TestGapSearch:
         uc = 0.3 * x if shifted else np.zeros(d)
         starts = _gap_starts(prob, uc, 2, rng)
         evaluate, gradient = _banach_inner_objective(prob, uc)
-        ys, fy = _pgd_search(evaluate, gradient, prob.feasible, starts, 300, 1e-9)
+        ys, fy, _ = _pgd_search(evaluate, gradient, prob.feasible, starts, 300, 1e-9)
         for i, start in enumerate(starts):
             y_ref, f_ref = pgd_sequential(evaluate, gradient, prob.feasible, start)
             assert np.array_equal(ys[i], y_ref) and fy[i] == f_ref
-            y_one, f_one = _pgd_search(evaluate, gradient, prob.feasible, [start], 300, 1e-9)
+            y_one, f_one, _ = _pgd_search(evaluate, gradient, prob.feasible, [start], 300, 1e-9)
             assert np.array_equal(y_one[0], ys[i]) and f_one[0] == fy[i]
         best = int(np.argmin(fy))
-        y_best, f_best = _pgd_minimize(evaluate, gradient, prob.feasible, starts, max_iter=300)
+        y_best, f_best, _ = _pgd_minimize(evaluate, gradient, prob.feasible, starts, max_iter=300)
         assert np.array_equal(y_best, ys[best]) and f_best == fy[best]
 
     @staticmethod
@@ -347,7 +347,7 @@ class TestGapSearch:
         evaluate, gradient = self._quadratic(np.zeros(2))
         ball = ConstraintSet(PBall(1.0, 2.0), (), Frame.PRIMAL)
         start = np.array([1.5, 0.0])
-        y, value = _pgd_minimize(evaluate, gradient, ball, [start], max_iter=300)
+        y, value, _ = _pgd_minimize(evaluate, gradient, ball, [start], max_iter=300)
         assert np.array_equal(y, [0.0, 0.0]) and value == 0.0
         y_ref, value_ref = pgd_sequential(evaluate, gradient, ball, start)
         assert np.array_equal(y, y_ref) and value == value_ref

@@ -1,5 +1,6 @@
 """Scenario loading, strict schema validation, reports, CSV/JSON output, CLI."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -306,6 +307,45 @@ class TestEmitReport:
         row = csv_path.read_text().split("\n")[1].split(",")
         assert row[6] == "nan"
 
+    def test_rerun_after_another_scenario_is_bit_identical(self, tmp_path):
+        # the retraction's warm start is carried inside one run only, so a
+        # run between two identical ones cannot change the second
+        first = emit_report(run_scenario(load_scenario("hilbert_family")), tmp_path / "a")
+        run_scenario(load_scenario("optimization_app"))
+        second = emit_report(run_scenario(load_scenario("hilbert_family")), tmp_path / "b")
+        assert first[0].read_bytes() == second[0].read_bytes()
+
+
+def _workload_documents():
+    """The benchmark's four workload documents at its default seed 7."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return {name: w.instance(7, 0).doc for name, w in module.WORKLOADS.items()}
+
+
+class TestCappedGapStarts:
+    def test_shift_example_at_r_0_3_records_capped_starts(self, tmp_path):
+        # the nonzero resolvent branch: a few gap searches end at their
+        # 300-iteration cap with rows still moving
+        doc = load_scenario("lp_shift_example").to_dict()
+        doc["config"]["r"] = 0.3
+        report = run_scenario(load_scenario(doc))
+        assert report.outcome == "converged" and report.capped_starts > 0
+        csv_path, json_path = emit_report(report, tmp_path)
+        assert json.loads(json_path.read_text())["capped_starts"] == report.capped_starts
+        assert "capped" not in csv_path.read_text()
+
+    @pytest.mark.parametrize("name, doc", sorted(_workload_documents().items()))
+    def test_workload_documents_record_none(self, name, doc):
+        report = run_scenario(load_scenario(doc))
+        assert report.audits_passed and report.capped_starts == 0
+
 
 class TestCLI:
     def test_list_scenarios(self, capsys):
@@ -414,9 +454,11 @@ class TestFailureReporting:
         """Each projection of the retraction returns a point far outside the set."""
         import hybrideq.retraction as retraction_module
 
-        monkeypatch.setattr(
-            retraction_module, "project_intersection", lambda cset, v, **kwargs: v + 10.0
-        )
+        def far_point(cset, v, hint=None, **kwargs):
+            # with a hint the projection also reports its active cuts
+            return v + 10.0 if hint is None else (v + 10.0, ())
+
+        monkeypatch.setattr(retraction_module, "project_intersection", far_point)
 
     @pytest.mark.parametrize(
         "fault, outcome, exit_code",

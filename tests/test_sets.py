@@ -12,7 +12,7 @@ reference for the ratio-test pull-back.
 
 import numpy as np
 import pytest
-from _reference import dykstra
+from _reference import add_cut_loop, dykstra, linear_rows_restacked
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +32,11 @@ from hybrideq import (
     sample_feasible,
 )
 from hybrideq.sets import (
+    _kkt_residual,
+    _ldp,
     _least_distance,
+    _linear_rows,
+    _nnls,
     _pull_feasible,
     _shrink_coords,
     project_intersection,
@@ -274,7 +278,7 @@ class TestLeastDistanceEngine:
         for _ in range(40):
             cset, d = _random_cut_set(rng, kind)
             v = 2.5 * rng.standard_normal(d)
-            z, nu, resid = _least_distance(cset, v)
+            z, nu, resid, _ = _least_distance(cset, v)
             assert resid <= 1e-12 * (1.0 + np.linalg.norm(v))
             ref = dykstra(cset, v, tol=1e-12, max_iter=300_000)
             np.testing.assert_allclose(z, ref, atol=1e-7)
@@ -308,6 +312,68 @@ def _bisect_pull(cset, anchor, cand):
         else:
             hi = mid
     return anchor + lo * (cand - anchor)
+
+
+def _same_cuts(first, second):
+    return len(first) == len(second) and all(a is b for a, b in zip(first, second))
+
+
+class TestWarmStartedNNLS:
+    # random least-distance programs in the form _ldp builds, rank-deficient
+    # whenever there are more rows than d + 1, with a warm start holding a
+    # random subset of the columns (some must leave) and possibly the cold
+    # answer's passive set
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        m=st.integers(1, 14),
+        seed=st.integers(0, 2**32 - 1),
+        keep_cold=st.booleans(),
+    )
+    def test_warm_start_reaches_the_cold_answer(self, d, m, seed, keep_cold):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m, d))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        if m > 2:
+            a[-1] = a[0]  # a repeated row, as near-parallel cuts give
+        b = rng.uniform(-0.5, 1.0, m)
+        v = 2.0 * rng.standard_normal(d)
+        excess = a @ v - b
+        shift = float(np.max(excess))
+        assume(shift > 0.0)
+        e = np.vstack([-a.T, excess / shift])
+        f = np.zeros(d + 1)
+        f[-1] = 1.0
+        u_cold, r_cold = _nnls(e, f)
+        assume(float(r_cold @ r_cold) > 1e3 * np.finfo(float).eps)  # consistent rows
+        start = rng.random(m) < 0.5
+        if keep_cold:
+            start |= u_cold > 0.0
+        u_warm, r_warm = _nnls(e, f, start)
+        assert np.all(u_warm >= 0.0)
+        assert np.max(np.abs(r_warm - r_cold)) <= 1e-12
+        z, lam = _ldp(a, b, v, start)
+        gate = 1e-10 * (1.0 + np.linalg.norm(v))
+        assert _kkt_residual(a, b, v, z, lam) <= gate
+
+    def test_warm_start_on_the_final_passive_set_is_bit_identical(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            cset, d = _random_cut_set(rng, "whole")
+            v = 2.5 * rng.standard_normal(d)
+            cold, active = project_intersection(cset, v, hint=())
+            warm, again = project_intersection(cset, v, hint=active)
+            assert warm.tobytes() == cold.tobytes() and _same_cuts(again, active)
+
+    def test_hint_cuts_pruned_from_the_set_are_skipped(self):
+        cset = ConstraintSet(WholeSpace(), (Halfspace([1.0, 0.0], 0.5),))
+        v = np.array([2.0, 1.0])
+        z, active = project_intersection(cset, v, hint=())
+        assert _same_cuts(active, cset.cuts)
+        stronger = add_cut(cset, Halfspace([2.0, 0.0], 0.4))  # replaces the only cut
+        z, active = project_intersection(stronger, v, hint=active)
+        np.testing.assert_allclose(z, [0.2, 1.0], atol=1e-15)
+        assert _same_cuts(active, stronger.cuts)
 
 
 class TestPullFeasible:
@@ -379,6 +445,68 @@ class TestAddCut:
         with pytest.raises(ValueError):
             add_cut(cset, Halfspace([1.0, 0.0], 0.5, Frame.PRIMAL))
 
+    def test_dimension_mismatch_names_both_dimensions(self):
+        cset = ConstraintSet(PBall(1.0, 2.0), (Halfspace([1.0, 0.0], 0.5),))
+        with pytest.raises(ValueError, match="dimension 3 does not fit a set of dimension 2"):
+            add_cut(cset, Halfspace([1.0, 0.0, 0.0], 0.5))
+        box = ConstraintSet(Box(-np.ones(2), np.ones(2)))
+        with pytest.raises(ValueError, match="dimension 3 does not fit a set of dimension 2"):
+            add_cut(box, Halfspace([1.0, 0.0, 0.0], 0.5))
+
+    def test_the_first_cut_fixes_the_dimension(self):
+        cset = add_cut(ConstraintSet(WholeSpace()), Halfspace([1.0, 0.0, 0.0], 0.5))
+        assert cset.dimension == 3
+        with pytest.raises(ValueError, match="dimension 2 does not fit a set of dimension 3"):
+            add_cut(cset, Halfspace([0.0, 1.0], 0.5))
+
+    # a sequence of cuts: fresh directions and scaled copies of earlier cuts,
+    # tilted within (1e-11) or beyond (1e-7) the 1e-9 chord, or not at all.
+    # A copy whose level ties its original's (change 0) is an exact
+    # power-of-two scaling: the reference and the store normalize with
+    # different summation orders, so a tie blurred by rounding could go
+    # either way, and that rounding is not what is under test
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.sampled_from(["box", "ball", "whole"]),
+        d=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from([0.0, 1e-11, 1e-7]),
+                st.sampled_from([-0.1, -1e-6, 0.0, 1e-6, 0.1]),
+                st.floats(0.01, 100.0),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_store_matches_the_reference_loop(self, base, d, seed, steps):
+        rng = np.random.default_rng(seed)
+        bases = {"box": Box(-np.ones(d), np.ones(d)), "ball": PBall(1.0, 2.0), "whole": WholeSpace()}
+        store = loop = ConstraintSet(bases[base])
+        offered = []
+        for fresh, tilt, change, scale in steps:
+            if fresh or not offered:
+                cut = Halfspace(rng.standard_normal(d), rng.uniform(-1.0, 1.0))
+            else:
+                old = offered[rng.integers(len(offered))]
+                if change == 0.0:
+                    tilt, scale = 0.0, 2.0 ** round(np.log2(scale))
+                direction = old.normal + tilt * np.linalg.norm(old.normal) * rng.standard_normal(d)
+                level_change = change * np.linalg.norm(direction)
+                cut = Halfspace(scale * direction, scale * (old.offset + level_change))
+            offered.append(cut)
+            store, loop = add_cut(store, cut), add_cut_loop(loop, cut)
+            assert _same_cuts(store.cuts, loop.cuts)
+        rows, levels = _linear_rows(store, d)
+        ref_rows, ref_levels = linear_rows_restacked(loop, d)
+        assert rows.tobytes() == ref_rows.tobytes()
+        assert levels.tobytes() == ref_levels.tobytes()
+        fresh = ConstraintSet(store.base, store.cuts)
+        for name in ("_cut_normals", "_cut_offsets", "_cut_rows", "_cut_levels"):
+            assert getattr(store, name).tobytes() == getattr(fresh, name).tobytes(), name
+
 
 class TestValidation:
     def test_zero_normal_rejected(self):
@@ -396,6 +524,13 @@ class TestValidation:
     def test_cut_frames_must_match(self):
         with pytest.raises(ValueError):
             ConstraintSet(PBall(1.0, 2.0), (Halfspace([1.0], 0.0, Frame.DUAL),))
+
+    def test_mixed_cut_dimensions_rejected(self):
+        cuts = (Halfspace([1.0, 0.0], 0.5), Halfspace([1.0, 0.0, 0.0], 0.5))
+        with pytest.raises(ValueError, match="dimension 3 does not fit a set of dimension 2"):
+            ConstraintSet(WholeSpace(), cuts)
+        with pytest.raises(ValueError, match="dimension 2 does not fit a set of dimension 3"):
+            ConstraintSet(Box(-np.ones(3), np.ones(3)), cuts[:1])
 
 
 class TestSampleFeasible:
