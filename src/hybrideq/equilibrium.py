@@ -791,19 +791,19 @@ def solve_resolvent_certified(
         rng = np.random.default_rng([seed, 0x5E50])
     if kind == "hilbert":
         target = tol / 10.0
-        total = 0
+        capped = 0
         for _ in range(3):
             uc = _solve_hilbert(prob, target * 10.0, max_iter)
-            gap, capped = resolvent_gap(
-                prob, PrimalPoint(uc, prob.space), rng=rng, count_capped=True
-            )
-            total += capped
+            u = PrimalPoint(uc, prob.space)
+            gap, more = resolvent_gap(prob, u, rng=rng, count_capped=True)
+            capped += more
             if gap <= tol:
-                found = (PrimalPoint(uc, prob.space), gap)
-                return found + (total,) if count_capped else found
+                break
             target /= 10.0
-        raise NonConvergedError(f"resolvent gap {gap:g} stayed above tol={tol:g}")
-    uc, gap, capped = _solve_banach(prob, tol, rng)
+        else:
+            raise NonConvergedError(f"resolvent gap {gap:g} stayed above tol={tol:g}")
+    else:
+        uc, gap, capped = _solve_banach(prob, tol, rng)
     found = (PrimalPoint(uc, prob.space), gap)
     return found + (capped,) if count_capped else found
 

@@ -483,7 +483,11 @@ class TestAddCut:
     )
     def test_store_matches_the_reference_loop(self, base, d, seed, steps):
         rng = np.random.default_rng(seed)
-        bases = {"box": Box(-np.ones(d), np.ones(d)), "ball": PBall(1.0, 2.0), "whole": WholeSpace()}
+        bases = {
+            "box": Box(-np.ones(d), np.ones(d)),
+            "ball": PBall(1.0, 2.0),
+            "whole": WholeSpace(),
+        }
         store = loop = ConstraintSet(bases[base])
         offered = []
         for fresh, tilt, change, scale in steps:
