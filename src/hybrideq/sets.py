@@ -126,22 +126,24 @@ class ConstraintSet:
     cuts: tuple = ()
     frame: Frame = Frame.PRIMAL
 
+    # the cut store; a set without cuts keeps these class defaults
+    _cut_normals = _cut_offsets = _cut_rows = _cut_levels = None
+
     def __post_init__(self):
         cuts = tuple(self.cuts)
         if self.base.frame != self.frame:
             raise ValueError("base set frame does not match the constraint-set frame")
+        object.__setattr__(self, "cuts", cuts)
+        if not cuts:
+            return
         dim = self.base.lower.shape[0] if isinstance(self.base, Box) else None
         for cut in cuts:
             if cut.frame != self.frame:
                 raise ValueError("cut frame does not match the constraint-set frame")
             dim = _fitting_dimension(dim, cut)
-        object.__setattr__(self, "cuts", cuts)
-        if cuts:
-            normals = np.stack([c.normal for c in cuts])
-            offsets = np.array([c.offset for c in cuts])
-            self._store(normals, offsets, *_unit_rows(normals, offsets))
-        else:
-            self._store(None, None, None, None)
+        normals = np.stack([c.normal for c in cuts])
+        offsets = np.array([c.offset for c in cuts])
+        self._store(normals, offsets, *_unit_rows(normals, offsets))
 
     def _store(self, normals, offsets, rows, levels):
         object.__setattr__(self, "_cut_normals", normals)
@@ -193,11 +195,11 @@ def add_cut(cset: ConstraintSet, cut: Halfspace) -> ConstraintSet:
         raise ValueError("cut frame does not match the constraint-set frame")
     _fitting_dimension(cset.dimension, cut)
     normal, offset = cut.normal[None, :], np.array([cut.offset])
-    store = (normal, offset, *_unit_rows(normal, offset))
-    cuts = cset.cuts
+    row, level = _unit_rows(normal, offset)
+    cuts, store = cset.cuts, (normal, offset, row, level)
     if cuts:
-        near = np.linalg.norm(cset._cut_rows - store[2], axis=1) <= _PARALLEL_CHORD
-        if np.any(cset._cut_levels[near] <= store[3][0]):
+        near = np.linalg.norm(cset._cut_rows - row, axis=1) <= _PARALLEL_CHORD
+        if np.any(cset._cut_levels[near] <= level[0]):
             return cset  # an existing cut already dominates the new one
         old = (cset._cut_normals, cset._cut_offsets, cset._cut_rows, cset._cut_levels)
         if np.any(near):  # the new cut dominates these; drop them
