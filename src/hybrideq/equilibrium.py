@@ -709,9 +709,9 @@ def resolvent_gap(
     samples: int = 16,
     rng: np.random.Generator | None = None,
     max_iter: int = 300,
-    count_capped: bool = False,
-):
-    """max(0, -min_y lhs(u, y)): zero (within tolerance) certifies u = T_r(input).
+) -> tuple:
+    """(max(0, -min_y lhs(u, y)), capped starts): a zero gap (within
+    tolerance) certifies u = T_r(input).
 
     The inner minimization runs projected gradient (proximal gradient in
     Hilbert mode) from `samples` random feasible multi-starts plus y = u
@@ -723,8 +723,8 @@ def resolvent_gap(
     start's sequential search returns alone.
 
     A start that reaches max_iter still moving ends its search there, so
-    the value can then miss part of the descent; with count_capped the
-    answer is (gap, the number of such starts).
+    the value can then miss part of the descent; the second entry counts
+    such starts.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -735,8 +735,7 @@ def resolvent_gap(
         _, best, capped = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
     else:
         _, best, capped = _gap_banach(prob, uc, starts, max_iter=max_iter)
-    gap = max(0.0, -best)
-    return (gap, capped) if count_capped else gap
+    return max(0.0, -best), capped
 
 
 def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
@@ -764,7 +763,7 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
         uc = (s / nx) * xc
     if not contains(prob.feasible, uc):
         raise NonConvergedError("the closed-form resolvent candidate lies outside Omega")
-    gap, capped = resolvent_gap(prob, PrimalPoint(uc, prob.space), rng=rng, count_capped=True)
+    gap, capped = resolvent_gap(prob, PrimalPoint(uc, prob.space), rng=rng)
     if exact is not None:
         gap = max(exact, gap)
     if gap > tol:
@@ -778,13 +777,12 @@ def solve_resolvent_certified(
     seed: int = 0,
     max_iter: int = 200_000,
     rng: np.random.Generator | None = None,
-    count_capped: bool = False,
 ) -> tuple:
-    """Solve for T_r(input) and certify; returns (PrimalPoint, certified gap).
+    """Solve for T_r(input) and certify; returns (PrimalPoint, certified gap,
+    capped starts).
 
-    With count_capped a third entry counts the gap-search starts, over
-    every gap search of the solve, that reached their iteration cap still
-    moving.
+    The third entry counts the gap-search starts, over every gap search of
+    the solve, that reached their iteration cap still moving.
     """
     kind = classify_problem(prob)
     if rng is None:
@@ -795,7 +793,7 @@ def solve_resolvent_certified(
         for _ in range(3):
             uc = _solve_hilbert(prob, target * 10.0, max_iter)
             u = PrimalPoint(uc, prob.space)
-            gap, more = resolvent_gap(prob, u, rng=rng, count_capped=True)
+            gap, more = resolvent_gap(prob, u, rng=rng)
             capped += more
             if gap <= tol:
                 break
@@ -804,8 +802,7 @@ def solve_resolvent_certified(
             raise NonConvergedError(f"resolvent gap {gap:g} stayed above tol={tol:g}")
     else:
         uc, gap, capped = _solve_banach(prob, tol, rng)
-    found = (PrimalPoint(uc, prob.space), gap)
-    return found + (capped,) if count_capped else found
+    return PrimalPoint(uc, prob.space), gap, capped
 
 
 # -- validation helpers -----------------------------------------------------------

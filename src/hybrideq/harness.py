@@ -550,7 +550,7 @@ class RunReport:
     error: Optional[str] = None
     failed_iteration: Optional[int] = None
     # resolvent-gap search starts that reached their iteration cap still
-    # moving, over the whole run
+    # moving, over the whole run (up to the failure when the run failed)
     capped_starts: int = 0
 
     def to_dict(self) -> dict:
@@ -607,8 +607,9 @@ def _rows_from_history(history, exponent: float) -> tuple:
     return tuple(rows)
 
 
-#: report outcome of each solver failure; the exception's `iteration`
-#: attribute, when set, becomes the report's failed_iteration
+#: report outcome of each solver failure; the exception's `iteration` and
+#: `capped_starts` attributes, when set, become the report's
+#: failed_iteration and capped_starts
 _FAILURE_OUTCOMES = (
     (UnsupportedCombinationError, "unsupported"),
     (NonConvergedError, "non_converged"),
@@ -623,7 +624,6 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
     config = build_config(spec)
     started = time.perf_counter()
     error = failed_iteration = None
-    capped = 0
     try:
         result = run(bundle, config)
         outcome = result.stop_reason.value
@@ -636,6 +636,7 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
     except tuple(cls for cls, _ in _FAILURE_OUTCOMES) as exc:
         outcome = next(name for cls, name in _FAILURE_OUTCOMES if isinstance(exc, cls))
         failed_iteration = getattr(exc, "iteration", None)
+        capped = getattr(exc, "capped_starts", 0)
         converged = False
         audits = {}
         final = bundle.anchor

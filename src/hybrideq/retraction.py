@@ -42,25 +42,22 @@ class RetractionProblem:
             raise ValueError("anchor does not live in the problem space")
 
 
-def sunny_retract(prob: RetractionProblem, tol: float = 1e-12, hint: tuple | None = None):
-    """Compute R_C(anchor) = J*(w*), w* the minimizer of h over JC.
+def sunny_retract(prob: RetractionProblem, tol: float = 1e-12, hint: tuple = ()) -> tuple:
+    """(R_C(anchor) = J*(w*), the active cuts), w* the minimizer of h over JC.
 
     One call of `project_intersection` at the space's exponent solves the
     convex program exactly through its cut multipliers (at p = 2 it is the
     Euclidean projection of the anchor).  The answer is returned only when
     its KKT residual is within max(10 tol, 1e-10) (1 + |anchor|);
     NonConvergedError is raised otherwise, and InfeasibleError when JC is
-    empty.  With a `hint` of cuts (the previous retraction's active cuts)
-    the projection starts from them, and the answer comes as (R_C(anchor),
-    the cuts whose multipliers are positive), the next retraction's hint.
+    empty.  The projection starts from the `hint` cuts (the previous
+    retraction's active cuts; none by default), and the cuts whose
+    multipliers are positive come back as the next retraction's hint.
     """
     space = prob.space
-    found = project_intersection(
+    w, active = project_intersection(
         prob.dual_feasible, prob.anchor.coords, tol=tol, exponent=space.exponent, hint=hint
     )
-    if hint is None:
-        return PrimalPoint(gauge_coords(found, space.conjugate), space)
-    w, active = found
     return PrimalPoint(gauge_coords(w, space.conjugate), space), active
 
 

@@ -103,6 +103,11 @@ def _unit_rows(normals: np.ndarray, offsets: np.ndarray):
     return normals / norms[:, None], offsets / norms
 
 
+def _base_dimension(base) -> int | None:
+    """The dimension a box base fixes; None for the other bases."""
+    return base.lower.shape[0] if isinstance(base, Box) else None
+
+
 def _fitting_dimension(dim: int | None, cut: Halfspace) -> int:
     """The cut's dimension, which must be dim unless dim is None."""
     size = cut.normal.shape[0]
@@ -136,7 +141,7 @@ class ConstraintSet:
         object.__setattr__(self, "cuts", cuts)
         if not cuts:
             return
-        dim = self.base.lower.shape[0] if isinstance(self.base, Box) else None
+        dim = _base_dimension(self.base)
         for cut in cuts:
             if cut.frame != self.frame:
                 raise ValueError("cut frame does not match the constraint-set frame")
@@ -151,12 +156,21 @@ class ConstraintSet:
         object.__setattr__(self, "_cut_rows", rows)
         object.__setattr__(self, "_cut_levels", levels)
 
-    @property
-    def dimension(self) -> int | None:
-        """The dimension of the cuts or of a box base; None when neither fixes it."""
-        if self.cuts:
-            return self._cut_normals.shape[1]
-        return self.base.lower.shape[0] if isinstance(self.base, Box) else None
+    @classmethod
+    def _with_store(cls, base: BaseSet, cuts: tuple, frame: Frame, store: tuple):
+        """The set base ∩ cuts with a ready store (normals, offsets, rows,
+        levels), one row per cut.
+
+        `add_cut` builds its result here, having checked the new cut's frame
+        and dimension; this skips __post_init__, whose checks and re-stack
+        the old cuts already passed.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "base", base)
+        object.__setattr__(out, "cuts", cuts)
+        object.__setattr__(out, "frame", frame)
+        out._store(*store)
+        return out
 
 
 def contains(cset: ConstraintSet, v: np.ndarray, tol: float = 0.0) -> bool:
@@ -193,7 +207,8 @@ def add_cut(cset: ConstraintSet, cut: Halfspace) -> ConstraintSet:
     """
     if cut.frame != cset.frame:
         raise ValueError("cut frame does not match the constraint-set frame")
-    _fitting_dimension(cset.dimension, cut)
+    dim = cset._cut_normals.shape[1] if cset.cuts else _base_dimension(cset.base)
+    _fitting_dimension(dim, cut)
     normal, offset = cut.normal[None, :], np.array([cut.offset])
     row, level = _unit_rows(normal, offset)
     cuts, store = cset.cuts, (normal, offset, row, level)
@@ -206,12 +221,7 @@ def add_cut(cset: ConstraintSet, cut: Halfspace) -> ConstraintSet:
             cuts = tuple(itertools.compress(cuts, ~near))
             old = tuple(x[~near] for x in old)
         store = tuple(np.concatenate(pair) for pair in zip(old, store))
-    out = object.__new__(ConstraintSet)
-    object.__setattr__(out, "base", cset.base)
-    object.__setattr__(out, "cuts", cuts + (cut,))
-    object.__setattr__(out, "frame", cset.frame)
-    out._store(*store)
-    return out
+    return ConstraintSet._with_store(cset.base, cuts + (cut,), cset.frame, store)
 
 
 # -- primitive projections ---------------------------------------------------
@@ -866,9 +876,10 @@ def project_intersection(
     v: np.ndarray,
     tol: float = 1e-11,
     exponent: float = 2.0,
-    hint: tuple | None = None,
-):
-    """Nearest point of base ∩ cuts to v in the geometry of the exponent p.
+    hint: tuple = (),
+) -> tuple:
+    """(nearest point of base ∩ cuts to v in the geometry of the exponent p,
+    the cuts whose multipliers are positive).
 
     That is the minimizer of |w|_q^2 - 2 <v, w>, q = p / (p - 1); at the
     default p = 2 it is the Euclidean projection.  One exact engine serves
@@ -883,19 +894,18 @@ def project_intersection(
     of another exponent with cuts has no engine and raises
     UnsupportedCombinationError.
 
-    With a `hint`, a tuple of cuts (typically the active cuts of the
-    previous projection of the same point onto a smaller set), the answer
-    comes as (point, the cuts whose multipliers are positive), and at p = 2
-    the NNLS starts from the hint's cuts that are still in the set.  The
-    hint changes the path to the answer, never the gate it must pass.
+    The `hint` is a tuple of cuts, typically the active cuts of the
+    previous projection of the same point onto a smaller set; at p = 2 the
+    NNLS starts from the hint's cuts that are still in the set, and the
+    empty default starts it cold.  The hint changes the path to the
+    answer, never the gate it must pass.
     """
     v = np.asarray(v, dtype=float)
     active = ()
     if exponent != 2.0:
         z, resid, active = _generalized_projection(cset, v, exponent)
     elif not cset.cuts:
-        z = project_primitive(v, cset.base)
-        return z if hint is None else (z, active)
+        return project_primitive(v, cset.base), active
     elif isinstance(cset.base, PBall) and cset.base.exponent != 2.0:
         raise UnsupportedCombinationError(
             f"no Euclidean projection onto a ball of exponent {cset.base.exponent:g} "
@@ -905,7 +915,7 @@ def project_intersection(
         z, _, resid, active = _least_distance(cset, v, hint)
     if not resid <= max(10.0 * tol, 1e-10) * (1.0 + float(np.linalg.norm(v))):
         raise NonConvergedError(f"exact projection failed its KKT check (residual {resid:.3g})")
-    return z if hint is None else (z, active)
+    return z, active
 
 
 def _pull_feasible(
@@ -982,6 +992,6 @@ def sample_feasible(
             if anchor is not None:
                 cand = _pull_feasible(cset, anchor, cand, allowed)
             else:
-                cand = project_intersection(cset, cand, tol=1e-9, exponent=geometry)
+                cand = project_intersection(cset, cand, tol=1e-9, exponent=geometry)[0]
         out[i] = cand
     return out

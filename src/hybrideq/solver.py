@@ -182,11 +182,13 @@ def make_comparison_halfspace(
     return Halfspace(2.0 * diff, nx * nx - nu * nu, Frame.DUAL)
 
 
-def _at_iteration(exc: Exception, n: int) -> Exception:
-    """A copy of exc whose message starts with iteration n and whose
-    `iteration` attribute holds n."""
+def _at_iteration(exc: Exception, n: int, capped: int) -> Exception:
+    """A copy of exc whose message starts with iteration n, whose
+    `iteration` attribute holds n and whose `capped_starts` attribute
+    holds the capped gap-search starts counted so far."""
     tagged = type(exc)(f"iteration {n}: {exc}")
     tagged.iteration = n
+    tagged.capped_starts = capped
     return tagged
 
 
@@ -198,6 +200,8 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     AuditError from the retraction audit, each with the failing iteration
     prepended to the message and stored as its `iteration` attribute, and
     NonConvergedError when the accumulated cuts exceed the configured cap.
+    A raised error's `capped_starts` attribute counts the capped gap-search
+    starts of every resolvent solve that finished before it.
     """
     space = bundle.space
     if config.mode is Mode.HILBERT_MAIN and not space.is_hilbert:
@@ -226,6 +230,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     # the cuts active in the last retraction: the anchor is fixed and the set
     # only shrinks, so they seed the next one's NNLS passive set
     active = ()
+    capped_total = 0
     stop_reason = StopReason.ITERATION_CAP
     converged = False
 
@@ -246,24 +251,26 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
                 problem,
                 tol=config.resolvent_tol,
                 rng=np.random.default_rng([config.seed, n, 1]),
-                count_capped=True,
             )
         except (NonConvergedError, UnsupportedCombinationError) as exc:
-            raise _at_iteration(exc, n) from exc
+            raise _at_iteration(exc, n, capped_total) from exc
+        capped_total += capped_starts
 
         cut = make_comparison_halfspace(u, x, space)
         if cut is not None:
             dual_set = add_cut(dual_set, cut)
             if len(dual_set.cuts) > config.cut_cap:
                 raise _at_iteration(
-                    NonConvergedError(f"accumulated cuts exceed the cap {config.cut_cap}"), n
+                    NonConvergedError(f"accumulated cuts exceed the cap {config.cut_cap}"),
+                    n,
+                    capped_total,
                 )
 
         retraction_problem = RetractionProblem(space, dual_set, anchor)
         try:
             x_next, active = sunny_retract(retraction_problem, hint=active)
         except (NonConvergedError, InfeasibleError) as exc:
-            raise _at_iteration(exc, n) from exc
+            raise _at_iteration(exc, n, capped_total) from exc
 
         try:
             retraction_residual = retraction_vi_residual(
@@ -273,7 +280,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
                 rng=np.random.default_rng([config.seed, n, 2]),
             )
         except AuditError as exc:
-            raise _at_iteration(exc, n) from exc
+            raise _at_iteration(exc, n, capped_total) from exc
         feasibility = max(
             worst_violation(bundle.omega, x_next.coords),
             worst_violation(dual_set, gauge_coords(x_next.coords, p)),

@@ -171,7 +171,7 @@ class TestSolveClosedForms:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(8)
         x = 0.8 * x / pnorm(x, 3.0)
-        u, gap = solve_resolvent_certified(_lp_problem(x), tol=1e-6)
+        u, gap, _ = solve_resolvent_certified(_lp_problem(x), tol=1e-6)
         assert gap <= 1e-6
 
 
@@ -215,7 +215,7 @@ class TestBanachClosedForm:
     def test_interior_candidate_when_r_below_norm(self, r, norm):
         direction = _unit_direction(20)
         started = time.perf_counter()
-        u, gap = solve_resolvent_certified(_lp_problem(norm * direction, r=r), tol=1e-6)
+        u, gap, _ = solve_resolvent_certified(_lp_problem(norm * direction, r=r), tol=1e-6)
         elapsed = time.perf_counter() - started
         s = (norm / r - 1.0) / (2.0 + 1.0 / r)
         np.testing.assert_allclose(u.coords, s * direction, rtol=0.0, atol=1e-12)
@@ -268,17 +268,17 @@ class TestResolventGap:
     def test_solution_certifies(self):
         prob = _projection_problem(np.array([2.0, 0.0]))
         u = PrimalPoint([1.0, 0.0], HILBERT2)
-        assert resolvent_gap(prob, u) <= 1e-8
+        assert resolvent_gap(prob, u)[0] <= 1e-8
 
     def test_wrong_point_flagged(self):
         prob = _projection_problem(np.array([2.0, 0.0]))
         wrong = PrimalPoint([0.0, 0.0], HILBERT2)
-        assert resolvent_gap(prob, wrong) >= 0.5
+        assert resolvent_gap(prob, wrong)[0] >= 0.5
 
     def test_banach_wrong_point_flagged(self):
         prob = _lp_problem(np.zeros(8))
         wrong = PrimalPoint(0.5 * np.ones(8) / pnorm(np.ones(8), 3.0), prob.space)
-        assert resolvent_gap(prob, wrong) > 0.1
+        assert resolvent_gap(prob, wrong)[0] > 0.1
 
 
 class TestGapSearch:

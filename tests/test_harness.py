@@ -12,6 +12,7 @@ import pytest
 
 from hybrideq import (
     BUILTIN_SCENARIOS,
+    NonConvergedError,
     RunReport,
     ScenarioParseError,
     ScenarioValidationError,
@@ -341,6 +342,34 @@ class TestCappedGapStarts:
         assert json.loads(json_path.read_text())["capped_starts"] == report.capped_starts
         assert "capped" not in csv_path.read_text()
 
+    def test_a_failed_run_reports_the_capped_starts_before_it(self, monkeypatch, tmp_path):
+        # the first retraction after a capped gap search fails
+        import hybrideq.solver as solver_module
+
+        real_resolve = solver_module.solve_resolvent_certified
+        real_retract = solver_module.sunny_retract
+        counts = []
+
+        def counting(*args, **kwargs):
+            found = real_resolve(*args, **kwargs)
+            counts.append(found[2])
+            return found
+
+        def failing_once_capped(*args, **kwargs):
+            if sum(counts):
+                raise NonConvergedError("stopped after a capped gap search")
+            return real_retract(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "solve_resolvent_certified", counting)
+        monkeypatch.setattr(solver_module, "sunny_retract", failing_once_capped)
+        doc = load_scenario("lp_shift_example").to_dict()
+        doc["config"]["r"] = 0.3
+        report = run_scenario(load_scenario(doc))
+        assert report.outcome == "non_converged" and report.failed_iteration == len(counts)
+        assert report.capped_starts == sum(counts) > 0
+        _, json_path = emit_report(report, tmp_path)
+        assert json.loads(json_path.read_text())["capped_starts"] == report.capped_starts
+
     @pytest.mark.parametrize("name, doc", sorted(_workload_documents().items()))
     def test_workload_documents_record_none(self, name, doc):
         report = run_scenario(load_scenario(doc))
@@ -454,9 +483,8 @@ class TestFailureReporting:
         """Each projection of the retraction returns a point far outside the set."""
         import hybrideq.retraction as retraction_module
 
-        def far_point(cset, v, hint=None, **kwargs):
-            # with a hint the projection also reports its active cuts
-            return v + 10.0 if hint is None else (v + 10.0, ())
+        def far_point(cset, v, **kwargs):
+            return v + 10.0, ()
 
         monkeypatch.setattr(retraction_module, "project_intersection", far_point)
 

@@ -57,7 +57,7 @@ class TestHilbertMode:
     def test_unit_ball_metric_projection(self):
         s = SpaceConfig(2, 2.0)
         prob = RetractionProblem(s, _dual_ball(s), PrimalPoint([2.0, 0.0], s))
-        z = sunny_retract(prob, tol=1e-10)
+        z, _ = sunny_retract(prob, tol=1e-10)
         np.testing.assert_allclose(z.coords, [1.0, 0.0], atol=1e-9)
 
     def test_agrees_with_dykstra_projection(self):
@@ -68,7 +68,7 @@ class TestHilbertMode:
             dual = _dual_ball(s, cuts)
             anchor = PrimalPoint(2.0 * rng.standard_normal(3), s)
             prob = RetractionProblem(s, dual, anchor)
-            z = sunny_retract(prob, tol=1e-10)
+            z, _ = sunny_retract(prob, tol=1e-10)
             proj = dykstra(dual, anchor.coords, tol=1e-12, max_iter=50000)
             np.testing.assert_allclose(z.coords, proj, atol=1e-6)
 
@@ -78,7 +78,7 @@ class TestRetractionProperties:
         s = SpaceConfig(2, 3.0)
         anchor = PrimalPoint([0.3, -0.2], s)
         prob = RetractionProblem(s, _dual_ball(s), anchor)
-        z = sunny_retract(prob, tol=1e-10)
+        z, _ = sunny_retract(prob, tol=1e-10)
         np.testing.assert_allclose(z.coords, anchor.coords, atol=1e-8)
 
     def test_idempotence(self):
@@ -86,8 +86,8 @@ class TestRetractionProperties:
         dual = _dual_ball(s, [(np.array([1.0, 0.2, 0.0]), 0.25)])
         anchor = PrimalPoint([0.9, 0.7, -0.5], s)
         prob = RetractionProblem(s, dual, anchor)
-        z = sunny_retract(prob, tol=1e-10)
-        z2 = sunny_retract(RetractionProblem(s, dual, z), tol=1e-10)
+        z, _ = sunny_retract(prob, tol=1e-10)
+        z2, _ = sunny_retract(RetractionProblem(s, dual, z), tol=1e-10)
         assert pnorm(z2.coords - z.coords, 2.0) <= 1e-8
 
     def test_uniqueness_across_cut_orders(self):
@@ -105,7 +105,7 @@ class TestRetractionProperties:
         for _ in range(4):
             order = rng.permutation(len(cuts))
             dual = _dual_ball(s, [cuts[i] for i in order])
-            results.append(sunny_retract(RetractionProblem(s, dual, anchor)).coords)
+            results.append(sunny_retract(RetractionProblem(s, dual, anchor))[0].coords)
         for r in results[1:]:
             assert pnorm(r - results[0], 2.0) <= 1e-12
 
@@ -115,7 +115,7 @@ class TestRetractionProperties:
         dual = _dual_ball(s, [(np.array([1.0, 0.0, 0.5]), 0.3)])
         anchor = PrimalPoint([1.5, -0.4, 0.8], s)
         prob = RetractionProblem(s, dual, anchor)
-        z = sunny_retract(prob, tol=1e-10)
+        z, _ = sunny_retract(prob, tol=1e-10)
         rng = np.random.default_rng(21)
         from hybrideq.sets import sample_feasible
 
@@ -139,7 +139,7 @@ class TestVIResidual:
         dual = _dual_ball(s, [(np.array([1.0, 0.0]), 0.0)])
         anchor = PrimalPoint([0.8, 0.8], s)
         prob = RetractionProblem(s, dual, anchor)
-        z = sunny_retract(prob, tol=1e-10)
+        z, _ = sunny_retract(prob, tol=1e-10)
         res = retraction_vi_residual(prob, z, samples=300, rng=np.random.default_rng(1))
         assert res <= 1e-6
 
@@ -163,7 +163,7 @@ class TestBanachModeOracle:
         dual = _dual_ball(s, [(np.array([1.0, 0.0]), 0.0)])  # q-ball ∩ {w_1 <= 0}
         anchor = PrimalPoint([1.0, 1.0], s)
         prob = RetractionProblem(s, dual, anchor)
-        z = sunny_retract(prob, tol=1e-10)
+        z, _ = sunny_retract(prob, tol=1e-10)
         res = retraction_vi_residual(prob, z, samples=400, rng=np.random.default_rng(3))
         assert res <= 1e-6
         w_grid = _grid_minimize_h(prob)
@@ -201,11 +201,11 @@ class TestExactEngine:
             prob = RetractionProblem(s, dual, anchor)
             w, resid, _ = _generalized_projection(dual, anchor.coords, p)
             assert resid <= _gate(anchor.coords), f"case {case}: KKT residual {resid:.2e}"
-            z = sunny_retract(prob)
+            z, _ = sunny_retract(prob)
             np.testing.assert_array_equal(z.coords, gauge_coords(w, s.conjugate))
             vi = retraction_vi_residual(prob, z, samples=100, rng=np.random.default_rng(case))
             assert vi <= 1e-9, f"case {case}: VI residual {vi:.2e}"
-            z2 = sunny_retract(RetractionProblem(s, dual, z))
+            z2, _ = sunny_retract(RetractionProblem(s, dual, z))
             assert pnorm(z2.coords - z.coords, 2.0) <= 1e-9, f"case {case}: idempotence"
             refs = sample_feasible(
                 dual, np.random.default_rng([case, 1]), 20, dimension=d, anchor=w
