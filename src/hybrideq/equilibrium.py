@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import NonConvergedError, UnsupportedCombinationError
 from .sets import Box, ConstraintSet, PBall, WholeSpace, contains, project_primitive, sample_feasible
-from .space import PrimalPoint, SpaceConfig, gauge_coords, pnorm
+from .space import PrimalPoint, SpaceConfig, gauge_coords, pnorm, pnorm_rows, row_dots
 
 # -- potentials ---------------------------------------------------------------
 
@@ -530,7 +530,8 @@ def _outside_ball(cset, ys):
 
 
 def _project_rows(cset, ys, outside=None):
-    """Project each row of ys onto the base set; `outside` is _outside_ball's mask."""
+    """Project each row of ys onto the base set; on a ball only the rows in
+    the `outside` mask move (by default _outside_ball's)."""
     base = cset.base
     if not isinstance(base, PBall):
         return project_primitive(ys, base)  # clip and copy act row by row
@@ -651,11 +652,40 @@ def _gap_starts(prob: ResolventProblem, uc: np.ndarray, samples: int, rng) -> li
     return starts
 
 
+def _project_rows_exact(cset, ys):
+    """project_primitive of each row of ys onto the base set, bit for bit:
+    pnorm_rows gives each row the norm pnorm gives it, so the rows sent to
+    a ball's projection are those it moves."""
+    base = cset.base
+    outside = ~(pnorm_rows(ys, base.exponent) <= base.radius) if isinstance(base, PBall) else None
+    return _project_rows(cset, ys, outside)
+
+
+def _prox_rows(mixed, cset: ConstraintSet, vs: np.ndarray, t: float) -> np.ndarray:
+    """_composite_prox of each row of vs, bit for bit.
+
+    A zero term projects the rows, and a separable term's prox and a box
+    clip act coordinatewise; any other term alternates row by row.
+    """
+    if isinstance(mixed, ZeroTerm):
+        return _project_rows_exact(cset, vs)
+    if mixed.separable and isinstance(cset.base, (Box, WholeSpace)):
+        return project_primitive(mixed.prox(vs, t), cset.base)
+    out = np.empty_like(vs)
+    for i, v in enumerate(vs):
+        out[i] = _composite_prox(mixed, cset, v, t)
+    return out
+
+
 def _gap_hilbert(prob, uc, starts, max_iter=400):
     """Convex inner minimization of lhs(u, .) by proximal gradient.
 
-    Returns the best (y, value) over the starts and the number of starts
-    that reached max_iter still moving.
+    Returns the best (y, value) over the starts, ties broken by the lowest
+    start index, and the number of starts that reached max_iter still
+    moving.  The starts run as one batch of live rows; a row leaves it once
+    a step moves it by at most 1e-11.  Every row operation is coordinatewise
+    or a row-wise reduction that matches its one-row form, so each row
+    follows the path its start follows alone, bit for bit.
     """
     lin = (1.0 / prob.r) * (uc - prob.input_point.coords)
     lin = lin + prob.perturbation.apply(uc)
@@ -677,22 +707,49 @@ def _gap_hilbert(prob, uc, starts, max_iter=400):
         return total
 
     step = 1.0 / max(lipschitz, 1.0)
-    best_y, best_v, capped = None, np.inf, 0
-    u_pt = PrimalPoint(uc, prob.space)
-    for y0 in starts:
-        y = project_primitive(y0, prob.feasible.base)
-        for _ in range(max_iter):
-            y_new = _composite_prox(prob.mixed, prob.feasible, y - step * smooth_grad(y), step)
-            moved = float(np.linalg.norm(y_new - y))
-            y = y_new
-            if moved <= 1e-11:
-                break
-        else:
-            capped += 1
-        val = resolvent_lhs(prob, u_pt, PrimalPoint(y, prob.space))
+    ys = _project_rows_exact(prob.feasible, np.array(starts, dtype=float))
+    live = np.arange(len(ys))  # rows still moving
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        y = ys[live]
+        y_new = _prox_rows(prob.mixed, prob.feasible, y - step * smooth_grad(y), step)
+        moved = np.sqrt(row_dots(y_new - y))  # np.linalg.norm of each row
+        ys[live] = y_new
+        live = live[~(moved <= 1e-11)]
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("coordinates must be finite")  # as PrimalPoint refuses them
+    best, best_v = None, np.inf
+    for i, val in enumerate(_lhs_rows(prob, uc, ys).tolist()):
         if val < best_v:
-            best_y, best_v = y, val
-    return best_y, best_v, capped
+            best, best_v = i, val
+    return (None if best is None else ys[best]), best_v, live.size
+
+
+def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """resolvent_lhs(prob, u, y) for each row y of ys in Hilbert mode, bit for bit.
+
+    J is the identity at p = 2.  The terms are summed in resolvent_lhs's
+    order.  Quadratic potentials, the weighted-l1 term and the linear terms
+    are formed for all rows at once from the same products, their dot
+    products being `row_dots`; any other term is evaluated row by row.
+    """
+    total = np.zeros(ys.shape[0])
+    for f in prob.bifunctions:
+        if isinstance(f, PotentialBifunction):
+            total += 0.5 * f.psi.weight * row_dots(ys - f.psi.center) - f.psi.value(uc)
+        else:
+            total += np.array([f.evaluate(uc, y) for y in ys])
+    mixed = prob.mixed
+    if isinstance(mixed, WeightedL1Term):
+        total += mixed.weight * np.sum(np.abs(ys), axis=1) - mixed.value(uc)
+    else:
+        total += np.array([mixed.value(y) for y in ys]) - mixed.value(uc)
+    total += row_dots(ys - uc, prob.perturbation.apply(uc))
+    pair = row_dots(ys - uc, uc - prob.input_point.coords)
+    inv_r = 1.0 / prob.r
+    total += inv_r * pair if inv_r < np.inf else pair / prob.r
+    return total
 
 
 def _gap_banach(prob, uc, starts, max_iter=200):
@@ -717,10 +774,11 @@ def resolvent_gap(
     Hilbert mode) from `samples` random feasible multi-starts plus y = u
     and y = 0, so the value is a sampled estimate: it can miss a negative
     minimum but never reports a false one.  The Banach solver pairs it
-    with Hölder's exact bound at u = 0.  In Banach mode the starts run as
-    one batch (_pgd_minimize) that evaluates only the rows still searching
-    and tests six halvings per line-search call, yet returns what each
-    start's sequential search returns alone.
+    with Hölder's exact bound at u = 0.  In either mode the starts run as
+    one batch of the rows still searching, yet return what each start's
+    search returns alone: in Banach mode _pgd_minimize also tests six
+    halvings per line-search call, and in Hilbert mode _gap_hilbert steps
+    all rows at once.
 
     A start that reaches max_iter still moving ends its search there, so
     the value can then miss part of the descent; the second entry counts

@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InfeasibleError, NonConvergedError, UnsupportedCombinationError
-from .space import duality_jacobian, gauge_coords, pnorm
+from .space import duality_jacobian, gauge_coords, pnorm, pnorm_rows
 
 # Halfspace cuts whose unit normals differ by less than this chord length are
 # treated as parallel for pruning purposes.
@@ -190,6 +190,28 @@ def worst_violation(cset: ConstraintSet, v: np.ndarray) -> float:
         worst = -np.inf
     if cset.cuts:
         worst = max(worst, float(np.max(cset._cut_normals @ v - cset._cut_offsets)))
+    return worst
+
+
+def _row_violations(cset: ConstraintSet, rows: np.ndarray) -> np.ndarray:
+    """worst_violation of each row of a 2-D array, bit for bit.
+
+    Norms come from pnorm_rows and the cut products from one stacked
+    matmul of (m, d) by (d, 1) blocks, the BLAS product a single
+    `normals @ v` takes, where rows @ normals.T would sum in another order.
+    worst_violation stays a one-vector function: the audits call it once
+    per point, and this batch form costs twice as much on one row.
+    """
+    base = cset.base
+    if isinstance(base, PBall):
+        worst = pnorm_rows(rows, base.exponent) - base.radius
+    elif isinstance(base, Box):
+        worst = np.maximum(base.lower - rows, rows - base.upper).max(axis=1, initial=-np.inf)
+    else:
+        worst = np.full(rows.shape[0], -np.inf)
+    if cset.cuts:
+        products = np.matmul(cset._cut_normals[None], rows[:, :, None])[..., 0]
+        worst = np.maximum(worst, (products - cset._cut_offsets).max(axis=1))
     return worst
 
 
@@ -918,31 +940,38 @@ def project_intersection(
     return z, active
 
 
-def _pull_feasible(
-    cset: ConstraintSet, anchor: np.ndarray, cand: np.ndarray, allowed: float
+def _pull_feasible_rows(
+    cset: ConstraintSet, anchor: np.ndarray, cands: np.ndarray, allowed: float
 ) -> np.ndarray:
-    """Furthest point of the segment [anchor, cand] violating nothing by more than `allowed`.
+    """For each row cand of cands, the furthest point of the segment
+    [anchor, cand] violating nothing by more than `allowed`.
 
-    Both ends lie in the convex base, so only the cuts bind on the segment:
+    Both ends lie in the convex base, so only the cuts bind on a segment:
     the ratio test over the cuts that cand - anchor moves toward gives the
     exact step, which is then backed off by growing multiples of the unit
-    roundoff until the point passes worst_violation.  `allowed` is at least
-    the anchor's own violation, so the anchor itself always passes.
+    roundoff, eps, 2 eps, 4 eps, ..., until the point passes
+    worst_violation.  Every row still failing has failed the same number of
+    times, so the rows share one back-off.  `allowed` is at least the
+    anchor's own violation, so the anchor itself always passes.
     """
-    step = cand - anchor
-    rates = cset._cut_normals @ step
+    steps = cands - anchor
+    rates = np.matmul(cset._cut_normals[None], steps[:, :, None])[..., 0]
     room = cset._cut_offsets + allowed - cset._cut_normals @ anchor
     toward = rates > 0.0
-    t = float(np.min(room[toward] / rates[toward], initial=1.0))
-    t = min(max(t, 0.0), 1.0)
+    ratios = np.divide(room, rates, out=np.full(rates.shape, np.inf), where=toward)
+    t = np.clip(np.min(ratios, axis=1, initial=1.0), 0.0, 1.0)
+    out = np.repeat(anchor[None, :], cands.shape[0], axis=0)  # rows that reach t = 0
+    live = np.flatnonzero(t > 0.0)
     back = np.finfo(float).eps
-    while t > 0.0:
-        point = anchor + t * step
-        if worst_violation(cset, point) <= allowed:
-            return point
-        t -= back
+    while live.size:
+        points = anchor + t[live, None] * steps[live]
+        passed = _row_violations(cset, points) <= allowed
+        out[live[passed]] = points[passed]
+        live = live[~passed]
+        t[live] -= back
         back *= 2.0
-    return np.array(anchor)
+        live = live[t[live] > 0.0]
+    return out
 
 
 def sample_feasible(
@@ -962,6 +991,12 @@ def sample_feasible(
     the set otherwise, in the set's own geometry: at exponent e / (e - 1)
     for an e-ball base, the geometry whose q-ball it is, and Euclidean for
     every other base.
+
+    The candidates are handled as one batch of rows, which returns bit for
+    bit what drawing and testing them one at a time returns.  Box and
+    whole-space candidates are drawn in one call, which consumes the
+    random stream as the one-row calls do; a ball candidate's direction
+    and radius draws interleave, so those are drawn row by row.
     """
     base = cset.base
     if isinstance(base, Box):
@@ -974,24 +1009,37 @@ def sample_feasible(
         allowed = max(worst_violation(cset, anchor), 0.0)
         if allowed > 1e-9:
             anchor = None  # an infeasible anchor cannot guide the pull-back
-    geometry = base.exponent / (base.exponent - 1.0) if isinstance(base, PBall) else 2.0
-    out = np.empty((count, dim))
+    if isinstance(base, Box):
+        out = rng.uniform(base.lower, base.upper, size=(count, dim))
+    elif isinstance(base, PBall):
+        out = _draw_ball(base, rng, count, dim)
+    else:
+        out = scale * rng.standard_normal((count, dim))
+    if not cset.cuts:
+        return out
+    bad = np.flatnonzero(_row_violations(cset, out) > 0.0)
+    if anchor is not None:
+        out[bad] = _pull_feasible_rows(cset, anchor, out[bad], allowed)
+    else:
+        geometry = base.exponent / (base.exponent - 1.0) if isinstance(base, PBall) else 2.0
+        for i in bad:
+            out[i] = project_intersection(cset, out[i], tol=1e-9, exponent=geometry)[0]
+    return out
+
+
+def _draw_ball(base: PBall, rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """`count` points of the ball: a normal direction scaled to the sphere,
+    then by uniform()^(1/dim); the zero direction gives the origin and draws
+    no radius."""
+    directions = np.empty((count, dim))
+    radii = np.zeros(count)
     for i in range(count):
-        if isinstance(base, Box):
-            cand = rng.uniform(base.lower, base.upper)
-        elif isinstance(base, PBall):
-            direction = rng.standard_normal(dim)
-            nrm = pnorm(direction, base.exponent)
-            if nrm == 0.0:
-                cand = np.zeros(dim)
-            else:
-                cand = direction / nrm * base.radius * rng.uniform() ** (1.0 / dim)
-        else:
-            cand = scale * rng.standard_normal(dim)
-        if cset.cuts and worst_violation(cset, cand) > 0.0:
-            if anchor is not None:
-                cand = _pull_feasible(cset, anchor, cand, allowed)
-            else:
-                cand = project_intersection(cset, cand, tol=1e-9, exponent=geometry)[0]
-        out[i] = cand
+        direction = directions[i] = rng.standard_normal(dim)
+        # pnorm vanishes on the zero vector only; random() draws what
+        # uniform() draws, 0 + 1 * the same double
+        if direction[0] != 0.0 or direction.any():
+            radii[i] = rng.random() ** (1.0 / dim)
+    norms = pnorm_rows(directions, base.exponent)
+    out = directions / np.where(norms == 0.0, 1.0, norms)[:, None] * base.radius * radii[:, None]
+    out[norms == 0.0] = 0.0
     return out

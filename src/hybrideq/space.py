@@ -128,6 +128,36 @@ def pnorm(v: np.ndarray, exponent: float) -> float:
     return float(np.ldexp(pnorm(np.ldexp(v, -shift), exponent), shift))
 
 
+def row_dots(rows: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """np.dot(v, w) for each row v of a 2-D array, w = v or the vector
+    `other`, bit for bit.
+
+    A stacked matmul of (1, d) by (d, 1) blocks takes the same BLAS dot as
+    the one-row call; rows @ rows.T and einsum sum in other orders.
+    """
+    right = rows[:, :, None] if other is None else np.asarray(other, dtype=float)[:, None]
+    return np.matmul(rows[:, None, :], right)[:, 0, 0]
+
+
+def pnorm_rows(rows: np.ndarray, exponent: float) -> np.ndarray:
+    """pnorm of each row of a 2-D array, bit for bit.
+
+    The 2-norm's dot products are `row_dots`; other exponents sum the powers
+    along axis 1, the one-row sum's order, and take each root as a scalar
+    power, since numpy's vectorized power rounds differently.  Rows outside
+    the safe band go through pnorm one at a time.
+    """
+    if exponent == 2.0:
+        norms = np.sqrt(row_dots(rows))
+    else:
+        inv = 1.0 / exponent
+        sums = np.sum(np.abs(rows) ** exponent, axis=1)
+        norms = np.array([s**inv for s in sums.tolist()], dtype=float)
+    for i in np.flatnonzero(~((norms >= _SAFE_MIN) & (norms <= _SAFE_MAX))):
+        norms[i] = pnorm(rows[i], exponent)
+    return norms
+
+
 def pairing(primal: np.ndarray, dual: np.ndarray) -> float:
     """Canonical duality pairing <x, w> (the dot product in coordinates)."""
     return float(np.dot(primal, dual))

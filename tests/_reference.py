@@ -2,9 +2,21 @@
 
 import numpy as np
 
-from hybrideq import ConstraintSet, NonConvergedError, project_primitive
-from hybrideq.equilibrium import _project_rows
-from hybrideq.sets import _PARALLEL_CHORD, Box, worst_violation
+from hybrideq import ConstraintSet, NonConvergedError, PrimalPoint, project_primitive, resolvent_lhs
+from hybrideq.equilibrium import (
+    InverseDualityPairing,
+    PotentialBifunction,
+    _composite_prox,
+    _project_rows,
+)
+from hybrideq.sets import (
+    _PARALLEL_CHORD,
+    Box,
+    PBall,
+    project_intersection,
+    worst_violation,
+)
+from hybrideq.space import pnorm
 
 
 def dykstra(cset, v, tol=1e-11, max_iter=2000):
@@ -113,3 +125,104 @@ def linear_rows_restacked(cset, dim):
     a, b = np.stack(rows), np.array(offs)
     norms = np.linalg.norm(a, axis=1)
     return a / norms[:, None], b / norms
+
+
+def pull_feasible_one(cset, anchor, cand, allowed):
+    """The audit pull-back one candidate at a time, as `sets.sample_feasible`
+    ran it before it batched its candidates: the ratio test over the cuts
+    that cand - anchor moves toward, then a back-off by eps, 2 eps, 4 eps,
+    ... until the point passes worst_violation."""
+    step = cand - anchor
+    rates = cset._cut_normals @ step
+    room = cset._cut_offsets + allowed - cset._cut_normals @ anchor
+    toward = rates > 0.0
+    t = float(np.min(room[toward] / rates[toward], initial=1.0))
+    t = min(max(t, 0.0), 1.0)
+    back = np.finfo(float).eps
+    while t > 0.0:
+        point = anchor + t * step
+        if worst_violation(cset, point) <= allowed:
+            return point
+        t -= back
+        back *= 2.0
+    return np.array(anchor)
+
+
+def sample_feasible_one(cset, rng, count, scale=1.0, dimension=None, anchor=None):
+    """`sets.sample_feasible` one candidate at a time: draw it, test it with
+    worst_violation, and pull it back toward the anchor or project it."""
+    base = cset.base
+    if isinstance(base, Box):
+        dim = base.lower.shape[0]
+    else:
+        dim = dimension
+        if dim is None:
+            raise ValueError("dimension required to sample this base set")
+    if anchor is not None:
+        allowed = max(worst_violation(cset, anchor), 0.0)
+        if allowed > 1e-9:
+            anchor = None
+    geometry = base.exponent / (base.exponent - 1.0) if isinstance(base, PBall) else 2.0
+    out = np.empty((count, dim))
+    for i in range(count):
+        if isinstance(base, Box):
+            cand = rng.uniform(base.lower, base.upper)
+        elif isinstance(base, PBall):
+            direction = rng.standard_normal(dim)
+            nrm = pnorm(direction, base.exponent)
+            if nrm == 0.0:
+                cand = np.zeros(dim)
+            else:
+                cand = direction / nrm * base.radius * rng.uniform() ** (1.0 / dim)
+        else:
+            cand = scale * rng.standard_normal(dim)
+        if cset.cuts and worst_violation(cset, cand) > 0.0:
+            if anchor is not None:
+                cand = pull_feasible_one(cset, anchor, cand, allowed)
+            else:
+                cand = project_intersection(cset, cand, tol=1e-9, exponent=geometry)[0]
+        out[i] = cand
+    return out
+
+
+def gap_hilbert_one(prob, uc, starts, max_iter=400):
+    """`equilibrium._gap_hilbert` one start at a time: proximal gradient from
+    each start until a step moves it by at most 1e-11 or max_iter steps,
+    then lhs(u, y) through PrimalPoints.  Returns the best (y, value), the
+    first start winning ties, and the number of capped starts."""
+    lin = (1.0 / prob.r) * (uc - prob.input_point.coords)
+    lin = lin + prob.perturbation.apply(uc)
+    grads = []
+    lipschitz = 0.0
+    for f in prob.bifunctions:
+        if isinstance(f, PotentialBifunction):
+            grads.append(f.psi.gradient)
+            lipschitz += f.psi.lipschitz
+        elif isinstance(f.g, InverseDualityPairing):
+            lin = lin + uc
+        else:
+            lin = lin + f.g.apply(uc)
+
+    def smooth_grad(y):
+        total = np.array(lin)
+        for g in grads:
+            total = total + g(y)
+        return total
+
+    step = 1.0 / max(lipschitz, 1.0)
+    best_y, best_v, capped = None, np.inf, 0
+    u_pt = PrimalPoint(uc, prob.space)
+    for y0 in starts:
+        y = project_primitive(y0, prob.feasible.base)
+        for _ in range(max_iter):
+            y_new = _composite_prox(prob.mixed, prob.feasible, y - step * smooth_grad(y), step)
+            moved = float(np.linalg.norm(y_new - y))
+            y = y_new
+            if moved <= 1e-11:
+                break
+        else:
+            capped += 1
+        val = resolvent_lhs(prob, u_pt, PrimalPoint(y, prob.space))
+        if val < best_v:
+            best_y, best_v = y, val
+    return best_y, best_v, capped

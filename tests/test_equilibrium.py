@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from _reference import pgd_sequential
+from _reference import gap_hilbert_one, pgd_sequential
 from hypothesis import strategies as st
 
 from hybrideq import (
@@ -33,6 +33,7 @@ from hybrideq import (
     WholeSpace,
     ZeroPerturbation,
     ZeroTerm,
+    project_primitive,
     resolvent_gap,
     resolvent_lhs,
     solve_resolvent_certified,
@@ -46,6 +47,7 @@ from hybrideq.equilibrium import (
     WeightedL1Term,
     _banach_inner_objective,
     _composite_prox,
+    _gap_hilbert,
     _gap_starts,
     _pgd_minimize,
     _pgd_search,
@@ -361,6 +363,104 @@ class TestGapSearch:
         ball = ConstraintSet(PBall(1.0, 2.0), (), Frame.PRIMAL)
         with pytest.raises(NonConvergedError, match="projection failed"):
             _pgd_minimize(evaluate, gradient, ball, [np.zeros(2)], max_iter=300)
+
+
+class TestHilbertGapBatch:
+    """The batched Hilbert gap search against its one-start-at-a-time loop
+    (tests/_reference.py), over every branch of the composite prox."""
+
+    OMEGAS = {
+        "ball2": lambda d: PBall(1.0, 2.0),
+        "ball3": lambda d: PBall(1.0, 3.0),
+        "box": lambda d: Box(-np.ones(d), np.ones(d)),
+        "whole": lambda d: WholeSpace(),
+    }
+    # (mixed term, Omega): the zero term projects rows, a separable term on a
+    # box or the whole space acts coordinatewise, and the dual-norm term
+    # alternates with the box projection row by row
+    CASES = [
+        ("zero", "ball2"),
+        ("zero", "ball3"),
+        ("zero", "box"),
+        ("zero", "whole"),
+        ("l1", "box"),
+        ("quadratic", "box"),
+        ("l1", "whole"),
+        ("dual_norm", "box"),
+        ("dual_norm", "whole"),
+    ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st.sampled_from(CASES),
+        d=st.integers(1, 6),
+        potential=st.booleans(),
+        pairing=st.sampled_from(["none", "inverse_duality", "affine"]),
+        perturbation=st.sampled_from(["zero", "affine", "duality"]),
+        max_iter=st.sampled_from([3, 400]),
+        r=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_matches_the_start_loop(
+        self, case, d, potential, pairing, perturbation, max_iter, r, seed
+    ):
+        rng = np.random.default_rng(seed)
+        space = SpaceConfig(d, 2.0)
+        psd = rng.standard_normal((d, d))
+        psd = psd @ psd.T
+        bifunctions = []
+        if potential:
+            bifunctions.append(PotentialBifunction(QuadraticPotential(rng.standard_normal(d), 1.5)))
+        if pairing == "inverse_duality":
+            bifunctions.append(PairingBifunction(InverseDualityPairing(space)))
+        elif pairing == "affine":
+            bifunctions.append(PairingBifunction(AffinePairing(psd, rng.standard_normal(d))))
+        mixed = {
+            "zero": ZeroTerm(),
+            "l1": WeightedL1Term(0.3),
+            "quadratic": QuadraticTerm(rng.standard_normal(d)),
+            "dual_norm": DualNormTerm(2.0),
+        }[case[0]]
+        pert = {
+            "zero": ZeroPerturbation(),
+            "affine": AffinePerturbation(psd, rng.standard_normal(d)),
+            "duality": DualityPerturbation(space),
+        }[perturbation]
+        omega = ConstraintSet(self.OMEGAS[case[1]](d), (), Frame.PRIMAL)
+        prob = ResolventProblem(
+            tuple(bifunctions), mixed, pert, omega, r, PrimalPoint(2.0 * rng.standard_normal(d), space)
+        )
+        uc = project_primitive(1.5 * rng.standard_normal(d), omega.base)
+        starts = _gap_starts(prob, uc, 16, rng)
+        y, value, capped = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
+        y_ref, value_ref, capped_ref = gap_hilbert_one(prob, uc, starts, max_iter=max_iter)
+        assert value == value_ref and y.tobytes() == y_ref.tobytes()
+        assert capped == capped_ref
+
+    def test_capped_starts_are_counted_as_the_loop_counts(self):
+        # the optimization application's resolvent with a flatter potential,
+        # so that proximal gradient contracts by 0.8 per step: at 105 steps
+        # some starts have settled and the others are counted
+        space = SpaceConfig(3, 2.0)
+        omega = ConstraintSet(Box(-5.0 * np.ones(3), 5.0 * np.ones(3)), (), Frame.PRIMAL)
+        prob = ResolventProblem(
+            (PotentialBifunction(QuadraticPotential([1.0, -2.0, 0.5], 0.2)),),
+            WeightedL1Term(0.3),
+            ZeroPerturbation(),
+            omega,
+            10.0,
+            PrimalPoint([0.7, -1.7, 0.2], space),
+        )
+        uc = np.array([0.7, -1.7, 0.2])
+        starts = _gap_starts(prob, uc, 16, np.random.default_rng(5))
+        for max_iter in (0, 105, 400):
+            y, value, capped = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
+            y_ref, value_ref, capped_ref = gap_hilbert_one(prob, uc, starts, max_iter=max_iter)
+            assert value == value_ref and y.tobytes() == y_ref.tobytes()
+            assert capped == capped_ref
+            assert capped == {0: 18, 105: capped_ref, 400: 0}[max_iter]
+            if max_iter == 105:
+                assert 0 < capped < 18
 
 
 class TestResolventContractionInvariants:

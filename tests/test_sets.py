@@ -12,7 +12,7 @@ reference for the ratio-test pull-back.
 
 import numpy as np
 import pytest
-from _reference import add_cut_loop, dykstra, linear_rows_restacked
+from _reference import add_cut_loop, dykstra, linear_rows_restacked, sample_feasible_one
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +37,7 @@ from hybrideq.sets import (
     _least_distance,
     _linear_rows,
     _nnls,
-    _pull_feasible,
+    _pull_feasible_rows,
     _shrink_coords,
     project_intersection,
     worst_violation,
@@ -394,11 +394,17 @@ class TestPullFeasible:
             for shrink in (0.0, 0.5, 1.0):  # interior anchors and a boundary one
                 anchor = shrink * boundary
                 allowed = max(worst_violation(cset, anchor), 0.0)
-                for cand in sample_feasible(ConstraintSet(cset.base), rng, 10, dimension=d):
-                    if worst_violation(cset, cand) <= 0.0:
-                        continue
+                cands = [
+                    cand
+                    for cand in sample_feasible(ConstraintSet(cset.base), rng, 10, dimension=d)
+                    if worst_violation(cset, cand) > 0.0
+                ]
+                # the rows of one mixed batch are pulled back as one at a time
+                batch = _pull_feasible_rows(cset, anchor, np.array(cands).reshape(-1, d), allowed)
+                for cand, row in zip(cands, batch):
                     step = cand - anchor
-                    point = _pull_feasible(cset, anchor, cand, allowed)
+                    point = _pull_feasible_rows(cset, anchor, cand[None, :], allowed)[0]
+                    assert row.tobytes() == point.tobytes()
                     assert worst_violation(cset, point) <= allowed
                     t = float(np.dot(point - anchor, step) / np.dot(step, step))
                     ref = _bisect_pull(cset, anchor, cand)
@@ -420,9 +426,16 @@ class TestPullFeasible:
         cand = np.array([1e-13, 1.0])
         allowed = worst_violation(cset, anchor)
         np.testing.assert_array_equal(_bisect_pull(cset, anchor, cand), anchor)
-        point = _pull_feasible(cset, anchor, cand, allowed)
+        point = _pull_feasible_rows(cset, anchor, cand[None, :], allowed)[0]
         assert worst_violation(cset, point) <= allowed
         np.testing.assert_allclose(point, [1e-13, 0.5], atol=1e-12)
+        # in a mixed batch beside a row cut off at once and a row the cut
+        # face stops, the row comes out the same
+        mixed = np.array([[1.0, 0.2], cand, [1e-13, 0.3], [0.5, 1.5]])
+        batch = _pull_feasible_rows(cset, anchor, mixed, allowed)
+        assert batch[1].tobytes() == point.tobytes()
+        for row in batch:
+            assert worst_violation(cset, row) <= allowed
 
 
 class TestAddCut:
@@ -563,3 +576,66 @@ class TestSampleFeasible:
         pts = sample_feasible(cset, rng, 200, dimension=2, anchor=anchor)
         for row in pts:
             assert worst_violation(cset, row) <= 1e-7
+
+
+def _sampler_case(data, rng, base_kind, d, magnitude):
+    """A base ∩ cuts set at the given magnitude whose origin is interior."""
+    base = {
+        "box": lambda: Box(-magnitude * np.ones(d), magnitude * np.ones(d)),
+        "whole": lambda: WholeSpace(),
+        "ball2": lambda: PBall(magnitude, 2.0),
+        "ball1.5": lambda: PBall(magnitude, 1.5),
+        "ball3": lambda: PBall(magnitude, 3.0),
+        "ball10": lambda: PBall(magnitude, 10.0),
+    }[base_kind]()
+    normals = rng.standard_normal((data.draw(st.integers(1, 3)), d))
+    levels = magnitude * rng.uniform(0.05, 0.6, normals.shape[0])
+    cuts = tuple(Halfspace(n, lv * np.linalg.norm(n)) for n, lv in zip(normals, levels))
+    return ConstraintSet(base, cuts)
+
+
+class TestBatchedSampler:
+    # the batch against the one-at-a-time sampler of tests/_reference.py:
+    # the same points bit for bit and the same random stream consumed, on
+    # every base kind, with a feasible anchor (the pull-back), an anchor
+    # infeasible by more than 1e-9 and none (the projection fallback), at
+    # magnitudes whose norms leave pnorm's safe band
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        base_kind=st.sampled_from(["box", "whole", "ball2", "ball1.5", "ball3", "ball10"]),
+        d=st.sampled_from([2, 8, 128]),
+        count=st.sampled_from([0, 1, 24]),
+        anchor_kind=st.sampled_from(["feasible", "infeasible", "none"]),
+        magnitude=st.sampled_from([1e-100, 1.0, 1e100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_returns_the_one_at_a_time_points(
+        self, data, base_kind, d, count, anchor_kind, magnitude, seed
+    ):
+        rng = np.random.default_rng(seed)
+        cset = _sampler_case(data, rng, base_kind, d, magnitude)
+        anchor = None
+        if anchor_kind == "feasible":
+            anchor = 0.01 * magnitude * rng.uniform(-1.0, 1.0, d) / np.sqrt(d)
+            assert worst_violation(cset, anchor) <= 0.0
+        elif anchor_kind == "infeasible":
+            row, level = cset._cut_rows[0], cset._cut_levels[0]
+            anchor = row * (level + max(magnitude, 1.0))
+            assert worst_violation(cset, anchor) > 1e-9
+        results = []
+        for sampler in (sample_feasible, sample_feasible_one):
+            draws = np.random.default_rng(seed + 1)
+            try:
+                points = sampler(cset, draws, count, magnitude, d, anchor)
+            except (InfeasibleError, NonConvergedError) as exc:
+                points = type(exc)
+            results.append((points, draws.bit_generator.state))
+        (batch, batch_state), (one, one_state) = results
+        if isinstance(one, type):
+            # the same refusal; the batch has drawn every candidate by then,
+            # and a caller drops the generator of a failed draw
+            assert batch is one
+        else:
+            assert batch.shape == (count, d) and batch.tobytes() == one.tobytes()
+            assert batch_state == one_state
