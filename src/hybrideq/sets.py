@@ -1040,6 +1040,9 @@ def _draw_ball(base: PBall, rng: np.random.Generator, count: int, dim: int) -> n
         if direction[0] != 0.0 or direction.any():
             radii[i] = rng.random() ** (1.0 / dim)
     norms = pnorm_rows(directions, base.exponent)
-    out = directions / np.where(norms == 0.0, 1.0, norms)[:, None] * base.radius * radii[:, None]
-    out[norms == 0.0] = 0.0
+    if norms.all():
+        return directions / norms[:, None] * base.radius * radii[:, None]
+    zero = norms == 0.0
+    out = directions / np.where(zero, 1.0, norms)[:, None] * base.radius * radii[:, None]
+    out[zero] = 0.0
     return out

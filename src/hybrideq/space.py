@@ -153,8 +153,9 @@ def pnorm_rows(rows: np.ndarray, exponent: float) -> np.ndarray:
         inv = 1.0 / exponent
         sums = np.sum(np.abs(rows) ** exponent, axis=1)
         norms = np.array([s**inv for s in sums.tolist()], dtype=float)
-    for i in np.flatnonzero(~((norms >= _SAFE_MIN) & (norms <= _SAFE_MAX))):
-        norms[i] = pnorm(rows[i], exponent)
+    if not (norms.min(initial=_SAFE_MIN) >= _SAFE_MIN and norms.max(initial=0.0) <= _SAFE_MAX):
+        for i in np.flatnonzero(~((norms >= _SAFE_MIN) & (norms <= _SAFE_MAX))):
+            norms[i] = pnorm(rows[i], exponent)
     return norms
 
 
