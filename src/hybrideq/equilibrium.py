@@ -23,9 +23,10 @@ Support matrix
   (1/r)(u - x) term has modulus 1/r, making the forward map a contraction).
 * Banach mode, the shift-example class: pairings with g = J*, dual-norm
   mixed term, duality perturbation: closed form, T_r(x) = 0 when
-  |x|_p <= r (certified exactly by Hölder's inequality) and otherwise the
-  stationary point s x / |x|_p.  resolvent_gap cross-checks the candidate
-  once; a candidate outside Omega or a gap above tolerance raises.
+  |x|_p <= r (certified exactly by Hölder's inequality, cross-checked by
+  evaluating the left side at the sampled starts) and otherwise the
+  stationary point s x / |x|_p (cross-checked by a sampled gap search);
+  a candidate outside Omega or a gap above tolerance raises.
 
 Everything else raises UnsupportedCombinationError.
 """
@@ -141,8 +142,6 @@ class PairingBifunction:
     def evaluate(self, w: np.ndarray, v: np.ndarray) -> float:
         return float(np.dot(self.g.apply(w), v - w))
 
-
-Bifunction = Union[PotentialBifunction, PairingBifunction]
 
 
 # -- mixed terms phi -----------------------------------------------------------
@@ -760,6 +759,18 @@ def _gap_banach(prob, uc, starts, max_iter=200):
     return y, val, capped
 
 
+def _gap_holder(prob, uc, starts):
+    """min over the starts of lhs(0, y), by evaluation alone.
+
+    A row the batched evaluation overflows on (far from unit scale) is
+    evaluated again by the scale-safe resolvent_lhs.
+    """
+    values = _banach_inner_objective(prob, uc)[0](np.array(starts, dtype=float))[0]
+    for i in np.nonzero(~np.isfinite(values))[0]:
+        values[i] = resolvent_lhs(prob, PrimalPoint(uc, prob.space), PrimalPoint(starts[i], prob.space))
+    return float(np.min(values))
+
+
 def resolvent_gap(
     prob: ResolventProblem,
     u: PrimalPoint,
@@ -770,12 +781,15 @@ def resolvent_gap(
     """(max(0, -min_y lhs(u, y)), capped starts): a zero gap (within
     tolerance) certifies u = T_r(input).
 
-    The inner minimization runs projected gradient (proximal gradient in
-    Hilbert mode) from `samples` random feasible multi-starts plus y = u
-    and y = 0, so the value is a sampled estimate: it can miss a negative
-    minimum but never reports a false one.  The Banach solver pairs it
-    with Hölder's exact bound at u = 0.  In either mode the starts run as
-    one batch of the rows still searching, yet return what each start's
+    The minimum is taken over `samples` random feasible multi-starts plus
+    y = u and y = 0, so the value is a sampled estimate: it can miss a
+    negative minimum but never reports a false one.  In Banach mode at
+    u = 0 with |x|_p <= r, Hölder's inequality already bounds lhs(0, .)
+    below by 0, so the starts are only evaluated, in one batched call, as
+    an independent cross-check of that bound; no start is capped.
+    Otherwise the inner minimization runs projected gradient (proximal
+    gradient in Hilbert mode) from every start.  The starts run as one
+    batch of the rows still searching, yet return what each start's
     search returns alone: in Banach mode _pgd_minimize also tests six
     halvings per line-search call, and in Hilbert mode _gap_hilbert steps
     all rows at once.
@@ -791,6 +805,8 @@ def resolvent_gap(
     starts = _gap_starts(prob, uc, samples, rng)
     if kind == "hilbert":
         _, best, capped = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
+    elif not uc.any() and pnorm(prob.input_point.coords, prob.space.exponent) <= prob.r:
+        best, capped = _gap_holder(prob, uc, starts), 0
     else:
         _, best, capped = _gap_banach(prob, uc, starts, max_iter=max_iter)
     return max(0.0, -best), capped
@@ -804,10 +820,13 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
     and otherwise u = s x / |x|_p with s = (|x|_p / r - 1) / (k + 1 + 1/r).
     Either candidate must lie in Omega.  At u = 0 Hölder's inequality
     bounds the gap exactly: lhs(0, y) = |y|_p - <x, Jy>/r
-    >= |y|_p (1 - |x|_p / r) >= 0.  The sampled resolvent_gap runs once as
-    the independent cross-check; the larger of the two is the certified
-    gap, and NonConvergedError is raised when it exceeds tol.  Returns
-    (u, gap, the number of gap-search starts capped still moving).
+    >= |y|_p (1 - |x|_p / r) >= 0, and resolvent_gap cross-checks it by
+    evaluating lhs(0, .) at its sampled starts, without a descent.  The
+    nonzero candidate has no exact bound, so resolvent_gap searches its
+    starts by projected gradient.  The larger of the exact bound and the
+    sampled gap is the certified gap, and NonConvergedError is raised when
+    it exceeds tol.  Returns (u, gap, the number of gap-search starts
+    capped still moving, always 0 at u = 0).
     """
     xc = prob.input_point.coords
     nx = pnorm(xc, prob.space.exponent)
@@ -862,29 +881,3 @@ def solve_resolvent_certified(
         uc, gap, capped = _solve_banach(prob, tol, rng)
     return PrimalPoint(uc, prob.space), gap, capped
 
-
-# -- validation helpers -----------------------------------------------------------
-
-
-def bifunction_monotonicity_defect(
-    f: Bifunction, rng: np.random.Generator, samples: int, dimension: int, scale: float = 1.0
-) -> float:
-    """max of f(w, v) + f(v, w) over random dual pairs; <= 0 means monotone."""
-    worst = -np.inf
-    for _ in range(samples):
-        w = scale * rng.standard_normal(dimension)
-        v = scale * rng.standard_normal(dimension)
-        worst = max(worst, f.evaluate(w, v) + f.evaluate(v, w))
-    return worst
-
-
-def perturbation_monotonicity_defect(
-    pert: PerturbationMap, rng: np.random.Generator, samples: int, dimension: int, scale: float = 1.0
-) -> float:
-    """max of -<A(x) - A(y), x - y> over random primal pairs; <= 0 means monotone."""
-    worst = -np.inf
-    for _ in range(samples):
-        x = scale * rng.standard_normal(dimension)
-        y = scale * rng.standard_normal(dimension)
-        worst = max(worst, -float(np.dot(pert.apply(x) - pert.apply(y), x - y)))
-    return worst

@@ -189,7 +189,8 @@ def worst_violation(cset: ConstraintSet, v: np.ndarray) -> float:
     else:
         worst = -np.inf
     if cset.cuts:
-        worst = max(worst, float(np.max(cset._cut_normals @ v - cset._cut_offsets)))
+        # np.maximum, not max: a NaN cut violation must not lose to -inf
+        worst = float(np.maximum(worst, np.max(cset._cut_normals @ v - cset._cut_offsets)))
     return worst
 
 

@@ -226,3 +226,23 @@ def gap_hilbert_one(prob, uc, starts, max_iter=400):
         if val < best_v:
             best_y, best_v = y, val
     return best_y, best_v, capped
+
+
+def bifunction_monotonicity_defect(f, rng, samples, dimension, scale=1.0):
+    """max of f(w, v) + f(v, w) over random dual pairs; <= 0 means monotone."""
+    worst = -np.inf
+    for _ in range(samples):
+        w = scale * rng.standard_normal(dimension)
+        v = scale * rng.standard_normal(dimension)
+        worst = max(worst, f.evaluate(w, v) + f.evaluate(v, w))
+    return worst
+
+
+def perturbation_monotonicity_defect(pert, rng, samples, dimension, scale=1.0):
+    """max of -<A(x) - A(y), x - y> over random primal pairs; <= 0 means monotone."""
+    worst = -np.inf
+    for _ in range(samples):
+        x = scale * rng.standard_normal(dimension)
+        y = scale * rng.standard_normal(dimension)
+        worst = max(worst, -float(np.dot(pert.apply(x) - pert.apply(y), x - y)))
+    return worst

@@ -12,7 +12,12 @@ import time
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from _reference import gap_hilbert_one, pgd_sequential
+from _reference import (
+    bifunction_monotonicity_defect,
+    gap_hilbert_one,
+    perturbation_monotonicity_defect,
+    pgd_sequential,
+)
 from hypothesis import strategies as st
 
 from hybrideq import (
@@ -51,9 +56,7 @@ from hybrideq.equilibrium import (
     _gap_starts,
     _pgd_minimize,
     _pgd_search,
-    bifunction_monotonicity_defect,
     classify_problem,
-    perturbation_monotonicity_defect,
 )
 from hybrideq import equilibrium
 from hybrideq.harness import BUILTIN_SCENARIOS, load_scenario, run_scenario
@@ -248,6 +251,56 @@ class TestBanachClosedForm:
         }
         # u = 0 would give gap_xu == x_norm; the nonzero branch must have run
         assert any(row["gap_xu"] != row["x_norm"] for row in report.rows)
+
+
+class TestHolderBranchCheck:
+    """At u = 0 with |x|_p <= r the sampled check evaluates, never descends."""
+
+    @staticmethod
+    def _no_descent(*args, **kwargs):
+        raise AssertionError("the gap descent ran on the Hölder branch")
+
+    def test_certifies_without_the_descent(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_pgd_search", self._no_descent)
+        u, gap, capped = solve_resolvent_certified(_lp_problem(0.9 * _unit_direction(30)), tol=1e-6)
+        assert not u.coords.any() and gap == 0.0 and capped == 0
+
+    def test_shift_example_runs_without_the_descent(self, monkeypatch):
+        # every resolvent of the r = 1 run is on the Hölder branch
+        monkeypatch.setattr(equilibrium, "_pgd_search", self._no_descent)
+        report = run_scenario(load_scenario("lp_shift_example"))
+        assert report.outcome == "converged" and report.audits_passed
+        assert report.capped_starts == 0
+
+    def test_a_negative_evaluation_raises(self, monkeypatch):
+        real = equilibrium._banach_inner_objective
+
+        def dipping(prob, uc):
+            evaluate, gradient = real(prob, uc)
+
+            def evaluate_dipping(ys):
+                values, parts = evaluate(ys)
+                values[5] = -0.25  # one sampled start
+                return values, parts
+
+            return evaluate_dipping, gradient
+
+        monkeypatch.setattr(equilibrium, "_banach_inner_objective", dipping)
+        with pytest.raises(NonConvergedError, match="gap 0.25"):
+            solve_resolvent_certified(_lp_problem(0.9 * _unit_direction(31)), tol=1e-6)
+
+    def test_nonzero_branch_still_descends(self, monkeypatch):
+        real = equilibrium._pgd_search
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[3]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "_pgd_search", counting)
+        u, gap, _ = solve_resolvent_certified(_lp_problem(0.9 * _unit_direction(32), r=0.3), tol=1e-6)
+        assert u.coords.any() and gap <= 1e-6
+        assert calls == [18]
 
 
 class TestCompositeProx:

@@ -38,6 +38,7 @@ from hybrideq.sets import (
     _linear_rows,
     _nnls,
     _pull_feasible_rows,
+    _row_violations,
     _shrink_coords,
     project_intersection,
     worst_violation,
@@ -75,6 +76,21 @@ class TestContains:
         assert contains(box, np.array([0.5, 1.0]), 0.0)
         assert not contains(box, np.array([0.5, 1.1]), 1e-3)
         assert contains(ConstraintSet(WholeSpace()), np.array([1e9, -1e9]), 0.0)
+
+    def test_nan_point_with_a_cut_is_not_contained(self):
+        cset = ConstraintSet(WholeSpace(), (Halfspace([1.0, 0.0], 0.5),))
+        assert np.isnan(worst_violation(cset, np.array([np.nan, 0.0])))
+        assert not contains(cset, np.array([np.nan, 0.0]), 0.0)
+
+    @pytest.mark.parametrize("base", [WholeSpace(), Box([-1.0, -1.0], [1.0, 1.0]), PBall(1.0, 3.0)])
+    @pytest.mark.parametrize("cuts", [(), (Halfspace([1.0, 0.0], 0.5), Halfspace([0.0, -1.0], 0.2))])
+    def test_nan_rows_agree_with_the_batch(self, base, cuts):
+        cset = ConstraintSet(base, cuts)
+        rows = np.array([[np.nan, 0.0], [0.0, np.nan], [0.3, 0.1], [2.0, 0.0]])
+        batch = _row_violations(cset, rows)
+        for row, value in zip(rows, batch):
+            one = worst_violation(cset, row)
+            assert np.array_equal(one, value, equal_nan=True), (row, one, value)
 
 
 class TestProjectPrimitive:
