@@ -143,7 +143,6 @@ class PairingBifunction:
         return float(np.dot(self.g.apply(w), v - w))
 
 
-
 # -- mixed terms phi -----------------------------------------------------------
 
 

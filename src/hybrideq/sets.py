@@ -189,8 +189,9 @@ def worst_violation(cset: ConstraintSet, v: np.ndarray) -> float:
     else:
         worst = -np.inf
     if cset.cuts:
-        # np.maximum, not max: a NaN cut violation must not lose to -inf
-        worst = float(np.maximum(worst, np.max(cset._cut_normals @ v - cset._cut_offsets)))
+        cut = float(np.max(cset._cut_normals @ v - cset._cut_offsets))
+        if cut > worst or cut != cut:  # max(worst, cut) would drop a NaN cut
+            worst = cut
     return worst
 
 

@@ -289,6 +289,16 @@ class TestHolderBranchCheck:
         with pytest.raises(NonConvergedError, match="gap 0.25"):
             solve_resolvent_certified(_lp_problem(0.9 * _unit_direction(31)), tol=1e-6)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rows_the_batch_overflows_on_are_evaluated_safely(self):
+        # |y_i|^9 overflows on a 10-ball of radius 1e40; resolvent_lhs rescales
+        prob = _lp_problem(np.full(4, 0.1), d=4, p=10.0, radius=1e40)
+        uc = np.zeros(4)
+        starts = equilibrium._gap_starts(prob, uc, 16, np.random.default_rng(0))
+        zero = PrimalPoint(uc, prob.space)
+        lhs = [resolvent_lhs(prob, zero, PrimalPoint(y, prob.space)) for y in starts[2:]]
+        assert equilibrium._gap_holder(prob, uc, starts[2:]) == min(lhs) > 0.0
+
     def test_nonzero_branch_still_descends(self, monkeypatch):
         real = equilibrium._pgd_search
         calls = []
