@@ -294,7 +294,7 @@ class TestHolderBranchCheck:
         # |y_i|^9 overflows on a 10-ball of radius 1e40; resolvent_lhs rescales
         prob = _lp_problem(np.full(4, 0.1), d=4, p=10.0, radius=1e40)
         uc = np.zeros(4)
-        starts = equilibrium._gap_starts(prob, uc, 16, np.random.default_rng(0))
+        starts = _gap_starts(prob, uc, 16, np.random.default_rng(0))
         zero = PrimalPoint(uc, prob.space)
         lhs = [resolvent_lhs(prob, zero, PrimalPoint(y, prob.space)) for y in starts[2:]]
         assert equilibrium._gap_holder(prob, uc, starts[2:]) == min(lhs) > 0.0
