@@ -11,16 +11,20 @@ regularization r > 0 and an input point x, find u in Omega with
 The map x -> u is single valued; its fixed points are exactly the solutions
 of the underlying generalized mixed equilibrium problem.  No closed form
 exists in general, so solutions are certified a posteriori by the gap
-functional (resolvent_gap): the sampled, multi-start minimum of the left
-side over y.  Where an exact bound on the gap is known it is recorded
-beside the sampled one, and the larger of the two is the certified gap.
+functional (resolvent_gap): the minimum of the left side over y.  It is
+exact where a closed form exists and sampled from multiple starts
+otherwise; the left side at the sampled starts cross-checks an exact
+value, and the larger gap of the two is certified.
 
 Support matrix
 --------------
 * Hilbert mode (p = 2), potential bifunctions f(w, v) = psi(v) - psi(w)
   and/or affine dual pairings, any mixed-term kind, zero/affine/duality
   perturbations: strongly monotone forward-backward splitting (the
-  (1/r)(u - x) term has modulus 1/r, making the forward map a contraction).
+  (1/r)(u - x) term has modulus 1/r, making the forward map a contraction),
+  certified by the exact minimum of the left side over y: one composite
+  prox, or a closed-form support function when no potential is present
+  (a descent from u for the classes without one).
 * Banach mode, the shift-example class: pairings with g = J*, dual-norm
   mixed term, duality perturbation: closed form, T_r(x) = 0 when
   |x|_p <= r (certified exactly by Hölder's inequality, cross-checked by
@@ -40,7 +44,7 @@ import numpy as np
 
 from .errors import NonConvergedError, UnsupportedCombinationError
 from .sets import Box, ConstraintSet, PBall, WholeSpace, contains, project_primitive, sample_feasible
-from .space import PrimalPoint, SpaceConfig, gauge_coords, pnorm, pnorm_rows, row_dots
+from .space import PrimalPoint, SpaceConfig, gauge_coords, pnorm, row_dots
 
 # -- potentials ---------------------------------------------------------------
 
@@ -629,18 +633,6 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
     return ys, fy, live.size
 
 
-def _pgd_minimize(evaluate, gradient, cset, starts, max_iter=200, tol=1e-9):
-    """Best (y, value) of _pgd_search, ties broken by the lowest start index,
-    and the number of starts that reached max_iter still moving.
-
-    The batch evaluates live rows only and backtracks in blocks of steps;
-    each row's trajectory is the one its start follows alone.
-    """
-    ys, fy, capped = _pgd_search(evaluate, gradient, cset, starts, max_iter, tol)
-    best = int(np.argmin(fy))
-    return ys[best], float(fy[best]), capped
-
-
 def _gap_starts(prob: ResolventProblem, uc: np.ndarray, samples: int, rng) -> list:
     dim = prob.space.dimension
     starts = [uc, np.zeros(dim)]
@@ -650,78 +642,84 @@ def _gap_starts(prob: ResolventProblem, uc: np.ndarray, samples: int, rng) -> li
     return starts
 
 
-def _project_rows_exact(cset, ys):
-    """project_primitive of each row of ys onto the base set, bit for bit:
-    pnorm_rows gives each row the norm pnorm gives it, so the rows sent to
-    a ball's projection are those it moves."""
-    base = cset.base
-    outside = ~(pnorm_rows(ys, base.exponent) <= base.radius) if isinstance(base, PBall) else None
-    return _project_rows(cset, ys, outside)
+def _linear_minimum(mixed, base, lin: np.ndarray):
+    """min over y in the base set of <lin, y> + phi(y) in closed form, or None.
 
-
-def _prox_rows(mixed, cset: ConstraintSet, vs: np.ndarray, t: float) -> np.ndarray:
-    """_composite_prox of each row of vs, bit for bit.
-
-    A zero term projects the rows, and a separable term's prox and a box
-    clip act coordinatewise; any other term alternates row by row.
+    For a zero or weighted-l1 term (weight lam, 0 for the zero term) it is
+    the sum over coordinates of the least of the values at the interval
+    ends and at 0 on a box, -R |(|lin| - lam)+|_e* on an e-ball of radius
+    R (e* = e / (e - 1)), and 0 or -inf on the whole space; for the
+    dual-norm term on a 2-ball it is -R (|lin| - 1)+.  Any other pair has
+    none here.
     """
-    if isinstance(mixed, ZeroTerm):
-        return _project_rows_exact(cset, vs)
-    if mixed.separable and isinstance(cset.base, (Box, WholeSpace)):
-        return project_primitive(mixed.prox(vs, t), cset.base)
-    out = np.empty_like(vs)
-    for i, v in enumerate(vs):
-        out[i] = _composite_prox(mixed, cset, v, t)
-    return out
+    if isinstance(mixed, DualNormTerm):
+        if isinstance(base, PBall) and base.exponent == 2.0:
+            return -base.radius * max(float(np.linalg.norm(lin)) - 1.0, 0.0)
+        return None
+    if not isinstance(mixed, (ZeroTerm, WeightedL1Term)):
+        return None
+    lam = mixed.weight if isinstance(mixed, WeightedL1Term) else 0.0
+    excess = np.maximum(np.abs(lin) - lam, 0.0)
+    if isinstance(base, WholeSpace):
+        return -np.inf if excess.any() else 0.0
+    if isinstance(base, Box):
+        ends = (base.lower, base.upper, np.clip(0.0, base.lower, base.upper))
+        return float(np.sum(np.minimum.reduce([lin * y + lam * np.abs(y) for y in ends])))
+    return -base.radius * pnorm(excess, base.exponent / (base.exponent - 1.0))
 
 
-def _gap_hilbert(prob, uc, starts, max_iter=400):
-    """Convex inner minimization of lhs(u, .) by proximal gradient.
+def _gap_hilbert(prob, uc, starts, max_iter=300):
+    """min over Omega of lhs(u, .) in Hilbert mode, and the number of capped
+    starts (0 or 1).
 
-    Returns the best (y, value) over the starts, ties broken by the lowest
-    start index, and the number of starts that reached max_iter still
-    moving.  The starts run as one batch of live rows; a row leaves it once
-    a step moves it by at most 1e-11.  Every row operation is coordinatewise
-    or a row-wise reduction that matches its one-row form, so each row
-    follows the path its start follows alone, bit for bit.
+    lhs(u, y) = (W/2) |y - a|^2 + <lin, y> + phi(y) + const, W the sum of
+    the potential weights and a their weighted center.  For W > 0 the
+    minimizer is one composite prox of phi at a - lin / W with step 1 / W;
+    for W = 0 the minimum is _linear_minimum's closed form.  Any other
+    class runs proximal gradient from u alone until a step moves it by at
+    most 1e-11, for at most max_iter steps, and counts a capped run.  The
+    value returned is the least of that minimum and lhs(u, .) at the
+    starts, all evaluated in one batch: the starts cross-check the minimum.
     """
     lin = (1.0 / prob.r) * (uc - prob.input_point.coords)
     lin = lin + prob.perturbation.apply(uc)
-    grads = []
-    lipschitz = 0.0
+    weight, moment = 0.0, np.zeros_like(uc)
     for f in prob.bifunctions:
         if isinstance(f, PotentialBifunction):
-            grads.append(f.psi.gradient)
-            lipschitz += f.psi.lipschitz
+            weight += f.psi.weight
+            moment = moment + f.psi.weight * f.psi.center
         elif isinstance(f.g, InverseDualityPairing):
             lin = lin + uc
         else:
             lin = lin + f.g.apply(uc)
-
-    def smooth_grad(y):
-        total = np.array(lin)
-        for g in grads:
-            total = total + g(y)
-        return total
-
-    step = 1.0 / max(lipschitz, 1.0)
-    ys = _project_rows_exact(prob.feasible, np.array(starts, dtype=float))
-    live = np.arange(len(ys))  # rows still moving
-    for _ in range(max_iter):
-        if not live.size:
-            break
-        y = ys[live]
-        y_new = _prox_rows(prob.mixed, prob.feasible, y - step * smooth_grad(y), step)
-        moved = np.sqrt(row_dots(y_new - y))  # np.linalg.norm of each row
-        ys[live] = y_new
-        live = live[~(moved <= 1e-11)]
+    mixed, omega = prob.mixed, prob.feasible
+    rows = [np.array(starts, dtype=float)]
+    if isinstance(omega.base, Box):
+        # y = 0 may lie outside a box; a ball holds it, and the other starts
+        # are feasible (lhs(u, u) = 0 wherever u lies)
+        rows[0] = project_primitive(rows[0], omega.base)
+    least, capped = np.inf, 0
+    if weight > 0.0:
+        rows.append([_composite_prox(mixed, omega, (moment - lin) / weight, 1.0 / weight)])
+    elif (closed := _linear_minimum(mixed, omega.base, lin)) is not None:
+        # with W = 0, lhs(u, y) = <lin, y - u> + phi(y) - phi(u)
+        least = closed - (float(np.dot(lin, uc)) + mixed.value(uc))
+    else:
+        y = project_primitive(uc, omega.base)
+        for _ in range(max_iter):
+            y_new = _composite_prox(mixed, omega, y - lin, 1.0)
+            moved = float(np.linalg.norm(y_new - y))
+            y = y_new
+            if moved <= 1e-11:
+                break
+        else:
+            capped = 1
+        rows.append([y])
+    ys = np.vstack(rows)
     if not np.all(np.isfinite(ys)):
         raise ValueError("coordinates must be finite")  # as PrimalPoint refuses them
-    best, best_v = None, np.inf
-    for i, val in enumerate(_lhs_rows(prob, uc, ys).tolist()):
-        if val < best_v:
-            best, best_v = i, val
-    return (None if best is None else ys[best]), best_v, live.size
+    # fmin skips a NaN value, as a comparison with the best so far would
+    return min(least, float(np.fmin.reduce(_lhs_rows(prob, uc, ys)))), capped
 
 
 def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -730,7 +728,8 @@ def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndar
     J is the identity at p = 2.  The terms are summed in resolvent_lhs's
     order.  Quadratic potentials, the weighted-l1 term and the linear terms
     are formed for all rows at once from the same products, their dot
-    products being `row_dots`; any other term is evaluated row by row.
+    products being `row_dots`; a zero term adds nothing, and any other
+    term is evaluated row by row.
     """
     total = np.zeros(ys.shape[0])
     for f in prob.bifunctions:
@@ -741,7 +740,7 @@ def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndar
     mixed = prob.mixed
     if isinstance(mixed, WeightedL1Term):
         total += mixed.weight * np.sum(np.abs(ys), axis=1) - mixed.value(uc)
-    else:
+    elif not isinstance(mixed, ZeroTerm):
         total += np.array([mixed.value(y) for y in ys]) - mixed.value(uc)
     total += row_dots(ys - uc, prob.perturbation.apply(uc))
     pair = row_dots(ys - uc, uc - prob.input_point.coords)
@@ -750,24 +749,30 @@ def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndar
     return total
 
 
+def _safe_values(prob, uc, ys, values):
+    """values, each non-finite entry (a row the batched evaluation overflows
+    on, far from unit scale) evaluated again by the scale-safe resolvent_lhs."""
+    u = PrimalPoint(uc, prob.space)
+    for i in np.nonzero(~np.isfinite(values))[0]:
+        values[i] = resolvent_lhs(prob, u, PrimalPoint(ys[i], prob.space))
+    return values
+
+
 def _gap_banach(prob, uc, starts, max_iter=200):
+    """min of lhs(u, .) over the rows _pgd_search ends on from the starts,
+    ties broken by the lowest start index, and the number of starts capped
+    still moving."""
     evaluate, gradient = _banach_inner_objective(prob, uc)
-    y, _, capped = _pgd_minimize(evaluate, gradient, prob.feasible, starts, max_iter=max_iter)
+    ys, values, capped = _pgd_search(evaluate, gradient, prob.feasible, starts, max_iter, 1e-9)
+    y = ys[int(np.argmin(_safe_values(prob, uc, ys, values)))]
     # report the certified value through the generic evaluation
-    val = resolvent_lhs(prob, PrimalPoint(uc, prob.space), PrimalPoint(y, prob.space))
-    return y, val, capped
+    return resolvent_lhs(prob, PrimalPoint(uc, prob.space), PrimalPoint(y, prob.space)), capped
 
 
 def _gap_holder(prob, uc, starts):
-    """min over the starts of lhs(0, y), by evaluation alone.
-
-    A row the batched evaluation overflows on (far from unit scale) is
-    evaluated again by the scale-safe resolvent_lhs.
-    """
-    values = _banach_inner_objective(prob, uc)[0](np.array(starts, dtype=float))[0]
-    for i in np.nonzero(~np.isfinite(values))[0]:
-        values[i] = resolvent_lhs(prob, PrimalPoint(uc, prob.space), PrimalPoint(starts[i], prob.space))
-    return float(np.min(values))
+    """min over the starts of lhs(0, y), by evaluation alone."""
+    ys = np.array(starts, dtype=float)
+    return float(np.min(_safe_values(prob, uc, ys, _banach_inner_objective(prob, uc)[0](ys)[0])))
 
 
 def resolvent_gap(
@@ -780,22 +785,24 @@ def resolvent_gap(
     """(max(0, -min_y lhs(u, y)), capped starts): a zero gap (within
     tolerance) certifies u = T_r(input).
 
-    The minimum is taken over `samples` random feasible multi-starts plus
-    y = u and y = 0, so the value is a sampled estimate: it can miss a
-    negative minimum but never reports a false one.  In Banach mode at
-    u = 0 with |x|_p <= r, Hölder's inequality already bounds lhs(0, .)
-    below by 0, so the starts are only evaluated, in one batched call, as
-    an independent cross-check of that bound; no start is capped.
-    Otherwise the inner minimization runs projected gradient (proximal
-    gradient in Hilbert mode) from every start.  The starts run as one
-    batch of the rows still searching, yet return what each start's
-    search returns alone: in Banach mode _pgd_minimize also tests six
-    halvings per line-search call, and in Hilbert mode _gap_hilbert steps
-    all rows at once.
+    The starts are `samples` random feasible points plus y = u and y = 0.
+    In Hilbert mode lhs(u, .) is a convex quadratic plus phi, and its
+    minimum over Omega is exact where it has a closed form (one composite
+    prox, or a support function when no potential is present); the value
+    at the starts, evaluated in one batch, is the independent cross-check,
+    and the lower of the two is certified.  In Banach mode at u = 0 with
+    |x|_p <= r, Hölder's inequality already bounds lhs(0, .) below by 0,
+    so the starts are only evaluated, in one batched call, as a
+    cross-check of that bound.  Otherwise the Banach inner minimization
+    runs projected gradient from every start, as one batch of the rows
+    still searching that returns what each start's search returns alone,
+    so the value is a sampled estimate: it can miss a negative minimum but
+    never reports a false one.
 
-    A start that reaches max_iter still moving ends its search there, so
-    the value can then miss part of the descent; the second entry counts
-    such starts.
+    A descent that reaches max_iter still moving ends there, so the value
+    can then miss part of it; the second entry counts such starts.  Only
+    the Banach search from the starts and the Hilbert-mode descent from u
+    for a class without a closed form descend.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -803,11 +810,11 @@ def resolvent_gap(
     uc = u.coords
     starts = _gap_starts(prob, uc, samples, rng)
     if kind == "hilbert":
-        _, best, capped = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
+        best, capped = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
     elif not uc.any() and pnorm(prob.input_point.coords, prob.space.exponent) <= prob.r:
         best, capped = _gap_holder(prob, uc, starts), 0
     else:
-        _, best, capped = _gap_banach(prob, uc, starts, max_iter=max_iter)
+        best, capped = _gap_banach(prob, uc, starts, max_iter=max_iter)
     return max(0.0, -best), capped
 
 
@@ -857,8 +864,8 @@ def solve_resolvent_certified(
     """Solve for T_r(input) and certify; returns (PrimalPoint, certified gap,
     capped starts).
 
-    The third entry counts the gap-search starts, over every gap search of
-    the solve, that reached their iteration cap still moving.
+    The third entry counts the gap descents, over every gap check of the
+    solve, that reached their iteration cap still moving.
     """
     kind = classify_problem(prob)
     if rng is None:

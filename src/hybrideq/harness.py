@@ -549,8 +549,8 @@ class RunReport:
     rows: tuple
     error: Optional[str] = None
     failed_iteration: Optional[int] = None
-    # resolvent-gap search starts that reached their iteration cap still
-    # moving, over the whole run (up to the failure when the run failed)
+    # resolvent-gap descents that reached their iteration cap still moving,
+    # over the whole run (up to the failure when the run failed)
     capped_starts: int = 0
 
     def to_dict(self) -> dict:

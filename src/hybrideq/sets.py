@@ -994,11 +994,13 @@ def sample_feasible(
     for an e-ball base, the geometry whose q-ball it is, and Euclidean for
     every other base.
 
-    The candidates are handled as one batch of rows, which returns bit for
-    bit what drawing and testing them one at a time returns.  Box and
+    The candidates are drawn and tested as one batch of rows, which
+    returns bit for bit what testing them one at a time returns.  Box and
     whole-space candidates are drawn in one call, which consumes the
-    random stream as the one-row calls do; a ball candidate's direction
-    and radius draws interleave, so those are drawn row by row.
+    random stream as the one-row calls do.  Ball candidates take two
+    calls, every direction first and then every radius, so one candidate
+    draws its direction and then its radius, but more than one do not
+    interleave the two as one-row calls would.
     """
     base = cset.base
     if isinstance(base, Box):
@@ -1030,17 +1032,13 @@ def sample_feasible(
 
 
 def _draw_ball(base: PBall, rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """`count` points of the ball: a normal direction scaled to the sphere,
-    then by uniform()^(1/dim); the zero direction gives the origin and draws
-    no radius."""
-    directions = np.empty((count, dim))
-    radii = np.zeros(count)
-    for i in range(count):
-        direction = directions[i] = rng.standard_normal(dim)
-        # pnorm vanishes on the zero vector only; random() draws what
-        # uniform() draws, 0 + 1 * the same double
-        if direction[0] != 0.0 or direction.any():
-            radii[i] = rng.random() ** (1.0 / dim)
+    """`count` points of the ball: normal directions scaled to the sphere,
+    then by uniform()^(1/dim).  All directions are drawn first, then all
+    radii; a zero direction gives the origin and still consumes its radius."""
+    directions = rng.standard_normal((count, dim))
+    inv = 1.0 / dim
+    # scalar roots: numpy's vectorized power rounds differently
+    radii = np.array([r**inv for r in rng.random(count).tolist()], dtype=float)
     norms = pnorm_rows(directions, base.exponent)
     if norms.all():
         return directions / norms[:, None] * base.radius * radii[:, None]

@@ -114,9 +114,11 @@ class IterationRecord:
     x is the iterate entering iteration n; the retraction residual and
     feasibility violation refer to the iterate produced at the end of the
     iteration.  fejer slacks are None when no reference solution is
-    declared.  capped_starts counts the resolvent-gap search starts that
-    reached their iteration cap still moving: a nonzero count flags a gap
-    value that may miss part of the descent.
+    declared.  capped_starts counts the resolvent-gap descents that
+    reached their iteration cap still moving (Banach-mode search starts,
+    and the Hilbert-mode descent of a class without a closed-form
+    minimum): a nonzero count flags a gap value that may miss part of the
+    descent.
     """
 
     n: int

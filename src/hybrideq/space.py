@@ -200,7 +200,10 @@ def duality_jacobian(v: np.ndarray, exponent: float) -> np.ndarray:
 
     Symmetric positive semidefinite; undefined at v = 0 (the map is only
     positively homogeneous there), where the zero matrix is returned as a
-    usable surrogate for gradient-based inner solvers.
+    usable surrogate for gradient-based inner solvers.  J is positively
+    homogeneous of degree 1, so its Jacobian is of degree 0: outside
+    pnorm's safe band it is evaluated at v scaled exactly by a power of
+    two to unit norm, where its factors neither overflow nor underflow.
     """
     v = np.asarray(v, dtype=float)
     d = v.shape[0]
@@ -209,6 +212,8 @@ def duality_jacobian(v: np.ndarray, exponent: float) -> np.ndarray:
     nrm = pnorm(v, exponent)
     if nrm == 0.0:
         return np.zeros((d, d))
+    if not _SAFE_MIN <= nrm <= _SAFE_MAX and np.isfinite(nrm):
+        return duality_jacobian(np.ldexp(v, -int(np.frexp(nrm)[1])), exponent)
     s = np.abs(v) ** (exponent - 1.0) * np.sign(v)
     diag = (exponent - 1.0) * nrm ** (2.0 - exponent) * np.abs(v) ** (exponent - 2.0)
     jac = (2.0 - exponent) * nrm ** (2.0 - 2.0 * exponent) * np.outer(s, s)

@@ -150,7 +150,9 @@ def pull_feasible_one(cset, anchor, cand, allowed):
 
 def sample_feasible_one(cset, rng, count, scale=1.0, dimension=None, anchor=None):
     """`sets.sample_feasible` one candidate at a time: draw it, test it with
-    worst_violation, and pull it back toward the anchor or project it."""
+    worst_violation, and pull it back toward the anchor or project it.  A
+    ball base draws every direction, then every radius, before the first
+    candidate is tested."""
     base = cset.base
     if isinstance(base, Box):
         dim = base.lower.shape[0]
@@ -163,17 +165,20 @@ def sample_feasible_one(cset, rng, count, scale=1.0, dimension=None, anchor=None
         if allowed > 1e-9:
             anchor = None
     geometry = base.exponent / (base.exponent - 1.0) if isinstance(base, PBall) else 2.0
+    if isinstance(base, PBall):
+        # every direction first, then every radius
+        directions = rng.standard_normal((count, dim))
+        radii = rng.uniform(size=count)
     out = np.empty((count, dim))
     for i in range(count):
         if isinstance(base, Box):
             cand = rng.uniform(base.lower, base.upper)
         elif isinstance(base, PBall):
-            direction = rng.standard_normal(dim)
-            nrm = pnorm(direction, base.exponent)
+            nrm = pnorm(directions[i], base.exponent)
             if nrm == 0.0:
                 cand = np.zeros(dim)
             else:
-                cand = direction / nrm * base.radius * rng.uniform() ** (1.0 / dim)
+                cand = directions[i] / nrm * base.radius * float(radii[i]) ** (1.0 / dim)
         else:
             cand = scale * rng.standard_normal(dim)
         if cset.cuts and worst_violation(cset, cand) > 0.0:
@@ -185,11 +190,25 @@ def sample_feasible_one(cset, rng, count, scale=1.0, dimension=None, anchor=None
     return out
 
 
+def draw_ball_interleaved(base, rng, count, dim):
+    """Ball candidates as `sets.sample_feasible` drew them before it drew
+    them in two calls: per candidate a normal direction, then, unless the
+    direction is zero (the origin), the uniform radius draw."""
+    out = np.zeros((count, dim))
+    for i in range(count):
+        direction = rng.standard_normal(dim)
+        nrm = pnorm(direction, base.exponent)
+        if nrm != 0.0:
+            out[i] = direction / nrm * base.radius * rng.uniform() ** (1.0 / dim)
+    return out
+
+
 def gap_hilbert_one(prob, uc, starts, max_iter=400):
-    """`equilibrium._gap_hilbert` one start at a time: proximal gradient from
-    each start until a step moves it by at most 1e-11 or max_iter steps,
-    then lhs(u, y) through PrimalPoints.  Returns the best (y, value), the
-    first start winning ties, and the number of capped starts."""
+    """The multi-start search the Hilbert-mode gap ran before its exact
+    minimum: proximal gradient from each start until a step moves it by at
+    most 1e-11 or max_iter steps, then lhs(u, y) through PrimalPoints.
+    Returns the best (y, value), the first start winning ties, and the
+    number of capped starts."""
     lin = (1.0 / prob.r) * (uc - prob.input_point.coords)
     lin = lin + prob.perturbation.apply(uc)
     grads = []

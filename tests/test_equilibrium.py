@@ -52,9 +52,10 @@ from hybrideq.equilibrium import (
     WeightedL1Term,
     _banach_inner_objective,
     _composite_prox,
+    _gap_banach,
     _gap_hilbert,
     _gap_starts,
-    _pgd_minimize,
+    _linear_minimum,
     _pgd_search,
     classify_problem,
 )
@@ -235,6 +236,16 @@ class TestBanachClosedForm:
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"failure took {elapsed:.2f} s to report"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_gap_search_far_from_unit_scale_sees_the_dip(self):
+        # |y_i|^9 overflows the batched evaluation at most starts of a
+        # 10-ball of radius 1e40, so the search cannot move them; their
+        # values come from resolvent_lhs, which reaches about -8.6e77
+        x = np.array([1e39, -3e38, 2e38, 5e38])
+        prob = _lp_problem(x, r=1.0, d=4, p=10.0, radius=1e40)
+        with pytest.raises(NonConvergedError, match=r"gap \d.*e\+7\d"):
+            solve_resolvent_certified(prob, tol=1e-6)
+
     def test_candidate_outside_omega_raises(self):
         # s = (5 - 1) / (2 + 10) = 1/3 exceeds the radius 0.2
         prob = _lp_problem(0.5 * _unit_direction(21), r=0.1, radius=0.2)
@@ -385,9 +396,9 @@ class TestGapSearch:
             assert np.array_equal(ys[i], y_ref) and fy[i] == f_ref
             y_one, f_one, _ = _pgd_search(evaluate, gradient, prob.feasible, [start], 300, 1e-9)
             assert np.array_equal(y_one[0], ys[i]) and f_one[0] == fy[i]
-        best = int(np.argmin(fy))
-        y_best, f_best, _ = _pgd_minimize(evaluate, gradient, prob.feasible, starts, max_iter=300)
-        assert np.array_equal(y_best, ys[best]) and f_best == fy[best]
+        best = PrimalPoint(ys[int(np.argmin(fy))], space)
+        value, _ = _gap_banach(prob, uc, starts, max_iter=300)
+        assert value == resolvent_lhs(prob, PrimalPoint(uc, space), best)
 
     @staticmethod
     def _quadratic(center):
@@ -412,10 +423,10 @@ class TestGapSearch:
         evaluate, gradient = self._quadratic(np.zeros(2))
         ball = ConstraintSet(PBall(1.0, 2.0), (), Frame.PRIMAL)
         start = np.array([1.5, 0.0])
-        y, value, _ = _pgd_minimize(evaluate, gradient, ball, [start], max_iter=300)
-        assert np.array_equal(y, [0.0, 0.0]) and value == 0.0
+        ys, values, _ = _pgd_search(evaluate, gradient, ball, [start], 300, 1e-9)
+        assert np.array_equal(ys[0], [0.0, 0.0]) and values[0] == 0.0
         y_ref, value_ref = pgd_sequential(evaluate, gradient, ball, start)
-        assert np.array_equal(y, y_ref) and value == value_ref
+        assert np.array_equal(ys[0], y_ref) and values[0] == value_ref
 
     def test_projection_error_on_a_reached_step_raises(self, monkeypatch):
         def project(v, base):
@@ -425,12 +436,13 @@ class TestGapSearch:
         evaluate, gradient = self._quadratic(np.array([3.0, 0.0]))
         ball = ConstraintSet(PBall(1.0, 2.0), (), Frame.PRIMAL)
         with pytest.raises(NonConvergedError, match="projection failed"):
-            _pgd_minimize(evaluate, gradient, ball, [np.zeros(2)], max_iter=300)
+            _pgd_search(evaluate, gradient, ball, [np.zeros(2)], 300, 1e-9)
 
 
-class TestHilbertGapBatch:
-    """The batched Hilbert gap search against its one-start-at-a-time loop
-    (tests/_reference.py), over every branch of the composite prox."""
+class TestHilbertExactGap:
+    """The exact Hilbert-mode minimum of lhs(u, .) against the multi-start
+    proximal-gradient search it replaced (tests/_reference.py), over every
+    branch of the composite prox and of the closed forms."""
 
     OMEGAS = {
         "ball2": lambda d: PBall(1.0, 2.0),
@@ -438,34 +450,37 @@ class TestHilbertGapBatch:
         "box": lambda d: Box(-np.ones(d), np.ones(d)),
         "whole": lambda d: WholeSpace(),
     }
-    # (mixed term, Omega): the zero term projects rows, a separable term on a
-    # box or the whole space acts coordinatewise, and the dual-norm term
-    # alternates with the box projection row by row
+    # (mixed term, Omega): with a potential the minimizer is one composite
+    # prox (projection, coordinatewise prox or alternation); without one
+    # it is a support function, except for the quadratic term and the
+    # dual-norm term off the 2-ball, which descend from u
     CASES = [
         ("zero", "ball2"),
         ("zero", "ball3"),
         ("zero", "box"),
         ("zero", "whole"),
         ("l1", "box"),
+        ("l1", "ball2"),
+        ("l1", "ball3"),
         ("quadratic", "box"),
         ("l1", "whole"),
+        ("dual_norm", "ball2"),
         ("dual_norm", "box"),
         ("dual_norm", "whole"),
     ]
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         case=st.sampled_from(CASES),
         d=st.integers(1, 6),
         potential=st.booleans(),
         pairing=st.sampled_from(["none", "inverse_duality", "affine"]),
         perturbation=st.sampled_from(["zero", "affine", "duality"]),
-        max_iter=st.sampled_from([3, 400]),
         r=st.floats(0.1, 10.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_batch_matches_the_start_loop(
-        self, case, d, potential, pairing, perturbation, max_iter, r, seed
+    def test_exact_minimum_is_at_most_the_multistart_search(
+        self, case, d, potential, pairing, perturbation, r, seed
     ):
         rng = np.random.default_rng(seed)
         space = SpaceConfig(d, 2.0)
@@ -495,35 +510,48 @@ class TestHilbertGapBatch:
         )
         uc = project_primitive(1.5 * rng.standard_normal(d), omega.base)
         starts = _gap_starts(prob, uc, 16, rng)
-        y, value, capped = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
-        y_ref, value_ref, capped_ref = gap_hilbert_one(prob, uc, starts, max_iter=max_iter)
-        assert value == value_ref and y.tobytes() == y_ref.tobytes()
-        assert capped == capped_ref
+        value, capped = _gap_hilbert(prob, uc, starts, max_iter=400)
+        try:
+            _, ref, ref_capped = gap_hilbert_one(prob, uc, starts, max_iter=400)
+        except NonConvergedError:
+            # the reference alternates prox and projection at every step of
+            # every start; off the 2-ball it may not settle in 500 rounds
+            assume(False)
+        lin = (uc - prob.input_point.coords) / r + pert.apply(uc)
+        lin = lin + sum(f.g.apply(uc) for f in bifunctions if isinstance(f, PairingBifunction))
+        closed = potential or _linear_minimum(mixed, omega.base, lin) is not None
+        if closed:
+            assert capped == 0
+            assert value <= ref + 1e-12 * (1.0 + abs(ref))
+        if value > -np.inf and not (capped or ref_capped):
+            # both searches settled on the minimum of a convex problem
+            assert abs(value - ref) <= 1e-9 * (1.0 + abs(ref))
 
-    def test_capped_starts_are_counted_as_the_loop_counts(self):
-        # the optimization application's resolvent with a flatter potential,
-        # so that proximal gradient contracts by 0.8 per step: at 105 steps
-        # some starts have settled and the others are counted
+    def test_descent_without_a_closed_form_counts_its_cap(self):
+        # no potential and the dual-norm term on a box: lhs(u, y) - lhs(u, u)
+        # = <l, y> + |y| with l = (1.001, 0, 0) and u = 0, whose minimum over
+        # [-5, 5]^3 is -0.005 at (-5, 0, 0).  Proximal gradient from u moves
+        # by 0.001 per step, so it needs about 5000 steps
         space = SpaceConfig(3, 2.0)
         omega = ConstraintSet(Box(-5.0 * np.ones(3), 5.0 * np.ones(3)), (), Frame.PRIMAL)
         prob = ResolventProblem(
-            (PotentialBifunction(QuadraticPotential([1.0, -2.0, 0.5], 0.2)),),
-            WeightedL1Term(0.3),
-            ZeroPerturbation(),
-            omega,
-            10.0,
-            PrimalPoint([0.7, -1.7, 0.2], space),
+            (), DualNormTerm(2.0), ZeroPerturbation(), omega, 1.0, PrimalPoint([-1.001, 0.0, 0.0], space)
         )
-        uc = np.array([0.7, -1.7, 0.2])
-        starts = _gap_starts(prob, uc, 16, np.random.default_rng(5))
-        counts = []
-        for max_iter in (0, 105, 400):
-            y, value, capped = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
-            y_ref, value_ref, capped_ref = gap_hilbert_one(prob, uc, starts, max_iter=max_iter)
-            assert value == value_ref and y.tobytes() == y_ref.tobytes()
-            assert capped == capped_ref
-            counts.append(capped)
-        assert counts[0] == 18 and 0 < counts[1] < 18 and counts[2] == 0
+        uc = np.zeros(3)
+        starts = [uc, np.zeros(3)]
+        value, capped = _gap_hilbert(prob, uc, starts, max_iter=300)
+        assert capped == 1 and -0.005 < value < -1e-4
+        value, capped = _gap_hilbert(prob, uc, starts, max_iter=10_000)
+        assert capped == 0 and value == pytest.approx(-0.005, abs=1e-9)
+        assert resolvent_gap(prob, PrimalPoint(uc, space))[1] == 1
+
+    def test_the_starts_cross_check_the_exact_minimum(self, monkeypatch):
+        # a prox that answered a poor point is overruled by the sampled starts
+        prob = _projection_problem(np.array([2.0, 0.0]))
+        monkeypatch.setattr(equilibrium, "_linear_minimum", lambda *args: 0.0)
+        wrong = PrimalPoint([0.0, 0.0], HILBERT2)
+        gap, capped = resolvent_gap(prob, wrong)
+        assert 0.5 <= gap <= 2.0 and capped == 0
 
 
 class TestResolventContractionInvariants:

@@ -12,7 +12,13 @@ reference for the ratio-test pull-back.
 
 import numpy as np
 import pytest
-from _reference import add_cut_loop, dykstra, linear_rows_restacked, sample_feasible_one
+from _reference import (
+    add_cut_loop,
+    draw_ball_interleaved,
+    dykstra,
+    linear_rows_restacked,
+    sample_feasible_one,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +38,7 @@ from hybrideq import (
     sample_feasible,
 )
 from hybrideq.sets import (
+    _draw_ball,
     _kkt_residual,
     _ldp,
     _least_distance,
@@ -268,6 +275,17 @@ class TestProjectIntersection:
             project_intersection(cset, v)
         z, _ = project_intersection(cset, v, exponent=3.0)
         assert worst_violation(cset, z) <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_far_qball_with_a_cut_is_the_scaled_unit_answer(self):
+        # the multiplier Newton's Hessian is the duality Jacobian at the
+        # current point, of order 1e100 here; it is homogeneous of degree 0
+        unit = ConstraintSet(PBall(1.0, 1.5), (Halfspace([1.0, 0.0], 0.2),))
+        far = ConstraintSet(PBall(1e100, 1.5), (Halfspace([1.0, 0.0], 0.2e100),))
+        v = np.array([2.0, 0.5])
+        z_unit, _ = project_intersection(unit, v, tol=1e-9, exponent=3.0)
+        z_far, _ = project_intersection(far, 1e100 * v, tol=1e-9, exponent=3.0)
+        np.testing.assert_allclose(z_far, 1e100 * z_unit, rtol=1e-12, atol=0.0)
 
 
 def _random_cut_set(rng, kind):
@@ -594,6 +612,24 @@ class TestSampleFeasible:
             assert worst_violation(cset, row) <= 1e-7
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=20, deadline=None)
+    @given(
+        exponent=st.sampled_from([1.5, 3.0, 10.0]),
+        d=st.sampled_from([2, 8, 32]),
+        cuts=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_far_balls_without_an_anchor_give_feasible_points(self, exponent, d, cuts, seed):
+        # violating candidates are projected in the ball's own geometry,
+        # whose multiplier Newton works at the candidates' magnitude, 1e100
+        cset = _sampler_case(np.random.default_rng(seed), f"ball{exponent:g}", d, cuts, 1e100)
+        points = sample_feasible(cset, np.random.default_rng(seed + 1), 24, dimension=d)
+        assert np.all(np.isfinite(points))
+        for row in points:
+            assert worst_violation(cset, row) <= 1e-9 * 1e100
+
+
 def _sampler_case(rng, base_kind, d, cuts, magnitude):
     """A base ∩ cuts set at the given magnitude whose origin is interior."""
     base = {
@@ -655,3 +691,14 @@ class TestBatchedSampler:
         else:
             assert batch.shape == (count, d) and batch.tobytes() == one.tobytes()
             assert batch_state == one_state
+
+    @pytest.mark.parametrize("exponent", [1.5, 2.0, 3.0, 10.0])
+    @pytest.mark.parametrize("d", [1, 2, 8, 128])
+    def test_one_ball_draw_is_the_interleaved_draw(self, exponent, d):
+        # one candidate (a random-feasible start) draws what it drew before
+        # the ball candidates were drawn in two calls
+        ball = PBall(2.5, exponent)
+        new, old = np.random.default_rng(d), np.random.default_rng(d)
+        for _ in range(20):
+            assert _draw_ball(ball, new, 1, d).tobytes() == draw_ball_interleaved(ball, old, 1, d).tobytes()
+            assert new.bit_generator.state == old.bit_generator.state
