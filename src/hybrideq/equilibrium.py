@@ -643,15 +643,17 @@ def _gap_starts(prob: ResolventProblem, uc: np.ndarray, samples: int, rng) -> li
 
 
 def _linear_minimum(mixed, base, lin: np.ndarray):
-    """min over y in the base set of <lin, y> + phi(y) in closed form, or None.
+    """min over y in a box or ball of <lin, y> + phi(y) in closed form, or None.
 
     For a zero or weighted-l1 term (weight lam, 0 for the zero term) it is
     the sum over coordinates of the least of the values at the interval
-    ends and at 0 on a box, -R |(|lin| - lam)+|_e* on an e-ball of radius
-    R (e* = e / (e - 1)), and 0 or -inf on the whole space; for the
-    dual-norm term on a 2-ball it is -R (|lin| - 1)+.  Any other pair has
-    none here.
+    ends and at 0 on a box, and -R |(|lin| - lam)+|_e* on an e-ball of
+    radius R (e* = e / (e - 1)); for the dual-norm term on a 2-ball it is
+    -R (|lin| - 1)+.  Any other pair has none here.  On the whole space the
+    minimum is 0 or -inf, and at T_r(x) rounding in u decides which.
     """
+    if isinstance(base, WholeSpace):
+        return None
     if isinstance(mixed, DualNormTerm):
         if isinstance(base, PBall) and base.exponent == 2.0:
             return -base.radius * max(float(np.linalg.norm(lin)) - 1.0, 0.0)
@@ -659,12 +661,10 @@ def _linear_minimum(mixed, base, lin: np.ndarray):
     if not isinstance(mixed, (ZeroTerm, WeightedL1Term)):
         return None
     lam = mixed.weight if isinstance(mixed, WeightedL1Term) else 0.0
-    excess = np.maximum(np.abs(lin) - lam, 0.0)
-    if isinstance(base, WholeSpace):
-        return -np.inf if excess.any() else 0.0
     if isinstance(base, Box):
         ends = (base.lower, base.upper, np.clip(0.0, base.lower, base.upper))
         return float(np.sum(np.minimum.reduce([lin * y + lam * np.abs(y) for y in ends])))
+    excess = np.maximum(np.abs(lin) - lam, 0.0)
     return -base.radius * pnorm(excess, base.exponent / (base.exponent - 1.0))
 
 

@@ -858,7 +858,8 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
                 rates = coef.copy()
                 if ball:
                     rates[-1] /= np.linalg.norm(g)
-                trade = np.flatnonzero(rates > 1e-12)
+                # judged on the unit columns: mu's rate scales as 1 / |w|
+                trade = np.flatnonzero(coef > 1e-12)
                 if not trade.size:
                     raise InfeasibleError("the cut rows admit no common point")
                 z = multipliers()

@@ -452,8 +452,8 @@ class TestHilbertExactGap:
     }
     # (mixed term, Omega): with a potential the minimizer is one composite
     # prox (projection, coordinatewise prox or alternation); without one
-    # it is a support function, except for the quadratic term and the
-    # dual-norm term off the 2-ball, which descend from u
+    # it is a support function, except for the quadratic term, the
+    # dual-norm term off the 2-ball and the whole space, which descend from u
     CASES = [
         ("zero", "ball2"),
         ("zero", "ball3"),
@@ -523,7 +523,7 @@ class TestHilbertExactGap:
         if closed:
             assert capped == 0
             assert value <= ref + 1e-12 * (1.0 + abs(ref))
-        if value > -np.inf and not (capped or ref_capped):
+        if not (capped or ref_capped):
             # both searches settled on the minimum of a convex problem
             assert abs(value - ref) <= 1e-9 * (1.0 + abs(ref))
 
@@ -545,8 +545,23 @@ class TestHilbertExactGap:
         assert capped == 0 and value == pytest.approx(-0.005, abs=1e-9)
         assert resolvent_gap(prob, PrimalPoint(uc, space))[1] == 1
 
+    def test_whole_space_without_a_potential_certifies(self):
+        # lhs(u, .) is linear there: its infimum is -inf unless lin = 0, and
+        # lin = u + (u - x) / r carries the rounding of u = x / (1 + r).  The
+        # descent from u settles at once instead
+        space = SpaceConfig(3, 2.0)
+        whole = ConstraintSet(WholeSpace(), (), Frame.PRIMAL)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            r, x = rng.uniform(0.1, 3.0), rng.standard_normal(3)
+            prob = ResolventProblem((), ZeroTerm(), DualityPerturbation(space), whole, r, PrimalPoint(x, space))
+            u, gap, capped = solve_resolvent_certified(prob, tol=1e-8)
+            np.testing.assert_allclose(u.coords, x / (1.0 + r), rtol=0.0, atol=1e-12)
+            assert gap <= 1e-8 and capped == 0
+
     def test_the_starts_cross_check_the_exact_minimum(self, monkeypatch):
-        # a prox that answered a poor point is overruled by the sampled starts
+        # a closed form that answered too high a minimum is overruled by the
+        # sampled starts: the true gap at u = 0 is 2, at y = (1, 0)
         prob = _projection_problem(np.array([2.0, 0.0]))
         monkeypatch.setattr(equilibrium, "_linear_minimum", lambda *args: 0.0)
         wrong = PrimalPoint([0.0, 0.0], HILBERT2)

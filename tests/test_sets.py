@@ -19,7 +19,7 @@ from _reference import (
     linear_rows_restacked,
     sample_feasible_one,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hybrideq import (
@@ -620,6 +620,9 @@ class TestSampleFeasible:
         cuts=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a cut enters by exchange with the ball multiplier, whose rate scales
+    # as 1 / |w|: it is judged on the unit columns
+    @example(exponent=3.0, d=2, cuts=3, seed=228)
     def test_far_balls_without_an_anchor_give_feasible_points(self, exponent, d, cuts, seed):
         # violating candidates are projected in the ball's own geometry,
         # whose multiplier Newton works at the candidates' magnitude, 1e100
