@@ -811,7 +811,7 @@ def resolvent_gap(
     starts = _gap_starts(prob, uc, samples, rng)
     if kind == "hilbert":
         best, capped = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
-    elif not uc.any() and pnorm(prob.input_point.coords, prob.space.exponent) <= prob.r:
+    elif not uc.any() and prob.input_point.norm <= prob.r:
         best, capped = _gap_holder(prob, uc, starts), 0
     else:
         best, capped = _gap_banach(prob, uc, starts, max_iter=max_iter)
@@ -835,7 +835,7 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
     capped still moving, always 0 at u = 0).
     """
     xc = prob.input_point.coords
-    nx = pnorm(xc, prob.space.exponent)
+    nx = prob.input_point.norm
     exact = None
     if nx <= prob.r:
         uc = np.zeros_like(xc)

@@ -54,7 +54,7 @@ from .errors import (
 from .operators import JMap, OperatorFamily, RelaxedFamily, ShiftMap
 from .sets import Box, ConstraintSet, Frame, PBall, WholeSpace, contains, sample_feasible
 from .solver import Mode, ProblemBundle, SolverConfig, audit_result, run
-from .space import PrimalPoint, SpaceConfig, pnorm
+from .space import PrimalPoint, SpaceConfig
 
 _CSV_HEADER = "n,x_norm,phi_anchor,gap_xu,resolvent_gap,retraction_residual,fejer_slack,cut_count"
 
@@ -589,13 +589,13 @@ class RunReport:
         )
 
 
-def _rows_from_history(history, exponent: float) -> tuple:
+def _rows_from_history(history) -> tuple:
     rows = []
     for rec in history:
         rows.append(
             {
                 "n": rec.n,
-                "x_norm": pnorm(rec.x.coords, exponent),
+                "x_norm": rec.x.norm,
                 "phi_anchor": rec.phi_anchor,
                 "gap_xu": rec.gap_xu,
                 "resolvent_gap": rec.resolvent_gap_value,
@@ -630,7 +630,7 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
         converged = result.converged
         audits = audit_result(result, config)
         final = result.x_star
-        rows = _rows_from_history(result.history, bundle.space.exponent)
+        rows = _rows_from_history(result.history)
         iterations = result.iterations
         capped = sum(rec.capped_starts for rec in result.history)
     except tuple(cls for cls, _ in _FAILURE_OUTCOMES) as exc:
@@ -649,7 +649,7 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
         outcome=outcome,
         converged=converged,
         final_point=tuple(float(c) for c in final.coords),
-        final_norm=pnorm(final.coords, bundle.space.exponent),
+        final_norm=final.norm,
         iterations=iterations,
         audits=audits,
         audits_passed=bool(audits) and all(a["passed"] for a in audits.values()),

@@ -50,7 +50,7 @@ class JMap:
     space: SpaceConfig
 
     def apply(self, x: PrimalPoint) -> DualPoint:
-        return DualPoint(gauge_coords(x.coords, self.space.exponent), self.space)
+        return DualPoint(x.dual_coords, self.space)
 
     @property
     def known_j_fixed_points(self):
@@ -89,7 +89,7 @@ class RelaxedFamily:
     def apply_at(self, n: int, x: PrimalPoint) -> DualPoint:
         space = self.base.space
         alpha = self.weight_at(n)
-        jx = gauge_coords(x.coords, space.exponent)
+        jx = x.dual_coords
         tx = self.base.apply(x).coords
         return DualPoint(alpha * jx + (1.0 - alpha) * tx, space)
 
@@ -189,7 +189,7 @@ def nst_diagnostic(fam: OperatorFamily, trajectory: Sequence[PrimalPoint]) -> tu
     member_res, base_res = [], []
     for idx, x in enumerate(trajectory):
         n = idx + 1
-        jx = gauge_coords(x.coords, space.exponent)
+        jx = x.dual_coords
         worst_member, worst_base = 0.0, 0.0
         for member in fam.members:
             tnx = member.apply_at(n, x).coords

@@ -78,7 +78,7 @@ def retraction_vi_residual(
     if rng is None:
         rng = np.random.default_rng(0)
     space = prob.space
-    wz = gauge_coords(z.coords, space.exponent)
+    wz = z.dual_coords
     gap = worst_violation(prob.dual_feasible, wz)
     if gap > feasibility_tol:
         raise AuditError(f"z is not feasible: J(z) violates the dual set by {gap:g}")

@@ -27,7 +27,14 @@ from typing import Union
 import numpy as np
 
 from .errors import InfeasibleError, NonConvergedError, UnsupportedCombinationError
-from .space import duality_jacobian, gauge_coords, pnorm, pnorm_rows
+from .space import (
+    _gauge_at_norm,
+    _jacobian_at_norm,
+    duality_jacobian,
+    gauge_coords,
+    pnorm,
+    pnorm_rows,
+)
 
 # Halfspace cuts whose unit normals differ by less than this chord length are
 # treated as parallel for pruning purposes.
@@ -589,13 +596,13 @@ def _kkt_residual(
     zero.
     """
     q = exponent / (exponent - 1.0)
-    gz = gauge_coords(z, q)
+    nz = None if radius is None else pnorm(z, q)
+    gz = gauge_coords(z, q) if nz is None else _gauge_at_norm(z, q, nz)
     worst = max(
         float(np.max(np.abs(gz - v + nu * gz + a.T @ lam))),
         float(np.max(np.abs(np.minimum(lam, b - a @ z)), initial=0.0)),
     )
     if radius is not None:
-        nz = pnorm(z, q)
         worst = max(worst, abs(min(nu * nz, radius - nz)))
     return worst
 
@@ -627,16 +634,24 @@ def _least_distance(cset: ConstraintSet, v: np.ndarray, hint=()):
 _DEPENDENT_RESIDUAL = 1e-5
 
 
-def _dual_hessian(cols: np.ndarray, c: np.ndarray, s: float, exponent: float) -> np.ndarray:
+def _dual_hessian(
+    cols: np.ndarray, c: np.ndarray, s: float, exponent: float, nc: float | None = None
+) -> np.ndarray:
     """Hessian 2 s B^T H B of the cut-multiplier dual on the working columns B.
 
     H is the Jacobian of the duality map at c.  Below exponent 2 it is
     infinite where c_i = 0, so |c_i| is floored at 1e-150 max|c| there.
+    nc, when given, is pnorm(c, exponent), and the Jacobian reuses it; a c
+    the floor moved gets its own norm, so the result is the same bit for
+    bit either way.
     """
     if exponent < 2.0:
         floor = 1e-150 * float(np.max(np.abs(c)))
-        c = np.where(np.abs(c) < floor, np.copysign(floor, c), c)
-    return 2.0 * s * (cols.T @ duality_jacobian(c, exponent) @ cols)
+        low = np.abs(c) < floor
+        if low.any():
+            c, nc = np.where(low, np.copysign(floor, c), c), None
+    jac = duality_jacobian(c, exponent) if nc is None else _jacobian_at_norm(c, exponent, nc)
+    return 2.0 * s * (cols.T @ jac @ cols)
 
 
 def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: float, radius):
@@ -657,7 +672,9 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
     working equations hold, the most violated constraint enters.  A row
     that depends on the working columns (ball column c included) enters by
     exchange: multiplier moves onto it along the direction that keeps w
-    fixed until a working multiplier reaches 0, and that one leaves.
+    fixed until a working multiplier reaches 0, and that one leaves.  The
+    trial a line search accepts is the next step's dual: its c, |c|_p and F
+    are not evaluated again, and |c|_p goes into J and its Jacobian.
 
     Below exponent 2 the map c -> w has slope |c_i|^(p - 2): the rounding of
     c reaches w magnified by 10^8 and more, and at a vertex w is lost
@@ -709,12 +726,15 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
             del work[k]
 
     def newton_on_working_set():
-        """Dual Newton until the working equations hold or stop improving."""
+        """Dual Newton until the working equations hold or stop improving.
+
+        Each step starts from the dual (c, |c|_p, F) of the trial its line
+        search accepted, which is the dual at the multipliers it set."""
         best, f_best, stalls = np.inf, np.inf, 0
+        c, nc, f = dual(lam, mu)
         for _ in range(500):
-            c, nc, f = dual(lam, mu)
             s = 1.0 / (1.0 + mu)
-            w = s * gauge_coords(c, exponent)
+            w = s * _gauge_at_norm(c, exponent, nc)
             rows = a[work]
             resid = b[work] - rows @ w
             grad = 2.0 * resid
@@ -732,7 +752,7 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
                 stalls += 1
                 if stalls >= 5:
                     return w, False
-            hess = _dual_hessian(cols, c, s, exponent)
+            hess = _dual_hessian(cols, c, s, exponent, nc)
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -753,7 +773,7 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
                     trial[block] = 0.0
                 lam_t = lam.copy()
                 lam_t[work] = trial[: len(work)]
-                f_t = dual(lam_t, float(trial[-1]) if ball else 0.0)[2]
+                c_t, nc_t, f_t = dual(lam_t, float(trial[-1]) if ball else 0.0)
                 # the last term admits steps whose change is rounding noise
                 if f_t <= f + 1e-4 * alpha * slope + 1e-14 * abs(f):
                     break
@@ -762,6 +782,7 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
             else:
                 return w, False
             set_multipliers(trial)
+            c, nc, f = c_t, nc_t, f_t
             if f_t < f_floor:
                 raise InfeasibleError("the cuts admit no point of the ball")
             if clipped:
@@ -779,14 +800,15 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
         z = multipliers()
 
         def equations(w_, z_):
-            g = gauge_coords(w_, q)
+            nw_ = pnorm(w_, q)
+            g = _gauge_at_norm(w_, q, nw_)
             mu_ = z_[-1] if ball else 0.0
             parts = [(1.0 + mu_) * g + rows.T @ z_[:k] - v, rows @ w_ - b_w]
             if ball:
-                parts.append([pnorm(w_, q) - radius])
-            return np.concatenate(parts), g
+                parts.append([nw_ - radius])
+            return np.concatenate(parts), g, nw_
 
-        r, g = equations(w, z)
+        r, g, nw = equations(w, z)
         err = float(np.linalg.norm(r))
         for _ in range(50):
             if err <= 1e-15 * scale:
@@ -796,12 +818,12 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
                 return w
             n = r.shape[0]
             jac = np.zeros((n, n))
-            jac[:d, :d] = (1.0 + (z[-1] if ball else 0.0)) * duality_jacobian(w, q)
+            jac[:d, :d] = (1.0 + (z[-1] if ball else 0.0)) * _jacobian_at_norm(w, q, nw)
             jac[:d, d : d + k] = rows.T
             jac[d : d + k, :d] = rows
             if ball:
                 jac[:d, -1] = g
-                jac[-1, :d] = g / pnorm(w, q)
+                jac[-1, :d] = g / nw
             try:
                 step = np.linalg.solve(jac, -r)
             except np.linalg.LinAlgError:
@@ -809,13 +831,13 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
             alpha = 1.0
             for _ in range(30):
                 w_t, z_t = w + alpha * step[:d], z + alpha * step[d:]
-                r_t, g_t = equations(w_t, z_t)
+                r_t, g_t, nw_t = equations(w_t, z_t)
                 if float(np.linalg.norm(r_t)) < err:
                     break
                 alpha *= 0.5
             else:
                 return None
-            w, z, r, g = w_t, z_t, r_t, g_t
+            w, z, r, g, nw = w_t, z_t, r_t, g_t, nw_t
             err = float(np.linalg.norm(r))
         return None
 

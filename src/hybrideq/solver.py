@@ -39,7 +39,7 @@ from .errors import AuditError, InfeasibleError, NonConvergedError, UnsupportedC
 from .operators import OperatorFamily
 from .retraction import RetractionProblem, retraction_vi_residual, sunny_retract
 from .sets import ConstraintSet, Frame, Halfspace, add_cut, contains, worst_violation
-from .space import PrimalPoint, SpaceConfig, gauge_coords, phi_coords, pnorm
+from .space import PrimalPoint, SpaceConfig, gauge_coords, lyapunov_phi, pnorm
 
 
 class Mode(enum.Enum):
@@ -175,12 +175,15 @@ def make_comparison_halfspace(
     phi(u, z) <= phi(x, z) becomes <2(x - u), w> <= |x|^2 - |u|^2 for
     w = Jz.  Returns None for the degenerate u = x whole-space cut.
     """
-    p = space.exponent
     diff = x.coords - u.coords
-    if pnorm(diff, p) <= 1e-14:
+    return _comparison_cut(u, x, diff, pnorm(diff, space.exponent))
+
+
+def _comparison_cut(u: PrimalPoint, x: PrimalPoint, diff: np.ndarray, gap: float):
+    """make_comparison_halfspace given diff = x - u and gap = |diff|_p."""
+    if gap <= 1e-14:
         return None
-    nx = pnorm(x.coords, p)
-    nu = pnorm(u.coords, p)
+    nx, nu = x.norm, u.norm
     return Halfspace(2.0 * diff, nx * nx - nu * nu, Frame.DUAL)
 
 
@@ -258,7 +261,9 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
             raise _at_iteration(exc, n, capped_total) from exc
         capped_total += capped_starts
 
-        cut = make_comparison_halfspace(u, x, space)
+        diff = x.coords - u.coords
+        gap_xu = pnorm(diff, p)
+        cut = _comparison_cut(u, x, diff, gap_xu)
         if cut is not None:
             dual_set = add_cut(dual_set, cut)
             if len(dual_set.cuts) > config.cut_cap:
@@ -285,14 +290,14 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
             raise _at_iteration(exc, n, capped_total) from exc
         feasibility = max(
             worst_violation(bundle.omega, x_next.coords),
-            worst_violation(dual_set, gauge_coords(x_next.coords, p)),
+            worst_violation(dual_set, x_next.dual_coords),
         )
 
         fejer = fejer_y = None
         if reference is not None:
-            rc, xc, uc, yc = reference.coords, x.coords, u.coords, y.coords
-            fejer = phi_coords(uc, rc, p) - phi_coords(xc, rc, p)
-            fejer_y = phi_coords(yc, rc, p) - phi_coords(xc, rc, p)
+            phi_x = lyapunov_phi(x, reference)
+            fejer = lyapunov_phi(u, reference) - phi_x
+            fejer_y = lyapunov_phi(y, reference) - phi_x
 
         displacement = pnorm(x_next.coords - x.coords, p)
         history.append(
@@ -301,8 +306,8 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
                 x=x,
                 y=y,
                 u=u,
-                phi_anchor=phi_coords(anchor.coords, x.coords, p),
-                gap_xu=pnorm(x.coords - u.coords, p),
+                phi_anchor=lyapunov_phi(anchor, x),
+                gap_xu=gap_xu,
                 resolvent_gap_value=resolvent_gap_value,
                 retraction_vi_residual=retraction_residual,
                 fejer_slack=fejer,
@@ -348,10 +353,7 @@ def audit_result(result: SolverResult, config: SolverConfig) -> dict:
         hist[i].phi_anchor - hist[i + 1].phi_anchor for i in range(len(hist) - 1)
     ]
     if hist:
-        final_phi = phi_coords(
-            hist[0].x.coords, result.x_star.coords, hist[0].x.space.exponent
-        )
-        anchor_drops.append(hist[-1].phi_anchor - final_phi)
+        anchor_drops.append(hist[-1].phi_anchor - lyapunov_phi(hist[0].x, result.x_star))
     out["anchor_monotonicity"] = max(anchor_drops, default=0.0)
     out["fejer_u"] = max(
         (r.fejer_slack for r in hist if r.fejer_slack is not None), default=0.0

@@ -20,6 +20,7 @@ squared distance; it reduces to |x - y|^2 at p = 2 and is bounded between
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +71,12 @@ def _as_coords(values, dimension: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrimalPoint:
-    """A point of the primal space, tagged with its space configuration."""
+    """A point of the primal space, tagged with its space configuration.
+
+    Its norm and its duality image are computed on first use and kept: the
+    coordinates are read-only, so neither can go stale, and every reader of
+    either gets the value `pnorm` or `gauge_coords` returns on them.
+    """
 
     coords: np.ndarray
     space: SpaceConfig
@@ -78,9 +84,18 @@ class PrimalPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", _as_coords(self.coords, self.space.dimension))
 
-    @property
+    @cached_property
     def norm(self) -> float:
         return pnorm(self.coords, self.space.exponent)
+
+    @cached_property
+    def dual_coords(self) -> np.ndarray:
+        """Read-only coordinates of Jx; at p = 2 they are `coords` itself."""
+        if self.space.is_hilbert:
+            return self.coords
+        jx = gauge_coords(self.coords, self.space.exponent)
+        jx.setflags(write=False)
+        return jx
 
 
 @dataclass(frozen=True)
@@ -93,7 +108,7 @@ class DualPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", _as_coords(self.coords, self.space.dimension))
 
-    @property
+    @cached_property
     def norm(self) -> float:
         return pnorm(self.coords, self.space.conjugate)
 
@@ -174,7 +189,13 @@ def gauge_coords(v: np.ndarray, exponent: float) -> np.ndarray:
     """
     if exponent == 2.0:
         return np.array(v, dtype=float)
-    nrm = pnorm(v, exponent)
+    return _gauge_at_norm(v, exponent, pnorm(v, exponent))
+
+
+def _gauge_at_norm(v: np.ndarray, exponent: float, nrm: float) -> np.ndarray:
+    """gauge_coords(v, exponent) given nrm = pnorm(v, exponent), bit for bit."""
+    if exponent == 2.0:
+        return np.array(v, dtype=float)
     if nrm == 0.0:
         return np.zeros_like(np.asarray(v, dtype=float))
     if not _SAFE_MIN <= nrm <= _SAFE_MAX:
@@ -187,7 +208,7 @@ def duality_map(x: PrimalPoint) -> DualPoint:
 
     Satisfies <x, Jx> = |x|_p^2 and |Jx|_q = |x|_p; identity at p = 2.
     """
-    return DualPoint(gauge_coords(x.coords, x.space.exponent), x.space)
+    return DualPoint(x.dual_coords, x.space)
 
 
 def inverse_duality_map(w: DualPoint) -> PrimalPoint:
@@ -206,10 +227,15 @@ def duality_jacobian(v: np.ndarray, exponent: float) -> np.ndarray:
     two to unit norm, where its factors neither overflow nor underflow.
     """
     v = np.asarray(v, dtype=float)
-    d = v.shape[0]
     if exponent == 2.0:
-        return np.eye(d)
-    nrm = pnorm(v, exponent)
+        return np.eye(v.shape[0])
+    return _jacobian_at_norm(v, exponent, pnorm(v, exponent))
+
+
+def _jacobian_at_norm(v: np.ndarray, exponent: float, nrm: float) -> np.ndarray:
+    """duality_jacobian(v, exponent) given nrm = pnorm(v, exponent), bit for
+    bit, for an exponent other than 2."""
+    d = v.shape[0]
     if nrm == 0.0:
         return np.zeros((d, d))
     if not _SAFE_MIN <= nrm <= _SAFE_MAX and np.isfinite(nrm):
@@ -224,8 +250,11 @@ def duality_jacobian(v: np.ndarray, exponent: float) -> np.ndarray:
 def phi_coords(xc: np.ndarray, yc: np.ndarray, exponent: float) -> float:
     """phi on raw coordinates: |x|^2 - 2 <x, Jy> + |y|^2 with the p-norm."""
     jy = gauge_coords(yc, exponent)
-    nx = pnorm(xc, exponent)
-    ny = pnorm(yc, exponent)
+    return _phi(xc, pnorm(xc, exponent), jy, pnorm(yc, exponent))
+
+
+def _phi(xc: np.ndarray, nx: float, jy: np.ndarray, ny: float) -> float:
+    """phi from x's coordinates and norm and y's duality image and norm."""
     return nx * nx - 2.0 * float(np.dot(xc, jy)) + ny * ny
 
 
@@ -233,7 +262,8 @@ def lyapunov_phi(x: PrimalPoint, y: PrimalPoint) -> float:
     """The Lyapunov functional phi(x, y); nonnegative, zero iff x = y.
 
     Lies in [(|x| - |y|)^2, (|x| + |y|)^2] and equals |x - y|^2 at p = 2.
+    Reads the points' kept norms and y's kept duality image.
     """
     if x.space != y.space:
         raise ValueError("x and y must live in the same space")
-    return phi_coords(x.coords, y.coords, x.space.exponent)
+    return _phi(x.coords, x.norm, y.dual_coords, y.norm)
