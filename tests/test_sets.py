@@ -39,6 +39,7 @@ from hybrideq import (
 )
 from hybrideq.sets import (
     _draw_ball,
+    _dual_hessian,
     _kkt_residual,
     _ldp,
     _least_distance,
@@ -286,6 +287,50 @@ class TestProjectIntersection:
         z_unit, _ = project_intersection(unit, v, tol=1e-9, exponent=3.0)
         z_far, _ = project_intersection(far, 1e100 * v, tol=1e-9, exponent=3.0)
         np.testing.assert_allclose(z_far, 1e100 * z_unit, rtol=1e-12, atol=0.0)
+
+
+class TestMultiplierNewtonNormReuse:
+    """The multiplier Newton hands |c|_p to the dual Hessian; the result must
+    not depend on it, including where the floor below exponent 2 moves c."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("exponent", [1.5, 3.0, 10.0])
+    @pytest.mark.parametrize("mag", [1e-100, 1.0, 1e100])
+    def test_hessian_with_a_passed_norm_is_the_same_bit_for_bit(self, exponent, mag):
+        rng = np.random.default_rng(4)
+        cols = rng.standard_normal((5, 3))
+        for zeros in ((), (2,), (0, 3)):
+            c = mag * rng.standard_normal(5)
+            c[list(zeros)] = 0.0
+            passed = _dual_hessian(cols, c, 0.7, exponent, pnorm(c, exponent))
+            assert passed.tobytes() == _dual_hessian(cols, c, 0.7, exponent).tobytes()
+
+    @pytest.mark.parametrize("radius", [None, 1.0])
+    def test_zero_dual_coordinate_still_certifies(self, monkeypatch, radius):
+        # v and every cut normal vanish in coordinate 1, so c = v - a^T lam
+        # has an exact zero there at every Newton step: the floor path
+        import hybrideq.sets as sets_module
+
+        seen = []
+
+        def spy(cols, c, s, exponent, nc=None):
+            out = _dual_hessian(cols, c, s, exponent, nc)
+            seen.append(nc is not None and c[1] == 0.0)
+            assert out.tobytes() == _dual_hessian(cols, c, s, exponent).tobytes()
+            return out
+
+        monkeypatch.setattr(sets_module, "_dual_hessian", spy)
+        base = WholeSpace(Frame.DUAL) if radius is None else PBall(radius, 3.0, Frame.DUAL)
+        cuts = (
+            Halfspace([1.0, 0.0, 1.0, 0.0], 0.5, Frame.DUAL),
+            Halfspace([0.0, 0.0, 1.0, -1.0], 0.1, Frame.DUAL),
+        )
+        cset = ConstraintSet(base, cuts, Frame.DUAL)
+        # project_intersection raises unless the answer passes its KKT gate
+        w, active = project_intersection(cset, np.array([1.0, 0.0, 2.0, 0.5]), exponent=1.5)
+        assert seen and all(seen)
+        assert len(active) == 2
+        assert worst_violation(cset, w) <= 1e-12
 
 
 def _random_cut_set(rng, kind):

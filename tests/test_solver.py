@@ -26,8 +26,10 @@ from hybrideq import (
     step_y,
 )
 from hybrideq.equilibrium import DualNormTerm, DualityPerturbation, ZeroPerturbation, ZeroTerm
+from hybrideq.harness import build_config, load_scenario, read_scenario
+from hybrideq.sets import add_cut, worst_violation
 from hybrideq.solver import AUDIT_TOLERANCES
-from hybrideq.space import pnorm
+from hybrideq.space import gauge_coords, phi_coords, pnorm
 
 H2 = SpaceConfig(2, 2.0)
 
@@ -261,3 +263,37 @@ class TestSeedRobustness:
             )
             result = run(bundle, config)
             assert pnorm(result.x_star.coords, 3.0) < 0.05
+
+
+class TestRecordsMatchTheFormulas:
+    """Every recorded slack equals the formula evaluated afresh on the
+    recorded points, with no kept norm or duality image, bit for bit."""
+
+    @pytest.mark.parametrize("scenario", ["lp_shift_example", "hilbert_family"])
+    def test_records_equal_the_uncached_formulas(self, scenario):
+        doc = read_scenario(scenario)
+        doc["config"]["max_outer"] = 15
+        spec = load_scenario(doc)
+        bundle, config = spec.problem, build_config(spec)
+        result = run(bundle, config)
+        assert result.iterations == 15
+        p = bundle.space.exponent
+        anchor, rc = bundle.anchor.coords, config.reference_solution.coords
+        dual_set = bundle.omega_dual
+        nexts = [rec.x for rec in result.history[1:]] + [result.x_star]
+        for rec, x_next in zip(result.history, nexts):
+            xc, yc, uc = rec.x.coords, rec.y.coords, rec.u.coords
+            assert rec.phi_anchor == phi_coords(anchor, xc, p)
+            assert rec.fejer_slack == phi_coords(uc, rc, p) - phi_coords(xc, rc, p)
+            assert rec.fejer_slack_y == phi_coords(yc, rc, p) - phi_coords(xc, rc, p)
+            assert rec.gap_xu == pnorm(xc - uc, p)
+            assert rec.displacement == pnorm(x_next.coords - xc, p)
+            fresh_u, fresh_x = PrimalPoint(uc, bundle.space), PrimalPoint(xc, bundle.space)
+            cut = make_comparison_halfspace(fresh_u, fresh_x, bundle.space)
+            if cut is not None:
+                dual_set = add_cut(dual_set, cut)
+            assert rec.cut_count == len(dual_set.cuts)
+            assert rec.feasibility_violation == max(
+                worst_violation(bundle.omega, x_next.coords),
+                worst_violation(dual_set, gauge_coords(x_next.coords, p)),
+            )

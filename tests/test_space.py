@@ -65,6 +65,72 @@ class TestPoints:
             x.coords[0] = 3.0
 
 
+class TestPointCache:
+    """A point's kept norm and duality image are the kernels' values, computed once."""
+
+    EXPONENTS = [1.1, 1.5, 2.0, 3.0, 10.0]
+    MAGNITUDES = [1e-100, 1.0, 1e100]
+
+    @staticmethod
+    def _coords(mag):
+        return mag * np.array([0.3, -1.2, 0.0, 0.7, 2.5])
+
+    # the plain power sum is tried first and numpy reports its overflow
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p", EXPONENTS)
+    @pytest.mark.parametrize("mag", MAGNITUDES)
+    def test_kept_values_are_the_kernels_bit_for_bit(self, p, mag):
+        space = SpaceConfig(5, p)
+        coords = self._coords(mag)
+        x = PrimalPoint(coords, space)
+        assert x.norm == pnorm(coords, p)
+        assert x.dual_coords.tobytes() == gauge_coords(coords, p).tobytes()
+        w = DualPoint(coords, space)
+        assert w.norm == pnorm(coords, space.conjugate)
+
+    @pytest.mark.parametrize("p", EXPONENTS)
+    def test_image_is_read_only(self, p):
+        x = PrimalPoint(self._coords(1.0), SpaceConfig(5, p))
+        assert not x.dual_coords.flags.writeable
+        with pytest.raises(ValueError):
+            x.dual_coords[0] = 1.0
+
+    def test_hilbert_image_is_the_coordinates(self):
+        x = PrimalPoint(self._coords(1.0), SpaceConfig(5, 2.0))
+        assert x.dual_coords is x.coords
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p", EXPONENTS)
+    @pytest.mark.parametrize("mag", MAGNITUDES)
+    def test_each_value_is_computed_once(self, monkeypatch, p, mag):
+        import hybrideq.space as space_module
+
+        calls = []
+
+        def counting(name):
+            real = getattr(space_module, name)
+
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            return counted
+
+        monkeypatch.setattr(space_module, "pnorm", counting("pnorm"))
+        monkeypatch.setattr(space_module, "gauge_coords", counting("gauge_coords"))
+        space = SpaceConfig(5, p)
+        x = PrimalPoint(self._coords(mag), space)
+        w = DualPoint(x.coords, space)
+        first = (x.norm, x.dual_coords, w.norm)
+        assert "pnorm" in calls
+        assert calls.count("gauge_coords") == (0 if p == 2.0 else 1)
+        calls.clear()
+        for _ in range(3):
+            assert (x.norm, w.norm) == (first[0], first[2]) and x.dual_coords is first[1]
+            lyapunov_phi(x, x)
+        assert calls == []
+
+
 class TestDualityMap:
     def test_identity_in_hilbert_mode(self):
         s = SpaceConfig(2, 2.0)
