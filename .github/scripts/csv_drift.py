@@ -6,11 +6,14 @@ For each NAME, reads NAME_iterations.csv from both directories and prints a
 Markdown table with one line per column: how many rows differ as text, and
 the largest |head - base| over the rows both runs reached.  A row only one
 run reached counts as differing; so does a cell that is "nan" on one side
-only, with |delta| inf.  A missing CSV is reported as such.  Always exits 0:
+only, with |delta| inf.  A missing CSV is reported as such.  A second table
+gives the outcome, iterations and capped_starts of NAME_summary.json, base
+against head: capped_starts lives only in the summary.  Always exits 0:
 the report informs, it does not gate.
 """
 
 import csv
+import json
 import math
 import sys
 from pathlib import Path
@@ -28,6 +31,21 @@ def _delta(a: str, b: str) -> float:
     if math.isnan(x) or math.isnan(y):
         return math.inf
     return abs(y - x)
+
+
+SUMMARY_FIELDS = ("outcome", "iterations", "capped_starts")
+
+
+def summary_report(base_dir: Path, head_dir: Path, name: str) -> str:
+    docs = []
+    for d in (base_dir, head_dir):
+        path = d / f"{name}_summary.json"
+        docs.append(json.loads(path.read_text()) if path.exists() else {})
+    lines = ["| summary field | base | head |", "| --- | --- | --- |"]
+    for field in SUMMARY_FIELDS:
+        base, head = (doc.get(field, "missing") for doc in docs)
+        lines.append(f"| {field} | {base} | {head} |")
+    return "\n".join(lines) + "\n"
 
 
 def report(base_dir: Path, head_dir: Path, name: str) -> str:
@@ -52,7 +70,10 @@ def report(base_dir: Path, head_dir: Path, name: str) -> str:
 
 def main(argv) -> int:
     base_dir, head_dir, *names = argv
-    print("\n".join(report(Path(base_dir), Path(head_dir), n) for n in names))
+    base_dir, head_dir = Path(base_dir), Path(head_dir)
+    for name in names:
+        print(report(base_dir, head_dir, name))
+        print(summary_report(base_dir, head_dir, name))
     return 0
 
 

@@ -4,8 +4,7 @@ in finite-dimensional p-norm spaces (Banach mode) and Euclidean space
 (Hilbert mode)."""
 
 from .equilibrium import (
-    AffinePairing,
-    AffinePerturbation,
+    AffineMap,
     DualNormTerm,
     DualityPerturbation,
     InverseDualityPairing,

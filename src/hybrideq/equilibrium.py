@@ -93,8 +93,9 @@ class InverseDualityPairing:
 
 
 @dataclass(frozen=True)
-class AffinePairing:
-    """g(w) = M w + offset with positive-semidefinite symmetric part."""
+class AffineMap:
+    """x -> M x + offset with positive-semidefinite symmetric part; serves as
+    a pairing map g and as a perturbation A."""
 
     matrix: np.ndarray
     offset: np.ndarray
@@ -105,14 +106,14 @@ class AffinePairing:
         sym = 0.5 * (m + m.T)
         eigs = np.linalg.eigvalsh(sym)
         if eigs.min() < -1e-10 * max(1.0, abs(eigs).max()):
-            raise ValueError("affine pairing matrix must have PSD symmetric part")
+            raise ValueError("affine matrix must have PSD symmetric part")
         m.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", b)
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        return self.matrix @ w + self.offset
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x + self.offset
 
     @property
     def lipschitz(self) -> float:
@@ -141,7 +142,7 @@ class PotentialBifunction:
 class PairingBifunction:
     """f(w, v) = <g(w), v - w> for a monotone map g from dual to primal."""
 
-    g: Union[InverseDualityPairing, AffinePairing]
+    g: Union[InverseDualityPairing, AffineMap]
 
     def evaluate(self, w: np.ndarray, v: np.ndarray) -> float:
         return float(np.dot(self.g.apply(w), v - w))
@@ -157,9 +158,6 @@ class ZeroTerm:
     def value(self, v):
         return 0.0
 
-    def subgradient(self, v):
-        return np.zeros_like(v)
-
     def prox(self, v, t):
         return np.array(v, dtype=float)
 
@@ -173,12 +171,6 @@ class DualNormTerm:
 
     def value(self, v):
         return pnorm(v, self.exponent)
-
-    def subgradient(self, v):
-        nrm = pnorm(v, self.exponent)
-        if nrm == 0.0:
-            return np.zeros_like(v)  # 0 is a valid subgradient at the origin
-        return gauge_coords(v, self.exponent) / nrm
 
     def prox(self, v, t):
         if self.exponent != 2.0:
@@ -199,9 +191,6 @@ class WeightedL1Term:
     def value(self, v):
         return self.weight * float(np.sum(np.abs(v)))
 
-    def subgradient(self, v):
-        return self.weight * np.sign(v)
-
     def prox(self, v, t):
         return np.sign(v) * np.maximum(np.abs(v) - t * self.weight, 0.0)
 
@@ -221,9 +210,6 @@ class QuadraticTerm:
     def value(self, v):
         diff = v - self.center
         return 0.5 * float(np.dot(diff, diff))
-
-    def subgradient(self, v):
-        return v - self.center
 
     def prox(self, v, t):
         return (v + t * self.center) / (1.0 + t)
@@ -251,37 +237,7 @@ class DualityPerturbation:
         return gauge_coords(x, self.space.exponent)
 
 
-@dataclass(frozen=True)
-class AffinePerturbation:
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float).copy()
-        b = np.asarray(self.offset, dtype=float).copy()
-        sym = 0.5 * (m + m.T)
-        eigs = np.linalg.eigvalsh(sym)
-        if eigs.min() < -1e-10 * max(1.0, abs(eigs).max()):
-            raise ValueError("perturbation matrix must have PSD symmetric part")
-        m.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "offset", b)
-
-    def apply(self, x):
-        return self.matrix @ x + self.offset
-
-    @property
-    def lipschitz(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
-    @property
-    def monotone_modulus(self) -> float:
-        sym = 0.5 * (self.matrix + self.matrix.T)
-        return max(0.0, float(np.linalg.eigvalsh(sym).min()))
-
-
-PerturbationMap = Union[ZeroPerturbation, DualityPerturbation, AffinePerturbation]
+PerturbationMap = Union[ZeroPerturbation, DualityPerturbation, AffineMap]
 
 
 # -- the resolvent problem ------------------------------------------------------
@@ -347,15 +303,13 @@ def classify_problem(prob: ResolventProblem) -> str:
             if isinstance(f, PotentialBifunction):
                 continue
             if isinstance(f, PairingBifunction) and isinstance(
-                f.g, (AffinePairing, InverseDualityPairing)
+                f.g, (AffineMap, InverseDualityPairing)
             ):
                 continue  # J* is the identity here, hence affine
             raise UnsupportedCombinationError(
                 f"unsupported bifunction {type(f).__name__} in Hilbert mode"
             )
-        if not isinstance(
-            prob.perturbation, (ZeroPerturbation, AffinePerturbation, DualityPerturbation)
-        ):
+        if not isinstance(prob.perturbation, (ZeroPerturbation, AffineMap, DualityPerturbation)):
             raise UnsupportedCombinationError(
                 f"unsupported perturbation {type(prob.perturbation).__name__}"
             )
@@ -435,7 +389,7 @@ def _forward_terms(prob: ResolventProblem):
         parts.append(lambda u: u)
         lipschitz += 1.0
         modulus += 1.0
-    elif isinstance(pert, AffinePerturbation):
+    elif isinstance(pert, AffineMap):
         parts.append(pert.apply)
         lipschitz += pert.lipschitz
         modulus += pert.monotone_modulus
@@ -758,7 +712,7 @@ def _safe_values(prob, uc, ys, values):
     return values
 
 
-def _gap_banach(prob, uc, starts, max_iter=200):
+def _gap_banach(prob, uc, starts, max_iter=300):
     """min of lhs(u, .) over the rows _pgd_search ends on from the starts,
     ties broken by the lowest start index, and the number of starts capped
     still moving."""
@@ -776,16 +730,12 @@ def _gap_holder(prob, uc, starts):
 
 
 def resolvent_gap(
-    prob: ResolventProblem,
-    u: PrimalPoint,
-    samples: int = 16,
-    rng: np.random.Generator | None = None,
-    max_iter: int = 300,
+    prob: ResolventProblem, u: PrimalPoint, rng: np.random.Generator | None = None
 ) -> tuple:
     """(max(0, -min_y lhs(u, y)), capped starts): a zero gap (within
     tolerance) certifies u = T_r(input).
 
-    The starts are `samples` random feasible points plus y = u and y = 0.
+    The starts are 16 random feasible points plus y = u and y = 0.
     In Hilbert mode lhs(u, .) is a convex quadratic plus phi, and its
     minimum over Omega is exact where it has a closed form (one composite
     prox, or a support function when no potential is present); the value
@@ -799,7 +749,7 @@ def resolvent_gap(
     so the value is a sampled estimate: it can miss a negative minimum but
     never reports a false one.
 
-    A descent that reaches max_iter still moving ends there, so the value
+    A descent that reaches 300 steps still moving ends there, so the value
     can then miss part of it; the second entry counts such starts.  Only
     the Banach search from the starts and the Hilbert-mode descent from u
     for a class without a closed form descend.
@@ -808,13 +758,13 @@ def resolvent_gap(
         rng = np.random.default_rng(0)
     kind = classify_problem(prob)
     uc = u.coords
-    starts = _gap_starts(prob, uc, samples, rng)
+    starts = _gap_starts(prob, uc, 16, rng)
     if kind == "hilbert":
-        best, capped = _gap_hilbert(prob, uc, starts, max_iter=max_iter)
+        best, capped = _gap_hilbert(prob, uc, starts)
     elif not uc.any() and prob.input_point.norm <= prob.r:
         best, capped = _gap_holder(prob, uc, starts), 0
     else:
-        best, capped = _gap_banach(prob, uc, starts, max_iter=max_iter)
+        best, capped = _gap_banach(prob, uc, starts)
     return max(0.0, -best), capped
 
 
@@ -855,11 +805,7 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
 
 
 def solve_resolvent_certified(
-    prob: ResolventProblem,
-    tol: float = 1e-8,
-    seed: int = 0,
-    max_iter: int = 200_000,
-    rng: np.random.Generator | None = None,
+    prob: ResolventProblem, tol: float = 1e-8, rng: np.random.Generator | None = None
 ) -> tuple:
     """Solve for T_r(input) and certify; returns (PrimalPoint, certified gap,
     capped starts).
@@ -869,12 +815,12 @@ def solve_resolvent_certified(
     """
     kind = classify_problem(prob)
     if rng is None:
-        rng = np.random.default_rng([seed, 0x5E50])
+        rng = np.random.default_rng([0, 0x5E50])
     if kind == "hilbert":
         target = tol / 10.0
         capped = 0
         for _ in range(3):
-            uc = _solve_hilbert(prob, target * 10.0, max_iter)
+            uc = _solve_hilbert(prob, target * 10.0, 200_000)
             u = PrimalPoint(uc, prob.space)
             gap, more = resolvent_gap(prob, u, rng=rng)
             capped += more

@@ -28,8 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .equilibrium import (
-    AffinePairing,
-    AffinePerturbation,
+    AffineMap,
     DualNormTerm,
     DualityPerturbation,
     InverseDualityPairing,
@@ -282,7 +281,7 @@ _BIFUNCTIONS = {
         optional={"weight": 1.0},
     ),
     "affine_pairing": _Kind(
-        lambda space, f: PairingBifunction(AffinePairing(f["matrix"], f["offset"])),
+        lambda space, f: PairingBifunction(AffineMap(f["matrix"], f["offset"])),
         required=("matrix", "offset"),
     ),
 }
@@ -298,7 +297,7 @@ _PERTURBATIONS = {
     "zero": _Kind(lambda space, f: ZeroPerturbation()),
     "duality": _Kind(lambda space, f: DualityPerturbation(space)),
     "affine": _Kind(
-        lambda space, f: AffinePerturbation(f["matrix"], f["offset"]),
+        lambda space, f: AffineMap(f["matrix"], f["offset"]),
         required=("matrix", "offset"),
     ),
 }

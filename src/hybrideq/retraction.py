@@ -66,21 +66,20 @@ def retraction_vi_residual(
     z: PrimalPoint,
     samples: int = 200,
     rng: np.random.Generator | None = None,
-    feasibility_tol: float = 1e-6,
 ) -> float:
     """Sampled maximum of <anchor - z, w_y - Jz> over feasible dual points w_y.
 
     A correct retraction yields a value at tolerance-scale or below; a
     clearly positive value certifies that z is not the retraction of the
-    anchor.  Requires Jz to be feasible within feasibility_tol and raises
-    AuditError otherwise.
+    anchor.  Requires Jz to be feasible within 1e-6 and raises AuditError
+    otherwise.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     space = prob.space
     wz = z.dual_coords
     gap = worst_violation(prob.dual_feasible, wz)
-    if gap > feasibility_tol:
+    if gap > 1e-6:
         raise AuditError(f"z is not feasible: J(z) violates the dual set by {gap:g}")
     direction = prob.anchor.coords - z.coords
     points = sample_feasible(

@@ -27,14 +27,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InfeasibleError, NonConvergedError, UnsupportedCombinationError
-from .space import (
-    _gauge_at_norm,
-    _jacobian_at_norm,
-    duality_jacobian,
-    gauge_coords,
-    pnorm,
-    pnorm_rows,
-)
+from .space import duality_jacobian, gauge_coords, pnorm, pnorm_rows
 
 # Halfspace cuts whose unit normals differ by less than this chord length are
 # treated as parallel for pruning purposes.
@@ -597,7 +590,7 @@ def _kkt_residual(
     """
     q = exponent / (exponent - 1.0)
     nz = None if radius is None else pnorm(z, q)
-    gz = gauge_coords(z, q) if nz is None else _gauge_at_norm(z, q, nz)
+    gz = gauge_coords(z, q, nz)
     worst = max(
         float(np.max(np.abs(gz - v + nu * gz + a.T @ lam))),
         float(np.max(np.abs(np.minimum(lam, b - a @ z)), initial=0.0)),
@@ -650,7 +643,7 @@ def _dual_hessian(
         low = np.abs(c) < floor
         if low.any():
             c, nc = np.where(low, np.copysign(floor, c), c), None
-    jac = duality_jacobian(c, exponent) if nc is None else _jacobian_at_norm(c, exponent, nc)
+    jac = duality_jacobian(c, exponent, nc)
     return 2.0 * s * (cols.T @ jac @ cols)
 
 
@@ -734,7 +727,7 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
         c, nc, f = dual(lam, mu)
         for _ in range(500):
             s = 1.0 / (1.0 + mu)
-            w = s * _gauge_at_norm(c, exponent, nc)
+            w = s * gauge_coords(c, exponent, nc)
             rows = a[work]
             resid = b[work] - rows @ w
             grad = 2.0 * resid
@@ -801,7 +794,7 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
 
         def equations(w_, z_):
             nw_ = pnorm(w_, q)
-            g = _gauge_at_norm(w_, q, nw_)
+            g = gauge_coords(w_, q, nw_)
             mu_ = z_[-1] if ball else 0.0
             parts = [(1.0 + mu_) * g + rows.T @ z_[:k] - v, rows @ w_ - b_w]
             if ball:
@@ -818,7 +811,7 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
                 return w
             n = r.shape[0]
             jac = np.zeros((n, n))
-            jac[:d, :d] = (1.0 + (z[-1] if ball else 0.0)) * _jacobian_at_norm(w, q, nw)
+            jac[:d, :d] = (1.0 + (z[-1] if ball else 0.0)) * duality_jacobian(w, q, nw)
             jac[:d, d : d + k] = rows.T
             jac[d : d + k, :d] = rows
             if ball:

@@ -179,23 +179,19 @@ def pairing(primal: np.ndarray, dual: np.ndarray) -> float:
     return float(np.dot(primal, dual))
 
 
-def gauge_coords(v: np.ndarray, exponent: float) -> np.ndarray:
+def gauge_coords(v: np.ndarray, exponent: float, nrm: float | None = None) -> np.ndarray:
     """Coordinates of the normalized duality map for the given norm exponent.
 
     Total on finite inputs; maps 0 to 0 explicitly, guarding the
     |v|^(2 - exponent) prefactor, which is 0 to a negative power when
     exponent > 2.  Outside pnorm's safe band the map is evaluated as
     |v| (|v_i| / |v|)^(exponent - 1) sign(v_i), whose factors stay finite.
+    nrm, when given, is pnorm(v, exponent) and is not computed again.
     """
     if exponent == 2.0:
         return np.array(v, dtype=float)
-    return _gauge_at_norm(v, exponent, pnorm(v, exponent))
-
-
-def _gauge_at_norm(v: np.ndarray, exponent: float, nrm: float) -> np.ndarray:
-    """gauge_coords(v, exponent) given nrm = pnorm(v, exponent), bit for bit."""
-    if exponent == 2.0:
-        return np.array(v, dtype=float)
+    if nrm is None:
+        nrm = pnorm(v, exponent)
     if nrm == 0.0:
         return np.zeros_like(np.asarray(v, dtype=float))
     if not _SAFE_MIN <= nrm <= _SAFE_MAX:
@@ -216,7 +212,7 @@ def inverse_duality_map(w: DualPoint) -> PrimalPoint:
     return PrimalPoint(gauge_coords(w.coords, w.space.conjugate), w.space)
 
 
-def duality_jacobian(v: np.ndarray, exponent: float) -> np.ndarray:
+def duality_jacobian(v: np.ndarray, exponent: float, nrm: float | None = None) -> np.ndarray:
     """Jacobian of the duality map at v (the Hessian of 0.5 * |.|_p^2).
 
     Symmetric positive semidefinite; undefined at v = 0 (the map is only
@@ -225,17 +221,14 @@ def duality_jacobian(v: np.ndarray, exponent: float) -> np.ndarray:
     homogeneous of degree 1, so its Jacobian is of degree 0: outside
     pnorm's safe band it is evaluated at v scaled exactly by a power of
     two to unit norm, where its factors neither overflow nor underflow.
+    nrm, when given, is pnorm(v, exponent) and is not computed again.
     """
     v = np.asarray(v, dtype=float)
-    if exponent == 2.0:
-        return np.eye(v.shape[0])
-    return _jacobian_at_norm(v, exponent, pnorm(v, exponent))
-
-
-def _jacobian_at_norm(v: np.ndarray, exponent: float, nrm: float) -> np.ndarray:
-    """duality_jacobian(v, exponent) given nrm = pnorm(v, exponent), bit for
-    bit, for an exponent other than 2."""
     d = v.shape[0]
+    if exponent == 2.0:
+        return np.eye(d)
+    if nrm is None:
+        nrm = pnorm(v, exponent)
     if nrm == 0.0:
         return np.zeros((d, d))
     if not _SAFE_MIN <= nrm <= _SAFE_MAX and np.isfinite(nrm):

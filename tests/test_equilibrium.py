@@ -44,8 +44,7 @@ from hybrideq import (
     solve_resolvent_certified,
 )
 from hybrideq.equilibrium import (
-    AffinePairing,
-    AffinePerturbation,
+    AffineMap,
     DualNormTerm,
     DualityPerturbation,
     QuadraticTerm,
@@ -492,7 +491,7 @@ class TestHilbertExactGap:
         if pairing == "inverse_duality":
             bifunctions.append(PairingBifunction(InverseDualityPairing(space)))
         elif pairing == "affine":
-            bifunctions.append(PairingBifunction(AffinePairing(psd, rng.standard_normal(d))))
+            bifunctions.append(PairingBifunction(AffineMap(psd, rng.standard_normal(d))))
         mixed = {
             "zero": ZeroTerm(),
             "l1": WeightedL1Term(0.3),
@@ -501,7 +500,7 @@ class TestHilbertExactGap:
         }[case[0]]
         pert = {
             "zero": ZeroPerturbation(),
-            "affine": AffinePerturbation(psd, rng.standard_normal(d)),
+            "affine": AffineMap(psd, rng.standard_normal(d)),
             "duality": DualityPerturbation(space),
         }[perturbation]
         omega = ConstraintSet(self.OMEGAS[case[1]](d), (), Frame.PRIMAL)
@@ -670,7 +669,7 @@ class TestTypeInvariants:
 
     def test_affine_pairing_requires_psd(self):
         with pytest.raises(ValueError):
-            AffinePairing(np.array([[0.0, 2.0], [-3.0, 0.0]]) - np.eye(2), np.zeros(2))
+            AffineMap(np.array([[0.0, 2.0], [-3.0, 0.0]]) - np.eye(2), np.zeros(2))
 
     def test_perturbations_monotone(self):
         rng = np.random.default_rng(13)
@@ -678,7 +677,7 @@ class TestTypeInvariants:
         for pert in (
             ZeroPerturbation(),
             DualityPerturbation(space),
-            AffinePerturbation(np.eye(3) * 0.5, np.ones(3)),
+            AffineMap(np.eye(3) * 0.5, np.ones(3)),
         ):
             assert perturbation_monotonicity_defect(pert, rng, 100, 3) <= 1e-10
 

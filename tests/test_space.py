@@ -131,6 +131,27 @@ class TestPointCache:
         assert calls == []
 
 
+class TestKnownNorm:
+    """A norm passed to the kernels gives the one-argument result byte for byte."""
+
+    VECTORS = {
+        "no_zero": [0.3, -1.2, 0.05, 0.7, 2.5],
+        "one_zero": [0.3, -1.2, 0.0, 0.7, 2.5],
+        "zero": [0.0] * 5,
+    }
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 10.0])
+    @pytest.mark.parametrize("mag", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("kind", sorted(VECTORS))
+    def test_passed_norm_changes_nothing(self, p, mag, kind):
+        v = mag * np.array(self.VECTORS[kind])
+        nrm = pnorm(v, p)
+        assert gauge_coords(v, p, nrm).tobytes() == gauge_coords(v, p).tobytes()
+        assert duality_jacobian(v, p, nrm).tobytes() == duality_jacobian(v, p).tobytes()
+
+
 class TestDualityMap:
     def test_identity_in_hilbert_mode(self):
         s = SpaceConfig(2, 2.0)
