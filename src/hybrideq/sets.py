@@ -302,7 +302,9 @@ def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
 
     Solves sum_i t_i(lam)^e = R^e for the multiplier lam by a doubling
     bracket from a radial-scaling guess, followed by bisection-safeguarded
-    Newton, tolerance 1e-12 max(lam, radius^(2-e)) on the multiplier.
+    Newton, tolerance 1e-12 max(lam, radius^(2-e)) on the multiplier.  The
+    point returned lies in the ball: one the multiplier's tolerance leaves
+    outside is scaled back onto the sphere.
     """
     e = ball.exponent
     radius = ball.radius
@@ -353,7 +355,14 @@ def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
         lam = lam_new
     else:
         raise NonConvergedError("p-ball projection: multiplier iteration cap reached")
-    return np.sign(v) * _shrink_coords(vabs, lam, e)
+    t = _shrink_coords(vabs, lam, e)
+    # a multiplier settled to 1e-12 can leave t outside the ball by as much;
+    # a search over the ball must not step out of it, so scale t back onto
+    # the sphere
+    t_nrm = pnorm(t, e)
+    if t_nrm > radius:
+        t = t * (radius / t_nrm)
+    return np.sign(v) * t
 
 
 def project_primitive(v: np.ndarray, primitive) -> np.ndarray:

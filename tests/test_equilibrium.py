@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from _reference import (
     bifunction_monotonicity_defect,
     gap_hilbert_one,
@@ -477,6 +477,11 @@ class TestHilbertExactGap:
         perturbation=st.sampled_from(["zero", "affine", "duality"]),
         r=st.floats(0.1, 10.0),
         seed=st.integers(0, 2**32 - 1),
+    )
+    # the search's p-ball projection once stopped 7e-13 outside the 3-ball
+    # and undercut the exact minimum 0 by 1.1e-12
+    @example(
+        case=("l1", "ball3"), d=1, potential=False, pairing="affine", perturbation="zero", r=7.0, seed=899151548
     )
     def test_exact_minimum_is_at_most_the_multistart_search(
         self, case, d, potential, pairing, perturbation, r, seed

@@ -137,6 +137,16 @@ class TestProjectPrimitive:
             assert np.linalg.norm(z2 - z) < 1e-10
 
     @pytest.mark.parametrize("e", [1.5, 3.0, 4.5])
+    def test_pball_projection_stays_in_the_ball(self, e):
+        # the multiplier's 1e-12 tolerance used to leave about one point in
+        # seven up to 1e-12 outside the ball
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            v = 3.0 * rng.standard_normal(rng.integers(1, 6))
+            z = project_primitive(v, PBall(1.0, e))
+            assert pnorm(z, e) <= 1.0 + 4.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("e", [1.5, 3.0, 4.5])
     def test_pball_optimality_vs_samples(self, e):
         # nearest-point property against random feasible points
         rng = np.random.default_rng(3)
