@@ -52,11 +52,18 @@ def sunny_retract(prob: RetractionProblem, tol: float = 1e-12, hint: tuple = ())
     NonConvergedError is raised otherwise, and InfeasibleError when JC is
     empty.  The projection starts from the `hint` cuts (the previous
     retraction's active cuts; none by default), and the cuts whose
-    multipliers are positive come back as the next retraction's hint.
+    multipliers are positive come back as the next retraction's hint.  The
+    anchor's kept norm, duality image and Jacobian serve every retraction
+    of it.
     """
-    space = prob.space
+    space, anchor = prob.space, prob.anchor
     w, active = project_intersection(
-        prob.dual_feasible, prob.anchor.coords, tol=tol, exponent=space.exponent, hint=hint
+        prob.dual_feasible,
+        anchor.coords,
+        tol=tol,
+        exponent=space.exponent,
+        hint=hint,
+        point=anchor,
     )
     return PrimalPoint(gauge_coords(w, space.conjugate), space), active
 
@@ -66,23 +73,30 @@ def retraction_vi_residual(
     z: PrimalPoint,
     samples: int = 200,
     rng: np.random.Generator | None = None,
+    violation: float | None = None,
 ) -> float:
     """Sampled maximum of <anchor - z, w_y - Jz> over feasible dual points w_y.
 
     A correct retraction yields a value at tolerance-scale or below; a
     clearly positive value certifies that z is not the retraction of the
     anchor.  Requires Jz to be feasible within 1e-6 and raises AuditError
-    otherwise.
+    otherwise.  `violation`, when given, is worst_violation(dual set, Jz),
+    which the caller has evaluated; it is not evaluated again.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     space = prob.space
     wz = z.dual_coords
-    gap = worst_violation(prob.dual_feasible, wz)
+    gap = worst_violation(prob.dual_feasible, wz) if violation is None else violation
     if gap > 1e-6:
         raise AuditError(f"z is not feasible: J(z) violates the dual set by {gap:g}")
     direction = prob.anchor.coords - z.coords
     points = sample_feasible(
-        prob.dual_feasible, rng, samples, dimension=space.dimension, anchor=wz
+        prob.dual_feasible,
+        rng,
+        samples,
+        dimension=space.dimension,
+        anchor=wz,
+        anchor_violation=gap,
     )
     return float(np.max((points - wz) @ direction, initial=-np.inf))

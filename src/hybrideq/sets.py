@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InfeasibleError, NonConvergedError, UnsupportedCombinationError
-from .space import duality_jacobian, gauge_coords, pnorm, pnorm_rows
+from .space import PrimalPoint, duality_jacobian, gauge_coords, pnorm, pnorm_rows
 
 # Halfspace cuts whose unit normals differ by less than this chord length are
 # treated as parallel for pruning purposes.
@@ -585,7 +585,15 @@ def _ball_ldp(
 
 
 def _kkt_residual(
-    a, b, v, z, lam, nu: float = 0.0, radius: float | None = None, exponent: float = 2.0
+    a,
+    b,
+    v,
+    z,
+    lam,
+    nu: float = 0.0,
+    radius: float | None = None,
+    exponent: float = 2.0,
+    nz: float | None = None,
 ) -> float:
     """Largest KKT violation of (z, lam, nu) for min |z|_q^2 - 2 <v, z> over
     a z <= b (and |z|_q <= radius when given), q the conjugate of exponent;
@@ -595,10 +603,11 @@ def _kkt_residual(
     of the q-norm (the identity at q = 2); each constraint contributes the
     natural residual |min(multiplier, slack)|, which vanishes iff the
     multiplier is nonnegative, the constraint holds, and one of the two is
-    zero.
+    zero.  nz, when given, is pnorm(z, q) and is not computed again.
     """
     q = exponent / (exponent - 1.0)
-    nz = None if radius is None else pnorm(z, q)
+    if nz is None and radius is not None:
+        nz = pnorm(z, q)
     gz = gauge_coords(z, q, nz)
     worst = max(
         float(np.max(np.abs(gz - v + nu * gz + a.T @ lam))),
@@ -637,28 +646,42 @@ _DEPENDENT_RESIDUAL = 1e-5
 
 
 def _dual_hessian(
-    cols: np.ndarray, c: np.ndarray, s: float, exponent: float, nc: float | None = None
+    cols: np.ndarray,
+    c: np.ndarray,
+    s: float,
+    exponent: float,
+    nc: float | None = None,
+    point: PrimalPoint | None = None,
 ) -> np.ndarray:
     """Hessian 2 s B^T H B of the cut-multiplier dual on the working columns B.
 
     H is the Jacobian of the duality map at c.  Below exponent 2 it is
     infinite where c_i = 0, so |c_i| is floored at 1e-150 max|c| there.
-    nc, when given, is pnorm(c, exponent), and the Jacobian reuses it; a c
-    the floor moved gets its own norm, so the result is the same bit for
-    bit either way.
+    nc, when given, is pnorm(c, exponent), and the Jacobian reuses it;
+    point, when given, has the coordinates c, and its kept Jacobian is
+    read.  A c the floor moved gets its own norm and Jacobian, so the
+    result is the same bit for bit either way.
     """
     if exponent < 2.0:
         floor = 1e-150 * float(np.max(np.abs(c)))
         low = np.abs(c) < floor
         if low.any():
-            c, nc = np.where(low, np.copysign(floor, c), c), None
-    jac = duality_jacobian(c, exponent, nc)
+            c, nc, point = np.where(low, np.copysign(floor, c), c), None, None
+    jac = duality_jacobian(c, exponent, nc) if point is None else point.jacobian
     return 2.0 * s * (cols.T @ jac @ cols)
 
 
-def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: float, radius):
+def _multiplier_newton(
+    a: np.ndarray,
+    b: np.ndarray,
+    v: np.ndarray,
+    exponent: float,
+    radius,
+    point: PrimalPoint | None = None,
+):
     """Minimizer of |w|_q^2 - 2 <v, w> over {a w <= b}, and over |w|_q <= radius
-    when a radius is given, q the conjugate of exponent: (w, lam, mu).
+    when a radius is given, q the conjugate of exponent: (w, lam, mu, |w|_q),
+    the last None unless the final ball check computed it.
 
     The rows of a are unit vectors.  For cut multipliers lam >= 0 and a
     ball multiplier mu >= 0 the inner minimizer is explicit,
@@ -677,6 +700,13 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
     fixed until a working multiplier reaches 0, and that one leaves.  The
     trial a line search accepts is the next step's dual: its c, |c|_p and F
     are not evaluated again, and |c|_p goes into J and its Jacobian.
+
+    point, when given, is v as a PrimalPoint of a space of this exponent,
+    with v its coordinates.  Its kept norm, duality image and Jacobian
+    serve v and the dual at lam = 0, whose c = v - a^T 0 equals v.  They
+    are read there only when c also has v's bytes (it may differ in the
+    sign of a zero), so the answer is the same bit for bit with or
+    without point.
 
     Below exponent 2 the map c -> w has slope |c_i|^(p - 2): the rounding of
     c reaches w magnified by 10^8 and more, and at a vertex w is lost
@@ -699,15 +729,20 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
     # feasible w, so F below this bound certifies an empty set
     f_floor = -np.inf
     if radius is not None:
-        f_floor = -(1.0 + 1e-9) * (r2 + 2.0 * pnorm(v, exponent) * radius) - 1e-12 * scale
+        nv = pnorm(v, exponent) if point is None else point.norm
+        f_floor = -(1.0 + 1e-9) * (r2 + 2.0 * nv * radius) - 1e-12 * scale
     lam = np.zeros(m)
     mu = 0.0
     work = []  # working cut rows
     ball = False  # whether the ball constraint is working
 
     def dual(lam_, mu_):
+        """(c, |c|_p, F); c is v itself where point's kept values serve it."""
         c = v - a.T @ lam_
-        nc = pnorm(c, exponent)
+        if point is not None and not lam_.any() and c.tobytes() == v.tobytes():
+            c, nc = v, point.norm
+        else:
+            nc = pnorm(c, exponent)
         return c, nc, nc * nc / (1.0 + mu_) + 2.0 * float(lam_ @ b) + mu_ * r2
 
     def multipliers():
@@ -736,7 +771,7 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
         c, nc, f = dual(lam, mu)
         for _ in range(500):
             s = 1.0 / (1.0 + mu)
-            w = s * gauge_coords(c, exponent, nc)
+            w = s * (point.dual_coords if c is v else gauge_coords(c, exponent, nc))
             rows = a[work]
             resid = b[work] - rows @ w
             grad = 2.0 * resid
@@ -754,7 +789,7 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
                 stalls += 1
                 if stalls >= 5:
                     return w, False
-            hess = _dual_hessian(cols, c, s, exponent, nc)
+            hess = _dual_hessian(cols, c, s, exponent, nc, point if c is v else None)
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -855,17 +890,18 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
         found = kkt_newton_on_working_set(w)
         return w if found is None else found
 
-    w = gauge_coords(v, exponent)
+    w = gauge_coords(v, exponent) if point is None else point.dual_coords
     for _ in range(4 * m + 50):
         w = solve_working_set(w)
         viol = a @ w - b
         viol[work] = -np.inf
         j = int(np.argmax(viol)) if m else -1
         row_gap = float(viol[j]) if m else -np.inf
-        ball_gap = pnorm(w, q) - radius if radius is not None and not ball else -np.inf
+        nw = pnorm(w, q) if radius is not None and not ball else None
+        ball_gap = -np.inf if nw is None else nw - radius
         # smaller violations are left to the KKT gate, at least 1e-10 (1 + |v|)
         if max(row_gap, ball_gap) <= 1e-12 * scale:
-            return w, lam, mu
+            return w, lam, mu, nw
         if ball_gap >= row_gap:
             ball = True  # enters with mu = 0
             continue
@@ -899,12 +935,14 @@ def _multiplier_newton(a: np.ndarray, b: np.ndarray, v: np.ndarray, exponent: fl
     raise NonConvergedError("cut-multiplier working set did not settle")
 
 
-def _generalized_projection(cset: ConstraintSet, v: np.ndarray, exponent: float):
+def _generalized_projection(
+    cset: ConstraintSet, v: np.ndarray, exponent: float, point: PrimalPoint | None = None
+):
     """Minimizer of |w|_q^2 - 2 <v, w> over base ∩ cuts, q the conjugate of exponent.
 
     Box faces join the cuts as +/- unit rows; a ball base must be a q-ball.
     Returns (w, KKT residual of the answer, the cuts with positive
-    multipliers).
+    multipliers).  point is `_multiplier_newton`'s.
     """
     a, b = _linear_rows(cset, v.shape[0])
     radius = None
@@ -916,8 +954,9 @@ def _generalized_projection(cset: ConstraintSet, v: np.ndarray, exponent: float)
                 f"conjugate exponent {q:g}"
             )
         radius = cset.base.radius
-    w, lam, mu = _multiplier_newton(a, b, v, exponent, radius)
-    return w, _kkt_residual(a, b, v, w, lam, mu, radius, exponent), _active_cuts(cset, lam)
+    w, lam, mu, nw = _multiplier_newton(a, b, v, exponent, radius, point)
+    resid = _kkt_residual(a, b, v, w, lam, mu, radius, exponent, nw)
+    return w, resid, _active_cuts(cset, lam)
 
 
 def project_intersection(
@@ -926,6 +965,7 @@ def project_intersection(
     tol: float = 1e-11,
     exponent: float = 2.0,
     hint: tuple = (),
+    point: PrimalPoint | None = None,
 ) -> tuple:
     """(nearest point of base ∩ cuts to v in the geometry of the exponent p,
     the cuts whose multipliers are positive).
@@ -948,11 +988,16 @@ def project_intersection(
     NNLS starts from the hint's cuts that are still in the set, and the
     empty default starts it cold.  The hint changes the path to the
     answer, never the gate it must pass.
+
+    `point`, when given, is v as a PrimalPoint of a space of this exponent,
+    v its coordinates: the multiplier Newton reads its kept norm, duality
+    image and Jacobian in place of evaluating them at v again, with the
+    same answer bit for bit.  The retraction passes its fixed anchor.
     """
     v = np.asarray(v, dtype=float)
     active = ()
     if exponent != 2.0:
-        z, resid, active = _generalized_projection(cset, v, exponent)
+        z, resid, active = _generalized_projection(cset, v, exponent, point)
     elif not cset.cuts:
         return project_primitive(v, cset.base), active
     elif isinstance(cset.base, PBall) and cset.base.exponent != 2.0:
@@ -1008,6 +1053,7 @@ def sample_feasible(
     scale: float = 1.0,
     dimension: int | None = None,
     anchor: np.ndarray | None = None,
+    anchor_violation: float | None = None,
 ) -> np.ndarray:
     """Draw `count` feasible points (rows), roughly spread over the set.
 
@@ -1017,7 +1063,8 @@ def sample_feasible(
     given (cheap and robust on thin cut intersections), and projected onto
     the set otherwise, in the set's own geometry: at exponent e / (e - 1)
     for an e-ball base, the geometry whose q-ball it is, and Euclidean for
-    every other base.
+    every other base.  `anchor_violation`, when given, is
+    worst_violation(cset, anchor) and is not computed again.
 
     The candidates are drawn and tested as one batch of rows, which
     returns bit for bit what testing them one at a time returns.  Box and
@@ -1035,7 +1082,9 @@ def sample_feasible(
         if dim is None:
             raise ValueError("dimension required to sample this base set")
     if anchor is not None:
-        allowed = max(worst_violation(cset, anchor), 0.0)
+        if anchor_violation is None:
+            anchor_violation = worst_violation(cset, anchor)
+        allowed = max(anchor_violation, 0.0)
         if allowed > 1e-9:
             anchor = None  # an infeasible anchor cannot guide the pull-back
     if isinstance(base, Box):

@@ -202,7 +202,9 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
 
     Raises NonConvergedError / UnsupportedCombinationError from the
     resolvent, NonConvergedError / InfeasibleError from the retraction and
-    AuditError from the retraction audit, each with the failing iteration
+    AuditError / NonConvergedError / InfeasibleError from the retraction
+    audit (its sampler projects when it cannot pull back), each with the
+    failing iteration
     prepended to the message and stored as its `iteration` attribute, and
     NonConvergedError when the accumulated cuts exceed the configured cap.
     A raised error's `capped_starts` attribute counts the capped gap-search
@@ -279,19 +281,20 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
         except (NonConvergedError, InfeasibleError) as exc:
             raise _at_iteration(exc, n, capped_total) from exc
 
+        # the one feasibility gate of J x_{n+1}: the audit and its sampler
+        # read it, and it enters the feasibility record
+        dual_gap = worst_violation(dual_set, x_next.dual_coords)
         try:
             retraction_residual = retraction_vi_residual(
                 retraction_problem,
                 x_next,
                 samples=config.audit_samples,
                 rng=np.random.default_rng([config.seed, n, 2]),
+                violation=dual_gap,
             )
-        except AuditError as exc:
+        except (AuditError, NonConvergedError, InfeasibleError) as exc:
             raise _at_iteration(exc, n, capped_total) from exc
-        feasibility = max(
-            worst_violation(bundle.omega, x_next.coords),
-            worst_violation(dual_set, x_next.dual_coords),
-        )
+        feasibility = max(worst_violation(bundle.omega, x_next.coords), dual_gap)
 
         fejer = fejer_y = None
         if reference is not None:

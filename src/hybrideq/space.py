@@ -73,9 +73,10 @@ def _as_coords(values, dimension: int) -> np.ndarray:
 class PrimalPoint:
     """A point of the primal space, tagged with its space configuration.
 
-    Its norm and its duality image are computed on first use and kept: the
-    coordinates are read-only, so neither can go stale, and every reader of
-    either gets the value `pnorm` or `gauge_coords` returns on them.
+    Its norm, its duality image and the Jacobian of the duality map at it
+    are computed on first use and kept: the coordinates are read-only, so
+    none can go stale, and every reader gets the value `pnorm`,
+    `gauge_coords` or `duality_jacobian` returns on them.
     """
 
     coords: np.ndarray
@@ -93,9 +94,16 @@ class PrimalPoint:
         """Read-only coordinates of Jx; at p = 2 they are `coords` itself."""
         if self.space.is_hilbert:
             return self.coords
-        jx = gauge_coords(self.coords, self.space.exponent)
+        jx = gauge_coords(self.coords, self.space.exponent, self.norm)
         jx.setflags(write=False)
         return jx
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        """Read-only Jacobian of the duality map at the point."""
+        jac = duality_jacobian(self.coords, self.space.exponent, self.norm)
+        jac.setflags(write=False)
+        return jac
 
 
 @dataclass(frozen=True)

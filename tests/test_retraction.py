@@ -22,8 +22,14 @@ from hybrideq import (
     retraction_vi_residual,
     sunny_retract,
 )
-from hybrideq.errors import InfeasibleError
-from hybrideq.sets import WholeSpace, _generalized_projection, add_cut, sample_feasible
+from hybrideq.errors import AuditError, InfeasibleError
+from hybrideq.sets import (
+    WholeSpace,
+    _generalized_projection,
+    add_cut,
+    sample_feasible,
+    worst_violation,
+)
 from hybrideq.space import DualPoint, gauge_coords, pnorm
 
 
@@ -149,6 +155,22 @@ class TestVIResidual:
         wrong = PrimalPoint([0.0, 1.0], s)
         res = retraction_vi_residual(prob, wrong, samples=200, rng=np.random.default_rng(2))
         assert res > 0.5
+
+    def test_passed_violation_changes_nothing(self):
+        # the caller's worst_violation of Jz gates the audit and guides the
+        # sampler's pull-back, as the one computed inside does
+        s = SpaceConfig(3, 3.0)
+        dual = _dual_ball(s, [(np.array([1.0, 0.5, 0.0]), 0.1), (np.array([0.0, 1.0, -1.0]), 0.2)])
+        prob = RetractionProblem(s, dual, PrimalPoint([0.9, 0.7, -0.3], s))
+        z, _ = sunny_retract(prob)
+        own = retraction_vi_residual(prob, z, samples=50, rng=np.random.default_rng(5))
+        gap = worst_violation(dual, z.dual_coords)
+        passed = retraction_vi_residual(
+            prob, z, samples=50, rng=np.random.default_rng(5), violation=gap
+        )
+        assert passed == own
+        with pytest.raises(AuditError):
+            retraction_vi_residual(prob, z, samples=50, violation=1e-3)
 
     def test_infeasible_point_rejected(self):
         s = SpaceConfig(2, 2.0)

@@ -44,6 +44,7 @@ from hybrideq.sets import (
     _ldp,
     _least_distance,
     _linear_rows,
+    _multiplier_newton,
     _nnls,
     _pull_feasible_rows,
     _row_violations,
@@ -51,7 +52,7 @@ from hybrideq.sets import (
     project_intersection,
     worst_violation,
 )
-from hybrideq.space import pnorm
+from hybrideq.space import PrimalPoint, SpaceConfig, duality_jacobian, pnorm
 
 
 def _grid_nearest(cset, v, lo=-1.5, hi=1.5, steps=301):
@@ -323,8 +324,8 @@ class TestMultiplierNewtonNormReuse:
 
         seen = []
 
-        def spy(cols, c, s, exponent, nc=None):
-            out = _dual_hessian(cols, c, s, exponent, nc)
+        def spy(cols, c, s, exponent, nc=None, point=None):
+            out = _dual_hessian(cols, c, s, exponent, nc, point)
             seen.append(nc is not None and c[1] == 0.0)
             assert out.tobytes() == _dual_hessian(cols, c, s, exponent).tobytes()
             return out
@@ -341,6 +342,70 @@ class TestMultiplierNewtonNormReuse:
         assert seen and all(seen)
         assert len(active) == 2
         assert worst_violation(cset, w) <= 1e-12
+
+
+class TestMultiplierNewtonKeptAnchor:
+    """The Newton reads the kept norm, image and Jacobian of a PrimalPoint
+    anchor; its answer must be the one it computes without them."""
+
+    ANCHORS = {
+        "no_zero": [0.9, -1.3, 0.4, 2.2, -0.6, 1.1],
+        "plus_zero": [0.9, -1.3, 0.0, 2.2, -0.6, 1.1],
+        "minus_zero": [0.9, -1.3, -0.0, 2.2, 0.0, 1.1],
+    }
+
+    @staticmethod
+    def _problem(rng, exponent, mag, ball):
+        # unit rows that cut off J(v): the cut levels sit below a J(v) and
+        # above 0, which the ball contains, so the set is nonempty
+        a = rng.standard_normal((4, 6))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        return a, rng.uniform(0.05, 0.3, 4) * mag, (0.8 * mag if ball else None)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+    @pytest.mark.parametrize("exponent", [1.5, 3.0, 10.0])
+    @pytest.mark.parametrize("mag", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("kind", sorted(ANCHORS))
+    @pytest.mark.parametrize("ball", [False, True])
+    def test_kept_values_give_the_same_answer_bit_for_bit(self, exponent, mag, kind, ball):
+        rng = np.random.default_rng(11)
+        a, b, radius = self._problem(rng, exponent, mag, ball)
+        point = PrimalPoint(mag * np.array(self.ANCHORS[kind]), SpaceConfig(6, exponent))
+        v = point.coords
+        plain = _multiplier_newton(a, b, v, exponent, radius)
+        kept = _multiplier_newton(a, b, v, exponent, radius, point)
+        w, lam, mu, nw = plain
+        assert kept[0].tobytes() == w.tobytes()
+        assert kept[1].tobytes() == lam.tobytes()
+        assert (kept[2], kept[3]) == (mu, nw)
+        assert np.copysign(1.0, kept[2]) == np.copysign(1.0, mu)
+        # the cuts bind, so the Newton left lam = 0; at 1e-100 every
+        # violation is under its 1e-12 (1 + |v|) gate and none enters
+        assert lam.any() or mag < 1.0
+
+    @pytest.mark.parametrize("exponent", [3.0, 10.0])
+    def test_kept_jacobian_serves_the_first_cut(self, monkeypatch, exponent):
+        # at lam = 0 the dual's c is v: the Hessian there is the kept one
+        import hybrideq.sets as sets_module
+
+        calls = []
+
+        def counting(v, e, nrm=None):
+            calls.append(v.tobytes())
+            return duality_jacobian(v, e, nrm)
+
+        monkeypatch.setattr(sets_module, "duality_jacobian", counting)
+        a, b, _ = self._problem(np.random.default_rng(11), exponent, 1.0, False)
+        point = PrimalPoint(self.ANCHORS["no_zero"], SpaceConfig(6, exponent))
+        first = _multiplier_newton(a, b, point.coords, exponent, None)
+        at_v = calls.count(point.coords.tobytes())
+        assert at_v >= 1
+        calls.clear()
+        again = _multiplier_newton(a, b, point.coords, exponent, None, point)
+        assert "jacobian" in vars(point)
+        assert point.coords.tobytes() not in calls
+        assert again[0].tobytes() == first[0].tobytes()
 
 
 def _random_cut_set(rng, kind):

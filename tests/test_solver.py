@@ -1,11 +1,15 @@
 """Outer hybrid loop: blending step, comparison cuts, runs, and audits."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from hybrideq import (
     ConstraintSet,
     Frame,
+    InfeasibleError,
     InverseDualityPairing,
     Mode,
     NonConvergedError,
@@ -26,7 +30,9 @@ from hybrideq import (
     step_y,
 )
 from hybrideq.equilibrium import DualNormTerm, DualityPerturbation, ZeroPerturbation, ZeroTerm
-from hybrideq.harness import build_config, load_scenario, read_scenario
+import hybrideq.retraction as retraction_module
+import hybrideq.sets as sets_module
+from hybrideq.harness import build_config, load_scenario, read_scenario, run_scenario
 from hybrideq.sets import add_cut, worst_violation
 from hybrideq.solver import AUDIT_TOLERANCES
 from hybrideq.space import gauge_coords, phi_coords, pnorm
@@ -297,3 +303,99 @@ class TestRecordsMatchTheFormulas:
                 worst_violation(bundle.omega, x_next.coords),
                 worst_violation(dual_set, gauge_coords(x_next.coords, p)),
             )
+
+
+def _rebind(monkeypatch, original, wrapper):
+    """Replace `original` by `wrapper` in every loaded hybrideq module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "hybrideq" or name.startswith("hybrideq.")):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+
+
+def _banach_run_inputs(p):
+    rng = np.random.default_rng(3)
+    start = rng.standard_normal(8)
+    bundle = _lp_bundle(p=p, anchor=0.8 * start / pnorm(start, p))
+    config = SolverConfig(mode=Mode.BANACH_MAIN2, max_outer=8, outer_tol=1e-9, audit_samples=8)
+    return bundle, config
+
+
+class TestFixedAnchorWork:
+    """The retraction's anchor x_1 is the same in every iteration: what
+    depends on it alone is computed once per run, and each new iterate
+    passes one feasibility gate."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 10.0])
+    def test_anchor_kernels_run_at_most_once_per_run(self, monkeypatch, p):
+        import hybrideq.space as space_module
+
+        bundle, config = _banach_run_inputs(p)
+        x1 = bundle.anchor.coords.tobytes()
+        at_anchor = Counter()
+        retracting = []
+
+        for name in ("pnorm", "gauge_coords", "duality_jacobian"):
+            real = getattr(space_module, name)
+
+            def counted(v, exponent, *rest, _real=real, _name=name):
+                if retracting and exponent == p and np.asarray(v).tobytes() == x1:
+                    at_anchor[_name] += 1
+                return _real(v, exponent, *rest)
+
+            _rebind(monkeypatch, real, counted)
+
+        real_retract = retraction_module.sunny_retract
+
+        def retract(*args, **kwargs):
+            retracting.append(True)
+            try:
+                return real_retract(*args, **kwargs)
+            finally:
+                retracting.pop()
+
+        _rebind(monkeypatch, real_retract, retract)
+        result = run(bundle, config)
+        assert result.iterations == config.max_outer
+        assert max(at_anchor.values(), default=0) <= 1, at_anchor
+
+    def test_one_feasibility_gate_per_iterate(self, monkeypatch):
+        bundle, config = _banach_run_inputs(3.0)
+        real = sets_module.worst_violation
+        gated = []
+
+        def counted(cset, v):
+            if cset.frame is Frame.DUAL:
+                gated.append(np.asarray(v).tobytes())
+            return real(cset, v)
+
+        _rebind(monkeypatch, real, counted)
+        result = run(bundle, config)
+        nexts = [rec.x for rec in result.history[1:]] + [result.x_star]
+        assert [gated.count(x.dual_coords.tobytes()) for x in nexts] == [1] * len(nexts)
+
+
+class TestAuditPhaseFailures:
+    """An error of the retraction audit carries its iteration like every other phase's."""
+
+    @pytest.mark.parametrize(
+        "error, outcome", [(NonConvergedError, "non_converged"), (InfeasibleError, "infeasible")]
+    )
+    def test_sampler_failure_keeps_its_iteration(self, monkeypatch, error, outcome):
+        # the audit's sampler projects when it cannot pull back toward Jz,
+        # and that projection can fail
+        real = retraction_module.sample_feasible
+        calls = []
+
+        def failing_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error("projection fallback failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(retraction_module, "sample_feasible", failing_third)
+        report = run_scenario(load_scenario("lp_shift_example"))
+        assert report.outcome == outcome
+        assert report.failed_iteration == 3
+        assert report.error == "iteration 3: projection fallback failed"

@@ -66,7 +66,8 @@ class TestPoints:
 
 
 class TestPointCache:
-    """A point's kept norm and duality image are the kernels' values, computed once."""
+    """A point's kept norm, duality image and Jacobian are the kernels'
+    values, computed once."""
 
     EXPONENTS = [1.1, 1.5, 2.0, 3.0, 10.0]
     MAGNITUDES = [1e-100, 1.0, 1e100]
@@ -75,8 +76,10 @@ class TestPointCache:
     def _coords(mag):
         return mag * np.array([0.3, -1.2, 0.0, 0.7, 2.5])
 
-    # the plain power sum is tried first and numpy reports its overflow
+    # the plain power sum is tried first and numpy reports its overflow;
+    # below exponent 2 the Jacobian is infinite at the zero coordinate
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
     @pytest.mark.parametrize("p", EXPONENTS)
     @pytest.mark.parametrize("mag", MAGNITUDES)
     def test_kept_values_are_the_kernels_bit_for_bit(self, p, mag):
@@ -85,21 +88,26 @@ class TestPointCache:
         x = PrimalPoint(coords, space)
         assert x.norm == pnorm(coords, p)
         assert x.dual_coords.tobytes() == gauge_coords(coords, p).tobytes()
+        assert x.jacobian.tobytes() == duality_jacobian(coords, p).tobytes()
         w = DualPoint(coords, space)
         assert w.norm == pnorm(coords, space.conjugate)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
     @pytest.mark.parametrize("p", EXPONENTS)
     def test_image_is_read_only(self, p):
         x = PrimalPoint(self._coords(1.0), SpaceConfig(5, p))
         assert not x.dual_coords.flags.writeable
         with pytest.raises(ValueError):
             x.dual_coords[0] = 1.0
+        with pytest.raises(ValueError):
+            x.jacobian[0, 0] = 1.0
 
     def test_hilbert_image_is_the_coordinates(self):
         x = PrimalPoint(self._coords(1.0), SpaceConfig(5, 2.0))
         assert x.dual_coords is x.coords
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
     @pytest.mark.parametrize("p", EXPONENTS)
     @pytest.mark.parametrize("mag", MAGNITUDES)
     def test_each_value_is_computed_once(self, monkeypatch, p, mag):
@@ -118,15 +126,20 @@ class TestPointCache:
 
         monkeypatch.setattr(space_module, "pnorm", counting("pnorm"))
         monkeypatch.setattr(space_module, "gauge_coords", counting("gauge_coords"))
+        monkeypatch.setattr(space_module, "duality_jacobian", counting("duality_jacobian"))
         space = SpaceConfig(5, p)
         x = PrimalPoint(self._coords(mag), space)
         w = DualPoint(x.coords, space)
-        first = (x.norm, x.dual_coords, w.norm)
-        assert "pnorm" in calls
+        first = (x.norm, x.dual_coords, w.norm, x.jacobian)
+        assert "pnorm" in calls and "duality_jacobian" in calls
         assert calls.count("gauge_coords") == (0 if p == 2.0 else 1)
+        if mag == 1.0:
+            # x's norm and w's: the image and the Jacobian read x's
+            assert calls.count("pnorm") == 2
         calls.clear()
         for _ in range(3):
             assert (x.norm, w.norm) == (first[0], first[2]) and x.dual_coords is first[1]
+            assert x.jacobian is first[3]
             lyapunov_phi(x, x)
         assert calls == []
 
