@@ -204,9 +204,9 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     resolvent, NonConvergedError / InfeasibleError from the retraction and
     AuditError / NonConvergedError / InfeasibleError from the retraction
     audit (its sampler projects when it cannot pull back), each with the
-    failing iteration
-    prepended to the message and stored as its `iteration` attribute, and
-    NonConvergedError when the accumulated cuts exceed the configured cap.
+    failing iteration prepended to the message and stored as its
+    `iteration` attribute, and NonConvergedError when the accumulated cuts
+    exceed the configured cap.
     A raised error's `capped_starts` attribute counts the capped gap-search
     starts of every resolvent solve that finished before it.
     """
