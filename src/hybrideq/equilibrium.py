@@ -274,12 +274,10 @@ class ResolventProblem:
 
 
 def resolvent_lhs(prob: ResolventProblem, u: PrimalPoint, y: PrimalPoint) -> float:
-    """Left side of the regularized equilibrium inequality at the pair (u, y)."""
-    space = prob.space
-    p = space.exponent
+    """Left side of the regularized equilibrium inequality at the pair (u, y);
+    reads the points' kept duality images."""
     uc, yc = u.coords, y.coords
-    ju = gauge_coords(uc, p)
-    jy = gauge_coords(yc, p)
+    ju, jy = u.dual_coords, y.dual_coords
     total = 0.0
     for f in prob.bifunctions:
         total += f.evaluate(ju, jy)
@@ -424,8 +422,10 @@ def _solve_hilbert(prob: ResolventProblem, tol: float, max_iter: int) -> np.ndar
 # -- Banach (shift-example class) solver ------------------------------------------
 
 
-def _banach_inner_objective(prob: ResolventProblem, uc: np.ndarray):
+def _banach_inner_objective(prob: ResolventProblem, u: PrimalPoint):
     """Closed-form inner objective y -> lhs(u, y) and its gradient for the lp class.
+
+    Reads u's kept norm and duality image.
 
     Batched over rows.  evaluate takes (k, d) and returns the (k,) values
     with the intermediates the gradient reuses: |y|, the row norms, the
@@ -442,8 +442,7 @@ def _banach_inner_objective(prob: ResolventProblem, uc: np.ndarray):
     k = len(prob.bifunctions)
     x0 = prob.input_point.coords
     inv_r = 1.0 / prob.r
-    ju = gauge_coords(uc, p)
-    nu = pnorm(uc, p)
+    uc, ju, nu = u.coords, u.dual_coords, u.norm
     c1 = k * uc + inv_r * (uc - x0)
     const = -k * nu * nu - nu - nu * nu - inv_r * float(np.dot(uc - x0, ju))
 
@@ -703,30 +702,29 @@ def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndar
     return total
 
 
-def _safe_values(prob, uc, ys, values):
+def _safe_values(prob, u, ys, values):
     """values, each non-finite entry (a row the batched evaluation overflows
     on, far from unit scale) evaluated again by the scale-safe resolvent_lhs."""
-    u = PrimalPoint(uc, prob.space)
     for i in np.nonzero(~np.isfinite(values))[0]:
         values[i] = resolvent_lhs(prob, u, PrimalPoint(ys[i], prob.space))
     return values
 
 
-def _gap_banach(prob, uc, starts, max_iter=300):
+def _gap_banach(prob, u, starts, max_iter=300):
     """min of lhs(u, .) over the rows _pgd_search ends on from the starts,
     ties broken by the lowest start index, and the number of starts capped
     still moving."""
-    evaluate, gradient = _banach_inner_objective(prob, uc)
+    evaluate, gradient = _banach_inner_objective(prob, u)
     ys, values, capped = _pgd_search(evaluate, gradient, prob.feasible, starts, max_iter, 1e-9)
-    y = ys[int(np.argmin(_safe_values(prob, uc, ys, values)))]
+    y = ys[int(np.argmin(_safe_values(prob, u, ys, values)))]
     # report the certified value through the generic evaluation
-    return resolvent_lhs(prob, PrimalPoint(uc, prob.space), PrimalPoint(y, prob.space)), capped
+    return resolvent_lhs(prob, u, PrimalPoint(y, prob.space)), capped
 
 
-def _gap_holder(prob, uc, starts):
+def _gap_holder(prob, u, starts):
     """min over the starts of lhs(0, y), by evaluation alone."""
     ys = np.array(starts, dtype=float)
-    return float(np.min(_safe_values(prob, uc, ys, _banach_inner_objective(prob, uc)[0](ys)[0])))
+    return float(np.min(_safe_values(prob, u, ys, _banach_inner_objective(prob, u)[0](ys)[0])))
 
 
 def resolvent_gap(
@@ -762,9 +760,9 @@ def resolvent_gap(
     if kind == "hilbert":
         best, capped = _gap_hilbert(prob, uc, starts)
     elif not uc.any() and prob.input_point.norm <= prob.r:
-        best, capped = _gap_holder(prob, uc, starts), 0
+        best, capped = _gap_holder(prob, u, starts), 0
     else:
-        best, capped = _gap_banach(prob, uc, starts)
+        best, capped = _gap_banach(prob, u, starts)
     return max(0.0, -best), capped
 
 
@@ -782,7 +780,8 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
     starts by projected gradient.  The larger of the exact bound and the
     sampled gap is the certified gap, and NonConvergedError is raised when
     it exceeds tol.  Returns (u, gap, the number of gap-search starts
-    capped still moving, always 0 at u = 0).
+    capped still moving, always 0 at u = 0); u is built once, and the Omega
+    check and the gap read its kept norm and duality image.
     """
     xc = prob.input_point.coords
     nx = prob.input_point.norm
@@ -794,21 +793,22 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
         inv_r = 1.0 / prob.r
         s = (nx * inv_r - 1.0) / (len(prob.bifunctions) + 1.0 + inv_r)
         uc = (s / nx) * xc
-    if not contains(prob.feasible, uc):
+    u = PrimalPoint(uc, prob.space)
+    if not contains(prob.feasible, u.coords, 0.0, u.norm, prob.space.exponent):
         raise NonConvergedError("the closed-form resolvent candidate lies outside Omega")
-    gap, capped = resolvent_gap(prob, PrimalPoint(uc, prob.space), rng=rng)
+    gap, capped = resolvent_gap(prob, u, rng=rng)
     if exact is not None:
         gap = max(exact, gap)
     if gap > tol:
         raise NonConvergedError(f"closed-form Banach resolvent gap {gap:g} > tol={tol:g}")
-    return uc, gap, capped
+    return u, gap, capped
 
 
 def solve_resolvent_certified(
     prob: ResolventProblem, tol: float = 1e-8, rng: np.random.Generator | None = None
 ) -> tuple:
-    """Solve for T_r(input) and certify; returns (PrimalPoint, certified gap,
-    capped starts).
+    """Solve for T_r(input) and certify; returns (the PrimalPoint certified,
+    certified gap, capped starts).
 
     The third entry counts the gap descents, over every gap check of the
     solve, that reached their iteration cap still moving.
@@ -820,8 +820,7 @@ def solve_resolvent_certified(
         target = tol / 10.0
         capped = 0
         for _ in range(3):
-            uc = _solve_hilbert(prob, target * 10.0, 200_000)
-            u = PrimalPoint(uc, prob.space)
+            u = PrimalPoint(_solve_hilbert(prob, target * 10.0, 200_000), prob.space)
             gap, more = resolvent_gap(prob, u, rng=rng)
             capped += more
             if gap <= tol:
@@ -830,6 +829,6 @@ def solve_resolvent_certified(
         else:
             raise NonConvergedError(f"resolvent gap {gap:g} stayed above tol={tol:g}")
     else:
-        uc, gap, capped = _solve_banach(prob, tol, rng)
-    return PrimalPoint(uc, prob.space), gap, capped
+        u, gap, capped = _solve_banach(prob, tol, rng)
+    return u, gap, capped
 

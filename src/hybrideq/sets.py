@@ -173,17 +173,33 @@ class ConstraintSet:
         return out
 
 
-def contains(cset: ConstraintSet, v: np.ndarray, tol: float = 0.0) -> bool:
-    """True iff v violates no base-set or cut constraint by more than tol."""
-    return worst_violation(cset, v) <= tol
+def contains(
+    cset: ConstraintSet,
+    v: np.ndarray,
+    tol: float = 0.0,
+    nrm: float | None = None,
+    exponent: float | None = None,
+) -> bool:
+    """True iff v violates no base-set or cut constraint by more than tol;
+    nrm and exponent as in worst_violation."""
+    return worst_violation(cset, v, nrm, exponent) <= tol
 
 
-def worst_violation(cset: ConstraintSet, v: np.ndarray) -> float:
-    """Largest constraint violation of v (<= 0 when v is feasible)."""
+def worst_violation(
+    cset: ConstraintSet, v: np.ndarray, nrm: float | None = None, exponent: float | None = None
+) -> float:
+    """Largest constraint violation of v (<= 0 when v is feasible).
+
+    nrm, when given, is pnorm(v, exponent), a norm the caller keeps; a
+    p-ball base of that exponent reads it in place of computing it again,
+    and a base of any other exponent does not.
+    """
     v = np.asarray(v, dtype=float)
     base = cset.base
     if isinstance(base, PBall):
-        worst = pnorm(v, base.exponent) - base.radius
+        if nrm is None or base.exponent != exponent:
+            nrm = pnorm(v, base.exponent)
+        worst = nrm - base.radius
     elif isinstance(base, Box):
         worst = float(np.max(np.maximum(base.lower - v, v - base.upper), initial=-np.inf))
     else:

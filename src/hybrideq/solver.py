@@ -213,7 +213,9 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     space = bundle.space
     if config.mode is Mode.HILBERT_MAIN and not space.is_hilbert:
         raise UnsupportedCombinationError("HILBERT_MAIN requires exponent p = 2")
-    if not contains(bundle.omega, bundle.anchor.coords, 1e-9):
+    p = space.exponent
+    anchor = bundle.anchor
+    if not contains(bundle.omega, anchor.coords, 1e-9, anchor.norm, p):
         raise ValueError("anchor x_1 must lie in Omega")
     # fail fast when the equilibrium data are outside the support matrix
     classify_problem(
@@ -223,16 +225,14 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
             bundle.perturbation,
             bundle.omega,
             max(config.r_at(1), config.min_r),
-            bundle.anchor,
+            anchor,
             min_r=config.min_r,
         )
     )
 
-    p = space.exponent
     reference = config.reference_solution
     dual_set = bundle.omega_dual
-    x = bundle.anchor
-    anchor = bundle.anchor
+    x = anchor
     history = []
     # the cuts active in the last retraction: the anchor is fixed and the set
     # only shrinks, so they seed the next one's NNLS passive set
@@ -264,7 +264,8 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
         capped_total += capped_starts
 
         diff = x.coords - u.coords
-        gap_xu = pnorm(diff, p)
+        # pnorm reads only |diff_i|, so at u = 0 it is x's kept norm exactly
+        gap_xu = pnorm(diff, p) if u.coords.any() else x.norm
         cut = _comparison_cut(u, x, diff, gap_xu)
         if cut is not None:
             dual_set = add_cut(dual_set, cut)
@@ -294,7 +295,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
             )
         except (AuditError, NonConvergedError, InfeasibleError) as exc:
             raise _at_iteration(exc, n, capped_total) from exc
-        feasibility = max(worst_violation(bundle.omega, x_next.coords), dual_gap)
+        feasibility = max(worst_violation(bundle.omega, x_next.coords, x_next.norm, p), dual_gap)
 
         fejer = fejer_y = None
         if reference is not None:

@@ -285,8 +285,8 @@ class TestHolderBranchCheck:
     def test_a_negative_evaluation_raises(self, monkeypatch):
         real = equilibrium._banach_inner_objective
 
-        def dipping(prob, uc):
-            evaluate, gradient = real(prob, uc)
+        def dipping(prob, u):
+            evaluate, gradient = real(prob, u)
 
             def evaluate_dipping(ys):
                 values, parts = evaluate(ys)
@@ -307,7 +307,7 @@ class TestHolderBranchCheck:
         starts = _gap_starts(prob, uc, 16, np.random.default_rng(0))
         zero = PrimalPoint(uc, prob.space)
         lhs = [resolvent_lhs(prob, zero, PrimalPoint(y, prob.space)) for y in starts[2:]]
-        assert equilibrium._gap_holder(prob, uc, starts[2:]) == min(lhs) > 0.0
+        assert equilibrium._gap_holder(prob, zero, starts[2:]) == min(lhs) > 0.0
 
     def test_nonzero_branch_still_descends(self, monkeypatch):
         real = equilibrium._pgd_search
@@ -388,7 +388,8 @@ class TestGapSearch:
         )
         uc = 0.3 * x if shifted else np.zeros(d)
         starts = _gap_starts(prob, uc, 2, rng)
-        evaluate, gradient = _banach_inner_objective(prob, uc)
+        u = PrimalPoint(uc, space)
+        evaluate, gradient = _banach_inner_objective(prob, u)
         ys, fy, _ = _pgd_search(evaluate, gradient, prob.feasible, starts, 300, 1e-9)
         for i, start in enumerate(starts):
             y_ref, f_ref = pgd_sequential(evaluate, gradient, prob.feasible, start)
@@ -396,8 +397,8 @@ class TestGapSearch:
             y_one, f_one, _ = _pgd_search(evaluate, gradient, prob.feasible, [start], 300, 1e-9)
             assert np.array_equal(y_one[0], ys[i]) and f_one[0] == fy[i]
         best = PrimalPoint(ys[int(np.argmin(fy))], space)
-        value, _ = _gap_banach(prob, uc, starts, max_iter=300)
-        assert value == resolvent_lhs(prob, PrimalPoint(uc, space), best)
+        value, _ = _gap_banach(prob, u, starts, max_iter=300)
+        assert value == resolvent_lhs(prob, u, best)
 
     @staticmethod
     def _quadratic(center):

@@ -102,6 +102,41 @@ class TestContains:
             assert np.array_equal(one, value, equal_nan=True), (row, one, value)
 
 
+class TestKeptNorm:
+    """A norm the caller keeps, passed to worst_violation, gives the
+    one-argument result byte for byte; a ball of another exponent than the
+    norm's computes its own."""
+
+    VECTOR = [0.3, -1.2, 0.0, 0.7, 2.5]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 10.0])
+    @pytest.mark.parametrize("mag", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("base", ["ball", "other_ball", "box", "whole"])
+    @pytest.mark.parametrize("point", ["finite", "nan"])
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_passed_norm_changes_nothing(self, p, mag, base, point, cut):
+        v = mag * np.array(self.VECTOR)
+        if point == "nan":
+            v[1] = np.nan
+        bases = {
+            "ball": PBall(2.0 * mag, p),
+            "other_ball": PBall(2.0 * mag, p + 1.0),
+            "box": Box(np.full(5, -mag), np.full(5, mag)),
+            "whole": WholeSpace(),
+        }
+        cuts = (Halfspace([1.0, 0.0, 0.0, 0.0, 0.0], 0.1 * mag),) if cut else ()
+        cset = ConstraintSet(bases[base], cuts)
+        nrm = pnorm(v, p)
+        alone = worst_violation(cset, v)
+        assert np.float64(worst_violation(cset, v, nrm, p)).tobytes() == np.float64(alone).tobytes()
+        assert contains(cset, v, 0.0, nrm, p) == contains(cset, v, 0.0)
+        if base == "other_ball" and point == "finite" and not cut:
+            # the norm of the ball's own exponent, not the one passed
+            assert alone == pnorm(v, p + 1.0) - 2.0 * mag != nrm - 2.0 * mag
+
+
 class TestProjectPrimitive:
     def test_halfspace_closed_form(self):
         hs = Halfspace([1.0, 0.0], 1.0)

@@ -1,5 +1,6 @@
 """Outer hybrid loop: blending step, comparison cuts, runs, and audits."""
 
+import dataclasses
 import sys
 from collections import Counter
 
@@ -32,6 +33,8 @@ from hybrideq import (
 from hybrideq.equilibrium import DualNormTerm, DualityPerturbation, ZeroPerturbation, ZeroTerm
 import hybrideq.retraction as retraction_module
 import hybrideq.sets as sets_module
+import hybrideq.solver as solver_module
+import hybrideq.space as space_module
 from hybrideq.harness import build_config, load_scenario, read_scenario, run_scenario
 from hybrideq.sets import add_cut, worst_violation
 from hybrideq.solver import AUDIT_TOLERANCES
@@ -365,15 +368,120 @@ class TestFixedAnchorWork:
         real = sets_module.worst_violation
         gated = []
 
-        def counted(cset, v):
+        def counted(cset, v, *kept):
             if cset.frame is Frame.DUAL:
                 gated.append(np.asarray(v).tobytes())
-            return real(cset, v)
+            return real(cset, v, *kept)
 
         _rebind(monkeypatch, real, counted)
         result = run(bundle, config)
         nexts = [rec.x for rec in result.history[1:]] + [result.x_star]
         assert [gated.count(x.dual_coords.tobytes()) for x in nexts] == [1] * len(nexts)
+
+
+class TestResolventPointWork:
+    """The resolvent point u is built once, and every reader takes that
+    point: u is validated once per iteration, and outside the retraction
+    (whose multiplier Newton may norm a dual with the new iterate's bytes)
+    the norms of u, of the new iterate and of the anchor are each computed
+    at most once."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 10.0])
+    def test_each_point_is_validated_and_normed_once(self, monkeypatch, p):
+        doc = read_scenario("lp_shift_example")
+        doc["space"]["exponent"] = p
+        doc["config"]["max_outer"] = 8
+        # the declared reference solution is 0 as well: without it, the zero
+        # vectors validated and normed in an iteration are u alone
+        del doc["bundle"]["reference_solution"]
+        spec = load_scenario(doc)
+        bundle, config = spec.problem, build_config(spec)
+        run_seen, iteration_seen, retracting = Counter(), [], []
+
+        def record(kind, v):
+            if retracting:
+                return
+            key = (kind, np.asarray(v, dtype=float).tobytes())
+            run_seen[key] += 1
+            if iteration_seen:
+                iteration_seen[-1][key] += 1
+
+        real_as_coords = space_module._as_coords
+
+        def as_coords(values, dimension):
+            record("valid", values)
+            return real_as_coords(values, dimension)
+
+        monkeypatch.setattr(space_module, "_as_coords", as_coords)
+        real_pnorm = space_module.pnorm
+
+        def counted_pnorm(v, exponent):
+            if exponent == p:
+                record("norm", v)
+            return real_pnorm(v, exponent)
+
+        _rebind(monkeypatch, real_pnorm, counted_pnorm)
+        real_step = solver_module.step_y
+
+        def step(*args):
+            iteration_seen.append(Counter())
+            return real_step(*args)
+
+        monkeypatch.setattr(solver_module, "step_y", step)
+        real_retract = retraction_module.sunny_retract
+
+        def retract(*args, **kwargs):
+            retracting.append(True)
+            try:
+                return real_retract(*args, **kwargs)
+            finally:
+                retracting.pop()
+
+        _rebind(monkeypatch, real_retract, retract)
+        result = run(bundle, config)
+        assert result.iterations == 8
+        nexts = [rec.x for rec in result.history[1:]] + [result.x_star]
+        for rec, x_next, seen in zip(result.history, nexts, iteration_seen):
+            u = rec.u.coords.tobytes()
+            assert seen[("valid", u)] == 1, rec.n
+            assert seen[("norm", u)] <= 1, rec.n
+            assert run_seen[("norm", x_next.coords.tobytes())] <= 1, rec.n
+        assert run_seen[("norm", bundle.anchor.coords.tobytes())] <= 1
+
+    @pytest.mark.parametrize("p, e", [(1.5, 3.0), (3.0, 10.0)])
+    def test_records_equal_the_formulas_off_the_kept_norms(self, monkeypatch, p, e):
+        # r = 0.3 makes u nonzero, where gap_xu is not x's norm, and Omega
+        # is a ball of another exponent, whose checks cannot read a kept p-norm
+        bundle, config = _banach_run_inputs(p)
+        bundle = dataclasses.replace(bundle, omega=ConstraintSet(PBall(1.0, e), (), Frame.PRIMAL))
+        config = dataclasses.replace(config, r_schedule=0.3)
+        real = sets_module.worst_violation
+        kept = []
+
+        def checked(cset, v, *norm):
+            value = real(cset, v, *norm)
+            if norm:
+                kept.append(np.float64(value).tobytes() == np.float64(real(cset, v)).tobytes())
+            return value
+
+        _rebind(monkeypatch, real, checked)
+        result = run(bundle, config)
+        assert any(rec.u.coords.any() for rec in result.history)
+        assert kept and all(kept)
+        dual_set = bundle.omega_dual
+        nexts = [rec.x for rec in result.history[1:]] + [result.x_star]
+        for rec, x_next in zip(result.history, nexts):
+            xc, uc = rec.x.coords, rec.u.coords
+            assert rec.gap_xu == pnorm(xc - uc, p)
+            cut = make_comparison_halfspace(
+                PrimalPoint(uc, bundle.space), PrimalPoint(xc, bundle.space), bundle.space
+            )
+            if cut is not None:
+                dual_set = add_cut(dual_set, cut)
+            assert rec.feasibility_violation == max(
+                worst_violation(bundle.omega, x_next.coords),
+                worst_violation(dual_set, gauge_coords(x_next.coords, p)),
+            )
 
 
 class TestAuditPhaseFailures:
