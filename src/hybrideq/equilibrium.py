@@ -189,7 +189,7 @@ class WeightedL1Term:
     separable = True
 
     def value(self, v):
-        return self.weight * float(np.sum(np.abs(v)))
+        return self.weight * float(np.abs(v).sum())
 
     def prox(self, v, t):
         return np.sign(v) * np.maximum(np.abs(v) - t * self.weight, 0.0)
@@ -449,7 +449,7 @@ def _banach_inner_objective(prob: ResolventProblem, u: PrimalPoint):
     def evaluate(ys):
         absy = np.abs(ys)
         power = absy ** (p - 1.0)
-        norms = np.sum(power * absy, axis=1) ** (1.0 / p)
+        norms = (power * absy).sum(axis=1) ** (1.0 / p)
         s = np.copysign(power, ys)
         sc1 = np.einsum("ij,j->i", s, c1)
         safe = np.where(norms > 0.0, norms, 1.0)
@@ -480,7 +480,7 @@ def _outside_ball(cset, ys):
     e = base.exponent
     absy = np.abs(ys)
     # |y|^(e-1) |y|: numpy squares in place of pow at e = 3
-    norms = np.sum(absy ** (e - 1.0) * absy, axis=1) ** (1.0 / e)
+    norms = (absy ** (e - 1.0) * absy).sum(axis=1) ** (1.0 / e)
     return norms > base.radius
 
 
@@ -548,7 +548,7 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
             # or holds that trial alone when it comes first: every root-find
             # (and every error it raises) is one the sequential rule reaches
             outside = _outside_ball(cset, raw).reshape(steps.shape)
-            first_out = np.where(outside.any(axis=1), np.argmax(outside, axis=1), _STEP_BLOCK)
+            first_out = np.where(outside.any(axis=1), outside.argmax(axis=1), _STEP_BLOCK)
             width = np.minimum(_HALVINGS - tried[pending], np.where(first_out == 0, 1, first_out))
             usable = _COLUMNS < width[:, None]
             trial = _project_rows(cset, raw, (outside & usable).ravel())
@@ -560,7 +560,7 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
                 + np.einsum("ij,ij->i", delta, delta) / (2.0 * steps.ravel())
             )
             passed = (f_trial <= model).reshape(steps.shape) & usable
-            first = np.where(passed.any(axis=1), np.argmax(passed, axis=1), _STEP_BLOCK)
+            first = np.where(passed.any(axis=1), passed.argmax(axis=1), _STEP_BLOCK)
             hit = first < _STEP_BLOCK
             pick = np.nonzero(hit)[0] * _STEP_BLOCK + first[hit]
             rows = pending[hit]
@@ -616,7 +616,7 @@ def _linear_minimum(mixed, base, lin: np.ndarray):
     lam = mixed.weight if isinstance(mixed, WeightedL1Term) else 0.0
     if isinstance(base, Box):
         ends = (base.lower, base.upper, np.clip(0.0, base.lower, base.upper))
-        return float(np.sum(np.minimum.reduce([lin * y + lam * np.abs(y) for y in ends])))
+        return float(np.minimum.reduce([lin * y + lam * np.abs(y) for y in ends]).sum())
     excess = np.maximum(np.abs(lin) - lam, 0.0)
     return -base.radius * pnorm(excess, base.exponent / (base.exponent - 1.0))
 
@@ -669,7 +669,7 @@ def _gap_hilbert(prob, uc, starts, max_iter=300):
             capped = 1
         rows.append([y])
     ys = np.vstack(rows)
-    if not np.all(np.isfinite(ys)):
+    if not np.isfinite(ys).all():
         raise ValueError("coordinates must be finite")  # as PrimalPoint refuses them
     # fmin skips a NaN value, as a comparison with the best so far would
     return min(least, float(np.fmin.reduce(_lhs_rows(prob, uc, ys)))), capped
@@ -692,7 +692,7 @@ def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndar
             total += np.array([f.evaluate(uc, y) for y in ys])
     mixed = prob.mixed
     if isinstance(mixed, WeightedL1Term):
-        total += mixed.weight * np.sum(np.abs(ys), axis=1) - mixed.value(uc)
+        total += mixed.weight * np.abs(ys).sum(axis=1) - mixed.value(uc)
     elif not isinstance(mixed, ZeroTerm):
         total += np.array([mixed.value(y) for y in ys]) - mixed.value(uc)
     total += row_dots(ys - uc, prob.perturbation.apply(uc))
@@ -716,7 +716,7 @@ def _gap_banach(prob, u, starts, max_iter=300):
     still moving."""
     evaluate, gradient = _banach_inner_objective(prob, u)
     ys, values, capped = _pgd_search(evaluate, gradient, prob.feasible, starts, max_iter, 1e-9)
-    y = ys[int(np.argmin(_safe_values(prob, u, ys, values)))]
+    y = ys[int(_safe_values(prob, u, ys, values).argmin())]
     # report the certified value through the generic evaluation
     return resolvent_lhs(prob, u, PrimalPoint(y, prob.space)), capped
 
@@ -724,7 +724,7 @@ def _gap_banach(prob, u, starts, max_iter=300):
 def _gap_holder(prob, u, starts):
     """min over the starts of lhs(0, y), by evaluation alone."""
     ys = np.array(starts, dtype=float)
-    return float(np.min(_safe_values(prob, u, ys, _banach_inner_objective(prob, u)[0](ys)[0])))
+    return float(_safe_values(prob, u, ys, _banach_inner_objective(prob, u)[0](ys)[0]).min())
 
 
 def resolvent_gap(

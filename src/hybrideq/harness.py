@@ -560,7 +560,7 @@ class RunReport:
             "final_point": list(self.final_point),
             "final_norm": self.final_norm,
             "iterations": self.iterations,
-            "audits": copy.deepcopy(self.audits),
+            "audits": {name: dict(audit) for name, audit in self.audits.items()},
             "audits_passed": self.audits_passed,
             "wall_time": self.wall_time,
             "rows": [dict(row) for row in self.rows],
@@ -578,7 +578,7 @@ class RunReport:
             final_point=tuple(doc["final_point"]),
             final_norm=doc["final_norm"],
             iterations=doc["iterations"],
-            audits=copy.deepcopy(doc["audits"]),
+            audits={name: dict(audit) for name, audit in doc["audits"].items()},
             audits_passed=doc["audits_passed"],
             wall_time=doc["wall_time"],
             rows=tuple(dict(row) for row in doc["rows"]),

@@ -131,10 +131,10 @@ class OperatorFamily:
             raise ValueError(
                 f"combination weights at n={n} must have length {self.size + 1}"
             )
-        if np.any(w < 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
+        if (w < 0.0).any() or abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"combination weights at n={n} must lie on the simplex")
         products = w[0] * w[1:]
-        if np.any(products < self.min_weight_product):
+        if (products < self.min_weight_product).any():
             raise ValueError(
                 f"combination weights at n={n} violate the weight-product floor "
                 f"{self.min_weight_product:g}"

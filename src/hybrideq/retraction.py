@@ -99,4 +99,4 @@ def retraction_vi_residual(
         anchor=wz,
         anchor_violation=gap,
     )
-    return float(np.max((points - wz) @ direction, initial=-np.inf))
+    return float(((points - wz) @ direction).max(initial=-np.inf))

@@ -49,7 +49,7 @@ class Halfspace:
 
     def __post_init__(self):
         normal = np.asarray(self.normal, dtype=float).copy()
-        if normal.ndim != 1 or not np.any(normal):
+        if normal.ndim != 1 or not normal.any():
             raise ValueError("halfspace normal must be a nonzero vector")
         normal.setflags(write=False)
         object.__setattr__(self, "normal", normal)
@@ -81,7 +81,7 @@ class Box:
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float).copy()
         upper = np.asarray(self.upper, dtype=float).copy()
-        if lower.shape != upper.shape or np.any(lower > upper):
+        if lower.shape != upper.shape or (lower > upper).any():
             raise ValueError("box bounds must satisfy lower <= upper componentwise")
         lower.setflags(write=False)
         upper.setflags(write=False)
@@ -201,11 +201,11 @@ def worst_violation(
             nrm = pnorm(v, base.exponent)
         worst = nrm - base.radius
     elif isinstance(base, Box):
-        worst = float(np.max(np.maximum(base.lower - v, v - base.upper), initial=-np.inf))
+        worst = float(np.maximum(base.lower - v, v - base.upper).max(initial=-np.inf))
     else:
         worst = -np.inf
     if cset.cuts:
-        cut = float(np.max(cset._cut_normals @ v - cset._cut_offsets))
+        cut = float((cset._cut_normals @ v - cset._cut_offsets).max())
         if cut > worst or cut != cut:  # max(worst, cut) would drop a NaN cut
             worst = cut
     return worst
@@ -254,10 +254,10 @@ def add_cut(cset: ConstraintSet, cut: Halfspace) -> ConstraintSet:
     cuts, store = cset.cuts, (normal, offset, row, level)
     if cuts:
         near = np.linalg.norm(cset._cut_rows - row, axis=1) <= _PARALLEL_CHORD
-        if np.any(cset._cut_levels[near] <= level[0]):
+        if (cset._cut_levels[near] <= level[0]).any():
             return cset  # an existing cut already dominates the new one
         old = (cset._cut_normals, cset._cut_offsets, cset._cut_rows, cset._cut_levels)
-        if np.any(near):  # the new cut dominates these; drop them
+        if near.any():  # the new cut dominates these; drop them
             cuts = tuple(itertools.compress(cuts, ~near))
             old = tuple(x[~near] for x in old)
         store = tuple(np.concatenate(pair) for pair in zip(old, store))
@@ -307,7 +307,7 @@ def _shrink_coords(vabs: np.ndarray, lam: float, e: float) -> np.ndarray:
         # a step that rounds to nothing has converged; do not bisect it away
         bad = ((t_new <= lo) | (t_new >= hi)) & (t_new != t)
         t_new = np.where(bad, 0.5 * (lo + hi), t_new)
-        if np.all(np.abs(t_new - t) <= 1e-15 * (1.0 + t_new)):
+        if (np.abs(t_new - t) <= 1e-15 * (1.0 + t_new)).all():
             return np.where(vabs == 0.0, 0.0, t_new)
         t = t_new
     raise NonConvergedError("p-ball projection: coordinate Newton iteration cap reached")
@@ -333,10 +333,10 @@ def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
     target = radius**e
 
     def excess(lam):
-        return float(np.sum(_shrink_coords(vabs, lam, e) ** e)) - target
+        return float((_shrink_coords(vabs, lam, e) ** e).sum()) - target
 
     # radial-scaling guess from the largest coordinate's equation
-    vmax = float(np.max(vabs))
+    vmax = float(vabs.max())
     t_guess = max(vmax * radius / nrm, 1e-30)
     lo, hi = 0.0, max((vmax - t_guess) / (e * t_guess ** (e - 1.0)), 1e-8)
     iters = 0
@@ -350,7 +350,7 @@ def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
     unit = radius ** (2.0 - e)
     for _ in range(200):
         t = _shrink_coords(vabs, lam, e)
-        g = float(np.sum(t**e)) - target
+        g = float((t**e).sum()) - target
         if g > 0.0:
             lo = lam
         else:
@@ -361,7 +361,7 @@ def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
         pos = t > 0
         tp = t[pos]
         dt = -e * tp ** (e - 1.0) / (1.0 + lam * e * (e - 1.0) * tp ** (e - 2.0))
-        dg = float(np.sum(e * tp ** (e - 1.0) * dt))
+        dg = float((e * tp ** (e - 1.0) * dt).sum())
         lam_new = lam - g / dg if dg != 0.0 else 0.5 * (lo + hi)
         if not (lo < lam_new < hi):
             lam_new = 0.5 * (lo + hi)
@@ -465,10 +465,10 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
     passive = np.zeros(n, dtype=bool)
     blocked = np.zeros(n, dtype=bool)
     resid = np.array(f)
-    idx = np.flatnonzero(start) if start is not None else np.zeros(0, dtype=int)
+    idx = start.nonzero()[0] if start is not None else np.zeros(0, dtype=int)
     while idx.size:
         s = np.linalg.lstsq(e[:, idx], f, rcond=None)[0]
-        if np.min(s) > 0.0:
+        if s.min() > 0.0:
             u[idx] = s
             passive[idx] = True
             resid = f - e @ u
@@ -478,28 +478,28 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
     for _ in range(3 * n + 30):
         w = e.T @ resid
         w[passive | blocked] = -np.inf
-        j = int(np.argmax(w))
+        j = int(w.argmax())
         if w[j] <= tol:
             return u, resid
         trial = passive.copy()
         trial[j] = True
-        idx = np.flatnonzero(trial)
+        idx = trial.nonzero()[0]
         s = np.linalg.lstsq(e[:, idx], f, rcond=None)[0]
         if s[np.searchsorted(idx, j)] <= 0.0:
             blocked[j] = True
             continue
         blocked[:] = False
         passive = trial
-        while s.size and np.min(s) <= 0.0:
+        while s.size and s.min() <= 0.0:
             # step from u toward s until the first passive entry reaches 0
             neg = s <= 0.0
             ratios = u[idx][neg] / (u[idx][neg] - s[neg])
-            k = int(np.argmin(ratios))
+            k = int(ratios.argmin())
             u[idx] += ratios[k] * (s - u[idx])
-            u[idx[np.flatnonzero(neg)[k]]] = 0.0
+            u[idx[neg.nonzero()[0][k]]] = 0.0
             passive &= u > 0.0
             u[~passive] = 0.0
-            idx = np.flatnonzero(passive)
+            idx = passive.nonzero()[0]
             s = np.linalg.lstsq(e[:, idx], f, rcond=None)[0]
         u[:] = 0.0
         u[idx] = s
@@ -521,7 +521,7 @@ def _ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray, start: np.ndarray | None =
     a boolean mask over the rows, warm-starts the NNLS passive set.
     """
     excess = a @ v - b
-    shift = float(np.max(excess, initial=0.0))
+    shift = float(excess.max(initial=0.0))
     if shift <= 0.0:
         return np.array(v), np.zeros(b.shape[0])
     e = np.vstack([-a.T, excess / shift])
@@ -543,7 +543,7 @@ def _affine_radius_step(a: np.ndarray, b: np.ndarray, v: np.ndarray, lam, radius
     |P_F(v / (1 + nu))|^2 = |c|^2 + |m|^2 / (1 + nu)^2, so nu is explicit.
     """
     rows = lam > 0.0
-    if np.any(rows):
+    if rows.any():
         a_p = a[rows]
         c = np.linalg.lstsq(a_p, b[rows], rcond=None)[0]
         m = v - np.linalg.lstsq(a_p, a_p @ v, rcond=None)[0]
@@ -626,8 +626,8 @@ def _kkt_residual(
         nz = pnorm(z, q)
     gz = gauge_coords(z, q, nz)
     worst = max(
-        float(np.max(np.abs(gz - v + nu * gz + a.T @ lam))),
-        float(np.max(np.abs(np.minimum(lam, b - a @ z)), initial=0.0)),
+        float(np.abs(gz - v + nu * gz + a.T @ lam).max()),
+        float(np.abs(np.minimum(lam, b - a @ z)).max(initial=0.0)),
     )
     if radius is not None:
         worst = max(worst, abs(min(nu * nz, radius - nz)))
@@ -679,7 +679,7 @@ def _dual_hessian(
     result is the same bit for bit either way.
     """
     if exponent < 2.0:
-        floor = 1e-150 * float(np.max(np.abs(c)))
+        floor = 1e-150 * float(np.abs(c).max())
         low = np.abs(c) < floor
         if low.any():
             c, nc, point = np.where(low, np.copysign(floor, c), c), None, None
@@ -792,7 +792,7 @@ def _multiplier_newton(
             resid = b[work] - rows @ w
             grad = 2.0 * resid
             cols = rows.T
-            err = float(np.max(np.abs(resid), initial=0.0))
+            err = float(np.abs(resid).max(initial=0.0))
             if ball:
                 grad = np.append(grad, r2 - (s * nc) ** 2)
                 cols = np.column_stack([cols, s * c])
@@ -815,9 +815,9 @@ def _multiplier_newton(
                 step = -grad
                 slope = -float(grad @ grad)
             z = multipliers()
-            shrink = np.flatnonzero(step < 0.0)
+            shrink = (step < 0.0).nonzero()[0]
             ratios = z[shrink] / -step[shrink]
-            block = int(shrink[np.argmin(ratios)]) if shrink.size else -1
+            block = int(shrink[ratios.argmin()]) if shrink.size else -1
             clipped = block >= 0 and ratios.min() <= 1.0
             alpha = float(ratios.min()) if clipped else 1.0
             for _ in range(60):
@@ -911,7 +911,7 @@ def _multiplier_newton(
         w = solve_working_set(w)
         viol = a @ w - b
         viol[work] = -np.inf
-        j = int(np.argmax(viol)) if m else -1
+        j = int(viol.argmax()) if m else -1
         row_gap = float(viol[j]) if m else -np.inf
         nw = pnorm(w, q) if radius is not None and not ball else None
         ball_gap = -np.inf if nw is None else nw - radius
@@ -935,12 +935,12 @@ def _multiplier_newton(
                 if ball:
                     rates[-1] /= np.linalg.norm(g)
                 # judged on the unit columns: mu's rate scales as 1 / |w|
-                trade = np.flatnonzero(coef > 1e-12)
+                trade = (coef > 1e-12).nonzero()[0]
                 if not trade.size:
                     raise InfeasibleError("the cut rows admit no common point")
                 z = multipliers()
                 ratios = z[trade] / rates[trade]
-                k = int(trade[np.argmin(ratios)])
+                k = int(trade[ratios.argmin()])
                 sigma = float(ratios.min())
                 z = np.maximum(z - sigma * rates, 0.0)
                 z[k] = 0.0
@@ -1047,9 +1047,9 @@ def _pull_feasible_rows(
     room = cset._cut_offsets + allowed - cset._cut_normals @ anchor
     toward = rates > 0.0
     ratios = np.divide(room, rates, out=np.full(rates.shape, np.inf), where=toward)
-    t = np.clip(np.min(ratios, axis=1, initial=1.0), 0.0, 1.0)
+    t = np.clip(ratios.min(axis=1, initial=1.0), 0.0, 1.0)
     out = np.repeat(anchor[None, :], cands.shape[0], axis=0)  # rows that reach t = 0
-    live = np.flatnonzero(t > 0.0)
+    live = (t > 0.0).nonzero()[0]
     back = np.finfo(float).eps
     while live.size:
         points = anchor + t[live, None] * steps[live]
@@ -1111,7 +1111,7 @@ def sample_feasible(
         out = scale * rng.standard_normal((count, dim))
     if not cset.cuts:
         return out
-    bad = np.flatnonzero(_row_violations(cset, out) > 0.0)
+    bad = (_row_violations(cset, out) > 0.0).nonzero()[0]
     if anchor is not None:
         out[bad] = _pull_feasible_rows(cset, anchor, out[bad], allowed)
     else:

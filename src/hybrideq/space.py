@@ -62,7 +62,7 @@ def _as_coords(values, dimension: int) -> np.ndarray:
     coords = np.asarray(values, dtype=float)
     if coords.shape != (dimension,):
         raise ValueError(f"expected a vector of length {dimension}, got shape {coords.shape}")
-    if not np.all(np.isfinite(coords)):
+    if not np.isfinite(coords).all():
         raise ValueError("coordinates must be finite")
     coords = coords.copy()
     coords.setflags(write=False)
@@ -141,10 +141,10 @@ def pnorm(v: np.ndarray, exponent: float) -> float:
     if exponent == 2.0:
         nrm = float(np.sqrt(np.dot(v, v)))
     else:
-        nrm = float(np.sum(np.abs(v) ** exponent) ** (1.0 / exponent))
+        nrm = float((np.abs(v) ** exponent).sum() ** (1.0 / exponent))
     if _SAFE_MIN <= nrm <= _SAFE_MAX:
         return nrm
-    top = float(np.max(np.abs(v), initial=0.0))
+    top = float(np.abs(v).max(initial=0.0))
     if top == 0.0 or not np.isfinite(top):
         return nrm
     shift = int(np.frexp(top)[1])
@@ -174,10 +174,11 @@ def pnorm_rows(rows: np.ndarray, exponent: float) -> np.ndarray:
         norms = np.sqrt(row_dots(rows))
     else:
         inv = 1.0 / exponent
-        sums = np.sum(np.abs(rows) ** exponent, axis=1)
+        sums = (np.abs(rows) ** exponent).sum(axis=1)
         norms = np.array([s**inv for s in sums.tolist()], dtype=float)
     if not (norms.min(initial=_SAFE_MIN) >= _SAFE_MIN and norms.max(initial=0.0) <= _SAFE_MAX):
-        for i in np.flatnonzero(~((norms >= _SAFE_MIN) & (norms <= _SAFE_MAX))):
+        outside = ~((norms >= _SAFE_MIN) & (norms <= _SAFE_MAX))
+        for i in outside.nonzero()[0]:
             norms[i] = pnorm(rows[i], exponent)
     return norms
 

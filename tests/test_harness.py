@@ -244,6 +244,17 @@ class TestRunScenario:
         doc = json.loads(json.dumps(report.to_dict()))
         assert RunReport.from_dict(doc) == report
 
+    def test_report_dicts_copy_the_audits(self):
+        report = run_scenario(load_scenario(dict(TINY)))
+        kept = json.dumps(report.audits)
+        doc = report.to_dict()
+        for audit in doc["audits"].values():
+            audit["passed"] = None
+        loaded = RunReport.from_dict(report.to_dict())
+        for audit in loaded.audits.values():
+            audit["worst"] = None
+        assert json.dumps(report.audits) == kept
+
     def test_wide_shift_problem_runs_its_budget(self):
         # the d = 128 shift problem at scenario seed 4 once stopped at
         # iteration 1, its projected-gradient retraction capped
