@@ -246,14 +246,12 @@ class TestRunScenario:
 
     def test_report_dicts_copy_the_audits(self):
         report = run_scenario(load_scenario(dict(TINY)))
-        kept = json.dumps(report.audits)
         doc = report.to_dict()
+        loaded = RunReport.from_dict(doc)
         for audit in doc["audits"].values():
             audit["passed"] = None
-        loaded = RunReport.from_dict(report.to_dict())
-        for audit in loaded.audits.values():
-            audit["worst"] = None
-        assert json.dumps(report.audits) == kept
+        assert report.audits and all(a["passed"] is True for a in report.audits.values())
+        assert loaded == report
 
     def test_wide_shift_problem_runs_its_budget(self):
         # the d = 128 shift problem at scenario seed 4 once stopped at

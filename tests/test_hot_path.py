@@ -1,10 +1,10 @@
 """The package calls numpy's reductions as ndarray methods, never as functions.
 
-np.sum, np.max and the rest first run about 1.5 us of Python argument
+np.sum, np.max and the rest first run about 1 us of Python argument
 handling (numpy's `_wrapreduction`) and then reach the same ufunc reduction
 that the method calls directly, so on the solver's vectors of 8 to 200
-entries the function form roughly doubles a reduction's cost for the same
-bits.  The scan parses each module, so comments and docstrings may still
+entries the function form more than doubles a reduction's cost for the
+same bits.  The scan parses each module, so comments and docstrings may still
 name the function forms.  tests/_reference.py is the reference
 implementation and is not scanned.
 """
