@@ -4,12 +4,13 @@ A ConstraintSet is a base convex set intersected with an ordered list of
 halfspace cuts, tagged with the frame (primal or dual coordinates) it lives
 in.  `project_intersection` finds the nearest point of such a set in the
 geometry of an exponent p, the minimizer of |w|_q^2 - 2 <v, w>, which is
-the Euclidean projection at p = 2.  There is one exact engine per
-geometry, each closed by a KKT check: for p != 2 (a box, whole-space or
-q-ball base) a working-set Newton on the cut multipliers, and at p = 2 (a
-box, whole-space or 2-ball base) a least-distance program solved through
-NNLS.  A set without cuts is projected in closed form, or by a scalar
-multiplier search onto an e-ball (`project_primitive`).
+the Euclidean projection at p = 2.  Two exact engines, each closed by a
+KKT check, serve it: a working-set Newton on the cut multipliers, run at
+unit scale, for every set at p != 2 and for a 2-ball ∩ cuts whose ball
+is active at p = 2; and at p = 2 a least-distance program solved through
+NNLS for the polyhedron of the linear rows.  A set without cuts is
+projected in closed form, or by a scalar multiplier search onto an
+e-ball (`project_primitive`).
 
 Each set stores its cuts' unit rows and levels once; `add_cut` extends
 that store, and both engines read it.  The NNLS engine can start from a
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -441,7 +443,7 @@ def _active_cuts(cset: ConstraintSet, lam: np.ndarray) -> tuple:
     return tuple(itertools.compress(cset.cuts, lam[lam.shape[0] - len(cset.cuts) :] > 0.0))
 
 
-# -- exact least-distance engine (box, whole-space and 2-ball bases) ----------
+# -- exact least-distance engine (p = 2, the polyhedron of the linear rows) ----
 
 
 def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
@@ -535,71 +537,6 @@ def _ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray, start: np.ndarray | None =
     return v - a.T @ lam, lam
 
 
-def _affine_radius_step(a: np.ndarray, b: np.ndarray, v: np.ndarray, lam, radius: float):
-    """The ball multiplier nu with |P_F(v / (1 + nu))| = radius, None if none.
-
-    F is the affine span {a_P z = b_P} of the rows with positive lam.  With
-    c the least-norm point of F and m the component of v along F,
-    |P_F(v / (1 + nu))|^2 = |c|^2 + |m|^2 / (1 + nu)^2, so nu is explicit.
-    """
-    rows = lam > 0.0
-    if rows.any():
-        a_p = a[rows]
-        c = np.linalg.lstsq(a_p, b[rows], rcond=None)[0]
-        m = v - np.linalg.lstsq(a_p, a_p @ v, rcond=None)[0]
-    else:
-        c = np.zeros_like(v)
-        m = v
-    room = radius * radius - float(np.dot(c, c))
-    if room <= 0.0:
-        return None
-    return float(np.linalg.norm(m)) / np.sqrt(room) - 1.0
-
-
-def _ball_ldp(
-    a: np.ndarray, b: np.ndarray, v: np.ndarray, radius: float, start: np.ndarray | None = None
-):
-    """Nearest point of {|z|_2 <= radius, a z <= b} to v: (z, lam, nu).
-
-    For a ball multiplier nu the answer is z(nu) = P_poly(v / (1 + nu)),
-    and |z(nu)| is nonincreasing in nu.  nu is found by a bracketed scalar
-    search whose steps solve the ball equation on the current active set
-    exactly (bisection when that step leaves the bracket), one LDP per
-    step, until ||z| - radius| <= 1e-14 radius.  The cut multipliers of
-    the original problem are (1 + nu) times those of the LDP.  Raises
-    InfeasibleError when P_poly(0), the least-norm point of the
-    polyhedron, lies outside the ball.  The first LDP's NNLS starts from
-    `start` (a boolean mask over the rows), and each later one from the
-    rows active in the one before it.
-    """
-    z, lam = _ldp(a, b, v, start)
-    if float(np.linalg.norm(z)) <= radius:
-        return z, lam, 0.0
-    active = lam > 0.0
-    lo, hi = 0.0, np.inf  # |z(lo)| > radius >= |z(hi)|
-    nu = _affine_radius_step(a, b, v, lam, radius)
-    for _ in range(200):
-        if nu is None or not lo < nu < hi:
-            if np.isinf(hi):
-                z_min = _ldp(a, b, np.zeros_like(v), active)[0]
-                if float(np.linalg.norm(z_min)) > radius:
-                    raise InfeasibleError("the cut polyhedron misses the ball")
-                nu = 4.0 * lo + 1.0
-            else:
-                nu = 0.5 * (lo + hi)
-        z, mu = _ldp(a, b, v / (1.0 + nu), active)
-        active = mu > 0.0
-        gap = float(np.linalg.norm(z)) - radius
-        if gap > 0.0:
-            lo = nu
-        else:
-            hi = nu
-        if abs(gap) <= 1e-14 * radius or hi - lo <= 1e-15 * hi < np.inf:
-            return z, (1.0 + nu) * mu, nu
-        nu = _affine_radius_step(a, b, v, mu, radius)
-    raise NonConvergedError("ball multiplier search did not close")
-
-
 def _kkt_residual(
     a,
     b,
@@ -613,7 +550,8 @@ def _kkt_residual(
 ) -> float:
     """Largest KKT violation of (z, lam, nu) for min |z|_q^2 - 2 <v, z> over
     a z <= b (and |z|_q <= radius when given), q the conjugate of exponent;
-    at exponent 2 that is min |z - v|^2.
+    at exponent 2 that is min |z - v|^2.  nu, the ball's multiplier, is 0
+    for every answer of the NNLS engine.
 
     Stationarity is (1 + nu) J_q(z) - v + a^T lam = 0, J_q the duality map
     of the q-norm (the identity at q = 2); each constraint contributes the
@@ -634,23 +572,33 @@ def _kkt_residual(
     return worst
 
 
-def _least_distance(cset: ConstraintSet, v: np.ndarray, hint=()):
-    """Exact projection onto a box, whole-space or 2-ball base ∩ cuts.
+def _certify(resid: float, v: np.ndarray, tol: float) -> None:
+    """The KKT gate: NonConvergedError unless resid <= max(10 tol, 1e-10) (1 + |v|)."""
+    if not resid <= max(10.0 * tol, 1e-10) * (1.0 + float(np.linalg.norm(v))):
+        raise NonConvergedError(f"exact projection failed its KKT check (residual {resid:.3g})")
 
-    Box faces join the cuts as +/- unit rows, and the NNLS starts from the
-    rows of the hint's cuts.  Returns (z, nu, KKT residual of the answer,
-    the cuts with positive multipliers), nu being the ball multiplier (0
-    for other bases).
+
+def _least_distance(cset: ConstraintSet, v: np.ndarray, tol: float, hint: tuple = ()):
+    """Exact Euclidean projection onto a box, whole-space or 2-ball base ∩ cuts.
+
+    Box faces join the cuts as +/- unit rows, and the NNLS of that
+    polyhedron's least-distance program starts from the rows of the hint's
+    cuts.  A 2-ball adds no row: when the polyhedron's nearest point lies
+    outside it, the ball is active, and the multiplier Newton answers the
+    set (`_generalized_projection` at exponent 2).  Returns (z, KKT
+    residual of the answer, the cuts with positive multipliers) once the
+    answer has passed the KKT gate at tol.
     """
     a, b = _linear_rows(cset, v.shape[0])
-    start = _hint_rows(cset, hint, a.shape[0])
+    z, lam = _ldp(a, b, v, _hint_rows(cset, hint, a.shape[0]))
+    radius = None
     if isinstance(cset.base, PBall):
         radius = cset.base.radius
-        z, lam, nu = _ball_ldp(a, b, v, radius, start)
-    else:
-        radius, nu = None, 0.0
-        z, lam = _ldp(a, b, v, start)
-    return z, nu, _kkt_residual(a, b, v, z, lam, nu, radius), _active_cuts(cset, lam)
+        if float(np.linalg.norm(z)) > radius:
+            return _generalized_projection(cset, v, 2.0, tol)
+    resid = _kkt_residual(a, b, v, z, lam, radius=radius)
+    _certify(resid, v, tol)
+    return z, resid, _active_cuts(cset, lam)
 
 
 # -- exact generalized projection (p-geometry) ---------------------------------
@@ -952,13 +900,23 @@ def _multiplier_newton(
 
 
 def _generalized_projection(
-    cset: ConstraintSet, v: np.ndarray, exponent: float, point: PrimalPoint | None = None
+    cset: ConstraintSet,
+    v: np.ndarray,
+    exponent: float,
+    tol: float,
+    point: PrimalPoint | None = None,
 ):
     """Minimizer of |w|_q^2 - 2 <v, w> over base ∩ cuts, q the conjugate of exponent.
 
     Box faces join the cuts as +/- unit rows; a ball base must be a q-ball.
-    Returns (w, KKT residual of the answer, the cuts with positive
-    multipliers).  point is `_multiplier_newton`'s.
+    The problem is positively homogeneous in (v, b, radius), b the rows'
+    levels, so `_multiplier_newton`, whose stopping rules are absolute,
+    solves it scaled by the power of two 2^-k that brings its magnitude
+    (the radius, else max(|v|_inf, |b|_inf)) into [1, 2), and its answer
+    is scaled back by 2^k: both scalings are exact.  The KKT gate at tol
+    is applied to that unit-scale problem.  Returns (w, KKT residual of
+    the unit-scale answer, the cuts with positive multipliers).  point is
+    `_multiplier_newton`'s; its kept values are read only when k = 0.
     """
     a, b = _linear_rows(cset, v.shape[0])
     radius = None
@@ -969,10 +927,17 @@ def _generalized_projection(
                 f"a ball of exponent {cset.base.exponent:g} is not a ball of the "
                 f"conjugate exponent {q:g}"
             )
-        radius = cset.base.radius
+        radius = size = cset.base.radius
+    else:
+        size = max(float(np.abs(v).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+    shift = math.frexp(size)[1] - 1
+    if shift:
+        v, b, point = np.ldexp(v, -shift), np.ldexp(b, -shift), None
+        radius = None if radius is None else math.ldexp(radius, -shift)
     w, lam, mu, nw = _multiplier_newton(a, b, v, exponent, radius, point)
     resid = _kkt_residual(a, b, v, w, lam, mu, radius, exponent, nw)
-    return w, resid, _active_cuts(cset, lam)
+    _certify(resid, v, tol)
+    return (np.ldexp(w, shift) if shift else w), resid, _active_cuts(cset, lam)
 
 
 def project_intersection(
@@ -987,16 +952,17 @@ def project_intersection(
     the cuts whose multipliers are positive).
 
     That is the minimizer of |w|_q^2 - 2 <v, w>, q = p / (p - 1); at the
-    default p = 2 it is the Euclidean projection.  One exact engine serves
-    each geometry: for p != 2 the base is the whole space, a box or a
-    q-ball, and the working-set Newton on the cut multipliers solves the
-    problem (`_multiplier_newton`); at p = 2 the base is the whole space, a
-    box or a 2-ball, and the least-distance engine (NNLS) solves it.  The
-    answer is returned only when its KKT residual is within
-    max(10 tol, 1e-10) (1 + |v|); NonConvergedError is raised otherwise, and
-    InfeasibleError when the intersection is empty.  A set without cuts is
-    projected by `project_primitive`.  The Euclidean projection onto a ball
-    of another exponent with cuts has no engine and raises
+    default p = 2 it is the Euclidean projection.  The working-set Newton
+    on the cut multipliers (`_multiplier_newton`), run at unit scale,
+    answers every set at p != 2 (the base the whole space, a box or a
+    q-ball) and every 2-ball ∩ cuts whose ball is active at p = 2; at p = 2
+    the least-distance engine (NNLS) answers the rest, the polyhedron of
+    the linear rows.  The answer is returned only when its KKT residual is
+    within max(10 tol, 1e-10) (1 + |v|), v at the scale the engine solved
+    at; NonConvergedError is raised otherwise, and InfeasibleError when the
+    intersection is empty.  A set without cuts is projected by
+    `project_primitive`.  The Euclidean projection onto a ball of another
+    exponent with cuts has no engine and raises
     UnsupportedCombinationError.
 
     The `hint` is a tuple of cuts, typically the active cuts of the
@@ -1011,20 +977,17 @@ def project_intersection(
     same answer bit for bit.  The retraction passes its fixed anchor.
     """
     v = np.asarray(v, dtype=float)
-    active = ()
     if exponent != 2.0:
-        z, resid, active = _generalized_projection(cset, v, exponent, point)
+        z, _, active = _generalized_projection(cset, v, exponent, tol, point)
     elif not cset.cuts:
-        return project_primitive(v, cset.base), active
+        return project_primitive(v, cset.base), ()
     elif isinstance(cset.base, PBall) and cset.base.exponent != 2.0:
         raise UnsupportedCombinationError(
             f"no Euclidean projection onto a ball of exponent {cset.base.exponent:g} "
             "with cuts; project in its own geometry, exponent e / (e - 1)"
         )
     else:
-        z, _, resid, active = _least_distance(cset, v, hint)
-    if not resid <= max(10.0 * tol, 1e-10) * (1.0 + float(np.linalg.norm(v))):
-        raise NonConvergedError(f"exact projection failed its KKT check (residual {resid:.3g})")
+        z, _, active = _least_distance(cset, v, tol, hint)
     return z, active
 
 

@@ -221,7 +221,7 @@ class TestExactEngine:
             dual = _dual_ball(s, cuts)
             anchor = PrimalPoint(2.0 * rng.standard_normal(d), s)
             prob = RetractionProblem(s, dual, anchor)
-            w, resid, _ = _generalized_projection(dual, anchor.coords, p)
+            w, resid, _ = _generalized_projection(dual, anchor.coords, p, 1e-12)
             assert resid <= _gate(anchor.coords), f"case {case}: KKT residual {resid:.2e}"
             z, _ = sunny_retract(prob)
             np.testing.assert_array_equal(z.coords, gauge_coords(w, s.conjugate))
@@ -253,7 +253,7 @@ class TestExactEngine:
         assert len(add_cut(_dual_ball(s, [(n1, 0.2)]), dual.cuts[1]).cuts) == 2
         for anchor in ([2.0, 1.0, -0.6], [2.0, 1.1, -0.5], [1.5, 0.2, -1.0]):
             x = np.array(anchor)
-            w, resid, _ = _generalized_projection(dual, x, 3.0)
+            w, resid, _ = _generalized_projection(dual, x, 3.0, 1e-12)
             assert resid <= _gate(x)
             assert max(float(n1 @ w) - 0.2, float(n2 @ w) - 0.2 - 1e-7) <= _gate(x)
 
@@ -270,7 +270,7 @@ class TestExactEngine:
             Frame.DUAL,
         )
         x = np.array([0.8, 3.3])
-        w, resid, _ = _generalized_projection(dual, x, 3.0)
+        w, resid, _ = _generalized_projection(dual, x, 3.0, 1e-12)
         assert resid <= _gate(x)
         vertex = np.linalg.solve(np.stack(normals[:2]), offsets[:2])
         np.testing.assert_allclose(w, vertex, atol=1e-12)

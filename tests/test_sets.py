@@ -306,7 +306,7 @@ class TestProjectIntersection:
         v = np.array([4.0, 4.0, 4.0])
         z, _ = project_intersection(cset, v, tol=1e-12)
         assert worst_violation(cset, z) <= 1e-9
-        assert _least_distance(cset, v)[2] <= 1e-12 * np.linalg.norm(v)
+        assert _least_distance(cset, v, 1e-12)[1] <= 1e-12 * np.linalg.norm(v)
         np.testing.assert_allclose(z, dykstra(cset, v, tol=1e-12, max_iter=20000), atol=1e-7)
         # optimality spot check against feasible samples pulled toward z
         samples = sample_feasible(cset, rng, 400, dimension=3, anchor=z)
@@ -333,6 +333,44 @@ class TestProjectIntersection:
         z_unit, _ = project_intersection(unit, v, tol=1e-9, exponent=3.0)
         z_far, _ = project_intersection(far, 1e100 * v, tol=1e-9, exponent=3.0)
         np.testing.assert_allclose(z_far, 1e100 * z_unit, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(
+            [("ball1.5", 3.0), ("ball2", 2.0), ("ball3", 1.5), ("ball10", 10.0 / 9.0)]
+            + [("whole", 1.5), ("whole", 2.0), ("whole", 3.0)]
+        ),
+        d=st.sampled_from([2, 8, 32]),
+        cuts=st.integers(1, 3),
+        k=st.sampled_from([-330, -1, 60, 330]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_set_scaled_by_a_power_of_two_gives_the_scaled_answer(self, case, d, cuts, k, seed):
+        # the problem is positively homogeneous in v, the radius and the cut
+        # offsets, and scaling by 2^k is exact: every engine must return the
+        # unit answer times 2^k bit for bit, or refuse both alike
+        base_kind, geometry = case
+        rng = np.random.default_rng(seed)
+        unit = _sampler_case(rng, base_kind, d, cuts, 1.0)
+        v = 3.0 * rng.standard_normal(d)
+        base = unit.base
+        if isinstance(base, PBall):
+            base = PBall(np.ldexp(base.radius, k), base.exponent)
+        scaled = ConstraintSet(
+            base, tuple(Halfspace(cut.normal, np.ldexp(cut.offset, k)) for cut in unit.cuts)
+        )
+        answers = []
+        for cset, point in ((unit, v), (scaled, np.ldexp(v, k))):
+            try:
+                answers.append(project_intersection(cset, point, exponent=geometry)[0])
+            except (InfeasibleError, NonConvergedError) as exc:
+                answers.append(type(exc))
+        first, second = answers
+        if isinstance(first, type):
+            assert second is first
+        else:
+            assert not isinstance(second, type), second
+            assert second.tobytes() == np.ldexp(first, k).tobytes()
 
 
 class TestMultiplierNewtonNormReuse:
@@ -463,15 +501,20 @@ class TestLeastDistanceEngine:
     @pytest.mark.parametrize("kind", ["box", "ball", "whole"])
     def test_matches_dykstra_with_kkt_certificate(self, kind):
         rng = np.random.default_rng(["box", "ball", "whole"].index(kind))
+        # at p = 2 a 2-ball whose constraint is active is answered by the
+        # multiplier Newton, the rest by the NNLS; the residual is that of
+        # the engine project_intersection ran
         ball_active = set()
         for _ in range(40):
             cset, d = _random_cut_set(rng, kind)
             v = 2.5 * rng.standard_normal(d)
-            z, nu, resid, _ = _least_distance(cset, v)
+            z, _ = project_intersection(cset, v)
+            again, resid, _ = _least_distance(cset, v, 1e-11)
+            assert again.tobytes() == z.tobytes()
             assert resid <= 1e-12 * (1.0 + np.linalg.norm(v))
             ref = dykstra(cset, v, tol=1e-12, max_iter=300_000)
             np.testing.assert_allclose(z, ref, atol=1e-7)
-            ball_active.add(nu > 0.0)
+            ball_active.add(abs(np.linalg.norm(z) - 1.0) <= 1e-12)
         if kind == "ball":
             assert ball_active == {True, False}  # both regimes exercised
 
@@ -770,22 +813,27 @@ class TestSampleFeasible:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=20, deadline=None)
     @given(
-        exponent=st.sampled_from([1.5, 3.0, 10.0]),
+        exponent=st.sampled_from([1.5, 2.0, 3.0, 10.0]),
         d=st.sampled_from([2, 8, 32]),
         cuts=st.integers(1, 3),
+        magnitude=st.sampled_from([1e-100, 1e20, 1e100]),
         seed=st.integers(0, 2**32 - 1),
     )
     # a cut enters by exchange with the ball multiplier, whose rate scales
     # as 1 / |w|: it is judged on the unit columns
-    @example(exponent=3.0, d=2, cuts=3, seed=228)
-    def test_far_balls_without_an_anchor_give_feasible_points(self, exponent, d, cuts, seed):
+    @example(exponent=3.0, d=2, cuts=3, magnitude=1e100, seed=228)
+    def test_far_balls_without_an_anchor_give_feasible_points(
+        self, exponent, d, cuts, magnitude, seed
+    ):
         # violating candidates are projected in the ball's own geometry,
-        # whose multiplier Newton works at the candidates' magnitude, 1e100
-        cset = _sampler_case(np.random.default_rng(seed), f"ball{exponent:g}", d, cuts, 1e100)
+        # whose multiplier Newton works on the candidates scaled from their
+        # magnitude to 1
+        rng = np.random.default_rng(seed)
+        cset = _sampler_case(rng, f"ball{exponent:g}", d, cuts, magnitude)
         points = sample_feasible(cset, np.random.default_rng(seed + 1), 24, dimension=d)
         assert np.all(np.isfinite(points))
         for row in points:
-            assert worst_violation(cset, row) <= 1e-9 * 1e100
+            assert worst_violation(cset, row) <= 1e-9 * magnitude
 
 
 def _sampler_case(rng, base_kind, d, cuts, magnitude):
