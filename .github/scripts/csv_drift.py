@@ -7,9 +7,10 @@ Markdown table with one line per column: how many rows differ as text, and
 the largest |head - base| over the rows both runs reached.  A row only one
 run reached counts as differing; so does a cell that is "nan" on one side
 only, with |delta| inf.  A missing CSV is reported as such.  A second table
-gives the outcome, iterations and capped_starts of NAME_summary.json, base
-against head: capped_starts lives only in the summary.  Always exits 0:
-the report informs, it does not gate.
+gives the outcome, iterations, capped_starts and wall_time of
+NAME_summary.json, base against head: these live only in the summary, and
+wall_time shows what a change costs.  Always exits 0: the report informs,
+it does not gate.
 """
 
 import csv
@@ -33,7 +34,7 @@ def _delta(a: str, b: str) -> float:
     return abs(y - x)
 
 
-SUMMARY_FIELDS = ("outcome", "iterations", "capped_starts")
+SUMMARY_FIELDS = ("outcome", "iterations", "capped_starts", "wall_time")
 
 
 def summary_report(base_dir: Path, head_dir: Path, name: str) -> str:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NonConvergedError, UnsupportedCombinationError
 from .sets import Box, ConstraintSet, PBall, WholeSpace, contains, project_primitive, sample_feasible
-from .space import PrimalPoint, SpaceConfig, gauge_coords, pnorm, row_dots
+from .space import PrimalPoint, SpaceConfig, gauge_coords, pnorm, pnorm_rows, row_dots
 
 # -- potentials ---------------------------------------------------------------
 
@@ -472,37 +472,21 @@ def _banach_inner_objective(prob: ResolventProblem, u: PrimalPoint):
     return evaluate, gradient
 
 
-def _outside_ball(cset, ys):
-    """Mask of the rows of ys that only the ball's root-find can project."""
-    base = cset.base
-    if not isinstance(base, PBall):
-        return np.zeros(len(ys), dtype=bool)  # clip and copy are cheap
-    e = base.exponent
-    absy = np.abs(ys)
-    # |y|^(e-1) |y|: numpy squares in place of pow at e = 3
-    norms = (absy ** (e - 1.0) * absy).sum(axis=1) ** (1.0 / e)
-    return norms > base.radius
-
-
-def _project_rows(cset, ys, outside=None):
-    """Project each row of ys onto the base set; on a ball only the rows in
-    the `outside` mask move (by default _outside_ball's)."""
+def _project_rows(cset, ys):
+    """project_primitive onto the base set applied to each row of ys, bit for
+    bit; on a ball only the rows outside it go through the root-find."""
     base = cset.base
     if not isinstance(base, PBall):
         return project_primitive(ys, base)  # clip and copy act row by row
-    if outside is None:
-        outside = _outside_ball(cset, ys)
     out = np.array(ys)
-    for i in np.nonzero(outside)[0]:
+    # pnorm_rows has pnorm's bits, so this is _project_pball's own inside test
+    for i in np.nonzero(pnorm_rows(ys, base.exponent) > base.radius)[0]:
         out[i] = project_primitive(ys[i], base)
     return out
 
 
-# A row's line search tries at most _HALVINGS steps t, t/2, t/4, ...  One
-# batched call tries up to _STEP_BLOCK of them (t, ..., t/32) per row
+# A row's line search tries at most _HALVINGS steps t, t/2, t/4, ...
 _HALVINGS = 40
-_STEP_BLOCK = 6
-_COLUMNS = np.arange(_STEP_BLOCK)
 
 
 def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
@@ -513,16 +497,13 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
     Armijo model; stop the row when its line search fails or it moves by
     at most tol * t, and otherwise grow t by 1.3 (capped at 1e6).
 
-    Only the rows still searching are evaluated.  Their line searches test
-    a block of _STEP_BLOCK steps per call and take the first that passes,
-    which is the step the sequential halving picks; a trial beyond it
-    changes nothing.  A trial outside a ball base is projected only as the
-    first of its row's block, so every root-find, and any error it raises,
-    is one the sequential rule reaches.  An accepted trial's value and
-    intermediates feed the next gradient.  Every reduction is row-wise, so
-    each row's trajectory depends only on its own start.  Returns the
-    final rows, their values and the number of rows that reached max_iter
-    still moving.
+    Only the rows still searching are evaluated, and each call tries one
+    step of every row still backtracking, so every projection (and any
+    error it raises) is one the sequential rule reaches.  An accepted
+    trial's value and intermediates feed the next gradient.  Every
+    reduction is row-wise, so each row's trajectory depends only on its
+    own start.  Returns the final rows, their values and the number of
+    rows that reached max_iter still moving.
     """
     ys = _project_rows(cset, np.array([np.asarray(s, dtype=float) for s in starts]))
     fy, parts = evaluate(ys)
@@ -535,48 +516,28 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
         g = gradient(parts)
         parts = tuple(np.empty_like(a) for a in parts)  # filled by accepted trials
         accepted = np.zeros(live.size, dtype=bool)
-        tried = np.zeros(live.size, dtype=int)
         pending = np.arange(live.size)  # positions in live still backtracking
-        while pending.size:
-            halves = np.full((pending.size, _STEP_BLOCK), 0.5)
-            halves[:, 0] = tl[pending]
-            steps = np.cumprod(halves, axis=1)  # the sequential halvings, exactly
-            base_y = np.repeat(y0[pending], _STEP_BLOCK, axis=0)
-            base_g = np.repeat(g[pending], _STEP_BLOCK, axis=0)
-            raw = base_y - steps.reshape(-1, 1) * base_g
-            # a row's block stops before its first trial outside the ball,
-            # or holds that trial alone when it comes first: every root-find
-            # (and every error it raises) is one the sequential rule reaches
-            outside = _outside_ball(cset, raw).reshape(steps.shape)
-            first_out = np.where(outside.any(axis=1), outside.argmax(axis=1), _STEP_BLOCK)
-            width = np.minimum(_HALVINGS - tried[pending], np.where(first_out == 0, 1, first_out))
-            usable = _COLUMNS < width[:, None]
-            trial = _project_rows(cset, raw, (outside & usable).ravel())
+        for _ in range(_HALVINGS):
+            base_y, base_g, steps = y0[pending], g[pending], tl[pending]
+            trial = _project_rows(cset, base_y - steps[:, None] * base_g)
             f_trial, trial_parts = evaluate(trial)
             delta = trial - base_y
             model = (
-                np.repeat(f0[pending], _STEP_BLOCK)
+                f0[pending]
                 + np.einsum("ij,ij->i", base_g, delta)
-                + np.einsum("ij,ij->i", delta, delta) / (2.0 * steps.ravel())
+                + np.einsum("ij,ij->i", delta, delta) / (2.0 * steps)
             )
-            passed = (f_trial <= model).reshape(steps.shape) & usable
-            first = np.where(passed.any(axis=1), passed.argmax(axis=1), _STEP_BLOCK)
-            hit = first < _STEP_BLOCK
-            pick = np.nonzero(hit)[0] * _STEP_BLOCK + first[hit]
+            hit = f_trial <= model
             rows = pending[hit]
-            ys[live[rows]] = trial[pick]
-            fy[live[rows]] = f_trial[pick]
+            ys[live[rows]] = trial[hit]
+            fy[live[rows]] = f_trial[hit]
             for kept, new in zip(parts, trial_parts):
-                kept[rows] = new[pick]
-            tl[rows] = steps[hit, first[hit]]
+                kept[rows] = new[hit]
             accepted[rows] = True
-            if hit.all():
+            pending = pending[~hit]
+            if pending.size == 0:
                 break
-            miss = ~hit
-            rows = pending[miss]
-            tl[rows] = steps[miss, width[miss] - 1] * 0.5
-            tried[rows] += width[miss]
-            pending = rows[tried[rows] < _HALVINGS]
+            tl[pending] *= 0.5
         # a row whose line search failed stays at y0 and stops
         moved = np.linalg.norm(ys[live] - y0, axis=1)
         t[live] = np.minimum(tl * 1.3, 1e6)

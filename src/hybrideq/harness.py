@@ -55,7 +55,18 @@ from .sets import Box, ConstraintSet, Frame, PBall, WholeSpace, contains, sample
 from .solver import Mode, ProblemBundle, SolverConfig, audit_result, run
 from .space import PrimalPoint, SpaceConfig
 
-_CSV_HEADER = "n,x_norm,phi_anchor,gap_xu,resolvent_gap,retraction_residual,fejer_slack,cut_count"
+#: the per-iteration CSV's columns, in order, each with the history-record
+#: field it reads; the summary's rows carry the same keys
+_CSV_COLUMNS = (
+    ("n", lambda rec: rec.n),
+    ("x_norm", lambda rec: rec.x.norm),
+    ("phi_anchor", lambda rec: rec.phi_anchor),
+    ("gap_xu", lambda rec: rec.gap_xu),
+    ("resolvent_gap", lambda rec: rec.resolvent_gap_value),
+    ("retraction_residual", lambda rec: rec.retraction_vi_residual),
+    ("fejer_slack", lambda rec: rec.fejer_slack),
+    ("cut_count", lambda rec: rec.cut_count),
+)
 
 BUILTIN_SCENARIOS = {
     "lp_shift_example": {
@@ -589,21 +600,7 @@ class RunReport:
 
 
 def _rows_from_history(history) -> tuple:
-    rows = []
-    for rec in history:
-        rows.append(
-            {
-                "n": rec.n,
-                "x_norm": rec.x.norm,
-                "phi_anchor": rec.phi_anchor,
-                "gap_xu": rec.gap_xu,
-                "resolvent_gap": rec.resolvent_gap_value,
-                "retraction_residual": rec.retraction_vi_residual,
-                "fejer_slack": rec.fejer_slack,
-                "cut_count": rec.cut_count,
-            }
-        )
-    return tuple(rows)
+    return tuple({column: read(rec) for column, read in _CSV_COLUMNS} for rec in history)
 
 
 #: report outcome of each solver failure; the exception's `iteration` and
@@ -680,22 +677,10 @@ def emit_report(report: RunReport, out_dir) -> tuple:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{report.scenario}_iterations.csv"
     json_path = out / f"{report.scenario}_summary.json"
-    lines = [_CSV_HEADER]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row["n"]),
-                    _fmt(row["x_norm"]),
-                    _fmt(row["phi_anchor"]),
-                    _fmt(row["gap_xu"]),
-                    _fmt(row["resolvent_gap"]),
-                    _fmt(row["retraction_residual"]),
-                    _fmt(row["fejer_slack"]),
-                    str(row["cut_count"]),
-                ]
-            )
-        )
+    columns = [column for column, _ in _CSV_COLUMNS]
+    lines = [",".join(columns)]
+    # the integer columns print as str() would: f"{5:.17g}" is "5"
+    lines.extend(",".join(_fmt(row[column]) for column in columns) for row in report.rows)
     csv_path.write_text("\n".join(lines) + "\n", newline="\n")
     json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", newline="\n")
     return csv_path, json_path

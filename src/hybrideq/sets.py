@@ -550,8 +550,8 @@ def _kkt_residual(
 ) -> float:
     """Largest KKT violation of (z, lam, nu) for min |z|_q^2 - 2 <v, z> over
     a z <= b (and |z|_q <= radius when given), q the conjugate of exponent;
-    at exponent 2 that is min |z - v|^2.  nu, the ball's multiplier, is 0
-    for every answer of the NNLS engine.
+    at exponent 2 that is min |z - v|^2.  nu and the radius come from the
+    multiplier Newton; an answer of the NNLS engine has neither.
 
     Stationarity is (1 + nu) J_q(z) - v + a^T lam = 0, J_q the duality map
     of the q-norm (the identity at q = 2); each constraint contributes the
@@ -591,12 +591,10 @@ def _least_distance(cset: ConstraintSet, v: np.ndarray, tol: float, hint: tuple 
     """
     a, b = _linear_rows(cset, v.shape[0])
     z, lam = _ldp(a, b, v, _hint_rows(cset, hint, a.shape[0]))
-    radius = None
-    if isinstance(cset.base, PBall):
-        radius = cset.base.radius
-        if float(np.linalg.norm(z)) > radius:
-            return _generalized_projection(cset, v, 2.0, tol)
-    resid = _kkt_residual(a, b, v, z, lam, radius=radius)
+    if isinstance(cset.base, PBall) and float(np.linalg.norm(z)) > cset.base.radius:
+        return _generalized_projection(cset, v, 2.0, tol)
+    # an inactive ball's natural residual min(0, radius - |z|) is 0
+    resid = _kkt_residual(a, b, v, z, lam)
     _certify(resid, v, tol)
     return z, resid, _active_cuts(cset, lam)
 

@@ -56,6 +56,7 @@ from hybrideq.equilibrium import (
     _gap_starts,
     _linear_minimum,
     _pgd_search,
+    _project_rows,
     classify_problem,
 )
 from hybrideq import equilibrium
@@ -437,6 +438,23 @@ class TestGapSearch:
         ball = ConstraintSet(PBall(1.0, 2.0), (), Frame.PRIMAL)
         with pytest.raises(NonConvergedError, match="projection failed"):
             _pgd_search(evaluate, gradient, ball, [np.zeros(2)], 300, 1e-9)
+
+    @pytest.mark.parametrize("e", [1.5, 2.0, 3.0, 4.5, 10.0])
+    def test_ball_rows_project_as_project_primitive(self, e):
+        # rows on the e-sphere and one ulp inside and outside it, entry by
+        # entry: whether such a row is inside is decided by rounding, and
+        # _project_rows must decide it as project_primitive does
+        rng = np.random.default_rng(int(10 * e))
+        ball = ConstraintSet(PBall(1.0, e), (), Frame.PRIMAL)
+        for d in (2, 8, 40):
+            raw = rng.standard_normal((500, d))
+            sphere = raw / np.array([pnorm(row, e) for row in raw])[:, None]
+            ys = np.concatenate(
+                [sphere, np.nextafter(sphere, np.copysign(np.inf, sphere)), np.nextafter(sphere, 0.0)]
+            )
+            projected = _project_rows(ball, ys)
+            expected = np.array([project_primitive(row, ball.base) for row in ys])
+            assert projected.tobytes() == expected.tobytes()
 
 
 class TestHilbertExactGap:
