@@ -44,7 +44,16 @@ import numpy as np
 
 from .errors import NonConvergedError, UnsupportedCombinationError
 from .sets import Box, ConstraintSet, PBall, WholeSpace, contains, project_primitive, sample_feasible
-from .space import PrimalPoint, SpaceConfig, gauge_coords, pnorm, pnorm_rows, row_dots
+from .space import (
+    PrimalPoint,
+    SpaceConfig,
+    gauge_coords,
+    norm2,
+    norm2_rows,
+    pnorm,
+    pnorm_rows,
+    row_dots,
+)
 
 # -- potentials ---------------------------------------------------------------
 
@@ -177,9 +186,9 @@ class DualNormTerm:
             raise UnsupportedCombinationError(
                 "dual-norm prox is only available for exponent 2"
             )
-        nrm = float(np.linalg.norm(v))
+        nrm = norm2(v)
         if nrm <= t:
-            return np.zeros_like(v)
+            return np.zeros(v.shape)
         return (1.0 - t / nrm) * v
 
 
@@ -224,7 +233,7 @@ MixedTerm = Union[ZeroTerm, DualNormTerm, WeightedL1Term, QuadraticTerm]
 @dataclass(frozen=True)
 class ZeroPerturbation:
     def apply(self, x):
-        return np.zeros_like(x)
+        return np.zeros(np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -347,14 +356,14 @@ def _composite_prox(mixed, cset: ConstraintSet, v: np.ndarray, t: float) -> np.n
         return project_primitive(mixed.prox(v, t), cset.base)
     # Dykstra-like proximal alternation between the prox and the projection
     x = np.array(v, dtype=float)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
+    p = np.zeros(x.shape)
+    q = np.zeros(x.shape)
     for _ in range(500):
         y = mixed.prox(x + p, t)
         p = x + p - y
         x_new = project_primitive(y + q, cset.base)
         q = y + q - x_new
-        if float(np.linalg.norm(x_new - x)) <= 1e-13 * (1.0 + float(np.linalg.norm(x))):
+        if norm2(x_new - x) <= 1e-13 * (1.0 + norm2(x)):
             return x_new
         x = x_new
     raise NonConvergedError("prox-projection alternation did not settle in 500 rounds")
@@ -410,7 +419,7 @@ def _solve_hilbert(prob: ResolventProblem, tol: float, max_iter: int) -> np.ndar
     target = tol / 10.0
     for _ in range(max_iter):
         u_new = _composite_prox(prob.mixed, prob.feasible, u - step * forward(u), step)
-        moved = float(np.linalg.norm(u_new - u))
+        moved = norm2(u_new - u)
         u = u_new
         if moved <= target:
             return u
@@ -505,7 +514,7 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
     own start.  Returns the final rows, their values and the number of
     rows that reached max_iter still moving.
     """
-    ys = _project_rows(cset, np.array([np.asarray(s, dtype=float) for s in starts]))
+    ys = _project_rows(cset, np.asarray(starts, dtype=float))
     fy, parts = evaluate(ys)
     t = np.ones(len(ys))
     live = np.arange(len(ys))  # rows still searching
@@ -539,7 +548,7 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
                 break
             tl[pending] *= 0.5
         # a row whose line search failed stays at y0 and stops
-        moved = np.linalg.norm(ys[live] - y0, axis=1)
+        moved = norm2_rows(ys[live] - y0)
         t[live] = np.minimum(tl * 1.3, 1e6)
         keep = accepted & (moved > tol * tl)
         live = live[keep]
@@ -547,13 +556,13 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
     return ys, fy, live.size
 
 
-def _gap_starts(prob: ResolventProblem, uc: np.ndarray, samples: int, rng) -> list:
+def _gap_starts(prob: ResolventProblem, uc: np.ndarray, samples: int, rng) -> np.ndarray:
+    """The gap search's starts as rows: u, 0 and `samples` feasible points."""
     dim = prob.space.dimension
-    starts = [uc, np.zeros(dim)]
+    starts = (uc[None, :], np.zeros((1, dim)))
     if samples > 0:
-        pts = sample_feasible(prob.feasible, rng, samples, dimension=dim)
-        starts.extend(pts)
-    return starts
+        starts += (sample_feasible(prob.feasible, rng, samples, dimension=dim),)
+    return np.concatenate(starts)
 
 
 def _linear_minimum(mixed, base, lin: np.ndarray):
@@ -570,13 +579,13 @@ def _linear_minimum(mixed, base, lin: np.ndarray):
         return None
     if isinstance(mixed, DualNormTerm):
         if isinstance(base, PBall) and base.exponent == 2.0:
-            return -base.radius * max(float(np.linalg.norm(lin)) - 1.0, 0.0)
+            return -base.radius * max(norm2(lin) - 1.0, 0.0)
         return None
     if not isinstance(mixed, (ZeroTerm, WeightedL1Term)):
         return None
     lam = mixed.weight if isinstance(mixed, WeightedL1Term) else 0.0
     if isinstance(base, Box):
-        ends = (base.lower, base.upper, np.clip(0.0, base.lower, base.upper))
+        ends = (base.lower, base.upper, np.minimum(np.maximum(0.0, base.lower), base.upper))
         return float(np.minimum.reduce([lin * y + lam * np.abs(y) for y in ends]).sum())
     excess = np.maximum(np.abs(lin) - lam, 0.0)
     return -base.radius * pnorm(excess, base.exponent / (base.exponent - 1.0))
@@ -597,7 +606,7 @@ def _gap_hilbert(prob, uc, starts, max_iter=300):
     """
     lin = (1.0 / prob.r) * (uc - prob.input_point.coords)
     lin = lin + prob.perturbation.apply(uc)
-    weight, moment = 0.0, np.zeros_like(uc)
+    weight, moment = 0.0, np.zeros(uc.shape)
     for f in prob.bifunctions:
         if isinstance(f, PotentialBifunction):
             weight += f.psi.weight
@@ -607,14 +616,15 @@ def _gap_hilbert(prob, uc, starts, max_iter=300):
         else:
             lin = lin + f.g.apply(uc)
     mixed, omega = prob.mixed, prob.feasible
-    rows = [np.array(starts, dtype=float)]
+    rows = [starts]
     if isinstance(omega.base, Box):
         # y = 0 may lie outside a box; a ball holds it, and the other starts
         # are feasible (lhs(u, u) = 0 wherever u lies)
-        rows[0] = project_primitive(rows[0], omega.base)
+        rows[0] = project_primitive(starts, omega.base)
     least, capped = np.inf, 0
     if weight > 0.0:
-        rows.append([_composite_prox(mixed, omega, (moment - lin) / weight, 1.0 / weight)])
+        prox = _composite_prox(mixed, omega, (moment - lin) / weight, 1.0 / weight)
+        rows.append(prox[None, :])
     elif (closed := _linear_minimum(mixed, omega.base, lin)) is not None:
         # with W = 0, lhs(u, y) = <lin, y - u> + phi(y) - phi(u)
         least = closed - (float(np.dot(lin, uc)) + mixed.value(uc))
@@ -622,14 +632,14 @@ def _gap_hilbert(prob, uc, starts, max_iter=300):
         y = project_primitive(uc, omega.base)
         for _ in range(max_iter):
             y_new = _composite_prox(mixed, omega, y - lin, 1.0)
-            moved = float(np.linalg.norm(y_new - y))
+            moved = norm2(y_new - y)
             y = y_new
             if moved <= 1e-11:
                 break
         else:
             capped = 1
-        rows.append([y])
-    ys = np.vstack(rows)
+        rows.append(y[None, :])
+    ys = np.concatenate(rows)
     if not np.isfinite(ys).all():
         raise ValueError("coordinates must be finite")  # as PrimalPoint refuses them
     # fmin skips a NaN value, as a comparison with the best so far would
@@ -682,9 +692,8 @@ def _gap_banach(prob, u, starts, max_iter=300):
     return resolvent_lhs(prob, u, PrimalPoint(y, prob.space)), capped
 
 
-def _gap_holder(prob, u, starts):
-    """min over the starts of lhs(0, y), by evaluation alone."""
-    ys = np.array(starts, dtype=float)
+def _gap_holder(prob, u, ys):
+    """min over the start rows ys of lhs(0, y), by evaluation alone."""
     return float(_safe_values(prob, u, ys, _banach_inner_objective(prob, u)[0](ys)[0]).min())
 
 
@@ -748,7 +757,7 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
     nx = prob.input_point.norm
     exact = None
     if nx <= prob.r:
-        uc = np.zeros_like(xc)
+        uc = np.zeros(xc.shape)
         exact = 0.0  # the Hölder bound above: no y makes lhs(0, y) negative
     else:
         inv_r = 1.0 / prob.r

@@ -21,7 +21,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -53,7 +52,7 @@ from .errors import (
 from .operators import JMap, OperatorFamily, RelaxedFamily, ShiftMap
 from .sets import Box, ConstraintSet, Frame, PBall, WholeSpace, contains, sample_feasible
 from .solver import Mode, ProblemBundle, SolverConfig, audit_result, run
-from .space import PrimalPoint, SpaceConfig
+from .space import PrimalPoint, SpaceConfig, kept
 
 #: the per-iteration CSV's columns, in order, each with the history-record
 #: field it reads; the summary's rows carry the same keys
@@ -383,7 +382,7 @@ class ScenarioSpec:
             "seed": self.seed,
         }
 
-    @cached_property
+    @kept
     def problem(self) -> ProblemBundle:
         """The solver inputs, built on first use and kept: one build per spec."""
         return build_bundle(self)
@@ -427,6 +426,8 @@ def load_scenario(source) -> ScenarioSpec:
     seed = doc.get("seed", 7)
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("scenario.seed", "must be an integer")
+    if seed < 0:
+        _fail("scenario.seed", f"must be nonnegative, got {seed}")
 
     spec = ScenarioSpec(
         name=doc["name"],

@@ -24,12 +24,22 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Union
 
 import numpy as np
 
 from .errors import InfeasibleError, NonConvergedError, UnsupportedCombinationError
-from .space import PrimalPoint, duality_jacobian, gauge_coords, pnorm, pnorm_rows
+from .space import (
+    PrimalPoint,
+    duality_jacobian,
+    gauge_coords,
+    kept,
+    norm2,
+    norm2_rows,
+    pnorm,
+    pnorm_rows,
+)
 
 # Halfspace cuts whose unit normals differ by less than this chord length are
 # treated as parallel for pruning purposes.
@@ -90,6 +100,16 @@ class Box:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
+    @kept
+    def _faces(self) -> tuple:
+        """The faces as read-only unit rows (I; -I) and levels (upper; -lower),
+        built on the first projection that reads them."""
+        eye = np.eye(self.lower.shape[0])
+        rows, levels = np.concatenate((eye, -eye)), np.concatenate((self.upper, -self.lower))
+        rows.setflags(write=False)
+        levels.setflags(write=False)
+        return rows, levels
+
 
 @dataclass(frozen=True)
 class WholeSpace:
@@ -101,8 +121,13 @@ BaseSet = Union[PBall, Box, WholeSpace]
 
 def _unit_rows(normals: np.ndarray, offsets: np.ndarray):
     """Cuts a z <= b scaled to unit rows: (a / |a_i|, b / |a_i|), row by row."""
-    norms = np.linalg.norm(normals, axis=1)
+    norms = norm2_rows(normals)
     return normals / norms[:, None], offsets / norms
+
+
+def _index(cuts: tuple) -> dict:
+    """id(cut) -> position, for each cut of the tuple."""
+    return {id(cut): k for k, cut in enumerate(cuts)}
 
 
 def _base_dimension(base) -> int | None:
@@ -124,9 +149,10 @@ class ConstraintSet:
 
     The set keeps a store of its cuts as stacked arrays, built once here
     and extended row by row by `add_cut`: the raw normals and offsets
-    (`worst_violation` and the audit pull-back read them) and the unit
-    rows and levels the exact engines read.  Every cut must have the
-    dimension of the others and of a box base.
+    (`worst_violation` and the audit pull-back read them), the unit
+    rows and levels the exact engines read, and an index from each cut's
+    identity to its position, which matches a hint's cuts to rows.  Every
+    cut must have the dimension of the others and of a box base.
     """
 
     base: BaseSet
@@ -135,6 +161,8 @@ class ConstraintSet:
 
     # the cut store; a set without cuts keeps these class defaults
     _cut_normals = _cut_offsets = _cut_rows = _cut_levels = None
+    # the set holds its cuts, so no id in the index is reused while it lives
+    _cut_index = MappingProxyType({})
 
     def __post_init__(self):
         cuts = tuple(self.cuts)
@@ -150,18 +178,19 @@ class ConstraintSet:
             dim = _fitting_dimension(dim, cut)
         normals = np.stack([c.normal for c in cuts])
         offsets = np.array([c.offset for c in cuts])
-        self._store(normals, offsets, *_unit_rows(normals, offsets))
+        self._store(normals, offsets, *_unit_rows(normals, offsets), _index(cuts))
 
-    def _store(self, normals, offsets, rows, levels):
+    def _store(self, normals, offsets, rows, levels, index):
         object.__setattr__(self, "_cut_normals", normals)
         object.__setattr__(self, "_cut_offsets", offsets)
         object.__setattr__(self, "_cut_rows", rows)
         object.__setattr__(self, "_cut_levels", levels)
+        object.__setattr__(self, "_cut_index", index)
 
     @classmethod
     def _with_store(cls, base: BaseSet, cuts: tuple, frame: Frame, store: tuple):
         """The set base ∩ cuts with a ready store (normals, offsets, rows,
-        levels), one row per cut.
+        levels, one row per cut, and the cuts' identity index).
 
         `add_cut` builds its result here, having checked the new cut's frame
         and dimension; this skips __post_init__, whose checks and re-stack
@@ -244,8 +273,9 @@ def add_cut(cset: ConstraintSet, cut: Halfspace) -> ConstraintSet:
     at most the new one's, the set is returned unchanged, and otherwise
     every near-parallel old cut is dropped.  The test is one pass over the
     stored unit rows, and the new set's store is the old one's surviving
-    rows followed by the new cut's row.  Raises ValueError when the cut's
-    frame or dimension does not match the set's.
+    rows followed by the new cut's row; its identity index is the old one
+    plus the new cut, rebuilt only when cuts were dropped.  Raises
+    ValueError when the cut's frame or dimension does not match the set's.
     """
     if cut.frame != cset.frame:
         raise ValueError("cut frame does not match the constraint-set frame")
@@ -255,7 +285,7 @@ def add_cut(cset: ConstraintSet, cut: Halfspace) -> ConstraintSet:
     row, level = _unit_rows(normal, offset)
     cuts, store = cset.cuts, (normal, offset, row, level)
     if cuts:
-        near = np.linalg.norm(cset._cut_rows - row, axis=1) <= _PARALLEL_CHORD
+        near = norm2_rows(cset._cut_rows - row) <= _PARALLEL_CHORD
         if (cset._cut_levels[near] <= level[0]).any():
             return cset  # an existing cut already dominates the new one
         old = (cset._cut_normals, cset._cut_offsets, cset._cut_rows, cset._cut_levels)
@@ -263,7 +293,13 @@ def add_cut(cset: ConstraintSet, cut: Halfspace) -> ConstraintSet:
             cuts = tuple(itertools.compress(cuts, ~near))
             old = tuple(x[~near] for x in old)
         store = tuple(np.concatenate(pair) for pair in zip(old, store))
-    return ConstraintSet._with_store(cset.base, cuts + (cut,), cset.frame, store)
+    if len(cuts) == len(cset.cuts):
+        index = dict(cset._cut_index)
+        index[id(cut)] = len(cuts)
+    else:
+        index = _index(cuts + (cut,))
+    cuts += (cut,)
+    return ConstraintSet._with_store(cset.base, cuts, cset.frame, store + (index,))
 
 
 # -- primitive projections ---------------------------------------------------
@@ -292,7 +328,7 @@ def _shrink_coords(vabs: np.ndarray, lam: float, e: float) -> np.ndarray:
     if e == 3.0:
         # quadratic in t: 3*lam*t^2 + t - vabs = 0 (rationalized root)
         return 2.0 * vabs / (1.0 + np.sqrt(1.0 + 12.0 * lam * vabs))
-    lo = np.zeros_like(vabs)
+    lo = np.zeros(vabs.shape)
     hi = vabs.copy()
     if e >= 2.0:
         t = np.minimum(vabs, (vabs / (lam * e)) ** (1.0 / (e - 1.0)))
@@ -392,7 +428,7 @@ def project_primitive(v: np.ndarray, primitive) -> np.ndarray:
             return v.copy()
         return v - (gap / float(np.dot(primitive.normal, primitive.normal))) * primitive.normal
     if isinstance(primitive, Box):
-        return np.clip(v, primitive.lower, primitive.upper)
+        return np.minimum(np.maximum(v, primitive.lower), primitive.upper)
     if isinstance(primitive, WholeSpace):
         return v.copy()
     if isinstance(primitive, PBall):
@@ -403,32 +439,32 @@ def project_primitive(v: np.ndarray, primitive) -> np.ndarray:
 def _linear_rows(cset: ConstraintSet, dim: int):
     """The linear constraints of the set as unit rows (A, b): A z <= b.
 
-    The cuts' unit rows come from the set's store; a box base prepends its
-    faces as +/- unit rows, and a ball base contributes nothing (its
-    boundary is not linear; the exact engines carry it separately).
+    The cuts' unit rows come from the set's store; a box base prepends the
+    faces it keeps as +/- unit rows, and a ball base contributes nothing
+    (its boundary is not linear; the exact engines carry it separately).
     """
-    if cset.cuts:
-        rows, levels = cset._cut_rows, cset._cut_levels
-    else:
-        rows, levels = np.zeros((0, dim)), np.zeros(0)
     base = cset.base
     if isinstance(base, Box):
-        eye = np.eye(dim)
-        rows = np.concatenate((eye, -eye, rows))
-        levels = np.concatenate((base.upper, -base.lower, levels))
-    return rows, levels
+        rows, levels = base._faces
+        if cset.cuts:
+            rows = np.concatenate((rows, cset._cut_rows))
+            levels = np.concatenate((levels, cset._cut_levels))
+        return rows, levels
+    if cset.cuts:
+        return cset._cut_rows, cset._cut_levels
+    return np.zeros((0, dim)), np.zeros(0)
 
 
 def _hint_rows(cset: ConstraintSet, hint, count: int):
     """Mask over the `count` engine rows (box faces first) of the hint's cuts.
 
-    Cuts are matched by identity, so a cut pruned from the set since the
-    hint was taken is skipped, never mistaken for another; None when the
-    hint is empty.
+    Cuts are matched by identity through the set's index, so a cut pruned
+    from the set since the hint was taken is skipped, never mistaken for
+    another; None when the hint is empty.
     """
     if not hint:
         return None
-    where = {id(cut): k for k, cut in enumerate(cset.cuts)}
+    where = cset._cut_index
     first = count - len(cset.cuts)
     start = np.zeros(count, dtype=bool)
     for cut in hint:
@@ -526,7 +562,7 @@ def _ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray, start: np.ndarray | None =
     shift = float(excess.max(initial=0.0))
     if shift <= 0.0:
         return np.array(v), np.zeros(b.shape[0])
-    e = np.vstack([-a.T, excess / shift])
+    e = np.concatenate((-a.T, (excess / shift)[None, :]))
     f = np.zeros(e.shape[0])
     f[-1] = 1.0
     u, resid = _nnls(e, f, start)
@@ -574,7 +610,7 @@ def _kkt_residual(
 
 def _certify(resid: float, v: np.ndarray, tol: float) -> None:
     """The KKT gate: NonConvergedError unless resid <= max(10 tol, 1e-10) (1 + |v|)."""
-    if not resid <= max(10.0 * tol, 1e-10) * (1.0 + float(np.linalg.norm(v))):
+    if not resid <= max(10.0 * tol, 1e-10) * (1.0 + norm2(v)):
         raise NonConvergedError(f"exact projection failed its KKT check (residual {resid:.3g})")
 
 
@@ -591,7 +627,7 @@ def _least_distance(cset: ConstraintSet, v: np.ndarray, tol: float, hint: tuple 
     """
     a, b = _linear_rows(cset, v.shape[0])
     z, lam = _ldp(a, b, v, _hint_rows(cset, hint, a.shape[0]))
-    if isinstance(cset.base, PBall) and float(np.linalg.norm(z)) > cset.base.radius:
+    if isinstance(cset.base, PBall) and norm2(z) > cset.base.radius:
         return _generalized_projection(cset, v, 2.0, tol)
     # an inactive ball's natural residual min(0, radius - |z|) is 0
     resid = _kkt_residual(a, b, v, z, lam)
@@ -685,7 +721,7 @@ def _multiplier_newton(
     """
     m = a.shape[0]
     q = exponent / (exponent - 1.0)
-    scale = 1.0 + float(np.linalg.norm(v))
+    scale = 1.0 + norm2(v)
     r2 = 0.0 if radius is None else radius * radius
     # h(w) <= radius^2 + 2 |v|_p radius on the ball and -F <= h(w) at every
     # feasible w, so F below this bound certifies an empty set
@@ -709,7 +745,7 @@ def _multiplier_newton(
 
     def multipliers():
         z = lam[work]
-        return np.append(z, mu) if ball else z
+        return np.concatenate((z, [mu])) if ball else z
 
     def set_multipliers(z):
         nonlocal mu
@@ -740,8 +776,8 @@ def _multiplier_newton(
             cols = rows.T
             err = float(np.abs(resid).max(initial=0.0))
             if ball:
-                grad = np.append(grad, r2 - (s * nc) ** 2)
-                cols = np.column_stack([cols, s * c])
+                grad = np.concatenate((grad, [r2 - (s * nc) ** 2]))
+                cols = np.concatenate((cols, (s * c)[:, None]), axis=1)
                 err = max(err, abs(radius - s * nc))
             if err <= 1e-14 * scale:
                 return w, True
@@ -808,7 +844,7 @@ def _multiplier_newton(
             return np.concatenate(parts), g, nw_
 
         r, g, nw = equations(w, z)
-        err = float(np.linalg.norm(r))
+        err = norm2(r)
         for _ in range(50):
             if err <= 1e-15 * scale:
                 if z.min(initial=0.0) < 0.0:
@@ -831,13 +867,13 @@ def _multiplier_newton(
             for _ in range(30):
                 w_t, z_t = w + alpha * step[:d], z + alpha * step[d:]
                 r_t, g_t, nw_t = equations(w_t, z_t)
-                if float(np.linalg.norm(r_t)) < err:
+                if norm2(r_t) < err:
                     break
                 alpha *= 0.5
             else:
                 return None
             w, z, r, g, nw = w_t, z_t, r_t, g_t, nw_t
-            err = float(np.linalg.norm(r))
+            err = norm2(r)
         return None
 
     def solve_working_set(w):
@@ -870,16 +906,16 @@ def _multiplier_newton(
         cols = a[work].T
         if ball:
             g = gauge_coords(w, q)  # the ball's normal at w, (v - a^T lam) / (1 + mu)
-            cols = np.column_stack([cols, g / np.linalg.norm(g)])
+            cols = np.concatenate((cols, (g / norm2(g))[:, None]), axis=1)
         if cols.shape[1]:
             coef = np.linalg.lstsq(cols, a[j], rcond=None)[0]
-            if np.linalg.norm(a[j] - cols @ coef) <= _DEPENDENT_RESIDUAL:
+            if norm2(a[j] - cols @ coef) <= _DEPENDENT_RESIDUAL:
                 # a[j] = a_W^T t + tau g: raising lam_j by sigma while lam_W
                 # falls by sigma t and mu by sigma tau keeps w fixed and
                 # lowers F at the rate 2 (b_j - a_j w) < 0
                 rates = coef.copy()
                 if ball:
-                    rates[-1] /= np.linalg.norm(g)
+                    rates[-1] /= norm2(g)
                 # judged on the unit columns: mu's rate scales as 1 / |w|
                 trade = (coef > 1e-12).nonzero()[0]
                 if not trade.size:
@@ -1008,7 +1044,7 @@ def _pull_feasible_rows(
     room = cset._cut_offsets + allowed - cset._cut_normals @ anchor
     toward = rates > 0.0
     ratios = np.divide(room, rates, out=np.full(rates.shape, np.inf), where=toward)
-    t = np.clip(ratios.min(axis=1, initial=1.0), 0.0, 1.0)
+    t = np.minimum(np.maximum(ratios.min(axis=1, initial=1.0), 0.0), 1.0)
     out = np.repeat(anchor[None, :], cands.shape[0], axis=0)  # rows that reach t = 0
     live = (t > 0.0).nonzero()[0]
     back = np.finfo(float).eps

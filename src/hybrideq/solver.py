@@ -197,6 +197,25 @@ def _at_iteration(exc: Exception, n: int, capped: int) -> Exception:
     return tagged
 
 
+def _seed_words(seed: int) -> tuple:
+    """The seed as numpy's SeedSequence splits a nonnegative Python int:
+    32-bit words, least significant first, and (0,) for 0.
+
+    A uint32 array of these words followed by more of them seeds the
+    generator that the list [seed, ...] seeds, without SeedSequence's
+    per-item Python coercion.  Raises ValueError for a negative seed, as
+    numpy does.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    words = [seed & 0xFFFFFFFF]
+    seed >>= 32
+    while seed:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+    return tuple(words)
+
+
 def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     """Execute the outer loop; returns the full audited trace.
 
@@ -231,6 +250,9 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     )
 
     reference = config.reference_solution
+    # iteration n's generators are seeded by [seed, n, 1] and [seed, n, 2];
+    # n < 2^32 is one word
+    words = _seed_words(config.seed)
     dual_set = bundle.omega_dual
     x = anchor
     history = []
@@ -257,7 +279,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
             u, resolvent_gap_value, capped_starts = solve_resolvent_certified(
                 problem,
                 tol=config.resolvent_tol,
-                rng=np.random.default_rng([config.seed, n, 1]),
+                rng=np.random.default_rng(np.array((*words, n, 1), dtype=np.uint32)),
             )
         except (NonConvergedError, UnsupportedCombinationError) as exc:
             raise _at_iteration(exc, n, capped_total) from exc
@@ -290,7 +312,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
                 retraction_problem,
                 x_next,
                 samples=config.audit_samples,
-                rng=np.random.default_rng([config.seed, n, 2]),
+                rng=np.random.default_rng(np.array((*words, n, 2), dtype=np.uint32)),
                 violation=dual_gap,
             )
         except (AuditError, NonConvergedError, InfeasibleError) as exc:

@@ -19,8 +19,8 @@ squared distance; it reduces to |x - y|^2 at p = 2 and is bounded between
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +58,44 @@ class SpaceConfig:
         return self.exponent == 2.0
 
 
+class kept:
+    """A value computed from its instance on first read and kept there.
+
+    A non-data descriptor: the first read stores the value in the instance
+    dict, which later reads find first.  The dict write bypasses a frozen
+    dataclass's __setattr__.  Unlike functools.cached_property (Python
+    3.11) it takes no lock; two threads reading a fresh instance at once
+    would each compute the same value.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
+def norm2(v: np.ndarray) -> float:
+    """The Euclidean norm of a 1-D float array: np.linalg.norm(v) bit for bit.
+
+    np.linalg.norm takes this same dot product and square root after about
+    2 us of Python argument handling.
+    """
+    return math.sqrt(v.dot(v))
+
+
+def norm2_rows(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(rows, axis=1) of a 2-D float array, bit for bit."""
+    return np.sqrt((rows * rows).sum(axis=1))
+
+
 def _as_coords(values, dimension: int) -> np.ndarray:
     coords = np.asarray(values, dtype=float)
     if coords.shape != (dimension,):
@@ -85,11 +123,11 @@ class PrimalPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", _as_coords(self.coords, self.space.dimension))
 
-    @cached_property
+    @kept
     def norm(self) -> float:
         return pnorm(self.coords, self.space.exponent)
 
-    @cached_property
+    @kept
     def dual_coords(self) -> np.ndarray:
         """Read-only coordinates of Jx; at p = 2 they are `coords` itself."""
         if self.space.is_hilbert:
@@ -98,7 +136,7 @@ class PrimalPoint:
         jx.setflags(write=False)
         return jx
 
-    @cached_property
+    @kept
     def jacobian(self) -> np.ndarray:
         """Read-only Jacobian of the duality map at the point."""
         jac = duality_jacobian(self.coords, self.space.exponent, self.norm)
@@ -116,7 +154,7 @@ class DualPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", _as_coords(self.coords, self.space.dimension))
 
-    @cached_property
+    @kept
     def norm(self) -> float:
         return pnorm(self.coords, self.space.conjugate)
 
@@ -202,7 +240,7 @@ def gauge_coords(v: np.ndarray, exponent: float, nrm: float | None = None) -> np
     if nrm is None:
         nrm = pnorm(v, exponent)
     if nrm == 0.0:
-        return np.zeros_like(np.asarray(v, dtype=float))
+        return np.zeros(np.shape(v))
     if not _SAFE_MIN <= nrm <= _SAFE_MAX:
         return nrm * (np.abs(v) / nrm) ** (exponent - 1.0) * np.sign(v)
     return nrm ** (2.0 - exponent) * np.abs(v) ** (exponent - 1.0) * np.sign(v)

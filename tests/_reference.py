@@ -127,6 +127,21 @@ def linear_rows_restacked(cset, dim):
     return a / norms[:, None], b / norms
 
 
+def hint_rows_rematched(cset, hint, count):
+    """The mask of `sets._hint_rows` as it was before the sets kept an
+    identity index: the cuts' positions are looked up afresh on every call."""
+    if not hint:
+        return None
+    where = {id(cut): k for k, cut in enumerate(cset.cuts)}
+    first = count - len(cset.cuts)
+    start = np.zeros(count, dtype=bool)
+    for cut in hint:
+        k = where.get(id(cut))
+        if k is not None:
+            start[first + k] = True
+    return start
+
+
 def pull_feasible_one(cset, anchor, cand, allowed):
     """The audit pull-back one candidate at a time, as `sets.sample_feasible`
     ran it before it batched its candidates: the ratio test over the cuts

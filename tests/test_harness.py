@@ -190,6 +190,11 @@ def _weight_product_below_floor(doc):
     doc["bundle"]["combination_weights"] = [1.0, 0.0]
 
 
+def _negative_seed(doc):
+    # numpy's SeedSequence refuses it with a ValueError deep in a solve
+    doc["seed"] = -1
+
+
 class TestRejectedAtLoad:
     """Data that a constructor or the solver refuses is a validation error
     naming its field, at load and through the CLI, never a traceback."""
@@ -203,6 +208,7 @@ class TestRejectedAtLoad:
         (_nan_reference, "bundle.reference_solution"),
         (_infinite_r, "config.r"),
         (_weight_product_below_floor, "bundle.combination_weights"),
+        (_negative_seed, "scenario.seed"),
     ]
 
     @pytest.mark.parametrize("mutate, path", CASES)
@@ -221,6 +227,14 @@ class TestRejectedAtLoad:
         scenario.write_text(json.dumps(doc))
         assert cli_main(["solve", "--scenario", str(scenario)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_negative_seed_override_exits_one_with_error_line(self, capsys, command):
+        # hilbert_family draws its start from the seed while it loads
+        assert cli_main([command, "--scenario", "hilbert_family", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: scenario.seed: must be nonnegative, got -1\n"
+        assert captured.out == ""
 
 
 class TestRunScenario:

@@ -16,6 +16,7 @@ from _reference import (
     add_cut_loop,
     draw_ball_interleaved,
     dykstra,
+    hint_rows_rematched,
     linear_rows_restacked,
     sample_feasible_one,
 )
@@ -40,6 +41,7 @@ from hybrideq import (
 from hybrideq.sets import (
     _draw_ball,
     _dual_hessian,
+    _hint_rows,
     _kkt_residual,
     _ldp,
     _least_distance,
@@ -754,6 +756,12 @@ class TestAddCut:
             offered.append(cut)
             store, loop = add_cut(store, cut), add_cut_loop(loop, cut)
             assert _same_cuts(store.cuts, loop.cuts)
+            # a hint of every cut offered so far holds the pruned and the
+            # refused cuts too, and a stranger that was never offered
+            count = _linear_rows(store, d)[0].shape[0]
+            hint = (Halfspace(np.ones(d), 1.0),) + tuple(offered)
+            mask = _hint_rows(store, hint, count)
+            assert mask.tobytes() == hint_rows_rematched(store, hint, count).tobytes()
         rows, levels = _linear_rows(store, d)
         ref_rows, ref_levels = linear_rows_restacked(loop, d)
         assert rows.tobytes() == ref_rows.tobytes()
@@ -761,6 +769,12 @@ class TestAddCut:
         fresh = ConstraintSet(store.base, store.cuts)
         for name in ("_cut_normals", "_cut_offsets", "_cut_rows", "_cut_levels"):
             assert getattr(store, name).tobytes() == getattr(fresh, name).tobytes(), name
+        hint = tuple(offered[i] for i in rng.permutation(len(offered))[: len(offered) // 2])
+        for cset in (store, fresh):
+            mask, ref = _hint_rows(cset, hint, rows.shape[0]), hint_rows_rematched(
+                cset, hint, rows.shape[0]
+            )
+            assert (mask is None and ref is None) or mask.tobytes() == ref.tobytes()
 
 
 class TestValidation:

@@ -274,6 +274,25 @@ class TestSeedRobustness:
             assert pnorm(result.x_star.coords, 3.0) < 0.05
 
 
+class TestSeedWords:
+    """The per-iteration generators, seeded from the run seed's 32-bit words,
+    draw the streams that the list [seed, n, k] seeds."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 10**23])
+    def test_same_streams_as_the_seed_list(self, seed):
+        words = solver_module._seed_words(seed)
+        for n in (1, 2, 200):
+            for k in (1, 2):
+                ours = np.random.default_rng(np.array((*words, n, k), dtype=np.uint32))
+                numpy_split = np.random.default_rng([seed, n, k])
+                assert ours.bit_generator.state == numpy_split.bit_generator.state
+                assert ours.random(16).tobytes() == numpy_split.random(16).tobytes()
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solver_module._seed_words(-1)
+
+
 class TestRecordsMatchTheFormulas:
     """Every recorded slack equals the formula evaluated afresh on the
     recorded points, with no kept norm or duality image, bit for bit."""

@@ -5,6 +5,8 @@ Expected values are frozen from independent computations: the p = 3 map of
 |Jx|_q = |x| evaluated with plain arithmetic, not through the map itself.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +22,7 @@ from hybrideq import (
     pairing,
     pnorm,
 )
-from hybrideq.space import duality_jacobian, gauge_coords
+from hybrideq.space import duality_jacobian, gauge_coords, kept, norm2, norm2_rows
 
 
 def _random_points(space, count, seed, scale=2.0):
@@ -101,6 +103,41 @@ class TestPointCache:
             x.dual_coords[0] = 1.0
         with pytest.raises(ValueError):
             x.jacobian[0, 0] = 1.0
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p", EXPONENTS)
+    def test_kept_values_cannot_be_replaced(self, p):
+        space = SpaceConfig(5, p)
+        x, w = PrimalPoint(self._coords(1.0), space), DualPoint(self._coords(1.0), space)
+        for point, name in ((x, "norm"), (x, "dual_coords"), (x, "jacobian"), (w, "norm")):
+            for _ in range(2):  # before the first read and after it
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(point, name, 0.0)
+                getattr(point, name)
+        assert x.norm == pnorm(x.coords, p) and w.norm == pnorm(w.coords, space.conjugate)
+
+    def test_kept_computes_once_per_instance_of_a_frozen_dataclass(self):
+        calls = []
+
+        @dataclasses.dataclass(frozen=True)
+        class Holder:
+            x: float
+
+            @kept
+            def double(self):
+                """Twice x."""
+                calls.append(self.x)
+                return 2.0 * self.x
+
+        a, b = Holder(1.0), Holder(3.0)
+        assert (a.double, a.double, b.double, a.double, b.double) == (2.0, 2.0, 6.0, 2.0, 6.0)
+        assert calls == [1.0, 3.0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.double = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del a.double
+        assert a.double == 2.0 and a == Holder(1.0) and calls == [1.0, 3.0]
+        assert isinstance(Holder.double, kept) and Holder.double.__doc__ == "Twice x."
 
     def test_hilbert_image_is_the_coordinates(self):
         x = PrimalPoint(self._coords(1.0), SpaceConfig(5, 2.0))
@@ -340,3 +377,32 @@ class TestScaleSafety:
         jx = gauge_coords(x, p)
         assert pnorm(jx, q) == pytest.approx(nrm, rel=1e-12)
         assert float(np.dot(x, jx)) == pytest.approx(nrm * nrm, rel=1e-12)
+
+
+class TestEuclideanNorms:
+    """norm2 and norm2_rows are np.linalg.norm's 1-D and axis=1 forms bit for
+    bit.  The two forms sum in different orders, so they may differ from
+    each other in the last place."""
+
+    @staticmethod
+    def _assert_same(rows):
+        assert norm2_rows(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+        for row in rows:
+            assert np.float64(norm2(row)).tobytes() == np.linalg.norm(row).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_across_magnitudes(self, data):
+        d = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, 6))
+        mantissas = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=k * d, max_size=k * d))
+        decades = data.draw(st.lists(st.integers(-150, 150), min_size=k, max_size=k))
+        rows = np.array(mantissas).reshape(k, d) * 10.0 ** np.array(decades, dtype=float)[:, None]
+        self._assert_same(rows)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mag", [1e155, 1e200, 1e308])
+    def test_inputs_that_overflow(self, mag):
+        rows = np.array([[1.0, -1.0, 0.5], [0.0, 0.0, 1.0], [1e-300, 2.0, -3.0]]) * mag
+        assert np.isinf(np.linalg.norm(rows, axis=1)).any()
+        self._assert_same(rows)
