@@ -770,10 +770,9 @@ class TestAddCut:
         for name in ("_cut_normals", "_cut_offsets", "_cut_rows", "_cut_levels"):
             assert getattr(store, name).tobytes() == getattr(fresh, name).tobytes(), name
         hint = tuple(offered[i] for i in rng.permutation(len(offered))[: len(offered) // 2])
+        count = rows.shape[0]
         for cset in (store, fresh):
-            mask, ref = _hint_rows(cset, hint, rows.shape[0]), hint_rows_rematched(
-                cset, hint, rows.shape[0]
-            )
+            mask, ref = _hint_rows(cset, hint, count), hint_rows_rematched(cset, hint, count)
             assert (mask is None and ref is None) or mask.tobytes() == ref.tobytes()
 
 
