@@ -45,6 +45,9 @@ from .space import (
 # treated as parallel for pruning purposes.
 _PARALLEL_CHORD = 1e-9
 
+# the unit roundoff of a float
+_EPS = float(np.finfo(float).eps)
+
 
 class Frame(enum.Enum):
     PRIMAL = "primal"
@@ -492,11 +495,15 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
 
     `start`, a boolean mask over the columns, warm-starts the passive set
     (Bro & De Jong, J. Chemometrics 11, 1997): the least-squares solution
-    on those columns is solved, the columns whose coefficients are not
-    positive are dropped, and the rest are re-solved until every
+    on those columns is solved, the column with the most negative (or a
+    zero) coefficient is dropped, and the rest are re-solved until every
     coefficient is positive; that feasible point is where the exchanges
-    begin.  A start holding the final passive set returns after one
-    least-squares solve the answer a cold start reaches, bit for bit.
+    begin.  Dropping one column at a time keeps the start's columns that
+    only turn positive once a worse one has left, which dropping every
+    nonpositive column at once would lose to later exchanges.  The answer
+    is the least-squares solution on the sorted final passive set, so a
+    start that ends on the cold start's passive set returns its answer bit
+    for bit, after one least-squares solve when it holds exactly that set.
     """
     n = e.shape[1]
     u = np.zeros(n)
@@ -511,8 +518,8 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
             passive[idx] = True
             resid = f - e @ u
             break
-        idx = idx[s > 0.0]
-    tol = 10.0 * max(e.shape) * np.finfo(float).eps
+        idx = np.delete(idx, s.argmin())
+    tol = 10.0 * max(e.shape) * _EPS
     for _ in range(3 * n + 30):
         w = e.T @ resid
         w[passive | blocked] = -np.inf
@@ -567,7 +574,7 @@ def _ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray, start: np.ndarray | None =
     f[-1] = 1.0
     u, resid = _nnls(e, f, start)
     rr = float(np.dot(resid, resid))
-    if rr <= 1e3 * np.finfo(float).eps:
+    if rr <= 1e3 * _EPS:
         raise InfeasibleError("the cut rows admit no common point")
     lam = (shift / rr) * u
     return v - a.T @ lam, lam
@@ -1043,11 +1050,11 @@ def _pull_feasible_rows(
     rates = np.matmul(cset._cut_normals[None], steps[:, :, None])[..., 0]
     room = cset._cut_offsets + allowed - cset._cut_normals @ anchor
     toward = rates > 0.0
-    ratios = np.divide(room, rates, out=np.full(rates.shape, np.inf), where=toward)
+    ratios = np.where(toward, room / np.where(toward, rates, 1.0), np.inf)
     t = np.minimum(np.maximum(ratios.min(axis=1, initial=1.0), 0.0), 1.0)
     out = np.repeat(anchor[None, :], cands.shape[0], axis=0)  # rows that reach t = 0
     live = (t > 0.0).nonzero()[0]
-    back = np.finfo(float).eps
+    back = _EPS
     while live.size:
         points = anchor + t[live, None] * steps[live]
         passed = _row_violations(cset, points) <= allowed

@@ -257,7 +257,8 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     x = anchor
     history = []
     # the cuts active in the last retraction: the anchor is fixed and the set
-    # only shrinks, so they seed the next one's NNLS passive set
+    # only shrinks, so they and the newest cut, which cuts off x_n, seed the
+    # next one's NNLS passive set
     active = ()
     capped_total = 0
     stop_reason = StopReason.ITERATION_CAP
@@ -289,8 +290,11 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
         # pnorm reads only |diff_i|, so at u = 0 it is x's kept norm exactly
         gap_xu = pnorm(diff, p) if u.coords.any() else x.norm
         cut = _comparison_cut(u, x, diff, gap_xu)
+        hint = active
         if cut is not None:
             dual_set = add_cut(dual_set, cut)
+            if dual_set.cuts[-1] is cut:  # kept, not dominated by an old cut
+                hint = active + (cut,)
             if len(dual_set.cuts) > config.cut_cap:
                 raise _at_iteration(
                     NonConvergedError(f"accumulated cuts exceed the cap {config.cut_cap}"),
@@ -300,7 +304,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
 
         retraction_problem = RetractionProblem(space, dual_set, anchor)
         try:
-            x_next, active = sunny_retract(retraction_problem, hint=active)
+            x_next, active = sunny_retract(retraction_problem, hint=hint)
         except (NonConvergedError, InfeasibleError) as exc:
             raise _at_iteration(exc, n, capped_total) from exc
 

@@ -177,7 +177,7 @@ def pnorm(v: np.ndarray, exponent: float) -> float:
     of the plain sum that this repairs).
     """
     if exponent == 2.0:
-        nrm = float(np.sqrt(np.dot(v, v)))
+        nrm = norm2(v)
     else:
         nrm = float((np.abs(v) ** exponent).sum() ** (1.0 / exponent))
     if _SAFE_MIN <= nrm <= _SAFE_MAX:

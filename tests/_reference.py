@@ -163,6 +163,30 @@ def pull_feasible_one(cset, anchor, cand, allowed):
     return np.array(anchor)
 
 
+def pull_feasible_rows_divided(cset, anchor, cands, allowed):
+    """`sets._pull_feasible_rows` with the ratio test it had before it
+    divided by np.where(toward, rates, 1.0): np.divide into an array of
+    inf, written only where the step moves toward the cut."""
+    steps = cands - anchor
+    rates = np.matmul(cset._cut_normals[None], steps[:, :, None])[..., 0]
+    room = cset._cut_offsets + allowed - cset._cut_normals @ anchor
+    toward = rates > 0.0
+    ratios = np.divide(room, rates, out=np.full(rates.shape, np.inf), where=toward)
+    t = np.minimum(np.maximum(ratios.min(axis=1, initial=1.0), 0.0), 1.0)
+    out = np.repeat(anchor[None, :], cands.shape[0], axis=0)
+    live = (t > 0.0).nonzero()[0]
+    back = np.finfo(float).eps
+    while live.size:
+        points = anchor + t[live, None] * steps[live]
+        passed = np.array([worst_violation(cset, point) <= allowed for point in points], dtype=bool)
+        out[live[passed]] = points[passed]
+        live = live[~passed]
+        t[live] -= back
+        back *= 2.0
+        live = live[t[live] > 0.0]
+    return out
+
+
 def sample_feasible_one(cset, rng, count, scale=1.0, dimension=None, anchor=None):
     """`sets.sample_feasible` one candidate at a time: draw it, test it with
     worst_violation, and pull it back toward the anchor or project it.  A

@@ -18,6 +18,7 @@ from _reference import (
     dykstra,
     hint_rows_rematched,
     linear_rows_restacked,
+    pull_feasible_rows_divided,
     sample_feasible_one,
 )
 from hypothesis import assume, example, given, settings
@@ -603,6 +604,36 @@ class TestWarmStartedNNLS:
             warm, again = project_intersection(cset, v, hint=active)
             assert warm.tobytes() == cold.tobytes() and _same_cuts(again, active)
 
+    @pytest.mark.parametrize("kind", ["whole", "box"])
+    def test_hint_of_active_inactive_and_newest_cuts_is_bit_identical(self, kind):
+        # the outer loop's hint holds the last retraction's active cuts and
+        # the newest cut; inactive cuts in it must leave the passive set
+        rng = np.random.default_rng(["whole", "box"].index(kind) + 40)
+        with_inactive = 0
+        for _ in range(150):
+            cset, d = _random_cut_set(rng, kind)
+            v = 2.5 * rng.standard_normal(d)
+            cold, active = project_intersection(cset, v)
+            inactive = tuple(cut for cut in cset.cuts if not any(cut is a for a in active))
+            extra = tuple(cut for cut in inactive if rng.random() < 0.5)
+            newest = cset.cuts[-1]
+            with_inactive += bool(extra) or any(newest is cut for cut in inactive)
+            warm, again = project_intersection(cset, v, hint=active + extra + (newest,))
+            assert warm.tobytes() == cold.tobytes() and _same_cuts(again, active)
+        assert with_inactive >= 50
+
+    @pytest.mark.parametrize(
+        "f, answer", [([-1.0, -1.0, 2.0], [0.0, 0.0, 2.0]), ([-1.0, -1.0, -1.0], [0.0, 0.0, 0.0])]
+    )
+    def test_a_start_of_nonpositive_coefficients_ends_as_a_cold_start(self, f, answer):
+        # on the start's columns the least-squares coefficients are (-1, -1):
+        # both columns leave before the exchanges begin
+        e, f = np.eye(3), np.array(f)
+        u, resid = _nnls(e, f, np.array([True, True, False]))
+        u_cold, r_cold = _nnls(e, f)
+        assert u.tobytes() == u_cold.tobytes() and resid.tobytes() == r_cold.tobytes()
+        np.testing.assert_array_equal(u, answer)
+
     def test_hint_cuts_pruned_from_the_set_are_skipped(self):
         cset = ConstraintSet(WholeSpace(), (Halfspace([1.0, 0.0], 0.5),))
         v = np.array([2.0, 1.0])
@@ -670,6 +701,24 @@ class TestPullFeasible:
         assert batch[1].tobytes() == point.tobytes()
         for row in batch:
             assert worst_violation(cset, row) <= allowed
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_rates_give_the_divided_ratio_test(self):
+        # a candidate equal to the anchor moves toward no cut, and a step
+        # along the face x_1 = 0.5 or parallel to it has rate 0 on that cut
+        cset = ConstraintSet(
+            Box([-2.0, -2.0], [2.0, 2.0]), (Halfspace([1.0, 0.0], 0.5), Halfspace([1.0, 1.0], 1.0))
+        )
+        for anchor in (np.array([0.0, 0.0]), np.array([0.5, -1.0])):
+            cands = np.array([anchor, anchor + [0.0, 1.9], [1.9, 0.3], [-1.0, 1.9]])
+            allowed = max(worst_violation(cset, anchor), 0.0)
+            out = _pull_feasible_rows(cset, anchor, cands, allowed)
+            ref = pull_feasible_rows_divided(cset, anchor, cands, allowed)
+            assert out.tobytes() == ref.tobytes()
+            assert out[0].tobytes() == anchor.tobytes()
+            for row in out:
+                assert worst_violation(cset, row) <= allowed
 
 
 class TestAddCut:

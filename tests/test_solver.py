@@ -10,6 +10,7 @@ import pytest
 from hybrideq import (
     ConstraintSet,
     Frame,
+    Halfspace,
     InfeasibleError,
     InverseDualityPairing,
     Mode,
@@ -342,6 +343,36 @@ def _banach_run_inputs(p):
     bundle = _lp_bundle(p=p, anchor=0.8 * start / pnorm(start, p))
     config = SolverConfig(mode=Mode.BANACH_MAIN2, max_outer=8, outer_tol=1e-9, audit_samples=8)
     return bundle, config
+
+
+class TestRetractionHint:
+    def test_hint_holds_the_kept_cut_and_never_a_dominated_one(self, monkeypatch):
+        # every third offered cut meets an identical twin first, which add_cut
+        # keeps and against which it discards the offered cut as dominated;
+        # the loop never sees the twin
+        offered = []  # (cut, kept by add_cut) per iteration
+        hints = []
+
+        def add_after_twin(cset, cut):
+            if len(offered) % 3 == 2:
+                cset = add_cut(cset, Halfspace(cut.normal, cut.offset, cut.frame))
+            out = add_cut(cset, cut)
+            offered.append((cut, out.cuts[-1] is cut))
+            return out
+
+        def retract(prob, **kwargs):
+            hints.append(kwargs["hint"])
+            return retraction_module.sunny_retract(prob, **kwargs)
+
+        monkeypatch.setattr(solver_module, "add_cut", add_after_twin)
+        monkeypatch.setattr(solver_module, "sunny_retract", retract)
+        doc = load_scenario("hilbert_family").to_dict()
+        doc["config"]["max_outer"] = 12
+        assert run_scenario(load_scenario(doc)).iterations == 12
+        assert len(hints) == len(offered) == 12
+        assert [kept for _, kept in offered] == [True, True, False] * 4
+        for (cut, kept), hint in zip(offered, hints):
+            assert any(c is cut for c in hint) == kept
 
 
 class TestFixedAnchorWork:

@@ -22,7 +22,15 @@ from hybrideq import (
     pairing,
     pnorm,
 )
-from hybrideq.space import duality_jacobian, gauge_coords, kept, norm2, norm2_rows
+from hybrideq.space import (
+    _SAFE_MAX,
+    _SAFE_MIN,
+    duality_jacobian,
+    gauge_coords,
+    kept,
+    norm2,
+    norm2_rows,
+)
 
 
 def _random_points(space, count, seed, scale=2.0):
@@ -349,6 +357,28 @@ class TestScaleSafety:
             assert pnorm(x, p) == pytest.approx(3.0 ** (1.0 / p) * mag, rel=1e-14)
             jx = gauge_coords(x, p)
             assert np.all(np.isfinite(jx)) and np.all(jx > 0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_two_norm_is_the_dot_root_at_every_magnitude(self):
+        # in the safe band pnorm(v, 2) is float(np.sqrt(np.dot(v, v))); outside
+        # it, that of v scaled by the power of two of its largest entry
+        rng = np.random.default_rng(2)
+        scaled = 0
+        for decade in range(-200, 201, 5):
+            for _ in range(8):
+                v = rng.standard_normal(int(rng.integers(1, 9))) * 10.0**decade
+                plain = float(np.sqrt(np.dot(v, v)))
+                shift = 0
+                if not _SAFE_MIN <= plain <= _SAFE_MAX:
+                    shift = int(np.frexp(np.abs(v).max())[1])
+                    scaled += 1
+                w = np.ldexp(v, -shift)
+                expected = float(np.ldexp(float(np.sqrt(np.dot(w, w))), shift))
+                nrm = pnorm(v, 2.0)
+                assert type(nrm) is float
+                assert np.float64(nrm).tobytes() == np.float64(expected).tobytes()
+        assert scaled >= 8 * 60
+        assert type(pnorm(np.zeros(3), 2.0)) is float and pnorm(np.zeros(3), 2.0) == 0.0
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 10.0])
     def test_in_band_inputs_keep_the_plain_power_sum(self, p):
