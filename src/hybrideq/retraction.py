@@ -50,11 +50,11 @@ def sunny_retract(prob: RetractionProblem, tol: float = 1e-12, hint: tuple = ())
     Euclidean projection of the anchor).  The answer is returned only when
     its KKT residual is within max(10 tol, 1e-10) (1 + |anchor|);
     NonConvergedError is raised otherwise, and InfeasibleError when JC is
-    empty.  The projection starts from the `hint` cuts (the previous
-    retraction's active cuts; none by default), and the cuts whose
-    multipliers are positive come back as the next retraction's hint.  The
-    anchor's kept norm, duality image and Jacobian serve every retraction
-    of it.
+    empty.  The projection starts from the `hint` cuts (the outer loop
+    passes the previous retraction's active cuts and its newest cut; none
+    by default), and the cuts whose multipliers are positive come back
+    for the next retraction's hint.  The anchor's kept norm, duality image
+    and Jacobian serve every retraction of it.
     """
     space, anchor = prob.space, prob.anchor
     w, active = project_intersection(

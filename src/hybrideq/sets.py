@@ -15,7 +15,8 @@ e-ball (`project_primitive`).
 Each set stores its cuts' unit rows and levels once; `add_cut` extends
 that store, and both engines read it.  The NNLS engine can start from a
 hint of cuts, the active cuts of a previous projection, which the outer
-loop passes from one retraction of its fixed anchor to the next.
+loop passes from one retraction of its fixed anchor to the next together
+with the cut it has just added.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .space import (
 # treated as parallel for pruning purposes.
 _PARALLEL_CHORD = 1e-9
 
-# the unit roundoff of a float
+# np.finfo(float).eps, read once for the NNLS tolerances and the pull-back
 _EPS = float(np.finfo(float).eps)
 
 
@@ -495,15 +496,15 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
 
     `start`, a boolean mask over the columns, warm-starts the passive set
     (Bro & De Jong, J. Chemometrics 11, 1997): the least-squares solution
-    on those columns is solved, the column with the most negative (or a
-    zero) coefficient is dropped, and the rest are re-solved until every
-    coefficient is positive; that feasible point is where the exchanges
-    begin.  Dropping one column at a time keeps the start's columns that
-    only turn positive once a worse one has left, which dropping every
-    nonpositive column at once would lose to later exchanges.  The answer
-    is the least-squares solution on the sorted final passive set, so a
-    start that ends on the cold start's passive set returns its answer bit
-    for bit, after one least-squares solve when it holds exactly that set.
+    on those columns is solved, and while a coefficient is not positive
+    the column of the smallest one is dropped and the rest re-solved; that
+    feasible point is where the exchanges begin.  One column leaves per
+    re-solve because a column that turns positive once a worse one has
+    left would otherwise leave with it and take exchanges to come back.
+    The answer is the least-squares solution on the sorted final passive
+    set, so a start that ends on the cold start's passive set returns its
+    answer bit for bit, after one least-squares solve when it holds
+    exactly that set.
     """
     n = e.shape[1]
     u = np.zeros(n)
