@@ -48,6 +48,7 @@ from .space import (
     PrimalPoint,
     SpaceConfig,
     gauge_coords,
+    kept,
     norm2,
     norm2_rows,
     pnorm,
@@ -265,21 +266,24 @@ class ResolventProblem:
     feasible: ConstraintSet
     r: float
     input_point: PrimalPoint
-    min_r: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "bifunctions", tuple(self.bifunctions))
         if self.feasible.cuts:
             # every solve and gap step projects onto the base set alone
             raise ValueError("the resolvent's feasible set Omega must carry no cuts")
-        if self.min_r <= 0:
-            raise ValueError("min_r must be positive")
-        if self.r < self.min_r:
-            raise ValueError(f"r = {self.r} is below the configured floor {self.min_r}")
+        if not self.r > 0:  # NaN fails too
+            raise ValueError(f"r must be positive, got {self.r}")
 
     @property
     def space(self) -> SpaceConfig:
         return self.input_point.space
+
+    @kept
+    def kind(self) -> str:
+        """classify_problem(self), computed on first read: a solve and its
+        gap checks classify the problem once."""
+        return classify_problem(self)
 
 
 def resolvent_lhs(prob: ResolventProblem, u: PrimalPoint, y: PrimalPoint) -> float:
@@ -412,11 +416,12 @@ def _forward_terms(prob: ResolventProblem):
     return forward, lipschitz, modulus
 
 
-def _solve_hilbert(prob: ResolventProblem, tol: float, max_iter: int) -> np.ndarray:
+def _solve_hilbert(prob: ResolventProblem, target: float, max_iter: int) -> np.ndarray:
+    """Forward-backward from the projected input until a step moves u by at
+    most target; raises NonConvergedError after max_iter steps."""
     forward, lipschitz, modulus = _forward_terms(prob)
     step = modulus / (lipschitz * lipschitz)
     u = project_primitive(prob.input_point.coords, prob.feasible.base)
-    target = tol / 10.0
     for _ in range(max_iter):
         u_new = _composite_prox(prob.mixed, prob.feasible, u - step * forward(u), step)
         moved = norm2(u_new - u)
@@ -724,10 +729,9 @@ def resolvent_gap(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    kind = classify_problem(prob)
     uc = u.coords
     starts = _gap_starts(prob, uc, 16, rng)
-    if kind == "hilbert":
+    if prob.kind == "hilbert":
         best, capped = _gap_hilbert(prob, uc, starts)
     elif not uc.any() and prob.input_point.norm <= prob.r:
         best, capped = _gap_holder(prob, u, starts), 0
@@ -747,18 +751,17 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
     >= |y|_p (1 - |x|_p / r) >= 0, and resolvent_gap cross-checks it by
     evaluating lhs(0, .) at its sampled starts, without a descent.  The
     nonzero candidate has no exact bound, so resolvent_gap searches its
-    starts by projected gradient.  The larger of the exact bound and the
-    sampled gap is the certified gap, and NonConvergedError is raised when
-    it exceeds tol.  Returns (u, gap, the number of gap-search starts
-    capped still moving, always 0 at u = 0); u is built once, and the Omega
-    check and the gap read its kept norm and duality image.
+    starts by projected gradient.  The sampled gap, never negative and so
+    never below the exact bound, is the certified gap, and
+    NonConvergedError is raised when it exceeds tol.  Returns (u, gap, the
+    number of gap-search starts capped still moving, always 0 at u = 0); u
+    is built once, and the Omega check and the gap read its kept norm and
+    duality image.
     """
     xc = prob.input_point.coords
     nx = prob.input_point.norm
-    exact = None
     if nx <= prob.r:
         uc = np.zeros(xc.shape)
-        exact = 0.0  # the Hölder bound above: no y makes lhs(0, y) negative
     else:
         inv_r = 1.0 / prob.r
         s = (nx * inv_r - 1.0) / (len(prob.bifunctions) + 1.0 + inv_r)
@@ -767,8 +770,6 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
     if not contains(prob.feasible, u.coords, 0.0, u.norm, prob.space.exponent):
         raise NonConvergedError("the closed-form resolvent candidate lies outside Omega")
     gap, capped = resolvent_gap(prob, u, rng=rng)
-    if exact is not None:
-        gap = max(exact, gap)
     if gap > tol:
         raise NonConvergedError(f"closed-form Banach resolvent gap {gap:g} > tol={tol:g}")
     return u, gap, capped
@@ -783,14 +784,13 @@ def solve_resolvent_certified(
     The third entry counts the gap descents, over every gap check of the
     solve, that reached their iteration cap still moving.
     """
-    kind = classify_problem(prob)
     if rng is None:
         rng = np.random.default_rng([0, 0x5E50])
-    if kind == "hilbert":
+    if prob.kind == "hilbert":
         target = tol / 10.0
         capped = 0
         for _ in range(3):
-            u = PrimalPoint(_solve_hilbert(prob, target * 10.0, 200_000), prob.space)
+            u = PrimalPoint(_solve_hilbert(prob, target, 200_000), prob.space)
             gap, more = resolvent_gap(prob, u, rng=rng)
             capped += more
             if gap <= tol:

@@ -35,11 +35,9 @@ from .equilibrium import (
     PotentialBifunction,
     QuadraticPotential,
     QuadraticTerm,
-    ResolventProblem,
     WeightedL1Term,
     ZeroPerturbation,
     ZeroTerm,
-    classify_problem,
 )
 from .errors import (
     AuditError,
@@ -50,7 +48,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .operators import JMap, OperatorFamily, RelaxedFamily, ShiftMap
-from .sets import Box, ConstraintSet, Frame, PBall, WholeSpace, contains, sample_feasible
+from .sets import Box, ConstraintSet, Frame, PBall, WholeSpace, sample_feasible
 from .solver import Mode, ProblemBundle, SolverConfig, audit_result, run
 from .space import PrimalPoint, SpaceConfig, kept
 
@@ -87,7 +85,6 @@ BUILTIN_SCENARIOS = {
             "outer_tol": 1e-4,
             "max_outer": 200,
             "resolvent_tol": 1e-6,
-            "retraction_tol": 1e-8,
             "audit_samples": 24,
         },
         "seed": 7,
@@ -114,7 +111,6 @@ BUILTIN_SCENARIOS = {
             "outer_tol": 1e-6,
             "max_outer": 200,
             "resolvent_tol": 1e-6,
-            "retraction_tol": 1e-10,
             "audit_samples": 24,
         },
         "seed": 7,
@@ -140,7 +136,6 @@ BUILTIN_SCENARIOS = {
             "outer_tol": 1e-6,
             "max_outer": 200,
             "resolvent_tol": 1e-6,
-            "retraction_tol": 1e-10,
             "audit_samples": 24,
         },
         "seed": 7,
@@ -166,7 +161,7 @@ def _require_keys(obj, allowed, required, path):
             _fail(path, f"missing required key {key!r}")
 
 
-def _number(val, path) -> float:
+def _number(val, path, dimension=None) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         _fail(path, "must be a number")
     if not math.isfinite(val):
@@ -208,13 +203,6 @@ def _matrix(val, path, dimension) -> np.ndarray:
     return np.array([_vector(row, f"{path}[{i}]", dimension) for i, row in enumerate(val)])
 
 
-def _relax_weight(val, path, dimension=None) -> float:
-    alpha = _number(val, path)
-    if not (0.0 < alpha < 1.0) or 1.0 - alpha < 0.5:
-        _fail(path, "must lie in (0, 1) with 1 - value >= 1/2")
-    return alpha
-
-
 def _mode(val, path) -> Mode:
     try:
         return Mode(val)
@@ -222,12 +210,24 @@ def _mode(val, path) -> Mode:
         _fail(path, f"must be 'hilbert' or 'banach', got {val!r}")
 
 
+def _checked(path: str, call, *args, **kwargs):
+    """call(*args, **kwargs), the ValueError of a library object's own check
+    reported as a validation error at path.  UnsupportedCombinationError,
+    a ValueError too, passes through unrelabelled."""
+    try:
+        return call(*args, **kwargs)
+    except UnsupportedCombinationError:
+        raise
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
 #: the check of each field a section kind may carry, by field name; each
 #: takes (value, path, space dimension) and returns the checked value
 _FIELD_CHECKS = {
     "radius": _positive,
     "weight": _positive,
-    "relax_weight": _relax_weight,
+    "relax_weight": _number,  # its band is RelaxedFamily.weight_at's
     "lower": _vector,
     "upper": _vector,
     "center": _vector,
@@ -329,26 +329,23 @@ def _build_kind(table: dict, desc, path: str, space: SpaceConfig):
         for key, value in {**entry.optional, **desc}.items()
         if key != "kind"
     }
-    try:
-        return entry.build(space, fields)
-    except UnsupportedCombinationError:
-        raise
-    except ValueError as exc:
-        # a constructor's own check, e.g. a matrix whose symmetric part is not PSD
-        _fail(path, str(exc))
+    # a constructor's own check, e.g. a matrix whose symmetric part is not PSD
+    return _checked(path, entry.build, space, fields)
 
 
-#: config key -> (default, check); the checks take (value, path)
+#: config key -> check, which takes (value, path); a key the document leaves
+#: out takes SolverConfig's default, and mode defaults to 'hilbert'
 _CONFIG_FIELDS = {
-    "mode": ("hilbert", _mode),
-    "r": (1.0, _positive),
-    "outer_tol": (1e-6, _positive),
-    "max_outer": (200, lambda val, path: _integer(val, path, minimum=0)),
-    "resolvent_tol": (1e-6, _positive),
-    "retraction_tol": (1e-10, _positive),
-    "min_r": (1e-3, _positive),
-    "audit_samples": (24, _integer),
-    "cut_cap": (500, _integer),
+    "mode": _mode,
+    "r": _positive,
+    "outer_tol": _positive,
+    "max_outer": lambda val, path: _integer(val, path, minimum=0),
+    "resolvent_tol": _positive,
+    # checked, then dropped: the exact retraction reads no tolerance of its own
+    "retraction_tol": _positive,
+    "min_r": _positive,
+    "audit_samples": _integer,
+    "cut_cap": _integer,
 }
 
 _BUNDLE_KEYS = {
@@ -387,6 +384,11 @@ class ScenarioSpec:
         """The solver inputs, built on first use and kept: one build per spec."""
         return build_bundle(self)
 
+    @kept
+    def solver_config(self) -> SolverConfig:
+        """The solver configuration, built and checked on first use and kept."""
+        return build_config(self)
+
 
 def read_scenario(source):
     """The unvalidated scenario document of a built-in name, a JSON path, or a dict."""
@@ -419,10 +421,7 @@ def load_scenario(source) -> ScenarioSpec:
     space = doc["space"]
     _require_keys(space, {"dimension", "exponent"}, {"dimension", "exponent"}, "space")
     dimension = _integer(space["dimension"], "space.dimension")
-    try:
-        SpaceConfig(dimension, _number(space["exponent"], "space.exponent"))
-    except ValueError as exc:
-        _fail("space.exponent", str(exc))
+    _checked("space.exponent", SpaceConfig, dimension, _number(space["exponent"], "space.exponent"))
     seed = doc.get("seed", 7)
     if isinstance(seed, bool) or not isinstance(seed, int):
         _fail("scenario.seed", "must be an integer")
@@ -437,9 +436,9 @@ def load_scenario(source) -> ScenarioSpec:
         seed=seed,
     )
     # build the bundle and check the config before any work happens; the
-    # spec keeps the bundle, so run_scenario does not build it again
+    # spec keeps both, so run_scenario does not build or check them again
     spec.problem
-    build_config(spec)
+    spec.solver_config
     return spec
 
 
@@ -454,22 +453,25 @@ def build_config(spec: ScenarioSpec) -> SolverConfig:
     """
     _require_keys(spec.config, _CONFIG_FIELDS, (), "config")
     cfg = {
-        key: check(spec.config.get(key, default), f"config.{key}")
-        for key, (default, check) in _CONFIG_FIELDS.items()
+        key: check(spec.config[key], f"config.{key}")
+        for key, check in _CONFIG_FIELDS.items()
+        if key in spec.config
     }
-    if cfg["r"] < cfg["min_r"]:
-        _fail("config.r", f"{cfg['r']:g} is below min_r = {cfg['min_r']:g}")
+    cfg.pop("retraction_tol", None)
+    if "r" in cfg:
+        cfg["r_schedule"] = cfg.pop("r")
+    mode = cfg.pop("mode", Mode.HILBERT_MAIN)
     space = spec.problem.space
-    if cfg["mode"] is Mode.HILBERT_MAIN and not space.is_hilbert:
+    if mode is Mode.HILBERT_MAIN and not space.is_hilbert:
         raise UnsupportedCombinationError("mode 'hilbert' requires exponent 2")
     reference = spec.bundle.get("reference_solution")
     if reference is not None:
         reference = PrimalPoint(
             _vector(reference, "bundle.reference_solution", space.dimension), space
         )
-    return SolverConfig(
-        r_schedule=cfg.pop("r"), reference_solution=reference, seed=spec.seed, **cfg
-    )
+    config = SolverConfig(mode, reference_solution=reference, seed=spec.seed, **cfg)
+    _checked("config.r", config.r_at, 1)  # r is constant: one call checks every n
+    return config
 
 
 def build_bundle(spec: ScenarioSpec) -> ProblemBundle:
@@ -492,19 +494,16 @@ def build_bundle(spec: ScenarioSpec) -> ProblemBundle:
     if not isinstance(ops, list) or not ops:
         _fail("bundle.operators", "must be a nonempty list")
     members = [build(_OPERATORS, op, f"bundle.operators[{i}]") for i, op in enumerate(ops)]
+    # the schedules are constant: one call at n = 1 checks every n
+    for i, member in enumerate(members):
+        _checked(f"bundle.operators[{i}].relax_weight", member.weight_at, 1)
     weights = desc.get("combination_weights")
     schedule = None
     if weights is not None:
         values = tuple(_vector(weights, "bundle.combination_weights", len(ops) + 1))
-        if any(w < 0 for w in values) or abs(sum(values) - 1.0) > 1e-12:
-            _fail("bundle.combination_weights", "must lie on the probability simplex")
-        floor = OperatorFamily.min_weight_product
-        if any(values[0] * w < floor for w in values[1:]):
-            _fail(
-                "bundle.combination_weights",
-                f"each product of the first weight with another must be at least {floor:g}",
-            )
         schedule = lambda n: values  # noqa: E731 - constant schedule
+    family = OperatorFamily(members, schedule)
+    _checked("bundle.combination_weights", family.weights_at, 1)
     bifunctions = desc.get("bifunctions", [])
     if not isinstance(bifunctions, list):
         _fail("bundle.bifunctions", "must be a list")
@@ -522,22 +521,19 @@ def build_bundle(spec: ScenarioSpec) -> ProblemBundle:
         coords = sample_feasible(omega, rng, 1, dimension=space.dimension)[0]
     else:
         coords = _vector(start, "bundle.start", space.dimension)
-        if not contains(omega, coords, 1e-9):
-            _fail("bundle.start", "point is not in the base set")
-    anchor = PrimalPoint(coords, space)
-
-    # probe the resolvent support matrix once, before any solve; the
-    # classification does not depend on r
-    classify_problem(ResolventProblem(bifunctions, mixed, perturbation, omega, 1.0, anchor))
-    return ProblemBundle(
+    # the bundle checks x_1 in Omega, the one check of its own a document
+    # can fail, and classifies the equilibrium data
+    return _checked(
+        "bundle.start",
+        ProblemBundle,
         space=space,
         omega=omega,
         omega_dual=ConstraintSet(dual, (), Frame.DUAL),
-        family=OperatorFamily(members, schedule),
+        family=family,
         bifunctions=bifunctions,
         mixed=mixed,
         perturbation=perturbation,
-        anchor=anchor,
+        anchor=PrimalPoint(coords, space),
     )
 
 
@@ -618,7 +614,7 @@ _FAILURE_OUTCOMES = (
 def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
     """Run the solver on the spec's bundle, audit, optionally write outputs."""
     bundle = spec.problem
-    config = build_config(spec)
+    config = spec.solver_config
     started = time.perf_counter()
     error = failed_iteration = None
     try:

@@ -111,7 +111,7 @@ class OperatorFamily:
         object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise ValueError("operator family needs at least one member")
-        if self.min_weight_product <= 0:
+        if not self.min_weight_product > 0:
             raise ValueError("min_weight_product must be positive")
 
     @property
@@ -131,10 +131,10 @@ class OperatorFamily:
             raise ValueError(
                 f"combination weights at n={n} must have length {self.size + 1}"
             )
-        if (w < 0.0).any() or abs(float(w.sum()) - 1.0) > 1e-12:
+        # written so that a NaN weight fails: min() of an array holding NaN is NaN
+        if not (w.min() >= 0.0 and abs(float(w.sum()) - 1.0) <= 1e-12):
             raise ValueError(f"combination weights at n={n} must lie on the simplex")
-        products = w[0] * w[1:]
-        if (products < self.min_weight_product).any():
+        if not (w[0] * w[1:]).min() >= self.min_weight_product:
             raise ValueError(
                 f"combination weights at n={n} violate the weight-product floor "
                 f"{self.min_weight_product:g}"

@@ -312,17 +312,14 @@ def add_cut(cset: ConstraintSet, cut: Halfspace) -> ConstraintSet:
 def _shrink_coords(vabs: np.ndarray, lam: float, e: float) -> np.ndarray:
     """Solve t + lam*e*t^(e-1) = vabs coordinatewise for t in [0, vabs].
 
-    Closed forms for e in {1.5, 2, 3}; safeguarded Newton/bisection
-    otherwise, raising NonConvergedError at its 100-iteration cap.  For
-    e >= 2 the left side is convex in t, so Newton starts from the upper
-    bound min(vabs, (vabs / (lam e))^(1/(e-1))) and descends monotonically
-    to the root.  This is the coordinatewise stationarity condition of the
+    lam > 0 and e != 2 (_project_pball scales a 2-ball radially).  Closed
+    forms for e in {1.5, 3}; safeguarded Newton/bisection otherwise,
+    raising NonConvergedError at its 100-iteration cap.  For e > 2 the left
+    side is convex in t, so Newton starts from the upper bound
+    min(vabs, (vabs / (lam e))^(1/(e-1))) and descends monotonically to the
+    root.  This is the coordinatewise stationarity condition of the
     Euclidean projection onto an e-norm ball.
     """
-    if lam == 0.0:
-        return vabs.copy()
-    if e == 2.0:
-        return vabs / (1.0 + 2.0 * lam)
     if e == 1.5:
         # quadratic in s = sqrt(t): s^2 + 1.5*lam*s - vabs = 0
         # (rationalized root; the textbook form cancels catastrophically)
@@ -1071,7 +1068,6 @@ def sample_feasible(
     cset: ConstraintSet,
     rng: np.random.Generator,
     count: int,
-    scale: float = 1.0,
     dimension: int | None = None,
     anchor: np.ndarray | None = None,
     anchor_violation: float | None = None,
@@ -1113,7 +1109,7 @@ def sample_feasible(
     elif isinstance(base, PBall):
         out = _draw_ball(base, rng, count, dim)
     else:
-        out = scale * rng.standard_normal((count, dim))
+        out = rng.standard_normal((count, dim))
     if not cset.cuts:
         return out
     bad = (_row_violations(cset, out) > 0.0).nonzero()[0]

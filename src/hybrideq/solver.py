@@ -62,9 +62,6 @@ class SolverConfig:
     outer_tol: float = 1e-6
     max_outer: int = 200
     resolvent_tol: float = 1e-6
-    # no longer read: the retraction is exact, gated by `sunny_retract`'s
-    # own KKT tolerance; kept because scenario documents set it
-    retraction_tol: float = 1e-10
     reference_solution: Optional[PrimalPoint] = None
     seed: int = 7
     min_r: float = 1e-3
@@ -72,23 +69,30 @@ class SolverConfig:
     audit_samples: int = 24
 
     def __post_init__(self):
-        if self.outer_tol <= 0 or self.resolvent_tol <= 0 or self.retraction_tol <= 0:
+        # each comparison is written so that NaN fails it
+        if not (self.outer_tol > 0 and self.resolvent_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.min_r <= 0:
+        if not self.min_r > 0:
             raise ValueError("min_r must be positive")
-        if self.max_outer < 0:
+        if not self.max_outer >= 0:
             raise ValueError("max_outer must be nonnegative")
 
     def r_at(self, n: int) -> float:
+        """r_n, checked against the floor min_r, the only floor r has."""
         r = self.r_schedule(n) if callable(self.r_schedule) else float(self.r_schedule)
-        if r < self.min_r:
-            raise ValueError(f"r_schedule({n}) = {r} is below the floor {self.min_r}")
+        if not r >= self.min_r:
+            raise ValueError(f"r_schedule({n}) = {r} must be at least the floor {self.min_r}")
         return r
 
 
 @dataclass(frozen=True)
 class ProblemBundle:
-    """Everything the outer loop needs: sets, operators, equilibrium data, anchor."""
+    """Everything the outer loop needs: sets, operators, equilibrium data, anchor.
+
+    Raises ValueError unless the anchor x_1 lies in Omega, and
+    UnsupportedCombinationError when the equilibrium data fall outside the
+    resolvent's support matrix (the classification does not depend on r).
+    """
 
     space: SpaceConfig
     omega: ConstraintSet
@@ -103,8 +107,16 @@ class ProblemBundle:
         object.__setattr__(self, "bifunctions", tuple(self.bifunctions))
         if self.omega.frame != Frame.PRIMAL or self.omega_dual.frame != Frame.DUAL:
             raise ValueError("omega must be primal-frame and omega_dual dual-frame")
-        if self.anchor.space != self.space:
+        anchor = self.anchor
+        if anchor.space != self.space:
             raise ValueError("anchor does not live in the bundle space")
+        if not contains(self.omega, anchor.coords, 1e-9, anchor.norm, self.space.exponent):
+            raise ValueError("anchor x_1 must lie in Omega")
+        classify_problem(
+            ResolventProblem(
+                self.bifunctions, self.mixed, self.perturbation, self.omega, 1.0, anchor
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -234,21 +246,6 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
         raise UnsupportedCombinationError("HILBERT_MAIN requires exponent p = 2")
     p = space.exponent
     anchor = bundle.anchor
-    if not contains(bundle.omega, anchor.coords, 1e-9, anchor.norm, p):
-        raise ValueError("anchor x_1 must lie in Omega")
-    # fail fast when the equilibrium data are outside the support matrix
-    classify_problem(
-        ResolventProblem(
-            bundle.bifunctions,
-            bundle.mixed,
-            bundle.perturbation,
-            bundle.omega,
-            max(config.r_at(1), config.min_r),
-            anchor,
-            min_r=config.min_r,
-        )
-    )
-
     reference = config.reference_solution
     # iteration n's generators are seeded by [seed, n, 1] and [seed, n, 2];
     # n < 2^32 is one word
@@ -268,13 +265,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
         r_n = config.r_at(n)
         y = step_y(bundle.family, x, n)
         problem = ResolventProblem(
-            bundle.bifunctions,
-            bundle.mixed,
-            bundle.perturbation,
-            bundle.omega,
-            r_n,
-            y,
-            min_r=config.min_r,
+            bundle.bifunctions, bundle.mixed, bundle.perturbation, bundle.omega, r_n, y
         )
         try:
             u, resolvent_gap_value, capped_starts = solve_resolvent_certified(

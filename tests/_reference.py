@@ -187,7 +187,7 @@ def pull_feasible_rows_divided(cset, anchor, cands, allowed):
     return out
 
 
-def sample_feasible_one(cset, rng, count, scale=1.0, dimension=None, anchor=None):
+def sample_feasible_one(cset, rng, count, dimension=None, anchor=None):
     """`sets.sample_feasible` one candidate at a time: draw it, test it with
     worst_violation, and pull it back toward the anchor or project it.  A
     ball base draws every direction, then every radius, before the first
@@ -219,7 +219,7 @@ def sample_feasible_one(cset, rng, count, scale=1.0, dimension=None, anchor=None
             else:
                 cand = directions[i] / nrm * base.radius * float(radii[i]) ** (1.0 / dim)
         else:
-            cand = scale * rng.standard_normal(dim)
+            cand = rng.standard_normal(dim)
         if cset.cuts and worst_violation(cset, cand) > 0.0:
             if anchor is not None:
                 cand = pull_feasible_one(cset, anchor, cand, allowed)

@@ -74,7 +74,7 @@ def _projection_problem(input_coords, r=1.0):
     )
 
 
-def _lp_problem(input_coords, r=1.0, d=8, p=3.0, radius=1.0, min_r=1e-8):
+def _lp_problem(input_coords, r=1.0, d=8, p=3.0, radius=1.0):
     space = SpaceConfig(d, p)
     ball = ConstraintSet(PBall(radius, p), (), Frame.PRIMAL)
     return ResolventProblem(
@@ -84,7 +84,6 @@ def _lp_problem(input_coords, r=1.0, d=8, p=3.0, radius=1.0, min_r=1e-8):
         ball,
         r,
         PrimalPoint(input_coords, space),
-        min_r=min_r,
     )
 
 
@@ -202,7 +201,7 @@ class TestBanachClosedForm:
         nx = pnorm(x, p)
         assume(nx > 0.0)
         r = nx / ratio
-        prob = _lp_problem(x, r=r, d=d, p=p, min_r=r)
+        prob = _lp_problem(x, r=r, d=d, p=p)
         zero = PrimalPoint(np.zeros(d), prob.space)
         lhs = resolvent_lhs(prob, zero, PrimalPoint(y, prob.space))
         assert lhs >= -1e-12 * pnorm(y, p)
@@ -211,7 +210,7 @@ class TestBanachClosedForm:
         # |x|_p = r = 2.6e-309: 1/r overflows, and y = 0 once gave inf * 0 = NaN
         x = np.array([2.64920695564977e-309])
         r = pnorm(x, 2.0)
-        prob = _lp_problem(x, r=r, d=1, p=2.0, min_r=r)
+        prob = _lp_problem(x, r=r, d=1, p=2.0)
         zero = PrimalPoint(np.zeros(1), prob.space)
         assert resolvent_lhs(prob, zero, zero) == 0.0
         y = PrimalPoint(np.array([-1.0]), prob.space)
@@ -720,12 +719,11 @@ class TestTypeInvariants:
                     cand = t * term.value(other) + 0.5 * float(np.dot(other - v, other - v))
                     assert cand >= base - 1e-10
 
-    def test_r_floor_enforced(self):
-        with pytest.raises(ValueError):
-            ResolventProblem(
-                (), ZeroTerm(), ZeroPerturbation(), BALL2, 1e-12,
-                PrimalPoint([0.0, 0.0], HILBERT2), min_r=1e-3,
-            )
+    @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
+    def test_r_must_be_positive(self, r):
+        # the floor on r is SolverConfig.min_r's (test_r_schedule_floor_enforced)
+        with pytest.raises(ValueError, match="r must be positive"):
+            _projection_problem(np.zeros(2), r=r)
 
     def test_feasible_set_with_cuts_rejected(self):
         # the solvers and the gap project onto Omega's base alone, so a cut

@@ -1,5 +1,6 @@
 """Scenario loading, strict schema validation, reports, CSV/JSON output, CLI."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -12,10 +13,16 @@ import pytest
 
 from hybrideq import (
     BUILTIN_SCENARIOS,
+    Mode,
     NonConvergedError,
+    OperatorFamily,
+    PrimalPoint,
+    RelaxedFamily,
     RunReport,
     ScenarioParseError,
     ScenarioValidationError,
+    ShiftMap,
+    SolverConfig,
     UnsupportedCombinationError,
     build_bundle,
     emit_report,
@@ -237,7 +244,89 @@ class TestRejectedAtLoad:
         assert captured.out == ""
 
 
+def _with_relax_weight(doc, value):
+    doc["bundle"]["operators"][0]["relax_weight"] = value
+
+
+def _with_weights(doc, value):
+    doc["bundle"]["combination_weights"] = value
+
+
+def _with_start(doc, value):
+    doc["bundle"]["start"] = value
+
+
+def _with_r(doc, value):
+    doc["config"]["r"] = value
+
+
+def _relax_weight_owner(bundle, value):
+    RelaxedFamily(ShiftMap(bundle.space), lambda n: value).weight_at(1)
+
+
+def _weights_owner(bundle, value):
+    OperatorFamily(bundle.family.members, lambda n: value).weights_at(1)
+
+
+def _start_owner(bundle, value):
+    dataclasses.replace(bundle, anchor=PrimalPoint(value, bundle.space))
+
+
+def _r_owner(bundle, value):
+    SolverConfig(Mode.HILBERT_MAIN, r_schedule=value).r_at(1)
+
+
+class TestRulesCheckedByTheirOwners:
+    """At each rule's boundary, load_scenario accepts and rejects what the
+    library object that owns the rule accepts and rejects."""
+
+    CASES = [
+        (_with_relax_weight, _relax_weight_owner, 0.5, True),
+        (_with_relax_weight, _relax_weight_owner, float(np.nextafter(0.5, 1.0)), False),
+        (_with_weights, _weights_owner, [0.5, 0.5 + 5e-13], True),  # 5e-13 off the simplex
+        (_with_weights, _weights_owner, [0.5, 0.5 + 2e-12], False),
+        (_with_weights, _weights_owner, [1.000002e-6, 1.0 - 1.000002e-6], True),
+        (_with_weights, _weights_owner, [1e-6, 1.0 - 1e-6], False),  # product just under 1e-6
+        (_with_start, _start_owner, [1.0 + 5e-10, 0.0], True),  # Omega is the unit ball
+        (_with_start, _start_owner, [1.0 + 2e-9, 0.0], False),
+        (_with_r, _r_owner, 1e-3, True),  # the default min_r
+        (_with_r, _r_owner, float(np.nextafter(1e-3, 0.0)), False),
+    ]
+
+    @pytest.mark.parametrize("mutate, owner, value, accepted", CASES)
+    def test_load_agrees_with_the_owner(self, mutate, owner, value, accepted):
+        doc = json.loads(json.dumps(TINY))
+        mutate(doc, value)
+        try:
+            load_scenario(doc)
+            loaded = True
+        except ScenarioValidationError:
+            loaded = False
+        bundle = load_scenario(dict(TINY)).problem
+        try:
+            owner(bundle, value)
+            owned = True
+        except ValueError:
+            owned = False
+        assert loaded == owned == accepted
+
+
 class TestRunScenario:
+    def test_spec_builds_and_checks_its_config_once(self, monkeypatch):
+        import hybrideq.harness as harness_module
+
+        real, specs = harness_module.build_config, []
+
+        def counted(spec):
+            specs.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(harness_module, "build_config", counted)
+        spec = load_scenario(dict(TINY))
+        run_scenario(spec)
+        run_scenario(spec)
+        assert specs == [spec]
+
     def test_anchor_at_solution_converges_immediately(self):
         report = run_scenario(load_scenario(dict(TINY)))
         assert report.outcome == "converged"

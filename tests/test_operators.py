@@ -213,6 +213,15 @@ class TestFamilyValidation:
         with pytest.raises(ValueError):
             OperatorFamily([])
 
+    def test_nan_weight_product_floor_rejected(self):
+        with pytest.raises(ValueError):
+            OperatorFamily([RelaxedFamily(ShiftMap(H3))], min_weight_product=float("nan"))
+
+    def test_nan_weight_rejected(self):
+        fam = OperatorFamily([RelaxedFamily(ShiftMap(H3))], lambda n: (0.5, float("nan")))
+        with pytest.raises(ValueError):
+            fam.weights_at(1)
+
     def test_wrong_length_weights(self):
         fam = OperatorFamily([RelaxedFamily(ShiftMap(H3))], lambda n: (0.5, 0.25, 0.25))
         with pytest.raises(ValueError):

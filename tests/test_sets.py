@@ -947,7 +947,7 @@ class TestBatchedSampler:
         for sampler in (sample_feasible, sample_feasible_one):
             draws = np.random.default_rng(seed + 1)
             try:
-                points = sampler(cset, draws, count, magnitude, d, anchor)
+                points = sampler(cset, draws, count, d, anchor)
             except (InfeasibleError, NonConvergedError) as exc:
                 points = type(exc)
             results.append((points, draws.bit_generator.state))

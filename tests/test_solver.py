@@ -31,7 +31,15 @@ from hybrideq import (
     run,
     step_y,
 )
-from hybrideq.equilibrium import DualNormTerm, DualityPerturbation, ZeroPerturbation, ZeroTerm
+from hybrideq.equilibrium import (
+    DualNormTerm,
+    DualityPerturbation,
+    PotentialBifunction,
+    QuadraticPotential,
+    ZeroPerturbation,
+    ZeroTerm,
+)
+import hybrideq.equilibrium as equilibrium_module
 import hybrideq.retraction as retraction_module
 import hybrideq.sets as sets_module
 import hybrideq.solver as solver_module
@@ -157,7 +165,6 @@ class TestRun:
             max_outer=12,
             outer_tol=1e-6,
             resolvent_tol=1e-6,
-            retraction_tol=1e-8,
             reference_solution=PrimalPoint(np.zeros(8), space),
             audit_samples=16,
         )
@@ -185,13 +192,12 @@ class TestRun:
         omega = ConstraintSet(PBall(1.0, 2.0), (), Frame.PRIMAL)
         omega_dual = ConstraintSet(PBall(1.0, 2.0, Frame.DUAL), (), Frame.DUAL)
         fam = OperatorFamily([RelaxedFamily(ShiftMap(space), lambda n: 0.5)])
-        bundle = ProblemBundle(
-            space=space, omega=omega, omega_dual=omega_dual, family=fam,
-            bifunctions=(), mixed=ZeroTerm(), perturbation=ZeroPerturbation(),
-            anchor=PrimalPoint([2.0, 0.0], space),
-        )
-        with pytest.raises(ValueError):
-            run(bundle, SolverConfig(mode=Mode.HILBERT_MAIN, max_outer=3))
+        with pytest.raises(ValueError, match="x_1 must lie in Omega"):
+            ProblemBundle(
+                space=space, omega=omega, omega_dual=omega_dual, family=fam,
+                bifunctions=(), mixed=ZeroTerm(), perturbation=ZeroPerturbation(),
+                anchor=PrimalPoint([2.0, 0.0], space),
+            )
 
     def test_cut_cap_overflow_raises(self):
         rng = np.random.default_rng(5)
@@ -219,6 +225,28 @@ class TestRun:
         assert result.iterations == 0
         np.testing.assert_allclose(result.x_star.coords, bundle.anchor.coords)
 
+    def test_unsupported_equilibrium_data_rejected_by_the_bundle(self):
+        with pytest.raises(UnsupportedCombinationError):
+            dataclasses.replace(
+                _lp_bundle(), bifunctions=(PotentialBifunction(QuadraticPotential(np.zeros(8))),)
+            )
+
+
+class TestConfigChecks:
+    """Each of SolverConfig's checks is written so that NaN fails it."""
+
+    @pytest.mark.parametrize("field", ["outer_tol", "resolvent_tol", "min_r", "max_outer"])
+    def test_nan_field_rejected(self, field):
+        with pytest.raises(ValueError):
+            SolverConfig(mode=Mode.BANACH_MAIN2, **{field: float("nan")})
+
+    def test_nan_r_schedule_stops_the_run_at_its_floor_check(self):
+        # without the check, NaN reached PrimalPoint's finiteness check
+        bundle = load_scenario("lp_shift_example").problem
+        config = SolverConfig(mode=Mode.BANACH_MAIN2, r_schedule=float("nan"))
+        with pytest.raises(ValueError, match="must be at least the floor"):
+            run(bundle, config)
+
 
 class TestIterationHook:
     @pytest.mark.parametrize("p, mode", [(2.0, Mode.HILBERT_MAIN), (3.0, Mode.BANACH_MAIN2)])
@@ -240,6 +268,30 @@ class TestIterationHook:
         result = run(bundle, SolverConfig(mode=mode, max_outer=4, audit_samples=8))
         assert result.iterations == 4
         assert calls == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("p, mode", [(2.0, Mode.HILBERT_MAIN), (3.0, Mode.BANACH_MAIN2)])
+    def test_problem_classified_once_per_iteration(self, monkeypatch, p, mode):
+        # the bundle classifies the equilibrium data when it is built; each
+        # iteration's resolvent solve classifies its problem once, for the
+        # solve and every gap check
+        start = np.random.default_rng(3).standard_normal(8)
+        bundle = _lp_bundle(p=p, anchor=0.8 * start / pnorm(start, p))
+        events = []
+        real_step, real_classify = solver_module.step_y, equilibrium_module.classify_problem
+
+        def step(*args, **kwargs):
+            events.append("step_y")
+            return real_step(*args, **kwargs)
+
+        def classify(*args, **kwargs):
+            events.append("classify")
+            return real_classify(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "step_y", step)
+        _rebind(monkeypatch, real_classify, classify)
+        result = run(bundle, SolverConfig(mode=mode, max_outer=4, audit_samples=8))
+        assert result.iterations == 4
+        assert events == ["step_y", "classify"] * 4
 
 
 class TestAuditResult:
@@ -269,7 +321,7 @@ class TestSeedRobustness:
             bundle = _lp_bundle(anchor=start)
             config = SolverConfig(
                 mode=Mode.BANACH_MAIN2, max_outer=15, outer_tol=1e-6,
-                resolvent_tol=1e-6, retraction_tol=1e-8, seed=seed, audit_samples=8,
+                resolvent_tol=1e-6, seed=seed, audit_samples=8,
             )
             result = run(bundle, config)
             assert pnorm(result.x_star.coords, 3.0) < 0.05
