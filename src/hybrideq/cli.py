@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args) -> "ScenarioSpec":
-    """Apply the command-line overrides to the scenario document, then validate it once."""
+    """Apply the command-line overrides to a private copy of the scenario document, then
+    validate it once, without copying it again."""
     doc = read_scenario(args.scenario)
     # a document of the wrong shape is left to validation to report
     if isinstance(doc, dict) and isinstance(doc.get("config", {}), dict):
@@ -53,7 +54,7 @@ def _load_with_overrides(args) -> "ScenarioSpec":
             config["mode"] = args.mode
         if args.seed is not None:
             doc["seed"] = args.seed
-    return load_scenario(doc)
+    return load_scenario(doc, handed_over=True)
 
 
 def _report_exit_code(report) -> int:

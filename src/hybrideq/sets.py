@@ -29,6 +29,7 @@ from types import MappingProxyType
 from typing import Union
 
 import numpy as np
+from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 
 from .errors import InfeasibleError, NonConvergedError, UnsupportedCombinationError
 from .space import (
@@ -46,8 +47,26 @@ from .space import (
 # treated as parallel for pruning purposes.
 _PARALLEL_CHORD = 1e-9
 
-# np.finfo(float).eps, read once for the NNLS tolerances and the pull-back
+# np.finfo(float).eps, read once for the NNLS tolerances, the least-squares
+# cutoff and the pull-back
 _EPS = float(np.finfo(float).eps)
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(a, b, rcond=None)[0] for a float matrix a with rows and a float vector b.
+
+    Calls the LAPACK least-squares gufunc that np.linalg.lstsq calls, with
+    its rcond and floating-point error state, so the answer is the same
+    bits; numpy's argument handling around the gufunc cost about a third of
+    a solve on these small matrices.  An SVD that does not converge (a NaN
+    in a) raises LinAlgError, as np.linalg.lstsq does.
+    """
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            x = _lstsq_gufunc(a, b[:, None], _EPS * max(a.shape), signature="ddd->ddid")[0]
+        except FloatingPointError:
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares") from None
+    return x[:, 0]
 
 
 class Frame(enum.Enum):
@@ -510,13 +529,14 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
     resid = np.array(f)
     idx = start.nonzero()[0] if start is not None else np.zeros(0, dtype=int)
     while idx.size:
-        s = np.linalg.lstsq(e[:, idx], f, rcond=None)[0]
+        s = _lstsq(e[:, idx], f)
         if s.min() > 0.0:
             u[idx] = s
             passive[idx] = True
             resid = f - e @ u
             break
-        idx = np.delete(idx, s.argmin())
+        k = int(s.argmin())
+        idx = np.concatenate((idx[:k], idx[k + 1 :]))
     tol = 10.0 * max(e.shape) * _EPS
     for _ in range(3 * n + 30):
         w = e.T @ resid
@@ -527,8 +547,8 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
         trial = passive.copy()
         trial[j] = True
         idx = trial.nonzero()[0]
-        s = np.linalg.lstsq(e[:, idx], f, rcond=None)[0]
-        if s[np.searchsorted(idx, j)] <= 0.0:
+        s = _lstsq(e[:, idx], f)
+        if s[idx.searchsorted(j)] <= 0.0:
             blocked[j] = True
             continue
         blocked[:] = False
@@ -543,7 +563,7 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
             passive &= u > 0.0
             u[~passive] = 0.0
             idx = passive.nonzero()[0]
-            s = np.linalg.lstsq(e[:, idx], f, rcond=None)[0]
+            s = _lstsq(e[:, idx], f)
         u[:] = 0.0
         u[idx] = s
         resid = f - e @ u
@@ -796,7 +816,7 @@ def _multiplier_newton(
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+                step = _lstsq(hess, -grad)
             slope = float(grad @ step)
             if not slope < 0.0:
                 step = -grad
@@ -913,7 +933,7 @@ def _multiplier_newton(
             g = gauge_coords(w, q)  # the ball's normal at w, (v - a^T lam) / (1 + mu)
             cols = np.concatenate((cols, (g / norm2(g))[:, None]), axis=1)
         if cols.shape[1]:
-            coef = np.linalg.lstsq(cols, a[j], rcond=None)[0]
+            coef = _lstsq(cols, a[j])
             if norm2(a[j] - cols @ coef) <= _DEPENDENT_RESIDUAL:
                 # a[j] = a_W^T t + tau g: raising lam_j by sigma while lam_W
                 # falls by sigma t and mu by sigma tau keeps w fixed and
@@ -1050,7 +1070,7 @@ def _pull_feasible_rows(
     toward = rates > 0.0
     ratios = np.where(toward, room / np.where(toward, rates, 1.0), np.inf)
     t = np.minimum(np.maximum(ratios.min(axis=1, initial=1.0), 0.0), 1.0)
-    out = np.repeat(anchor[None, :], cands.shape[0], axis=0)  # rows that reach t = 0
+    out = anchor[None, :].repeat(cands.shape[0], axis=0)  # rows that reach t = 0
     live = (t > 0.0).nonzero()[0]
     back = _EPS
     while live.size:

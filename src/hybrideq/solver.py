@@ -49,6 +49,11 @@ class Mode(enum.Enum):
     HILBERT_MAIN = "hilbert"
     BANACH_MAIN2 = "banach"
 
+    def check_space(self, space: SpaceConfig) -> None:
+        """UnsupportedCombinationError unless this mode can run in space."""
+        if self is Mode.HILBERT_MAIN and not space.is_hilbert:
+            raise UnsupportedCombinationError("mode 'hilbert' requires exponent 2")
+
 
 class StopReason(enum.Enum):
     CONVERGED = "converged"
@@ -242,8 +247,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     starts of every resolvent solve that finished before it.
     """
     space = bundle.space
-    if config.mode is Mode.HILBERT_MAIN and not space.is_hilbert:
-        raise UnsupportedCombinationError("HILBERT_MAIN requires exponent p = 2")
+    config.mode.check_space(space)
     p = space.exponent
     anchor = bundle.anchor
     reference = config.reference_solution

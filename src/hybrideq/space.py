@@ -282,7 +282,7 @@ def duality_jacobian(v: np.ndarray, exponent: float, nrm: float | None = None) -
         return duality_jacobian(np.ldexp(v, -int(np.frexp(nrm)[1])), exponent)
     s = np.abs(v) ** (exponent - 1.0) * np.sign(v)
     diag = (exponent - 1.0) * nrm ** (2.0 - exponent) * np.abs(v) ** (exponent - 2.0)
-    jac = (2.0 - exponent) * nrm ** (2.0 - 2.0 * exponent) * np.outer(s, s)
+    jac = (2.0 - exponent) * nrm ** (2.0 - 2.0 * exponent) * (s[:, None] * s)
     jac[np.diag_indices(d)] += diag
     return jac
 

@@ -27,6 +27,7 @@ from hybrideq import (
     build_bundle,
     emit_report,
     load_scenario,
+    run,
     run_scenario,
 )
 from hybrideq.cli import main as cli_main
@@ -85,6 +86,39 @@ class TestLoadScenario:
     def test_missing_file(self):
         with pytest.raises(ScenarioParseError):
             load_scenario("/nonexistent/path/to/scenario.json")
+
+    def test_each_document_is_copied_once(self, monkeypatch, tmp_path):
+        # a caller's dict and a built-in are copied once, whole; a JSON file
+        # and the CLI's overridden document are private already
+        import hybrideq.harness as harness_module
+
+        real, copied = harness_module._copy_document, []
+
+        def spy(doc):  # the copy recurses through the spy too
+            copied.append(doc)
+            return real(doc)
+
+        monkeypatch.setattr(harness_module, "_copy_document", spy)
+
+        def times_copied(obj):
+            return sum(c is obj for c in copied)
+
+        doc = json.loads(json.dumps(TINY))
+        spec = load_scenario(doc)
+        assert times_copied(doc) == times_copied(doc["bundle"]) == 1
+        doc["bundle"]["start"][0] = 0.5
+        doc["config"]["max_outer"] = 1
+        assert spec.bundle["start"] == [0.0, 0.0] and spec.config["max_outer"] == 5
+        builtin = BUILTIN_SCENARIOS["hilbert_family"]
+        spec = load_scenario("hilbert_family")
+        assert times_copied(builtin) == times_copied(builtin["bundle"]) == 1
+        assert spec.bundle == builtin["bundle"] and spec.bundle is not builtin["bundle"]
+        copied.clear()
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY))
+        load_scenario(str(path))
+        assert cli_main(["solve", "--scenario", str(path), "--max-iter", "1", "--out", str(tmp_path)]) == 0
+        assert copied == []
 
 
 class TestStrictValidation:
@@ -311,6 +345,17 @@ class TestRulesCheckedByTheirOwners:
         assert loaded == owned == accepted
 
 
+    def test_load_and_run_refuse_hilbert_mode_off_exponent_2_alike(self):
+        doc = json.loads(json.dumps(BUILTIN_SCENARIOS["lp_shift_example"]))  # p = 3
+        doc["config"]["mode"] = "hilbert"
+        with pytest.raises(UnsupportedCombinationError) as at_load:
+            load_scenario(doc)
+        bundle = load_scenario("lp_shift_example").problem
+        with pytest.raises(UnsupportedCombinationError) as at_run:
+            run(bundle, SolverConfig(Mode.HILBERT_MAIN))
+        assert str(at_load.value) == str(at_run.value) == "mode 'hilbert' requires exponent 2"
+
+
 class TestRunScenario:
     def test_spec_builds_and_checks_its_config_once(self, monkeypatch):
         import hybrideq.harness as harness_module
@@ -519,6 +564,12 @@ class TestCLI:
         doc["bogus"] = True
         path.write_text(json.dumps(doc))
         assert cli_main(["solve", "--scenario", str(path)]) == 1
+
+    def test_a_document_that_is_not_an_object_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert cli_main(["solve", "--scenario", str(path)]) == 1
+        assert "scenario: expected an object, got list" in capsys.readouterr().err
 
     def test_verify_passes_on_trivial_run(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"

@@ -8,11 +8,15 @@ same bits.  The same holds for the other wrappers scanned here:
 np.linalg.norm without an `ord` is the square root of x.dot(x) or of
 (x * x).sum(axis=...) (`space.norm2`, `space.norm2_rows`), np.clip a
 minimum of a maximum, np.vstack, np.column_stack and np.append each a
-concatenate, and np.zeros_like an np.zeros.  functools.cached_property
-(Python 3.11) takes a lock on every first read; `space.kept` keeps a value
-without one.  The scan parses each module, so comments and docstrings may
-still name the wrapper forms.  tests/_reference.py is the reference
-implementation and is not scanned.
+concatenate, np.delete a concatenate of two slices, np.zeros_like an
+np.zeros, np.searchsorted and np.repeat the ndarray methods, and
+np.outer(s, s) the product s[:, None] * s.  np.linalg.lstsq is LAPACK's
+least-squares gufunc behind about 7 us of argument handling on 20 us
+solves; `sets._lstsq` calls the gufunc with the wrapper's rcond and error
+state.  functools.cached_property (Python 3.11) takes a lock on every
+first read; `space.kept` keeps a value without one.  The scan parses each
+module, so comments and docstrings may still name the wrapper forms.
+tests/_reference.py is the reference implementation and is not scanned.
 """
 
 import ast
@@ -22,7 +26,17 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hybrideq"
 FUNCTION_FORMS = {"sum", "max", "min", "any", "all", "argmax", "argmin", "flatnonzero"}
-WRAPPERS = {"clip", "vstack", "column_stack", "append", "zeros_like"}
+WRAPPERS = {
+    "clip",
+    "vstack",
+    "column_stack",
+    "append",
+    "zeros_like",
+    "delete",
+    "searchsorted",
+    "repeat",
+    "outer",
+}
 
 
 def _is_numpy(node) -> bool:
@@ -31,8 +45,8 @@ def _is_numpy(node) -> bool:
 
 def _wrapper_calls(source: str) -> list:
     """(line, name) of each call np.<reduction or wrapper>(...), of each
-    np.linalg.norm(...) without an ord, and of each use of
-    functools.cached_property."""
+    np.linalg.norm(...) without an ord and np.linalg.lstsq(...), and of each
+    use of functools.cached_property."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
@@ -50,14 +64,17 @@ def _wrapper_calls(source: str) -> list:
         if func.attr in FUNCTION_FORMS | WRAPPERS and _is_numpy(func.value):
             found.append((node.lineno, func.attr))
         elif (
-            func.attr == "norm"
-            and isinstance(func.value, ast.Attribute)
+            isinstance(func.value, ast.Attribute)
             and func.value.attr == "linalg"
             and _is_numpy(func.value.value)
-            and len(node.args) < 2
-            and not any(k.arg == "ord" for k in node.keywords)
+            and (
+                func.attr == "lstsq"
+                or func.attr == "norm"
+                and len(node.args) < 2
+                and not any(k.arg == "ord" for k in node.keywords)
+            )
         ):
-            found.append((node.lineno, "linalg.norm"))
+            found.append((node.lineno, "linalg." + func.attr))
     return sorted(found)
 
 
@@ -72,6 +89,9 @@ def test_the_scan_finds_function_forms_in_code_only():
         "w = np.vstack([a, b]) + np.column_stack([a, b]) + np.append(a, 1.0)\n"
         "v = np.clip(a, 0.0, 1.0) + np.zeros_like(a) + np.concatenate((a, b))\n"
         "kept = functools.cached_property(f)\n"
+        "i = np.delete(i, k) + np.searchsorted(i, j) + i.searchsorted(j) + np.concatenate((i[:k], i[k + 1 :]))\n"
+        "r = np.repeat(a[None, :], 3, axis=0) + a[None, :].repeat(3, axis=0) + np.outer(s, s) + s[:, None] * s\n"
+        "x = np.linalg.lstsq(a, b, rcond=None)[0] + _lstsq(a, b) + np.linalg.solve(a, b)\n"
     )
     assert _wrapper_calls(source) == [
         (3, "cached_property"),
@@ -86,6 +106,11 @@ def test_the_scan_finds_function_forms_in_code_only():
         (8, "clip"),
         (8, "zeros_like"),
         (9, "cached_property"),
+        (10, "delete"),
+        (10, "searchsorted"),
+        (11, "outer"),
+        (11, "repeat"),
+        (12, "linalg.lstsq"),
     ]
 
 

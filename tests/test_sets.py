@@ -10,6 +10,8 @@ least-distance engine, and the 36-step bisection it replaced is the
 reference for the ratio-test pull-back.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from _reference import (
@@ -47,6 +49,7 @@ from hybrideq.sets import (
     _ldp,
     _least_distance,
     _linear_rows,
+    _lstsq,
     _multiplier_newton,
     _nnls,
     _pull_feasible_rows,
@@ -643,6 +646,97 @@ class TestWarmStartedNNLS:
         z, active = project_intersection(stronger, v, hint=active)
         np.testing.assert_allclose(z, [0.2, 1.0], atol=1e-15)
         assert _same_cuts(active, stronger.cuts)
+
+
+class TestLstsq:
+    """sets._lstsq is np.linalg.lstsq(a, b, rcond=None)[0] through LAPACK's
+    gufunc alone: the same bits, the same error and the same silence."""
+
+    @staticmethod
+    def _both(a, b):
+        """(numpy's answer or None if it raised, _lstsq's answer or None),
+        with every warning an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                expected = np.linalg.lstsq(a, b, rcond=None)[0]
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                    _lstsq(a, b)
+                return None, None
+            return expected, _lstsq(a, b)
+
+    # rank-deficient matrices of 1-12 rows and 0-12 columns, singular values
+    # down to 1e-17 of the largest, around the rcond cutoff of max(m, n)
+    # eps, some with a repeated column, at magnitudes 1e-100 to 1e100, and
+    # F-ordered views like the multiplier Newton's a[work].T
+    @settings(max_examples=400, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(0, 12),
+        rank=st.integers(0, 12),
+        repeat=st.booleans(),
+        a_exp=st.integers(-100, 100),
+        b_exp=st.integers(-100, 100),
+        transposed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_numpy_lstsq_bit_for_bit(
+        self, m, n, rank, repeat, a_exp, b_exp, transposed, seed
+    ):
+        rng = np.random.default_rng(seed)
+        k = min(rank, m, n)
+        left = np.linalg.qr(rng.standard_normal((m, k)))[0]
+        right = np.linalg.qr(rng.standard_normal((n, k)))[0].T
+        a = (left * 10.0 ** -rng.uniform(0.0, 17.0, k)) @ right
+        if repeat and n > 1:
+            a[:, -1] = a[:, 0]
+        a *= 10.0**a_exp
+        if transposed:
+            a = np.ascontiguousarray(a.T).T
+        b = rng.standard_normal(m) * 10.0**b_exp
+        expected, got = self._both(a, b)
+        assert expected is not None
+        assert got.shape == expected.shape == (n,)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_nan_in_the_matrix_raises_without_a_warning(self):
+        a = np.random.default_rng(2).standard_normal((6, 3))
+        a[1, 2] = np.nan
+        assert self._both(a, np.ones(6)) == (None, None)
+
+    # an inf in the matrix is left out: LAPACK's dgelsd does not return
+    # from it, under np.linalg.lstsq as under the gufunc
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_nonfinite_right_hand_side_gives_numpys_nan_silently(self, bad):
+        b = np.ones(6)
+        b[3] = bad
+        expected, got = self._both(np.random.default_rng(2).standard_normal((6, 3)), b)
+        assert np.isnan(expected).all()
+        assert got.tobytes() == expected.tobytes()
+
+    def test_singular_hessian_takes_the_least_squares_fallback(self, monkeypatch):
+        # above exponent 2 the Jacobian of J vanishes where c_i = 0: at
+        # lam = 0, c = v = (1, 0) and the cut's column (0, -1) meets only
+        # that zero, so the dual Hessian is [[0]] and np.linalg.solve fails
+        import hybrideq.sets as sets_module
+
+        square = []
+
+        def spy(a, b):
+            if a.shape[0] == a.shape[1]:
+                square.append(a.copy())
+            return _lstsq(a, b)
+
+        monkeypatch.setattr(sets_module, "_lstsq", spy)
+        cset = ConstraintSet(
+            WholeSpace(Frame.DUAL), (Halfspace([0.0, -1.0], -0.5, Frame.DUAL),), Frame.DUAL
+        )
+        v = np.array([1.0, 0.0])
+        # project_intersection raises unless the answer passes its KKT gate
+        w, active = project_intersection(cset, v, exponent=3.0)
+        assert any(h.shape == (1, 1) and not h.any() for h in square)
+        assert w[1] == 0.5 and _same_cuts(active, cset.cuts)
 
 
 class TestPullFeasible:
