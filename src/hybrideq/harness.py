@@ -20,6 +20,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from os import PathLike
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -332,17 +333,22 @@ def _build_kind(table: dict, desc, path: str, space: SpaceConfig):
     return _checked(path, entry.build, space, fields)
 
 
+def _config_rule(name: str):
+    """The check of a number that SolverConfig's rule for field `name` decides."""
+    return lambda val, path: _checked(path, SolverConfig.check, name, _number(val, path))
+
+
 #: config key -> check, which takes (value, path); a key the document leaves
 #: out takes SolverConfig's default, and mode defaults to 'hilbert'
 _CONFIG_FIELDS = {
     "mode": _mode,
     "r": _positive,
-    "outer_tol": _positive,
+    "outer_tol": _config_rule("outer_tol"),
     "max_outer": lambda val, path: _integer(val, path, minimum=0),
-    "resolvent_tol": _positive,
+    "resolvent_tol": _config_rule("resolvent_tol"),
     # checked, then dropped: the exact retraction reads no tolerance of its own
     "retraction_tol": _positive,
-    "min_r": _positive,
+    "min_r": _config_rule("min_r"),
     "audit_samples": _integer,
     "cut_cap": _integer,
 }
@@ -402,11 +408,17 @@ def _copy_document(doc):
 
 
 def read_scenario(source):
-    """The unvalidated scenario document of a built-in name, a JSON path, or a dict."""
+    """The unvalidated scenario document of a built-in name, a JSON path, or a dict.
+
+    Any other source (a list, a number, None) is a validation error of the
+    scenario, as a document of that type is.
+    """
     if isinstance(source, dict):
         return source
     if isinstance(source, str) and source in BUILTIN_SCENARIOS:
         return _copy_document(BUILTIN_SCENARIOS[source])
+    if not isinstance(source, (str, PathLike)):
+        _fail("scenario", f"expected an object, got {type(source).__name__}")
     path = Path(source)
     try:
         text = path.read_text()
@@ -445,11 +457,7 @@ def load_scenario(source, *, handed_over: bool = False) -> ScenarioSpec:
     _require_keys(space, {"dimension", "exponent"}, {"dimension", "exponent"}, "space")
     dimension = _integer(space["dimension"], "space.dimension")
     _checked("space.exponent", SpaceConfig, dimension, _number(space["exponent"], "space.exponent"))
-    seed = doc.get("seed", 7)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        _fail("scenario.seed", "must be an integer")
-    if seed < 0:
-        _fail("scenario.seed", f"must be nonnegative, got {seed}")
+    seed = _checked("scenario.seed", SolverConfig.check, "seed", doc.get("seed", 7))
 
     spec = ScenarioSpec(
         name=doc["name"],

@@ -59,8 +59,12 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     its rcond and floating-point error state, so the answer is the same
     bits; numpy's argument handling around the gufunc cost about a third of
     a solve on these small matrices.  An SVD that does not converge (a NaN
-    in a) raises LinAlgError, as np.linalg.lstsq does.
+    in a) raises LinAlgError, as np.linalg.lstsq does, and so does an inf in
+    a, which is refused before the call: LAPACK's dgelsd can spin on one
+    without returning.
     """
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
     with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
         try:
             x = _lstsq_gufunc(a, b[:, None], _EPS * max(a.shape), signature="ddd->ddid")[0]

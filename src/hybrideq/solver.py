@@ -60,6 +60,21 @@ class StopReason(enum.Enum):
     ITERATION_CAP = "iteration_cap"
 
 
+def _nonnegative_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
+#: the rule of each checked config field: a test its value passes, written
+#: so that NaN fails it, and the rule in words
+_FIELD_RULES = {
+    "outer_tol": (lambda v: v > 0, "must be positive"),
+    "resolvent_tol": (lambda v: v > 0, "must be positive"),
+    "min_r": (lambda v: v > 0, "must be positive"),
+    "max_outer": (lambda v: v >= 0, "must be nonnegative"),
+    "seed": (_nonnegative_int, "must be a nonnegative integer"),
+}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     mode: Mode
@@ -74,13 +89,16 @@ class SolverConfig:
     audit_samples: int = 24
 
     def __post_init__(self):
-        # each comparison is written so that NaN fails it
-        if not (self.outer_tol > 0 and self.resolvent_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if not self.min_r > 0:
-            raise ValueError("min_r must be positive")
-        if not self.max_outer >= 0:
-            raise ValueError("max_outer must be nonnegative")
+        for name in _FIELD_RULES:
+            self.check(name, getattr(self, name))
+
+    @staticmethod
+    def check(name: str, value):
+        """value, or ValueError unless it meets the rule of the field `name`."""
+        test, rule = _FIELD_RULES[name]
+        if not test(value):
+            raise ValueError(f"{name} {rule}, got {value}")
+        return value
 
     def r_at(self, n: int) -> float:
         """r_n, checked against the floor min_r, the only floor r has."""
@@ -214,25 +232,6 @@ def _at_iteration(exc: Exception, n: int, capped: int) -> Exception:
     return tagged
 
 
-def _seed_words(seed: int) -> tuple:
-    """The seed as numpy's SeedSequence splits a nonnegative Python int:
-    32-bit words, least significant first, and (0,) for 0.
-
-    A uint32 array of these words followed by more of them seeds the
-    generator that the list [seed, ...] seeds, without SeedSequence's
-    per-item Python coercion.  Raises ValueError for a negative seed, as
-    numpy does.
-    """
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    words = [seed & 0xFFFFFFFF]
-    seed >>= 32
-    while seed:
-        words.append(seed & 0xFFFFFFFF)
-        seed >>= 32
-    return tuple(words)
-
-
 def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     """Execute the outer loop; returns the full audited trace.
 
@@ -245,15 +244,16 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     exceed the configured cap.
     A raised error's `capped_starts` attribute counts the capped gap-search
     starts of every resolvent solve that finished before it.
+
+    The gap starts and the audit samples of every iteration are drawn from
+    two generators spawned once per run from the seed,
+    SeedSequence(config.seed).spawn(2), in that order.
     """
     space = bundle.space
     config.mode.check_space(space)
     p = space.exponent
     anchor = bundle.anchor
     reference = config.reference_solution
-    # iteration n's generators are seeded by [seed, n, 1] and [seed, n, 2];
-    # n < 2^32 is one word
-    words = _seed_words(config.seed)
     dual_set = bundle.omega_dual
     x = anchor
     history = []
@@ -268,6 +268,13 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     for n in range(1, config.max_outer + 1):
         r_n = config.r_at(n)
         y = step_y(bundle.family, x, n)
+        if n == 1:
+            # one stream for the gap starts and one for the audit, so that a
+            # gap retry never shifts the audit's draws; they are solve work,
+            # built after the first step_y, where perfbench's set-up ends
+            gap_rng, audit_rng = map(
+                np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2)
+            )
         problem = ResolventProblem(
             bundle.bifunctions, bundle.mixed, bundle.perturbation, bundle.omega, r_n, y
         )
@@ -275,7 +282,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
             u, resolvent_gap_value, capped_starts = solve_resolvent_certified(
                 problem,
                 tol=config.resolvent_tol,
-                rng=np.random.default_rng(np.array((*words, n, 1), dtype=np.uint32)),
+                rng=gap_rng,
             )
         except (NonConvergedError, UnsupportedCombinationError) as exc:
             raise _at_iteration(exc, n, capped_total) from exc
@@ -311,7 +318,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
                 retraction_problem,
                 x_next,
                 samples=config.audit_samples,
-                rng=np.random.default_rng(np.array((*words, n, 2), dtype=np.uint32)),
+                rng=audit_rng,
                 violation=dual_gap,
             )
         except (AuditError, NonConvergedError, InfeasibleError) as exc:

@@ -87,6 +87,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioParseError):
             load_scenario("/nonexistent/path/to/scenario.json")
 
+    @pytest.mark.parametrize("source", [[1, 2], 3, None])
+    def test_a_source_that_is_not_a_name_path_or_object_is_refused(self, source):
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(source)
+        assert str(err.value) == f"scenario: expected an object, got {type(source).__name__}"
+
     def test_each_document_is_copied_once(self, monkeypatch, tmp_path):
         # a caller's dict and a built-in are copied once, whole; a JSON file
         # and the CLI's overridden document are private already
@@ -236,6 +242,26 @@ def _negative_seed(doc):
     doc["seed"] = -1
 
 
+def _bool_seed(doc):
+    doc["seed"] = True
+
+
+def _fractional_seed(doc):
+    doc["seed"] = 7.5
+
+
+def _zero_outer_tol(doc):
+    doc["config"]["outer_tol"] = 0.0
+
+
+def _negative_resolvent_tol(doc):
+    doc["config"]["resolvent_tol"] = -1e-6
+
+
+def _zero_min_r(doc):
+    doc["config"]["min_r"] = 0
+
+
 class TestRejectedAtLoad:
     """Data that a constructor or the solver refuses is a validation error
     naming its field, at load and through the CLI, never a traceback."""
@@ -250,6 +276,11 @@ class TestRejectedAtLoad:
         (_infinite_r, "config.r"),
         (_weight_product_below_floor, "bundle.combination_weights"),
         (_negative_seed, "scenario.seed"),
+        (_bool_seed, "scenario.seed"),
+        (_fractional_seed, "scenario.seed"),
+        (_zero_outer_tol, "config.outer_tol"),
+        (_negative_resolvent_tol, "config.resolvent_tol"),
+        (_zero_min_r, "config.min_r"),
     ]
 
     @pytest.mark.parametrize("mutate, path", CASES)
@@ -274,7 +305,7 @@ class TestRejectedAtLoad:
         # hilbert_family draws its start from the seed while it loads
         assert cli_main([command, "--scenario", "hilbert_family", "--seed", "-1"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: scenario.seed: must be nonnegative, got -1\n"
+        assert captured.err == "error: scenario.seed: seed must be a nonnegative integer, got -1\n"
         assert captured.out == ""
 
 
@@ -310,6 +341,28 @@ def _r_owner(bundle, value):
     SolverConfig(Mode.HILBERT_MAIN, r_schedule=value).r_at(1)
 
 
+def _with_seed(doc, value):
+    doc["seed"] = value
+
+
+def _seed_owner(bundle, value):
+    SolverConfig(Mode.HILBERT_MAIN, seed=value)
+
+
+def _with_config(key):
+    def mutate(doc, value):
+        doc["config"][key] = value
+
+    return mutate
+
+
+def _config_owner(key):
+    def owner(bundle, value):
+        SolverConfig(Mode.HILBERT_MAIN, **{key: value})
+
+    return owner
+
+
 class TestRulesCheckedByTheirOwners:
     """At each rule's boundary, load_scenario accepts and rejects what the
     library object that owns the rule accepts and rejects."""
@@ -325,6 +378,16 @@ class TestRulesCheckedByTheirOwners:
         (_with_start, _start_owner, [1.0 + 2e-9, 0.0], False),
         (_with_r, _r_owner, 1e-3, True),  # the default min_r
         (_with_r, _r_owner, float(np.nextafter(1e-3, 0.0)), False),
+        (_with_seed, _seed_owner, 0, True),
+        (_with_seed, _seed_owner, 10**23, True),
+        (_with_seed, _seed_owner, -1, False),
+        (_with_seed, _seed_owner, True, False),  # a bool is not a seed
+        (_with_seed, _seed_owner, 7.0, False),
+        *(
+            (_with_config(key), _config_owner(key), value, value > 0)
+            for key in ("outer_tol", "resolvent_tol", "min_r")
+            for value in (5e-324, 0.0, -1e-6)
+        ),
     ]
 
     @pytest.mark.parametrize("mutate, owner, value, accepted", CASES)

@@ -10,7 +10,11 @@ least-distance engine, and the 36-step bisection it replaced is the
 reference for the ratio-test pull-back.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -705,8 +709,33 @@ class TestLstsq:
         a[1, 2] = np.nan
         assert self._both(a, np.ones(6)) == (None, None)
 
-    # an inf in the matrix is left out: LAPACK's dgelsd does not return
-    # from it, under np.linalg.lstsq as under the gufunc
+    @pytest.mark.parametrize("bad", ["inf", "-inf"])
+    def test_an_inf_in_the_matrix_raises_promptly(self, bad):
+        # LAPACK's dgelsd spins without returning on this 9 x 4 matrix with
+        # a[0, 0] = inf, under np.linalg.lstsq as under the gufunc, so the
+        # solve runs in a child process that the timeout stops
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import numpy as np\n"
+            "from hybrideq.sets import _lstsq\n"
+            "a = np.random.default_rng(0).standard_normal((9, 4))\n"
+            f"a[0, 0] = float('{bad}')\n"
+            "try:\n"
+            "    _lstsq(a, np.ones(9))\n"
+            "except np.linalg.LinAlgError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "SVD did not converge in Linear Least Squares\n"
+        assert done.stderr == ""  # refused before LAPACK, which reports DLASCL errors
+
+    # np.linalg.lstsq does not return from an inf in the matrix (above), so
+    # only the right-hand side is compared with it
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_nonfinite_right_hand_side_gives_numpys_nan_silently(self, bad):
         b = np.ones(6)

@@ -240,6 +240,16 @@ class TestConfigChecks:
         with pytest.raises(ValueError):
             SolverConfig(mode=Mode.BANACH_MAIN2, **{field: float("nan")})
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70), True, False, 7.0, "7", None])
+    def test_a_seed_that_is_not_a_nonnegative_int_fails_when_built(self, seed):
+        # numpy's SeedSequence would refuse -1 only in the run's first iteration
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got "):
+            SolverConfig(mode=Mode.BANACH_MAIN2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 10**23, np.uint64(2**64 - 1), np.int32(3)])
+    def test_nonnegative_int_seeds_accepted(self, seed):
+        assert SolverConfig(mode=Mode.BANACH_MAIN2, seed=seed).seed == seed
+
     def test_nan_r_schedule_stops_the_run_at_its_floor_check(self):
         # without the check, NaN reached PrimalPoint's finiteness check
         bundle = load_scenario("lp_shift_example").problem
@@ -327,23 +337,69 @@ class TestSeedRobustness:
             assert pnorm(result.x_star.coords, 3.0) < 0.05
 
 
-class TestSeedWords:
-    """The per-iteration generators, seeded from the run seed's 32-bit words,
-    draw the streams that the list [seed, n, k] seeds."""
+class TestSampleStreams:
+    """A run draws its gap starts and its audit samples from two generators
+    spawned once from the seed, SeedSequence(seed).spawn(2): the first for
+    the gap starts, the second for the audit."""
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 10**23])
-    def test_same_streams_as_the_seed_list(self, seed):
-        words = solver_module._seed_words(seed)
-        for n in (1, 2, 200):
-            for k in (1, 2):
-                ours = np.random.default_rng(np.array((*words, n, k), dtype=np.uint32))
-                numpy_split = np.random.default_rng([seed, n, k])
-                assert ours.bit_generator.state == numpy_split.bit_generator.state
-                assert ours.random(16).tobytes() == numpy_split.random(16).tobytes()
+    @pytest.mark.parametrize(
+        "scenario, iterations", [("lp_shift_example", 34), ("hilbert_family", 200)]
+    )
+    def test_a_run_builds_two_generators(self, monkeypatch, scenario, iterations):
+        spec = load_scenario(scenario)
+        real_rng = np.random.default_rng
+        built, states = [], []
+        drawn = {"gap": set(), "audit": set()}
 
-    def test_negative_seed_is_refused(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            solver_module._seed_words(-1)
+        def spy(*args, **kwargs):
+            rng = real_rng(*args, **kwargs)
+            built.append(rng)
+            states.append(rng.bit_generator.state)
+            return rng
+
+        def solve(*args, **kwargs):
+            drawn["gap"].add(id(kwargs["rng"]))
+            return equilibrium_module.solve_resolvent_certified(*args, **kwargs)
+
+        def audit(*args, **kwargs):
+            drawn["audit"].add(id(kwargs["rng"]))
+            return retraction_module.retraction_vi_residual(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        monkeypatch.setattr(solver_module, "solve_resolvent_certified", solve)
+        monkeypatch.setattr(solver_module, "retraction_vi_residual", audit)
+        result = run(spec.problem, spec.solver_config)
+        assert result.iterations == iterations
+        assert len(built) == 2
+        assert drawn == {"gap": {id(built[0])}, "audit": {id(built[1])}}
+        spawned = np.random.SeedSequence(spec.seed).spawn(2)
+        assert states == [real_rng(s).bit_generator.state for s in spawned]
+
+    @pytest.mark.parametrize("scenario", ["lp_shift_example", "hilbert_family"])
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 10**23])
+    def test_reruns_write_identical_csvs(self, tmp_path, scenario, seed):
+        csvs = []
+        for k in range(2):
+            doc = read_scenario(scenario)
+            doc["seed"] = seed
+            doc["config"]["max_outer"] = 30
+            run_scenario(load_scenario(doc), out_dir=tmp_path / str(k))
+            csvs.append((tmp_path / str(k) / f"{scenario}_iterations.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_every_word_of_the_seed_moves_the_samples(self):
+        # 7 and 2^32 + 7 share their low 32-bit word
+        spec = load_scenario("hilbert_family")
+        residuals = [
+            [
+                rec.retraction_vi_residual
+                for rec in run(
+                    spec.problem, dataclasses.replace(spec.solver_config, seed=seed, max_outer=5)
+                ).history
+            ]
+            for seed in (7, 2**32 + 7)
+        ]
+        assert residuals[0] != residuals[1]
 
 
 class TestRecordsMatchTheFormulas:
