@@ -212,14 +212,17 @@ def _mode(val, path) -> Mode:
 
 def _checked(path: str, call, *args, **kwargs):
     """call(*args, **kwargs), the ValueError of a library object's own check
-    reported as a validation error at path.  UnsupportedCombinationError,
-    a ValueError too, passes through unrelabelled."""
+    reported as a validation error at path, or at path.<field> when the
+    error's `field` attribute names the field it refuses.
+    UnsupportedCombinationError, a ValueError too, passes through
+    unrelabelled."""
     try:
         return call(*args, **kwargs)
     except UnsupportedCombinationError:
         raise
     except ValueError as exc:
-        _fail(path, str(exc))
+        field = getattr(exc, "field", None)
+        _fail(path if field is None else f"{path}.{field}", str(exc))
 
 
 #: the check of each field a section kind may carry, by field name; each
@@ -333,22 +336,18 @@ def _build_kind(table: dict, desc, path: str, space: SpaceConfig):
     return _checked(path, entry.build, space, fields)
 
 
-def _config_rule(name: str):
-    """The check of a number that SolverConfig's rule for field `name` decides."""
-    return lambda val, path: _checked(path, SolverConfig.check, name, _number(val, path))
-
-
 #: config key -> check, which takes (value, path); a key the document leaves
-#: out takes SolverConfig's default, and mode defaults to 'hilbert'
+#: out takes SolverConfig's default, and mode defaults to 'hilbert'.  The
+#: sign rules of outer_tol, resolvent_tol and min_r are SolverConfig's
 _CONFIG_FIELDS = {
     "mode": _mode,
     "r": _positive,
-    "outer_tol": _config_rule("outer_tol"),
+    "outer_tol": _number,
     "max_outer": lambda val, path: _integer(val, path, minimum=0),
-    "resolvent_tol": _config_rule("resolvent_tol"),
+    "resolvent_tol": _number,
     # checked, then dropped: the exact retraction reads no tolerance of its own
     "retraction_tol": _positive,
-    "min_r": _config_rule("min_r"),
+    "min_r": _number,
     "audit_samples": _integer,
     "cut_cap": _integer,
 }
@@ -457,7 +456,7 @@ def load_scenario(source, *, handed_over: bool = False) -> ScenarioSpec:
     _require_keys(space, {"dimension", "exponent"}, {"dimension", "exponent"}, "space")
     dimension = _integer(space["dimension"], "space.dimension")
     _checked("space.exponent", SpaceConfig, dimension, _number(space["exponent"], "space.exponent"))
-    seed = _checked("scenario.seed", SolverConfig.check, "seed", doc.get("seed", 7))
+    seed = _checked("scenario", SolverConfig.check, "seed", doc.get("seed", 7))
 
     spec = ScenarioSpec(
         name=doc["name"],
@@ -499,7 +498,9 @@ def build_config(spec: ScenarioSpec) -> SolverConfig:
         reference = PrimalPoint(
             _vector(reference, "bundle.reference_solution", space.dimension), space
         )
-    config = SolverConfig(mode, reference_solution=reference, seed=spec.seed, **cfg)
+    config = _checked(
+        "config", SolverConfig, mode, reference_solution=reference, seed=spec.seed, **cfg
+    )
     _checked("config.r", config.r_at, 1)  # r is constant: one call checks every n
     return config
 

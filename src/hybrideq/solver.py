@@ -94,10 +94,13 @@ class SolverConfig:
 
     @staticmethod
     def check(name: str, value):
-        """value, or ValueError unless it meets the rule of the field `name`."""
+        """value, or a ValueError whose `field` attribute is name unless value
+        meets the rule of the field name."""
         test, rule = _FIELD_RULES[name]
         if not test(value):
-            raise ValueError(f"{name} {rule}, got {value}")
+            exc = ValueError(f"{name} {rule}, got {value}")
+            exc.field = name
+            raise exc
         return value
 
     def r_at(self, n: int) -> float:

@@ -237,14 +237,16 @@ class TestConfigChecks:
 
     @pytest.mark.parametrize("field", ["outer_tol", "resolvent_tol", "min_r", "max_outer"])
     def test_nan_field_rejected(self, field):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             SolverConfig(mode=Mode.BANACH_MAIN2, **{field: float("nan")})
+        assert err.value.field == field  # the harness reports it at config.<field>
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), True, False, 7.0, "7", None])
     def test_a_seed_that_is_not_a_nonnegative_int_fails_when_built(self, seed):
         # numpy's SeedSequence would refuse -1 only in the run's first iteration
-        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got "):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got ") as err:
             SolverConfig(mode=Mode.BANACH_MAIN2, seed=seed)
+        assert err.value.field == "seed"
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32, 10**23, np.uint64(2**64 - 1), np.int32(3)])
     def test_nonnegative_int_seeds_accepted(self, seed):
