@@ -94,8 +94,8 @@ class SolverConfig:
 
     @staticmethod
     def check(name: str, value):
-        """value, or a ValueError whose `field` attribute is name unless value
-        meets the rule of the field name."""
+        """value if it meets the rule of the config field `name`, else a
+        ValueError whose `field` attribute is name."""
         test, rule = _FIELD_RULES[name]
         if not test(value):
             exc = ValueError(f"{name} {rule}, got {value}")
