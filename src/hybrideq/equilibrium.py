@@ -70,7 +70,7 @@ class QuadraticPotential:
         center = np.asarray(self.center, dtype=float).copy()
         center.setflags(write=False)
         object.__setattr__(self, "center", center)
-        if self.weight <= 0:
+        if not self.weight > 0:  # NaN fails too
             raise ValueError("potential weight must be positive")
 
     def value(self, v: np.ndarray) -> float:
@@ -197,6 +197,10 @@ class DualNormTerm:
 class WeightedL1Term:
     weight: float
     separable = True
+
+    def __post_init__(self):
+        if not self.weight > 0:  # NaN fails too
+            raise ValueError("l1 weight must be positive")
 
     def value(self, v):
         return self.weight * float(np.abs(v).sum())

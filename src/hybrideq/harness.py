@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from os import PathLike
 from pathlib import Path
 from typing import Callable, Optional
@@ -40,15 +40,13 @@ from .equilibrium import (
     ZeroTerm,
 )
 from .errors import (
-    AuditError,
-    InfeasibleError,
-    NonConvergedError,
+    SOLVER_ERRORS,
     ScenarioParseError,
     ScenarioValidationError,
     UnsupportedCombinationError,
 )
 from .operators import JMap, OperatorFamily, RelaxedFamily, ShiftMap
-from .sets import Box, ConstraintSet, Frame, PBall, WholeSpace, sample_feasible
+from .sets import Box, ConstraintSet, PBall, WholeSpace, sample_feasible
 from .solver import Mode, ProblemBundle, SolverConfig, audit_result, run
 from .space import PrimalPoint, SpaceConfig, kept
 
@@ -176,11 +174,11 @@ def _positive(val, path, dimension=None) -> float:
     return val
 
 
-def _integer(val, path, minimum=1) -> int:
+def _integer(val, path, minimum=None) -> int:
     val = _number(val, path)
     if not val.is_integer():
         _fail(path, "must be an integer")
-    if val < minimum:
+    if minimum is not None and val < minimum:
         _fail(path, f"must be at least {minimum}")
     return int(val)
 
@@ -249,15 +247,6 @@ class _Kind:
     optional: dict = field(default_factory=dict)
 
 
-def _box(space, f):
-    if not space.is_hilbert:
-        raise UnsupportedCombinationError(
-            "box base sets are supported only at p = 2 (their dual image "
-            "is not representable otherwise)"
-        )
-    return Box(f["lower"], f["upper"], Frame.PRIMAL), Box(f["lower"], f["upper"], Frame.DUAL)
-
-
 def _relaxed(base_map):
     def build(space, f):
         alpha = f["relax_weight"]
@@ -266,17 +255,11 @@ def _relaxed(base_map):
     return build
 
 
-#: base-set kinds build the (primal, dual-frame) pair of base sets
+#: base-set kinds build Omega's base; the bundle derives its dual image
 _BASE_SETS = {
-    "p_ball": _Kind(
-        lambda space, f: (
-            PBall(f["radius"], space.exponent, Frame.PRIMAL),
-            PBall(f["radius"], space.conjugate, Frame.DUAL),
-        ),
-        required=("radius",),
-    ),
-    "box": _Kind(_box, required=("lower", "upper")),
-    "whole_space": _Kind(lambda space, f: (WholeSpace(Frame.PRIMAL), WholeSpace(Frame.DUAL))),
+    "p_ball": _Kind(lambda space, f: PBall(f["radius"], space.exponent), required=("radius",)),
+    "box": _Kind(lambda space, f: Box(f["lower"], f["upper"]), required=("lower", "upper")),
+    "whole_space": _Kind(lambda space, f: WholeSpace()),
 }
 
 _OPERATORS = {
@@ -327,23 +310,24 @@ def _build_kind(table: dict, desc, path: str, space: SpaceConfig):
     if entry is None:
         _fail(f"{path}.kind", f"unknown kind {kind!r}")
     _require_keys(desc, {"kind", *entry.required, *entry.optional}, entry.required, path)
-    fields = {
+    checked = {
         key: _FIELD_CHECKS[key](value, f"{path}.{key}", space.dimension)
         for key, value in {**entry.optional, **desc}.items()
         if key != "kind"
     }
     # a constructor's own check, e.g. a matrix whose symmetric part is not PSD
-    return _checked(path, entry.build, space, fields)
+    return _checked(path, entry.build, space, checked)
 
 
 #: config key -> check, which takes (value, path); a key the document leaves
 #: out takes SolverConfig's default, and mode defaults to 'hilbert'.  The
-#: sign rules of outer_tol, resolvent_tol and min_r are SolverConfig's
+#: sign rules of outer_tol, resolvent_tol, min_r, max_outer, audit_samples
+#: and cut_cap are SolverConfig's
 _CONFIG_FIELDS = {
     "mode": _mode,
     "r": _positive,
     "outer_tol": _number,
-    "max_outer": lambda val, path: _integer(val, path, minimum=0),
+    "max_outer": _integer,
     "resolvent_tol": _number,
     # checked, then dropped: the exact retraction reads no tolerance of its own
     "retraction_tol": _positive,
@@ -375,13 +359,7 @@ class ScenarioSpec:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "space": _copy_document(self.space),
-            "bundle": _copy_document(self.bundle),
-            "config": _copy_document(self.config),
-            "seed": self.seed,
-        }
+        return _copy_document({f.name: getattr(self, f.name) for f in fields(self)})
 
     @kept
     def problem(self) -> ProblemBundle:
@@ -454,7 +432,7 @@ def load_scenario(source, *, handed_over: bool = False) -> ScenarioSpec:
         _fail("scenario.name", "must be a nonempty string")
     space = doc["space"]
     _require_keys(space, {"dimension", "exponent"}, {"dimension", "exponent"}, "space")
-    dimension = _integer(space["dimension"], "space.dimension")
+    dimension = _integer(space["dimension"], "space.dimension", minimum=1)
     _checked("space.exponent", SpaceConfig, dimension, _number(space["exponent"], "space.exponent"))
     seed = _checked("scenario", SolverConfig.check, "seed", doc.get("seed", 7))
 
@@ -519,8 +497,7 @@ def build_bundle(spec: ScenarioSpec) -> ProblemBundle:
     def build(table, value, path):
         return _build_kind(table, value, path, space)
 
-    primal, dual = build(_BASE_SETS, desc["base_set"], "bundle.base_set")
-    omega = ConstraintSet(primal, (), Frame.PRIMAL)
+    omega = ConstraintSet(build(_BASE_SETS, desc["base_set"], "bundle.base_set"))
     ops = desc["operators"]
     if not isinstance(ops, list) or not ops:
         _fail("bundle.operators", "must be a nonempty list")
@@ -552,14 +529,12 @@ def build_bundle(spec: ScenarioSpec) -> ProblemBundle:
         coords = sample_feasible(omega, rng, 1, dimension=space.dimension)[0]
     else:
         coords = _vector(start, "bundle.start", space.dimension)
-    # the bundle checks x_1 in Omega, the one check of its own a document
-    # can fail, and classifies the equilibrium data
+    # the bundle derives JOmega, checks x_1 in Omega, the one check of its
+    # own a document can fail, and classifies the equilibrium data
     return _checked(
         "bundle.start",
         ProblemBundle,
-        space=space,
         omega=omega,
-        omega_dual=ConstraintSet(dual, (), Frame.DUAL),
         family=family,
         bifunctions=bifunctions,
         mixed=mixed,
@@ -592,54 +567,25 @@ class RunReport:
     capped_starts: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "outcome": self.outcome,
-            "converged": self.converged,
-            "final_point": list(self.final_point),
-            "final_norm": self.final_norm,
-            "iterations": self.iterations,
-            "audits": {name: dict(audit) for name, audit in self.audits.items()},
-            "audits_passed": self.audits_passed,
-            "wall_time": self.wall_time,
-            "rows": [dict(row) for row in self.rows],
-            "error": self.error,
-            "failed_iteration": self.failed_iteration,
-            "capped_starts": self.capped_starts,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["final_point"] = list(self.final_point)
+        doc["audits"] = {name: dict(audit) for name, audit in self.audits.items()}
+        doc["rows"] = [dict(row) for row in self.rows]
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunReport":
-        return cls(
-            scenario=doc["scenario"],
-            outcome=doc["outcome"],
-            converged=doc["converged"],
-            final_point=tuple(doc["final_point"]),
-            final_norm=doc["final_norm"],
-            iterations=doc["iterations"],
-            audits={name: dict(audit) for name, audit in doc["audits"].items()},
-            audits_passed=doc["audits_passed"],
-            wall_time=doc["wall_time"],
-            rows=tuple(dict(row) for row in doc["rows"]),
-            error=doc["error"],
-            failed_iteration=doc.get("failed_iteration"),
-            capped_starts=doc.get("capped_starts", 0),
-        )
+        """The report of a summary; a key it leaves out takes its field's default."""
+        copied = {
+            "final_point": tuple(doc["final_point"]),
+            "audits": {name: dict(audit) for name, audit in doc["audits"].items()},
+            "rows": tuple(dict(row) for row in doc["rows"]),
+        }
+        return cls(**{**doc, **copied})
 
 
 def _rows_from_history(history) -> tuple:
     return tuple({column: read(rec) for column, read in _CSV_COLUMNS} for rec in history)
-
-
-#: report outcome of each solver failure; the exception's `iteration` and
-#: `capped_starts` attributes, when set, become the report's
-#: failed_iteration and capped_starts
-_FAILURE_OUTCOMES = (
-    (UnsupportedCombinationError, "unsupported"),
-    (NonConvergedError, "non_converged"),
-    (InfeasibleError, "infeasible"),
-    (AuditError, "audit_error"),
-)
 
 
 def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
@@ -657,8 +603,10 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
         rows = _rows_from_history(result.history)
         iterations = result.iterations
         capped = sum(rec.capped_starts for rec in result.history)
-    except tuple(cls for cls, _ in _FAILURE_OUTCOMES) as exc:
-        outcome = next(name for cls, name in _FAILURE_OUTCOMES if isinstance(exc, cls))
+    except SOLVER_ERRORS as exc:
+        # the error names its outcome; its `iteration` and `capped_starts`
+        # attributes, when set, become failed_iteration and capped_starts
+        outcome = exc.outcome
         failed_iteration = getattr(exc, "iteration", None)
         capped = getattr(exc, "capped_starts", 0)
         converged = False

@@ -29,17 +29,19 @@ from .space import PrimalPoint, SpaceConfig, gauge_coords
 
 @dataclass(frozen=True)
 class RetractionProblem:
-    """Anchor point plus the dual-frame feasible set JC it is retracted onto."""
+    """Anchor point plus the dual-frame feasible set JC it is retracted onto;
+    the space is the anchor's."""
 
-    space: SpaceConfig
     dual_feasible: ConstraintSet
     anchor: PrimalPoint
 
     def __post_init__(self):
         if self.dual_feasible.frame != Frame.DUAL:
             raise ValueError("dual_feasible must be tagged with the DUAL frame")
-        if self.anchor.space != self.space:
-            raise ValueError("anchor does not live in the problem space")
+
+    @property
+    def space(self) -> SpaceConfig:
+        return self.anchor.space
 
 
 def sunny_retract(prob: RetractionProblem, tol: float = 1e-12, hint: tuple = ()) -> tuple:

@@ -107,7 +107,7 @@ class PBall:
     frame: Frame = Frame.PRIMAL
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN fails too
             raise ValueError("ball radius must be positive")
 
 
@@ -120,7 +120,7 @@ class Box:
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float).copy()
         upper = np.asarray(self.upper, dtype=float).copy()
-        if lower.shape != upper.shape or (lower > upper).any():
+        if lower.shape != upper.shape or not (lower <= upper).all():  # NaN fails too
             raise ValueError("box bounds must satisfy lower <= upper componentwise")
         lower.setflags(write=False)
         upper.setflags(write=False)

@@ -23,7 +23,7 @@ residual.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,10 +35,20 @@ from .equilibrium import (
     classify_problem,
     solve_resolvent_certified,
 )
-from .errors import AuditError, InfeasibleError, NonConvergedError, UnsupportedCombinationError
+from .errors import SOLVER_ERRORS, NonConvergedError, UnsupportedCombinationError
 from .operators import OperatorFamily
 from .retraction import RetractionProblem, retraction_vi_residual, sunny_retract
-from .sets import ConstraintSet, Frame, Halfspace, add_cut, contains, worst_violation
+from .sets import (
+    Box,
+    ConstraintSet,
+    Frame,
+    Halfspace,
+    PBall,
+    WholeSpace,
+    add_cut,
+    contains,
+    worst_violation,
+)
 from .space import PrimalPoint, SpaceConfig, gauge_coords, lyapunov_phi, pnorm
 
 
@@ -60,8 +70,9 @@ class StopReason(enum.Enum):
     ITERATION_CAP = "iteration_cap"
 
 
-def _nonnegative_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+def _int_at_least(low: int):
+    """The test of an int or numpy integer, not a bool, of at least low."""
+    return lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= low
 
 
 #: the rule of each checked config field: a test its value passes, written
@@ -70,8 +81,10 @@ _FIELD_RULES = {
     "outer_tol": (lambda v: v > 0, "must be positive"),
     "resolvent_tol": (lambda v: v > 0, "must be positive"),
     "min_r": (lambda v: v > 0, "must be positive"),
-    "max_outer": (lambda v: v >= 0, "must be nonnegative"),
-    "seed": (_nonnegative_int, "must be a nonnegative integer"),
+    "max_outer": (_int_at_least(0), "must be a nonnegative integer"),
+    "seed": (_int_at_least(0), "must be a nonnegative integer"),
+    "audit_samples": (_int_at_least(1), "must be a positive integer"),
+    "cut_cap": (_int_at_least(1), "must be a positive integer"),
 }
 
 
@@ -111,32 +124,58 @@ class SolverConfig:
         return r
 
 
+def _dual_image(base, space: SpaceConfig):
+    """The base of JOmega for Omega's base: the conjugate ball of the same
+    radius, the same box at p = 2, or the whole space; else (a box at
+    p != 2, a ball of another exponent) UnsupportedCombinationError."""
+    if isinstance(base, PBall):
+        if base.exponent != space.exponent:
+            raise UnsupportedCombinationError(
+                f"a ball of exponent {base.exponent} as Omega at p = {space.exponent}"
+            )
+        return PBall(base.radius, space.conjugate, Frame.DUAL)
+    if isinstance(base, Box):
+        if not space.is_hilbert:
+            raise UnsupportedCombinationError(
+                "box base sets are supported only at p = 2 (their dual image "
+                "is not representable otherwise)"
+            )
+        return Box(base.lower, base.upper, Frame.DUAL)
+    return WholeSpace(Frame.DUAL)
+
+
 @dataclass(frozen=True)
 class ProblemBundle:
     """Everything the outer loop needs: sets, operators, equilibrium data, anchor.
 
-    Raises ValueError unless the anchor x_1 lies in Omega, and
-    UnsupportedCombinationError when the equilibrium data fall outside the
-    resolvent's support matrix (the classification does not depend on r).
+    The space is the anchor's, and omega_dual, the dual-frame set JOmega the
+    cuts accumulate on, is derived from Omega.  Raises ValueError unless
+    the anchor x_1 lies in Omega, and UnsupportedCombinationError for an
+    Omega whose dual image is not representable or when the equilibrium
+    data fall outside the resolvent's support matrix (the classification
+    does not depend on r).
     """
 
-    space: SpaceConfig
     omega: ConstraintSet
-    omega_dual: ConstraintSet
     family: OperatorFamily
     bifunctions: tuple
     mixed: MixedTerm
     perturbation: PerturbationMap
     anchor: PrimalPoint
+    omega_dual: ConstraintSet = field(init=False)
+
+    @property
+    def space(self) -> SpaceConfig:
+        return self.anchor.space
 
     def __post_init__(self):
         object.__setattr__(self, "bifunctions", tuple(self.bifunctions))
-        if self.omega.frame != Frame.PRIMAL or self.omega_dual.frame != Frame.DUAL:
-            raise ValueError("omega must be primal-frame and omega_dual dual-frame")
-        anchor = self.anchor
-        if anchor.space != self.space:
-            raise ValueError("anchor does not live in the bundle space")
-        if not contains(self.omega, anchor.coords, 1e-9, anchor.norm, self.space.exponent):
+        if self.omega.frame != Frame.PRIMAL:
+            raise ValueError("omega must be primal-frame")
+        anchor, space = self.anchor, self.anchor.space
+        dual = ConstraintSet(_dual_image(self.omega.base, space), (), Frame.DUAL)
+        object.__setattr__(self, "omega_dual", dual)
+        if not contains(self.omega, anchor.coords, 1e-9, anchor.norm, space.exponent):
             raise ValueError("anchor x_1 must lie in Omega")
         classify_problem(
             ResolventProblem(
@@ -238,13 +277,10 @@ def _at_iteration(exc: Exception, n: int, capped: int) -> Exception:
 def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     """Execute the outer loop; returns the full audited trace.
 
-    Raises NonConvergedError / UnsupportedCombinationError from the
-    resolvent, NonConvergedError / InfeasibleError from the retraction and
-    AuditError / NonConvergedError / InfeasibleError from the retraction
-    audit (its sampler projects when it cannot pull back), each with the
-    failing iteration prepended to the message and stored as its
-    `iteration` attribute, and NonConvergedError when the accumulated cuts
-    exceed the configured cap.
+    An error of SOLVER_ERRORS raised in an iteration, NonConvergedError
+    among them when the accumulated cuts exceed the configured cap, leaves
+    with the failing iteration prepended to its message and stored as its
+    `iteration` attribute.
     A raised error's `capped_starts` attribute counts the capped gap-search
     starts of every resolvent solve that finished before it.
 
@@ -270,53 +306,45 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
 
     for n in range(1, config.max_outer + 1):
         r_n = config.r_at(n)
-        y = step_y(bundle.family, x, n)
-        if n == 1:
-            # one stream for the gap starts and one for the audit, so that a
-            # gap retry never shifts the audit's draws; they are solve work,
-            # built after the first step_y, where perfbench's set-up ends
-            gap_rng, audit_rng = map(
-                np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2)
-            )
-        problem = ResolventProblem(
-            bundle.bifunctions, bundle.mixed, bundle.perturbation, bundle.omega, r_n, y
-        )
+        # one failure boundary: a solver error of any phase leaves tagged with
+        # n; any other, such as a timing tool's from step_y, leaves as raised
         try:
+            y = step_y(bundle.family, x, n)
+            if n == 1:
+                # one stream for the gap starts and one for the audit, so that a
+                # gap retry never shifts the audit's draws; they are solve work,
+                # built after the first step_y, where perfbench's set-up ends
+                gap_rng, audit_rng = map(
+                    np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2)
+                )
+            problem = ResolventProblem(
+                bundle.bifunctions, bundle.mixed, bundle.perturbation, bundle.omega, r_n, y
+            )
             u, resolvent_gap_value, capped_starts = solve_resolvent_certified(
                 problem,
                 tol=config.resolvent_tol,
                 rng=gap_rng,
             )
-        except (NonConvergedError, UnsupportedCombinationError) as exc:
-            raise _at_iteration(exc, n, capped_total) from exc
-        capped_total += capped_starts
+            capped_total += capped_starts
 
-        diff = x.coords - u.coords
-        # pnorm reads only |diff_i|, so at u = 0 it is x's kept norm exactly
-        gap_xu = pnorm(diff, p) if u.coords.any() else x.norm
-        cut = _comparison_cut(u, x, diff, gap_xu)
-        hint = active
-        if cut is not None:
-            dual_set = add_cut(dual_set, cut)
-            if dual_set.cuts[-1] is cut:  # kept, not dominated by an old cut
-                hint = active + (cut,)
-            if len(dual_set.cuts) > config.cut_cap:
-                raise _at_iteration(
-                    NonConvergedError(f"accumulated cuts exceed the cap {config.cut_cap}"),
-                    n,
-                    capped_total,
-                )
+            diff = x.coords - u.coords
+            # pnorm reads only |diff_i|, so at u = 0 it is x's kept norm exactly
+            gap_xu = pnorm(diff, p) if u.coords.any() else x.norm
+            cut = _comparison_cut(u, x, diff, gap_xu)
+            hint = active
+            if cut is not None:
+                dual_set = add_cut(dual_set, cut)
+                if dual_set.cuts[-1] is cut:  # kept, not dominated by an old cut
+                    hint = active + (cut,)
+                if len(dual_set.cuts) > config.cut_cap:
+                    raise NonConvergedError(f"accumulated cuts exceed the cap {config.cut_cap}")
 
-        retraction_problem = RetractionProblem(space, dual_set, anchor)
-        try:
+            retraction_problem = RetractionProblem(dual_set, anchor)
             x_next, active = sunny_retract(retraction_problem, hint=hint)
-        except (NonConvergedError, InfeasibleError) as exc:
-            raise _at_iteration(exc, n, capped_total) from exc
 
-        # the one feasibility gate of J x_{n+1}: the audit and its sampler
-        # read it, and it enters the feasibility record
-        dual_gap = worst_violation(dual_set, x_next.dual_coords)
-        try:
+            # the one feasibility gate of J x_{n+1}: the audit and its sampler
+            # read it, and it enters the feasibility record
+            dual_gap = worst_violation(dual_set, x_next.dual_coords)
             retraction_residual = retraction_vi_residual(
                 retraction_problem,
                 x_next,
@@ -324,7 +352,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
                 rng=audit_rng,
                 violation=dual_gap,
             )
-        except (AuditError, NonConvergedError, InfeasibleError) as exc:
+        except SOLVER_ERRORS as exc:
             raise _at_iteration(exc, n, capped_total) from exc
         feasibility = max(worst_violation(bundle.omega, x_next.coords, x_next.norm, p), dual_gap)
 

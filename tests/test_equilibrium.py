@@ -735,6 +735,20 @@ class TestTypeInvariants:
             )
 
 
+class TestTermChecks:
+    """Each weight check is written so that NaN fails it."""
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan")])
+    def test_potential_weight_must_be_positive(self, weight):
+        with pytest.raises(ValueError, match="potential weight must be positive"):
+            QuadraticPotential(np.zeros(2), weight=weight)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan")])
+    def test_l1_weight_must_be_positive(self, weight):
+        with pytest.raises(ValueError, match="l1 weight must be positive"):
+            WeightedL1Term(weight)
+
+
 class TestSupportMatrix:
     def test_hilbert_class_accepted(self):
         assert classify_problem(_projection_problem(np.zeros(2))) == "hilbert"

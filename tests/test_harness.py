@@ -181,8 +181,15 @@ class TestStrictValidation:
         doc["config"]["mode"] = "banach"
         doc["bundle"]["base_set"] = {"kind": "box", "lower": [-1, -1], "upper": [1, 1]}
         doc["bundle"]["start"] = "random_feasible"
-        with pytest.raises(UnsupportedCombinationError):
+        with pytest.raises(UnsupportedCombinationError, match="^box base sets are supported only"):
             load_scenario(doc)
+
+    def test_integral_floats_load_as_counts(self):
+        doc = json.loads(json.dumps(TINY))
+        doc["config"].update(max_outer=5.0, audit_samples=24.0, cut_cap=500.0)
+        config = load_scenario(doc).solver_config
+        assert (config.max_outer, config.audit_samples, config.cut_cap) == (5, 24, 500)
+        assert all(type(v) is int for v in (config.max_outer, config.audit_samples, config.cut_cap))
 
     def test_unsupported_equilibrium_class_rejected_at_load(self):
         doc = json.loads(json.dumps(TINY))
@@ -262,6 +269,22 @@ def _zero_min_r(doc):
     doc["config"]["min_r"] = 0
 
 
+def _zero_audit_samples(doc):
+    doc["config"]["audit_samples"] = 0
+
+
+def _zero_cut_cap(doc):
+    doc["config"]["cut_cap"] = 0
+
+
+def _negative_max_outer(doc):
+    doc["config"]["max_outer"] = -1
+
+
+def _fractional_max_outer(doc):
+    doc["config"]["max_outer"] = 2.5
+
+
 class TestRejectedAtLoad:
     """Data that a constructor or the solver refuses is a validation error
     naming its field, at load and through the CLI, never a traceback."""
@@ -281,6 +304,10 @@ class TestRejectedAtLoad:
         (_zero_outer_tol, "config.outer_tol"),
         (_negative_resolvent_tol, "config.resolvent_tol"),
         (_zero_min_r, "config.min_r"),
+        (_zero_audit_samples, "config.audit_samples"),
+        (_zero_cut_cap, "config.cut_cap"),
+        (_negative_max_outer, "config.max_outer"),
+        (_fractional_max_outer, "config.max_outer"),
     ]
 
     @pytest.mark.parametrize("mutate, path", CASES)
@@ -387,6 +414,11 @@ class TestRulesCheckedByTheirOwners:
             (_with_config(key), _config_owner(key), value, value > 0)
             for key in ("outer_tol", "resolvent_tol", "min_r")
             for value in (5e-324, 0.0, -1e-6)
+        ),
+        *(
+            (_with_config(key), _config_owner(key), value, value >= floor)
+            for key, floor in (("audit_samples", 1), ("cut_cap", 1), ("max_outer", 0))
+            for value in (floor, floor - 1)
         ),
     ]
 

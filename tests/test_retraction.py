@@ -62,7 +62,7 @@ def _grid_minimize_h(prob, lo=-1.1, hi=1.1, steps=441):
 class TestHilbertMode:
     def test_unit_ball_metric_projection(self):
         s = SpaceConfig(2, 2.0)
-        prob = RetractionProblem(s, _dual_ball(s), PrimalPoint([2.0, 0.0], s))
+        prob = RetractionProblem(_dual_ball(s), PrimalPoint([2.0, 0.0], s))
         z, _ = sunny_retract(prob, tol=1e-10)
         np.testing.assert_allclose(z.coords, [1.0, 0.0], atol=1e-9)
 
@@ -73,7 +73,7 @@ class TestHilbertMode:
             cuts = [(rng.standard_normal(3), rng.uniform(0.1, 0.5)) for _ in range(3)]
             dual = _dual_ball(s, cuts)
             anchor = PrimalPoint(2.0 * rng.standard_normal(3), s)
-            prob = RetractionProblem(s, dual, anchor)
+            prob = RetractionProblem(dual, anchor)
             z, _ = sunny_retract(prob, tol=1e-10)
             proj = dykstra(dual, anchor.coords, tol=1e-12, max_iter=50000)
             np.testing.assert_allclose(z.coords, proj, atol=1e-6)
@@ -83,7 +83,7 @@ class TestRetractionProperties:
     def test_feasible_anchor_is_fixed(self):
         s = SpaceConfig(2, 3.0)
         anchor = PrimalPoint([0.3, -0.2], s)
-        prob = RetractionProblem(s, _dual_ball(s), anchor)
+        prob = RetractionProblem(_dual_ball(s), anchor)
         z, _ = sunny_retract(prob, tol=1e-10)
         np.testing.assert_allclose(z.coords, anchor.coords, atol=1e-8)
 
@@ -91,9 +91,9 @@ class TestRetractionProperties:
         s = SpaceConfig(3, 3.0)
         dual = _dual_ball(s, [(np.array([1.0, 0.2, 0.0]), 0.25)])
         anchor = PrimalPoint([0.9, 0.7, -0.5], s)
-        prob = RetractionProblem(s, dual, anchor)
+        prob = RetractionProblem(dual, anchor)
         z, _ = sunny_retract(prob, tol=1e-10)
-        z2, _ = sunny_retract(RetractionProblem(s, dual, z), tol=1e-10)
+        z2, _ = sunny_retract(RetractionProblem(dual, z), tol=1e-10)
         assert pnorm(z2.coords - z.coords, 2.0) <= 1e-8
 
     def test_uniqueness_across_cut_orders(self):
@@ -111,7 +111,7 @@ class TestRetractionProperties:
         for _ in range(4):
             order = rng.permutation(len(cuts))
             dual = _dual_ball(s, [cuts[i] for i in order])
-            results.append(sunny_retract(RetractionProblem(s, dual, anchor))[0].coords)
+            results.append(sunny_retract(RetractionProblem(dual, anchor))[0].coords)
         for r in results[1:]:
             assert pnorm(r - results[0], 2.0) <= 1e-12
 
@@ -120,7 +120,7 @@ class TestRetractionProperties:
         s = SpaceConfig(3, 3.0)
         dual = _dual_ball(s, [(np.array([1.0, 0.0, 0.5]), 0.3)])
         anchor = PrimalPoint([1.5, -0.4, 0.8], s)
-        prob = RetractionProblem(s, dual, anchor)
+        prob = RetractionProblem(dual, anchor)
         z, _ = sunny_retract(prob, tol=1e-10)
         rng = np.random.default_rng(21)
         from hybrideq.sets import sample_feasible
@@ -136,7 +136,7 @@ class TestVIResidual:
     def test_interior_anchor_zero_residual(self):
         s = SpaceConfig(2, 3.0)
         anchor = PrimalPoint([0.2, 0.1], s)
-        prob = RetractionProblem(s, _dual_ball(s), anchor)
+        prob = RetractionProblem(_dual_ball(s), anchor)
         res = retraction_vi_residual(prob, anchor, samples=100)
         assert res <= 1e-12
 
@@ -144,14 +144,14 @@ class TestVIResidual:
         s = SpaceConfig(2, 3.0)
         dual = _dual_ball(s, [(np.array([1.0, 0.0]), 0.0)])
         anchor = PrimalPoint([0.8, 0.8], s)
-        prob = RetractionProblem(s, dual, anchor)
+        prob = RetractionProblem(dual, anchor)
         z, _ = sunny_retract(prob, tol=1e-10)
         res = retraction_vi_residual(prob, z, samples=300, rng=np.random.default_rng(1))
         assert res <= 1e-6
 
     def test_wrong_point_flagged(self):
         s = SpaceConfig(2, 2.0)
-        prob = RetractionProblem(s, _dual_ball(s), PrimalPoint([2.0, 0.0], s))
+        prob = RetractionProblem(_dual_ball(s), PrimalPoint([2.0, 0.0], s))
         wrong = PrimalPoint([0.0, 1.0], s)
         res = retraction_vi_residual(prob, wrong, samples=200, rng=np.random.default_rng(2))
         assert res > 0.5
@@ -161,7 +161,7 @@ class TestVIResidual:
         # sampler's pull-back, as the one computed inside does
         s = SpaceConfig(3, 3.0)
         dual = _dual_ball(s, [(np.array([1.0, 0.5, 0.0]), 0.1), (np.array([0.0, 1.0, -1.0]), 0.2)])
-        prob = RetractionProblem(s, dual, PrimalPoint([0.9, 0.7, -0.3], s))
+        prob = RetractionProblem(dual, PrimalPoint([0.9, 0.7, -0.3], s))
         z, _ = sunny_retract(prob)
         own = retraction_vi_residual(prob, z, samples=50, rng=np.random.default_rng(5))
         gap = worst_violation(dual, z.dual_coords)
@@ -174,7 +174,7 @@ class TestVIResidual:
 
     def test_infeasible_point_rejected(self):
         s = SpaceConfig(2, 2.0)
-        prob = RetractionProblem(s, _dual_ball(s), PrimalPoint([2.0, 0.0], s))
+        prob = RetractionProblem(_dual_ball(s), PrimalPoint([2.0, 0.0], s))
         with pytest.raises(ValueError):
             retraction_vi_residual(prob, PrimalPoint([2.0, 2.0], s), samples=10)
 
@@ -184,7 +184,7 @@ class TestBanachModeOracle:
         s = SpaceConfig(2, 3.0)
         dual = _dual_ball(s, [(np.array([1.0, 0.0]), 0.0)])  # q-ball ∩ {w_1 <= 0}
         anchor = PrimalPoint([1.0, 1.0], s)
-        prob = RetractionProblem(s, dual, anchor)
+        prob = RetractionProblem(dual, anchor)
         z, _ = sunny_retract(prob, tol=1e-10)
         res = retraction_vi_residual(prob, z, samples=400, rng=np.random.default_rng(3))
         assert res <= 1e-6
@@ -197,7 +197,7 @@ class TestBanachModeOracle:
         s = SpaceConfig(2, 3.0)
         primal = ConstraintSet(PBall(1.0, 3.0, Frame.PRIMAL), (), Frame.PRIMAL)
         with pytest.raises(ValueError):
-            RetractionProblem(s, primal, PrimalPoint([0.0, 0.0], s))
+            RetractionProblem(primal, PrimalPoint([0.0, 0.0], s))
 
 
 def _gate(v):
@@ -220,14 +220,14 @@ class TestExactEngine:
             ]
             dual = _dual_ball(s, cuts)
             anchor = PrimalPoint(2.0 * rng.standard_normal(d), s)
-            prob = RetractionProblem(s, dual, anchor)
+            prob = RetractionProblem(dual, anchor)
             w, resid, _ = _generalized_projection(dual, anchor.coords, p, 1e-12)
             assert resid <= _gate(anchor.coords), f"case {case}: KKT residual {resid:.2e}"
             z, _ = sunny_retract(prob)
             np.testing.assert_array_equal(z.coords, gauge_coords(w, s.conjugate))
             vi = retraction_vi_residual(prob, z, samples=100, rng=np.random.default_rng(case))
             assert vi <= 1e-9, f"case {case}: VI residual {vi:.2e}"
-            z2, _ = sunny_retract(RetractionProblem(s, dual, z))
+            z2, _ = sunny_retract(RetractionProblem(dual, z))
             assert pnorm(z2.coords - z.coords, 2.0) <= 1e-9, f"case {case}: idempotence"
             refs = sample_feasible(
                 dual, np.random.default_rng([case, 1]), 20, dimension=d, anchor=w
@@ -292,6 +292,6 @@ class TestExactEngine:
                     dual.cuts,
                     Frame.DUAL,
                 )
-                prob = RetractionProblem(space, dual, PrimalPoint([0.5, 0.5], space))
+                prob = RetractionProblem(dual, PrimalPoint([0.5, 0.5], space))
                 with pytest.raises(InfeasibleError):
                     sunny_retract(prob)

@@ -961,6 +961,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             PBall(0.0, 2.0)
 
+    def test_nan_radius_and_bounds_rejected(self):
+        # each check is written so that NaN fails it
+        with pytest.raises(ValueError, match="radius must be positive"):
+            PBall(float("nan"), 2.0)
+        for lower, upper in (([np.nan], [1.0]), ([0.0], [np.nan])):
+            with pytest.raises(ValueError, match="lower <= upper"):
+                Box(lower, upper)
+
     def test_cut_frames_must_match(self):
         with pytest.raises(ValueError):
             ConstraintSet(PBall(1.0, 2.0), (Halfspace([1.0], 0.0, Frame.DUAL),))

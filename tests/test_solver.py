@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from hybrideq import (
+    AuditError,
+    Box,
     ConstraintSet,
     Frame,
     Halfspace,
@@ -26,6 +28,7 @@ from hybrideq import (
     SpaceConfig,
     StopReason,
     UnsupportedCombinationError,
+    WholeSpace,
     audit_result,
     make_comparison_halfspace,
     run,
@@ -55,15 +58,12 @@ H2 = SpaceConfig(2, 2.0)
 def _lp_bundle(d=8, p=3.0, anchor=None, relax=0.5, weights=(0.5, 0.5)):
     space = SpaceConfig(d, p)
     omega = ConstraintSet(PBall(1.0, p), (), Frame.PRIMAL)
-    omega_dual = ConstraintSet(PBall(1.0, space.conjugate, Frame.DUAL), (), Frame.DUAL)
     family = OperatorFamily(
         [RelaxedFamily(ShiftMap(space), lambda n: relax)], lambda n: weights
     )
     coords = np.zeros(d) if anchor is None else np.asarray(anchor, dtype=float)
     return ProblemBundle(
-        space=space,
         omega=omega,
-        omega_dual=omega_dual,
         family=family,
         bifunctions=(PairingBifunction(InverseDualityPairing(space)),),
         mixed=DualNormTerm(space.conjugate),
@@ -190,13 +190,11 @@ class TestRun:
     def test_anchor_outside_omega_rejected(self):
         space = SpaceConfig(2, 2.0)
         omega = ConstraintSet(PBall(1.0, 2.0), (), Frame.PRIMAL)
-        omega_dual = ConstraintSet(PBall(1.0, 2.0, Frame.DUAL), (), Frame.DUAL)
         fam = OperatorFamily([RelaxedFamily(ShiftMap(space), lambda n: 0.5)])
         with pytest.raises(ValueError, match="x_1 must lie in Omega"):
             ProblemBundle(
-                space=space, omega=omega, omega_dual=omega_dual, family=fam,
-                bifunctions=(), mixed=ZeroTerm(), perturbation=ZeroPerturbation(),
-                anchor=PrimalPoint([2.0, 0.0], space),
+                omega=omega, family=fam, bifunctions=(), mixed=ZeroTerm(),
+                perturbation=ZeroPerturbation(), anchor=PrimalPoint([2.0, 0.0], space),
             )
 
     def test_cut_cap_overflow_raises(self):
@@ -205,8 +203,11 @@ class TestRun:
         start = 0.8 * start / pnorm(start, 3.0)
         bundle = _lp_bundle(anchor=start)
         config = SolverConfig(mode=Mode.BANACH_MAIN2, max_outer=50, cut_cap=3)
-        with pytest.raises(NonConvergedError):
+        with pytest.raises(NonConvergedError) as err:
             run(bundle, config)
+        # tagged inside the iteration's failure boundary like every other phase
+        n = err.value.iteration
+        assert n >= 4 and str(err.value) == f"iteration {n}: accumulated cuts exceed the cap 3"
 
     def test_r_schedule_floor_enforced(self):
         bundle = _lp_bundle(anchor=np.zeros(8))
@@ -235,7 +236,9 @@ class TestRun:
 class TestConfigChecks:
     """Each of SolverConfig's checks is written so that NaN fails it."""
 
-    @pytest.mark.parametrize("field", ["outer_tol", "resolvent_tol", "min_r", "max_outer"])
+    @pytest.mark.parametrize(
+        "field", ["outer_tol", "resolvent_tol", "min_r", "max_outer", "audit_samples", "cut_cap"]
+    )
     def test_nan_field_rejected(self, field):
         with pytest.raises(ValueError) as err:
             SolverConfig(mode=Mode.BANACH_MAIN2, **{field: float("nan")})
@@ -252,12 +255,155 @@ class TestConfigChecks:
     def test_nonnegative_int_seeds_accepted(self, seed):
         assert SolverConfig(mode=Mode.BANACH_MAIN2, seed=seed).seed == seed
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # 0 audited nothing and passed with worst = -inf, -1 escaped the
+            # run as numpy's bare ValueError
+            ("audit_samples", 0),
+            ("audit_samples", -1),
+            ("audit_samples", True),
+            ("audit_samples", 24.0),
+            ("cut_cap", 0),
+            ("cut_cap", 2.0),
+            ("max_outer", 2.5),  # a TypeError from range in the run
+            ("max_outer", -1),
+            ("max_outer", True),
+        ],
+    )
+    def test_a_count_that_breaks_its_rule_fails_when_built(self, field, value):
+        config = load_scenario("lp_shift_example").solver_config
+        rule = f"^{field} must be a (positive|nonnegative) integer, "
+        with pytest.raises(ValueError, match=rule) as err:
+            dataclasses.replace(config, **{field: value})
+        assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("audit_samples", 1), ("cut_cap", 1), ("max_outer", 0), ("cut_cap", np.int64(9))],
+    )
+    def test_counts_at_their_floor_accepted(self, field, value):
+        assert getattr(SolverConfig(mode=Mode.BANACH_MAIN2, **{field: value}), field) == value
+
     def test_nan_r_schedule_stops_the_run_at_its_floor_check(self):
         # without the check, NaN reached PrimalPoint's finiteness check
         bundle = load_scenario("lp_shift_example").problem
         config = SolverConfig(mode=Mode.BANACH_MAIN2, r_schedule=float("nan"))
         with pytest.raises(ValueError, match="must be at least the floor"):
             run(bundle, config)
+
+
+def _same_set(a, b):
+    """a and b have the same frame, base type and base fields, compared by
+    value, and no cuts."""
+    assert a.frame == b.frame and a.cuts == b.cuts == ()
+    assert type(a.base) is type(b.base)
+    for f in dataclasses.fields(a.base):
+        left, right = getattr(a.base, f.name), getattr(b.base, f.name)
+        assert type(left) is type(right) and np.array_equal(left, right), f.name
+
+
+def _plain_bundle(omega, space):
+    return ProblemBundle(
+        omega=omega,
+        family=OperatorFamily([RelaxedFamily(ShiftMap(space), lambda n: 0.5)]),
+        bifunctions=(PairingBifunction(InverseDualityPairing(space)),),
+        mixed=DualNormTerm(space.conjugate),
+        perturbation=DualityPerturbation(space),
+        anchor=PrimalPoint(np.zeros(space.dimension), space),
+    )
+
+
+class TestBundleDerivesItsDualSet:
+    """The bundle's space is the anchor's and JOmega is derived from Omega,
+    from the numbers the scenario loader used to build it with."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 10.0])
+    def test_a_ball_maps_to_the_conjugate_ball(self, p):
+        space = SpaceConfig(3, p)
+        bundle = _plain_bundle(ConstraintSet(PBall(2.5, p)), space)
+        assert bundle.space is bundle.anchor.space
+        image = PBall(2.5, space.conjugate, Frame.DUAL)
+        _same_set(bundle.omega_dual, ConstraintSet(image, (), Frame.DUAL))
+
+    def test_a_box_maps_to_itself_at_p_2(self):
+        lower, upper = [-5.0, -1.0, 0.0], [5.0, 2.0, 0.5]
+        bundle = _plain_bundle(ConstraintSet(Box(lower, upper)), SpaceConfig(3, 2.0))
+        _same_set(bundle.omega_dual, ConstraintSet(Box(lower, upper, Frame.DUAL), (), Frame.DUAL))
+
+    def test_the_whole_space_maps_to_itself(self):
+        bundle = _plain_bundle(ConstraintSet(WholeSpace()), SpaceConfig(3, 2.0))
+        _same_set(bundle.omega_dual, ConstraintSet(WholeSpace(Frame.DUAL), (), Frame.DUAL))
+
+    def test_replacing_omega_derives_its_image_again(self):
+        bundle = _plain_bundle(ConstraintSet(PBall(1.0, 2.0)), H2)
+        wider = dataclasses.replace(bundle, omega=ConstraintSet(PBall(3.0, 2.0)))
+        assert wider.omega_dual.base.radius == 3.0
+
+    def test_space_and_dual_set_are_not_inputs(self):
+        bundle = _plain_bundle(ConstraintSet(PBall(1.0, 2.0)), H2)
+        inputs = {f.name: getattr(bundle, f.name) for f in dataclasses.fields(bundle) if f.init}
+        assert sorted(inputs) == sorted(
+            ["omega", "family", "bifunctions", "mixed", "perturbation", "anchor"]
+        )
+        for name, value in (("space", H2), ("omega_dual", bundle.omega_dual)):
+            with pytest.raises(TypeError):
+                ProblemBundle(**inputs, **{name: value})
+
+    def test_a_box_off_p_2_is_refused_when_built(self):
+        with pytest.raises(UnsupportedCombinationError, match="^box base sets are supported only"):
+            _plain_bundle(ConstraintSet(Box(-np.ones(3), np.ones(3))), SpaceConfig(3, 3.0))
+
+    def test_a_ball_of_another_exponent_is_refused_when_built(self):
+        with pytest.raises(UnsupportedCombinationError, match="^a ball of exponent 2.0 as Omega"):
+            _plain_bundle(ConstraintSet(PBall(2.0, 2.0)), SpaceConfig(3, 3.0))
+
+
+class TestOneFailureBoundary:
+    """A solver error of any phase of an iteration leaves run tagged with
+    that iteration, and names the report outcome."""
+
+    @pytest.mark.parametrize(
+        "phase", ["solve_resolvent_certified", "sunny_retract", "retraction_vi_residual"]
+    )
+    @pytest.mark.parametrize(
+        "error, outcome",
+        [
+            (UnsupportedCombinationError, "unsupported"),
+            (NonConvergedError, "non_converged"),
+            (InfeasibleError, "infeasible"),
+            (AuditError, "audit_error"),
+        ],
+    )
+    def test_each_phase_error_carries_its_iteration(self, monkeypatch, phase, error, outcome):
+        real = getattr(solver_module, phase)
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise error("phase failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, phase, failing_second)
+        report = run_scenario(load_scenario("lp_shift_example"))
+        assert report.outcome == outcome
+        assert report.failed_iteration == 2
+        assert report.error == "iteration 2: phase failed"
+
+    def test_other_errors_pass_untagged(self, monkeypatch):
+        # a timing tool that ends a pass at the first step_y raises its own
+        # exception there, which must leave run as it was raised
+        class Stop(Exception):
+            pass
+
+        def stop(*args):
+            raise Stop("set-up done")
+
+        monkeypatch.setattr(solver_module, "step_y", stop)
+        with pytest.raises(Stop) as err:
+            run(_lp_bundle(), SolverConfig(mode=Mode.BANACH_MAIN2))
+        assert str(err.value) == "set-up done" and not hasattr(err.value, "iteration")
 
 
 class TestIterationHook:
@@ -608,12 +754,11 @@ class TestResolventPointWork:
             assert run_seen[("norm", x_next.coords.tobytes())] <= 1, rec.n
         assert run_seen[("norm", bundle.anchor.coords.tobytes())] <= 1
 
-    @pytest.mark.parametrize("p, e", [(1.5, 3.0), (3.0, 10.0)])
-    def test_records_equal_the_formulas_off_the_kept_norms(self, monkeypatch, p, e):
-        # r = 0.3 makes u nonzero, where gap_xu is not x's norm, and Omega
-        # is a ball of another exponent, whose checks cannot read a kept p-norm
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_records_equal_the_formulas_off_the_kept_norms(self, monkeypatch, p):
+        # r = 0.3 makes u nonzero, where gap_xu is not x's norm; each Omega
+        # check that reads a kept p-norm equals the check without it
         bundle, config = _banach_run_inputs(p)
-        bundle = dataclasses.replace(bundle, omega=ConstraintSet(PBall(1.0, e), (), Frame.PRIMAL))
         config = dataclasses.replace(config, r_schedule=0.3)
         real = sets_module.worst_violation
         kept = []
