@@ -1,7 +1,6 @@
 """Hybrid shrinking-projection solver for generalized mixed equilibrium
 problems and common J-fixed points of nonexpansive-type operator families,
-in finite-dimensional p-norm spaces (Banach mode) and Euclidean space
-(Hilbert mode)."""
+in finite-dimensional p-norm spaces, Euclidean space (p = 2) among them."""
 
 from .equilibrium import (
     AffineMap,
@@ -44,9 +43,7 @@ from .operators import (
     OperatorFamily,
     RelaxedFamily,
     ShiftMap,
-    apply_member,
     jstar_nonexpansive_violation,
-    nst_diagnostic,
 )
 from .retraction import RetractionProblem, retraction_vi_residual, sunny_retract
 from .sets import (
@@ -63,13 +60,11 @@ from .sets import (
 )
 from .solver import (
     IterationRecord,
-    Mode,
     ProblemBundle,
     SolverConfig,
     SolverResult,
     StopReason,
     audit_result,
-    make_comparison_halfspace,
     run,
     step_y,
 )

@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--max-iter", type=int, default=None, help="override max outer iterations")
     solve.add_argument("--tol", type=float, default=None, help="override outer tolerance")
     solve.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    solve.add_argument("--mode", choices=("hilbert", "banach"), default=None, help="override mode")
 
     verify = sub.add_parser("verify", help="run only the invariant audit suite of a scenario")
     verify.add_argument("--scenario", required=True)
@@ -50,8 +49,6 @@ def _load_with_overrides(args) -> "ScenarioSpec":
             config["max_outer"] = args.max_iter
         if getattr(args, "tol", None) is not None:
             config["outer_tol"] = args.tol
-        if getattr(args, "mode", None) is not None:
-            config["mode"] = args.mode
         if args.seed is not None:
             doc["seed"] = args.seed
     return load_scenario(doc, handed_over=True)

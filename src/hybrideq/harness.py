@@ -7,7 +7,7 @@ scenarios define the reproducible surface of the package:
 * ``lp_shift_example``   - the shift map on the unit ball of R^8 with the
   3-norm, pairing bifunction g = J*, dual-norm mixed term, perturbation
   A = J; the solution set is the origin.
-* ``hilbert_family``     - Euclidean mode with two relaxed shift members and
+* ``hilbert_family``     - Euclidean space with two relaxed shift members and
   a trivial equilibrium part; the target is again the origin.
 * ``optimization_app``   - Euclidean box-constrained minimization of
   0.5 |x - b|^2 + lambda |x|_1 via the potential bifunction reduction; the
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .operators import JMap, OperatorFamily, RelaxedFamily, ShiftMap
 from .sets import Box, ConstraintSet, PBall, WholeSpace, sample_feasible
-from .solver import Mode, ProblemBundle, SolverConfig, audit_result, run
+from .solver import ProblemBundle, SolverConfig, audit_result, run
 from .space import PrimalPoint, SpaceConfig, kept
 
 #: the per-iteration CSV's columns, in order, each with the history-record
@@ -201,11 +201,10 @@ def _matrix(val, path, dimension) -> np.ndarray:
     return np.array([_vector(row, f"{path}[{i}]", dimension) for i, row in enumerate(val)])
 
 
-def _mode(val, path) -> Mode:
-    try:
-        return Mode(val)
-    except ValueError:
+def _mode(val, path) -> str:
+    if val not in ("hilbert", "banach"):
         _fail(path, f"must be 'hilbert' or 'banach', got {val!r}")
+    return val
 
 
 def _checked(path: str, call, *args, **kwargs):
@@ -320,12 +319,13 @@ def _build_kind(table: dict, desc, path: str, space: SpaceConfig):
 
 
 #: config key -> check, which takes (value, path); a key the document leaves
-#: out takes SolverConfig's default, and mode defaults to 'hilbert'.  The
-#: sign rules of outer_tol, resolvent_tol, min_r, max_outer, audit_samples
-#: and cut_cap are SolverConfig's
+#: out takes SolverConfig's default.  The rules of r (its floor min_r),
+#: outer_tol, resolvent_tol, min_r, max_outer, audit_samples and cut_cap are
+#: SolverConfig's
 _CONFIG_FIELDS = {
+    # checked, then dropped: one loop runs every exponent, and the space decides
     "mode": _mode,
-    "r": _positive,
+    "r": _number,
     "outer_tol": _number,
     "max_outer": _integer,
     "resolvent_tol": _number,
@@ -456,8 +456,7 @@ def load_scenario(source, *, handed_over: bool = False) -> ScenarioSpec:
 def build_config(spec: ScenarioSpec) -> SolverConfig:
     """The solver configuration, checking each config field as it is read.
 
-    Raises ScenarioValidationError naming the offending field, and
-    UnsupportedCombinationError for mode 'hilbert' at an exponent other than 2.
+    Raises ScenarioValidationError naming the offending field.
     """
     _require_keys(spec.config, _CONFIG_FIELDS, (), "config")
     cfg = {
@@ -465,20 +464,17 @@ def build_config(spec: ScenarioSpec) -> SolverConfig:
         for key, check in _CONFIG_FIELDS.items()
         if key in spec.config
     }
+    cfg.pop("mode", None)
     cfg.pop("retraction_tol", None)
     if "r" in cfg:
         cfg["r_schedule"] = cfg.pop("r")
-    mode = cfg.pop("mode", Mode.HILBERT_MAIN)
     space = spec.problem.space
-    mode.check_space(space)
     reference = spec.bundle.get("reference_solution")
     if reference is not None:
         reference = PrimalPoint(
             _vector(reference, "bundle.reference_solution", space.dimension), space
         )
-    config = _checked(
-        "config", SolverConfig, mode, reference_solution=reference, seed=spec.seed, **cfg
-    )
+    config = _checked("config", SolverConfig, reference_solution=reference, seed=spec.seed, **cfg)
     _checked("config.r", config.r_at, 1)  # r is constant: one call checks every n
     return config
 

@@ -21,7 +21,6 @@ from .space import (
     SpaceConfig,
     gauge_coords,
     lyapunov_phi,
-    pnorm,
 )
 
 
@@ -38,10 +37,6 @@ class ShiftMap:
         shifted = np.concatenate(([0.0], x.coords[:-1]))
         return DualPoint(gauge_coords(shifted, self.space.exponent), self.space)
 
-    @property
-    def known_j_fixed_points(self):
-        return [PrimalPoint(np.zeros(self.space.dimension), self.space)]
-
 
 @dataclass(frozen=True)
 class JMap:
@@ -52,10 +47,6 @@ class JMap:
     def apply(self, x: PrimalPoint) -> DualPoint:
         return DualPoint(x.dual_coords, self.space)
 
-    @property
-    def known_j_fixed_points(self):
-        return []
-
 
 @dataclass(frozen=True)
 class CustomMap:
@@ -63,14 +54,9 @@ class CustomMap:
 
     space: SpaceConfig
     fn: Callable[[PrimalPoint], DualPoint]
-    fixed_points: tuple = ()
 
     def apply(self, x: PrimalPoint) -> DualPoint:
         return self.fn(x)
-
-    @property
-    def known_j_fixed_points(self):
-        return list(self.fixed_points)
 
 
 @dataclass(frozen=True)
@@ -142,13 +128,6 @@ class OperatorFamily:
         return w
 
 
-def apply_member(fam: OperatorFamily, i: int, n: int, x: PrimalPoint) -> DualPoint:
-    """T^i_n x for the 1-indexed member i at iteration n."""
-    if not (1 <= i <= fam.size):
-        raise IndexError(f"member index {i} out of range 1..{fam.size}")
-    return fam.members[i - 1].apply_at(n, x)
-
-
 def jstar_nonexpansive_violation(
     jmap,
     fixed_point: PrimalPoint,
@@ -173,30 +152,3 @@ def jstar_nonexpansive_violation(
         jtx = PrimalPoint(gauge_coords(tx.coords, q), space)
         worst = max(worst, lyapunov_phi(fixed_point, jtx) - lyapunov_phi(fixed_point, x))
     return worst
-
-
-def nst_diagnostic(fam: OperatorFamily, trajectory: Sequence[PrimalPoint]) -> tuple:
-    """Tail residuals (max |Jx_n - T^i_n x_n|_q, max |Jx_n - T_i x_n|_q).
-
-    The tail is the last quarter of the trajectory.  Whenever the first
-    component shrinks the second must too, with ratio at most
-    1 / (1 - a_n) <= 2 by the relaxed-family identity.
-    """
-    if not trajectory:
-        return (0.0, 0.0)
-    space = fam.space
-    q = space.conjugate
-    member_res, base_res = [], []
-    for idx, x in enumerate(trajectory):
-        n = idx + 1
-        jx = x.dual_coords
-        worst_member, worst_base = 0.0, 0.0
-        for member in fam.members:
-            tnx = member.apply_at(n, x).coords
-            tx = member.base.apply(x).coords
-            worst_member = max(worst_member, pnorm(jx - tnx, q))
-            worst_base = max(worst_base, pnorm(jx - tx, q))
-        member_res.append(worst_member)
-        base_res.append(worst_base)
-    tail = max(1, len(trajectory) // 4)
-    return (max(member_res[-tail:]), max(base_res[-tail:]))

@@ -9,8 +9,7 @@ frame via w = Jz (phi(u_n, z) <= phi(x_n, z)) and the retraction is the
 sunny generalized nonexpansive retraction computed in dual coordinates.
 At p = 2, J is the identity and phi is symmetric, so the same formulas are
 the Hilbert ones and the retraction is the Euclidean projection of the
-anchor.  The Mode label records which setting a scenario declares;
-HILBERT_MAIN requires p = 2.
+anchor.
 
 Every proof inequality of the convergence argument is evaluated each
 iteration and its slack stored on the IterationRecord: anchor
@@ -52,19 +51,6 @@ from .sets import (
 from .space import PrimalPoint, SpaceConfig, gauge_coords, lyapunov_phi, pnorm
 
 
-class Mode(enum.Enum):
-    """The setting a scenario declares; both run the same loop, and
-    HILBERT_MAIN additionally requires p = 2."""
-
-    HILBERT_MAIN = "hilbert"
-    BANACH_MAIN2 = "banach"
-
-    def check_space(self, space: SpaceConfig) -> None:
-        """UnsupportedCombinationError unless this mode can run in space."""
-        if self is Mode.HILBERT_MAIN and not space.is_hilbert:
-            raise UnsupportedCombinationError("mode 'hilbert' requires exponent 2")
-
-
 class StopReason(enum.Enum):
     CONVERGED = "converged"
     ITERATION_CAP = "iteration_cap"
@@ -90,7 +76,6 @@ _FIELD_RULES = {
 
 @dataclass(frozen=True)
 class SolverConfig:
-    mode: Mode
     r_schedule: Callable[[int], float] | float = 1.0
     outer_tol: float = 1e-6
     max_outer: int = 200
@@ -244,20 +229,15 @@ def step_y(family: OperatorFamily, x: PrimalPoint, n: int) -> PrimalPoint:
     return PrimalPoint(acc, space)
 
 
-def make_comparison_halfspace(
-    u: PrimalPoint, x: PrimalPoint, space: SpaceConfig
+def _comparison_cut(
+    u: PrimalPoint, x: PrimalPoint, diff: np.ndarray, gap: float
 ) -> Optional[Halfspace]:
-    """The comparison inequality between u_n and x_n as a dual-frame cut.
+    """The comparison inequality between u_n and x_n as a dual-frame cut,
+    given diff = x - u and gap = |diff|_p.
 
     phi(u, z) <= phi(x, z) becomes <2(x - u), w> <= |x|^2 - |u|^2 for
     w = Jz.  Returns None for the degenerate u = x whole-space cut.
     """
-    diff = x.coords - u.coords
-    return _comparison_cut(u, x, diff, pnorm(diff, space.exponent))
-
-
-def _comparison_cut(u: PrimalPoint, x: PrimalPoint, diff: np.ndarray, gap: float):
-    """make_comparison_halfspace given diff = x - u and gap = |diff|_p."""
     if gap <= 1e-14:
         return None
     nx, nu = x.norm, u.norm
@@ -288,9 +268,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     two generators spawned once per run from the seed,
     SeedSequence(config.seed).spawn(2), in that order.
     """
-    space = bundle.space
-    config.mode.check_space(space)
-    p = space.exponent
+    p = bundle.space.exponent
     anchor = bundle.anchor
     reference = config.reference_solution
     dual_set = bundle.omega_dual

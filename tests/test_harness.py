@@ -13,7 +13,6 @@ import pytest
 
 from hybrideq import (
     BUILTIN_SCENARIOS,
-    Mode,
     NonConvergedError,
     OperatorFamily,
     PrimalPoint,
@@ -27,7 +26,6 @@ from hybrideq import (
     build_bundle,
     emit_report,
     load_scenario,
-    run,
     run_scenario,
 )
 from hybrideq.cli import main as cli_main
@@ -169,12 +167,6 @@ class TestStrictValidation:
         with pytest.raises(ScenarioValidationError):
             load_scenario(doc)
 
-    def test_hilbert_mode_needs_p2(self):
-        doc = json.loads(json.dumps(TINY))
-        doc["space"]["exponent"] = 3.0
-        with pytest.raises(UnsupportedCombinationError):
-            load_scenario(doc)
-
     def test_banach_box_rejected(self):
         doc = json.loads(json.dumps(TINY))
         doc["space"]["exponent"] = 3.0
@@ -220,6 +212,14 @@ def _affine_perturbation(doc):
 
 def _r_below_min_r(doc):
     doc["config"]["r"] = 1e-4  # the default min_r is 1e-3
+
+
+def _misspelled_mode(doc):
+    doc["config"]["mode"] = "euclidean"  # spell-checked, then dropped
+
+
+def _zero_r(doc):
+    doc["config"]["r"] = 0  # refused by SolverConfig.r_at's floor, its one rule
 
 
 def _exponent_out_of_band(doc):
@@ -308,6 +308,8 @@ class TestRejectedAtLoad:
         (_zero_cut_cap, "config.cut_cap"),
         (_negative_max_outer, "config.max_outer"),
         (_fractional_max_outer, "config.max_outer"),
+        (_zero_r, "config.r"),
+        (_misspelled_mode, "config.mode"),
     ]
 
     @pytest.mark.parametrize("mutate, path", CASES)
@@ -365,7 +367,7 @@ def _start_owner(bundle, value):
 
 
 def _r_owner(bundle, value):
-    SolverConfig(Mode.HILBERT_MAIN, r_schedule=value).r_at(1)
+    SolverConfig(r_schedule=value).r_at(1)
 
 
 def _with_seed(doc, value):
@@ -373,7 +375,7 @@ def _with_seed(doc, value):
 
 
 def _seed_owner(bundle, value):
-    SolverConfig(Mode.HILBERT_MAIN, seed=value)
+    SolverConfig(seed=value)
 
 
 def _with_config(key):
@@ -385,7 +387,7 @@ def _with_config(key):
 
 def _config_owner(key):
     def owner(bundle, value):
-        SolverConfig(Mode.HILBERT_MAIN, **{key: value})
+        SolverConfig(**{key: value})
 
     return owner
 
@@ -420,6 +422,10 @@ class TestRulesCheckedByTheirOwners:
             for key, floor in (("audit_samples", 1), ("cut_cap", 1), ("max_outer", 0))
             for value in (floor, floor - 1)
         ),
+        # r_at's floor is r's one rule: no sign check of the schema's runs first
+        (_with_r, _r_owner, 5e-324, False),
+        (_with_r, _r_owner, 0.0, False),
+        (_with_r, _r_owner, -1.0, False),
     ]
 
     @pytest.mark.parametrize("mutate, owner, value, accepted", CASES)
@@ -440,15 +446,35 @@ class TestRulesCheckedByTheirOwners:
         assert loaded == owned == accepted
 
 
-    def test_load_and_run_refuse_hilbert_mode_off_exponent_2_alike(self):
+class TestModeKey:
+    """config.mode is spell-checked and then dropped: one loop runs every
+    exponent, and the space decides."""
+
+    @staticmethod
+    def _solve(tmp_path, label, mode):
         doc = json.loads(json.dumps(BUILTIN_SCENARIOS["lp_shift_example"]))  # p = 3
-        doc["config"]["mode"] = "hilbert"
-        with pytest.raises(UnsupportedCombinationError) as at_load:
-            load_scenario(doc)
-        bundle = load_scenario("lp_shift_example").problem
-        with pytest.raises(UnsupportedCombinationError) as at_run:
-            run(bundle, SolverConfig(Mode.HILBERT_MAIN))
-        assert str(at_load.value) == str(at_run.value) == "mode 'hilbert' requires exponent 2"
+        doc["config"]["max_outer"] = 5
+        if mode is None:
+            del doc["config"]["mode"]
+        else:
+            doc["config"]["mode"] = mode
+        scenario = tmp_path / f"{label}.json"
+        scenario.write_text(json.dumps(doc))
+        code = cli_main(["solve", "--scenario", str(scenario), "--out", str(tmp_path / label)])
+        return code, (tmp_path / label / "lp_shift_example_iterations.csv").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["hilbert", None])
+    def test_p3_document_runs_as_it_does_with_banach(self, tmp_path, capsys, mode):
+        banach = self._solve(tmp_path, "banach", "banach")
+        assert banach[0] == 3 and banach[1].count(b"\n") == 6  # header and 5 capped rows
+        assert self._solve(tmp_path, "other", mode) == banach
+        assert capsys.readouterr().err == ""
+
+    def test_cli_has_no_mode_option(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli_main(["solve", "--scenario", "lp_shift_example", "--mode", "banach"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --mode banach" in capsys.readouterr().err
 
 
 class TestRunScenario:

@@ -14,10 +14,8 @@ from hybrideq import (
     RelaxedFamily,
     ShiftMap,
     SpaceConfig,
-    apply_member,
     jstar_nonexpansive_violation,
     lyapunov_phi,
-    nst_diagnostic,
 )
 from hybrideq.space import DualPoint, gauge_coords, inverse_duality_map, pnorm
 
@@ -46,37 +44,25 @@ class TestShiftMap:
         jz = gauge_coords(zero.coords, 3.0)
         np.testing.assert_allclose(t.apply(zero).coords, jz)
 
-    def test_declared_fixed_points(self):
-        t = ShiftMap(B8)
-        assert len(t.known_j_fixed_points) == 1
-        assert np.all(t.known_j_fixed_points[0].coords == 0.0)
-
 
 class TestApplyMember:
     def test_hilbert_half_weights_example(self):
         fam = _family(H3, [("shift", 0.5)])
-        out = apply_member(fam, 1, 1, PrimalPoint([1.0, 2.0, 3.0], H3))
+        out = fam.members[0].apply_at(1, PrimalPoint([1.0, 2.0, 3.0], H3))
         np.testing.assert_allclose(out.coords, [0.5, 1.5, 2.5])
 
     def test_fixed_point_maps_to_its_j_image(self):
         fam = _family(B8, [("shift", 0.5)])
         zero = PrimalPoint(np.zeros(8), B8)
-        out = apply_member(fam, 1, 3, zero)
+        out = fam.members[0].apply_at(3, zero)
         np.testing.assert_allclose(out.coords, np.zeros(8), atol=1e-15)
 
     def test_j_map_member_returns_j_image(self):
         fam = _family(B8, [("duality", 0.5)])
         rng = np.random.default_rng(0)
         x = PrimalPoint(rng.uniform(-0.4, 0.4, 8), B8)
-        out = apply_member(fam, 1, 2, x)
+        out = fam.members[0].apply_at(2, x)
         np.testing.assert_allclose(out.coords, gauge_coords(x.coords, 3.0), atol=1e-14)
-
-    def test_index_out_of_range(self):
-        fam = _family(H3, [("shift", 0.5)])
-        with pytest.raises(IndexError):
-            apply_member(fam, 2, 1, PrimalPoint(np.zeros(3), H3))
-        with pytest.raises(IndexError):
-            apply_member(fam, 0, 1, PrimalPoint(np.zeros(3), H3))
 
 
 class TestWeightSchedules:
@@ -173,39 +159,25 @@ class TestRelaxedConvexityChain:
             assert left <= right + 1e-8
 
 
-class TestNSTDiagnostic:
-    def test_constant_fixed_point_trajectory(self):
-        fam = _family(B8, [("shift", 0.5)])
-        zero = PrimalPoint(np.zeros(8), B8)
-        member_res, base_res = nst_diagnostic(fam, [zero] * 10)
-        assert member_res == 0.0 and base_res == 0.0
-
-    def test_ratio_bound_at_half_weight(self):
-        # |Ju - Tu| = |Ju - T_n u| / (1 - a) = 2 |Ju - T_n u| at a = 1/2
-        fam = _family(B8, [("shift", 0.5)])
+class TestRelaxedFamilyIdentity:
+    @pytest.mark.parametrize("kind", ["shift", "duality"])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
+    def test_member_residual_is_the_relaxed_base_residual(self, kind, p, alpha):
+        # Jx - T_n x = (1 - a)(Jx - Tx), so |Jx - T_n x|_q = (1 - a)|Jx - Tx|_q:
+        # the residual-transfer (NST) property of the relaxed family
+        space = SpaceConfig(8, p)
+        q = space.conjugate
+        member = _family(space, [(kind, alpha)]).members[0]
         rng = np.random.default_rng(6)
-        traj = []
-        for _ in range(12):
-            x = rng.standard_normal(8)
-            traj.append(PrimalPoint(0.7 * x / pnorm(x, 3.0), B8))
-        member_res, base_res = nst_diagnostic(fam, traj)
-        assert base_res <= 2.0 * member_res + 1e-12
-        assert base_res >= member_res  # residual transfer direction
-
-    def test_empty_trajectory(self):
-        fam = _family(H3, [("shift", 0.5)])
-        assert nst_diagnostic(fam, []) == (0.0, 0.0)
-
-    def test_shrinking_trajectory_residuals_shrink(self):
-        fam = _family(B8, [("shift", 0.5)])
-        rng = np.random.default_rng(7)
-        direction = rng.standard_normal(8)
-        direction /= pnorm(direction, 3.0)
-        traj = [PrimalPoint(direction * 0.5**k, B8) for k in range(12)]
-        member_res, base_res = nst_diagnostic(fam, traj)
-        # the tail is the last quarter; residuals scale with the iterate norm
-        assert member_res <= 0.5**8
-        assert base_res <= 2.0 * member_res + 1e-12
+        for n in range(1, 13):
+            x = PrimalPoint(rng.uniform(-1.0, 1.0, 8), space)
+            jx = x.dual_coords
+            member_res = pnorm(jx - member.apply_at(n, x).coords, q)
+            base_res = pnorm(jx - member.base.apply(x).coords, q)
+            assert member_res == pytest.approx((1.0 - alpha) * base_res, rel=1e-12, abs=1e-15)
+            if kind == "shift":
+                assert base_res > 0.0
 
 
 class TestFamilyValidation:

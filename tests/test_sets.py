@@ -1051,6 +1051,7 @@ class TestBatchedSampler:
     # every base kind, with a feasible anchor (the pull-back), an anchor
     # infeasible by more than 1e-9 and none (the projection fallback), at
     # magnitudes whose norms leave pnorm's safe band
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
     @settings(max_examples=40, deadline=None)
     @given(
         base_kind=st.sampled_from(["box", "whole", "ball2", "ball1.5", "ball3", "ball10"]),

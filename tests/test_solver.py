@@ -15,7 +15,6 @@ from hybrideq import (
     Halfspace,
     InfeasibleError,
     InverseDualityPairing,
-    Mode,
     NonConvergedError,
     OperatorFamily,
     PBall,
@@ -30,7 +29,6 @@ from hybrideq import (
     UnsupportedCombinationError,
     WholeSpace,
     audit_result,
-    make_comparison_halfspace,
     run,
     step_y,
 )
@@ -50,7 +48,7 @@ import hybrideq.space as space_module
 from hybrideq.harness import build_config, load_scenario, read_scenario, run_scenario
 from hybrideq.sets import add_cut, worst_violation
 from hybrideq.solver import AUDIT_TOLERANCES
-from hybrideq.space import gauge_coords, phi_coords, pnorm
+from hybrideq.space import gauge_coords, lyapunov_phi, phi_coords, pnorm
 
 H2 = SpaceConfig(2, 2.0)
 
@@ -111,15 +109,30 @@ class TestStepY:
         np.testing.assert_allclose(y.coords, x.coords, atol=1e-8)
 
 
+def _definition_cut(u: PrimalPoint, x: PrimalPoint):
+    """The comparison inequality phi(u, z) <= phi(x, z) as a dual-frame cut,
+    built from its definition: <2(x - u), w> <= |x|^2 - |u|^2 for w = Jz, and
+    None for the degenerate u = x whole-space cut (|x - u|_p <= 1e-14)."""
+    p = x.space.exponent
+    diff = x.coords - u.coords
+    if pnorm(diff, p) <= 1e-14:
+        return None
+    nx, nu = pnorm(x.coords, p), pnorm(u.coords, p)
+    return Halfspace(2.0 * diff, nx * nx - nu * nu, Frame.DUAL)
+
+
 class TestComparisonHalfspace:
+    """The definition the run's cuts are checked against, in
+    TestRecordsMatchTheFormulas and TestResolventPointWork."""
+
     def test_degenerate_returns_none(self):
         x = PrimalPoint([0.5, 0.5], H2)
-        assert make_comparison_halfspace(x, x, H2) is None
+        assert _definition_cut(x, x) is None
 
     def test_hilbert_bisector(self):
         u = PrimalPoint([0.0, 0.0], H2)
         x = PrimalPoint([1.0, 0.0], H2)
-        hs = make_comparison_halfspace(u, x, H2)
+        hs = _definition_cut(u, x)
         assert hs.frame is Frame.DUAL
         np.testing.assert_allclose(hs.normal, [2.0, 0.0])
         assert hs.offset == pytest.approx(1.0)
@@ -131,7 +144,7 @@ class TestComparisonHalfspace:
         space = SpaceConfig(2, 3.0)
         u = PrimalPoint([0.0, 0.0], space)
         x = PrimalPoint([1.0, 0.0], space)
-        hs = make_comparison_halfspace(u, x, space)
+        hs = _definition_cut(u, x)
         assert hs.frame is Frame.DUAL
         np.testing.assert_allclose(hs.normal, [2.0, 0.0])
         assert hs.offset == pytest.approx(1.0)  # |(1,0)|_3^2 = 1
@@ -140,14 +153,27 @@ class TestComparisonHalfspace:
         space = SpaceConfig(2, 3.0)
         u = PrimalPoint([0.0, 0.0], space)
         x = PrimalPoint([1.0, 1.0], space)
-        hs = make_comparison_halfspace(u, x, space)
+        hs = _definition_cut(u, x)
         assert hs.offset == pytest.approx(2.0 ** (2.0 / 3.0))  # |x|_3^2
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_slack_is_the_phi_difference(self, p):
+        # offset - <normal, Jz> = phi(x, z) - phi(u, z), with the space's norms
+        space = SpaceConfig(4, p)
+        rng = np.random.default_rng(11)
+        u, x = (PrimalPoint(rng.uniform(-1.0, 1.0, 4), space) for _ in range(2))
+        hs = _definition_cut(u, x)
+        for _ in range(8):
+            z = PrimalPoint(rng.uniform(-2.0, 2.0, 4), space)
+            slack = hs.offset - float(hs.normal @ z.dual_coords)
+            expected = lyapunov_phi(x, z) - lyapunov_phi(u, z)
+            assert slack == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestRun:
     def test_anchor_in_solution_set_converges_immediately(self):
         bundle = _lp_bundle(anchor=np.zeros(8))
-        config = SolverConfig(mode=Mode.BANACH_MAIN2, max_outer=10, outer_tol=1e-6)
+        config = SolverConfig(max_outer=10, outer_tol=1e-6)
         result = run(bundle, config)
         assert result.converged
         assert result.stop_reason is StopReason.CONVERGED
@@ -161,7 +187,6 @@ class TestRun:
         bundle = _lp_bundle(anchor=start)
         space = bundle.space
         config = SolverConfig(
-            mode=Mode.BANACH_MAIN2,
             max_outer=12,
             outer_tol=1e-6,
             resolvent_tol=1e-6,
@@ -181,12 +206,6 @@ class TestRun:
         assert np.isfinite(rec.phi_anchor)
         assert rec.fejer_slack is not None
 
-    def test_hilbert_mode_requires_p2(self):
-        bundle = _lp_bundle()
-        config = SolverConfig(mode=Mode.HILBERT_MAIN, max_outer=5)
-        with pytest.raises(UnsupportedCombinationError):
-            run(bundle, config)
-
     def test_anchor_outside_omega_rejected(self):
         space = SpaceConfig(2, 2.0)
         omega = ConstraintSet(PBall(1.0, 2.0), (), Frame.PRIMAL)
@@ -202,7 +221,7 @@ class TestRun:
         start = rng.standard_normal(8)
         start = 0.8 * start / pnorm(start, 3.0)
         bundle = _lp_bundle(anchor=start)
-        config = SolverConfig(mode=Mode.BANACH_MAIN2, max_outer=50, cut_cap=3)
+        config = SolverConfig(max_outer=50, cut_cap=3)
         with pytest.raises(NonConvergedError) as err:
             run(bundle, config)
         # tagged inside the iteration's failure boundary like every other phase
@@ -211,15 +230,13 @@ class TestRun:
 
     def test_r_schedule_floor_enforced(self):
         bundle = _lp_bundle(anchor=np.zeros(8))
-        config = SolverConfig(
-            mode=Mode.BANACH_MAIN2, max_outer=3, r_schedule=lambda n: 1e-9, min_r=1e-3
-        )
+        config = SolverConfig(max_outer=3, r_schedule=lambda n: 1e-9, min_r=1e-3)
         with pytest.raises(ValueError):
             run(bundle, config)
 
     def test_zero_max_outer_returns_anchor(self):
         bundle = _lp_bundle(anchor=np.zeros(8))
-        config = SolverConfig(mode=Mode.BANACH_MAIN2, max_outer=0)
+        config = SolverConfig(max_outer=0)
         result = run(bundle, config)
         assert result.stop_reason is StopReason.ITERATION_CAP
         assert not result.converged
@@ -241,19 +258,19 @@ class TestConfigChecks:
     )
     def test_nan_field_rejected(self, field):
         with pytest.raises(ValueError) as err:
-            SolverConfig(mode=Mode.BANACH_MAIN2, **{field: float("nan")})
+            SolverConfig(**{field: float("nan")})
         assert err.value.field == field  # the harness reports it at config.<field>
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), True, False, 7.0, "7", None])
     def test_a_seed_that_is_not_a_nonnegative_int_fails_when_built(self, seed):
         # numpy's SeedSequence would refuse -1 only in the run's first iteration
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got ") as err:
-            SolverConfig(mode=Mode.BANACH_MAIN2, seed=seed)
+            SolverConfig(seed=seed)
         assert err.value.field == "seed"
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32, 10**23, np.uint64(2**64 - 1), np.int32(3)])
     def test_nonnegative_int_seeds_accepted(self, seed):
-        assert SolverConfig(mode=Mode.BANACH_MAIN2, seed=seed).seed == seed
+        assert SolverConfig(seed=seed).seed == seed
 
     @pytest.mark.parametrize(
         "field, value",
@@ -283,12 +300,12 @@ class TestConfigChecks:
         [("audit_samples", 1), ("cut_cap", 1), ("max_outer", 0), ("cut_cap", np.int64(9))],
     )
     def test_counts_at_their_floor_accepted(self, field, value):
-        assert getattr(SolverConfig(mode=Mode.BANACH_MAIN2, **{field: value}), field) == value
+        assert getattr(SolverConfig(**{field: value}), field) == value
 
     def test_nan_r_schedule_stops_the_run_at_its_floor_check(self):
         # without the check, NaN reached PrimalPoint's finiteness check
         bundle = load_scenario("lp_shift_example").problem
-        config = SolverConfig(mode=Mode.BANACH_MAIN2, r_schedule=float("nan"))
+        config = SolverConfig(r_schedule=float("nan"))
         with pytest.raises(ValueError, match="must be at least the floor"):
             run(bundle, config)
 
@@ -402,13 +419,13 @@ class TestOneFailureBoundary:
 
         monkeypatch.setattr(solver_module, "step_y", stop)
         with pytest.raises(Stop) as err:
-            run(_lp_bundle(), SolverConfig(mode=Mode.BANACH_MAIN2))
+            run(_lp_bundle(), SolverConfig())
         assert str(err.value) == "set-up done" and not hasattr(err.value, "iteration")
 
 
 class TestIterationHook:
-    @pytest.mark.parametrize("p, mode", [(2.0, Mode.HILBERT_MAIN), (3.0, Mode.BANACH_MAIN2)])
-    def test_step_y_called_once_per_iteration(self, monkeypatch, p, mode):
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_step_y_called_once_per_iteration(self, monkeypatch, p):
         # timing tools wrap the module-level step_y by name and mark one
         # outer iteration per call
         import hybrideq.solver as solver_module
@@ -423,12 +440,12 @@ class TestIterationHook:
         monkeypatch.setattr(solver_module, "step_y", counted)
         start = np.random.default_rng(3).standard_normal(8)
         bundle = _lp_bundle(p=p, anchor=0.8 * start / pnorm(start, p))
-        result = run(bundle, SolverConfig(mode=mode, max_outer=4, audit_samples=8))
+        result = run(bundle, SolverConfig(max_outer=4, audit_samples=8))
         assert result.iterations == 4
         assert calls == [1, 2, 3, 4]
 
-    @pytest.mark.parametrize("p, mode", [(2.0, Mode.HILBERT_MAIN), (3.0, Mode.BANACH_MAIN2)])
-    def test_problem_classified_once_per_iteration(self, monkeypatch, p, mode):
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_problem_classified_once_per_iteration(self, monkeypatch, p):
         # the bundle classifies the equilibrium data when it is built; each
         # iteration's resolvent solve classifies its problem once, for the
         # solve and every gap check
@@ -447,7 +464,7 @@ class TestIterationHook:
 
         monkeypatch.setattr(solver_module, "step_y", step)
         _rebind(monkeypatch, real_classify, classify)
-        result = run(bundle, SolverConfig(mode=mode, max_outer=4, audit_samples=8))
+        result = run(bundle, SolverConfig(max_outer=4, audit_samples=8))
         assert result.iterations == 4
         assert events == ["step_y", "classify"] * 4
 
@@ -455,7 +472,7 @@ class TestIterationHook:
 class TestAuditResult:
     def test_every_invariant_reported_once(self):
         bundle = _lp_bundle(anchor=np.zeros(8))
-        config = SolverConfig(mode=Mode.BANACH_MAIN2, max_outer=2)
+        config = SolverConfig(max_outer=2)
         result = run(bundle, config)
         audits = audit_result(result, config)
         assert sorted(audits) == sorted(AUDIT_TOLERANCES)
@@ -464,7 +481,7 @@ class TestAuditResult:
 
     def test_vanishing_gap_scales_with_outer_tol(self):
         bundle = _lp_bundle(anchor=np.zeros(8))
-        config = SolverConfig(mode=Mode.BANACH_MAIN2, max_outer=2, outer_tol=1e-3)
+        config = SolverConfig(max_outer=2, outer_tol=1e-3)
         result = run(bundle, config)
         audits = audit_result(result, config)
         assert audits["vanishing_gap"]["tolerance"] == pytest.approx(1e-2)
@@ -478,7 +495,7 @@ class TestSeedRobustness:
             start = 0.8 * start / pnorm(start, 3.0)
             bundle = _lp_bundle(anchor=start)
             config = SolverConfig(
-                mode=Mode.BANACH_MAIN2, max_outer=15, outer_tol=1e-6,
+                max_outer=15, outer_tol=1e-6,
                 resolvent_tol=1e-6, seed=seed, audit_samples=8,
             )
             result = run(bundle, config)
@@ -574,7 +591,7 @@ class TestRecordsMatchTheFormulas:
             assert rec.gap_xu == pnorm(xc - uc, p)
             assert rec.displacement == pnorm(x_next.coords - xc, p)
             fresh_u, fresh_x = PrimalPoint(uc, bundle.space), PrimalPoint(xc, bundle.space)
-            cut = make_comparison_halfspace(fresh_u, fresh_x, bundle.space)
+            cut = _definition_cut(fresh_u, fresh_x)
             if cut is not None:
                 dual_set = add_cut(dual_set, cut)
             assert rec.cut_count == len(dual_set.cuts)
@@ -597,7 +614,7 @@ def _banach_run_inputs(p):
     rng = np.random.default_rng(3)
     start = rng.standard_normal(8)
     bundle = _lp_bundle(p=p, anchor=0.8 * start / pnorm(start, p))
-    config = SolverConfig(mode=Mode.BANACH_MAIN2, max_outer=8, outer_tol=1e-9, audit_samples=8)
+    config = SolverConfig(max_outer=8, outer_tol=1e-9, audit_samples=8)
     return bundle, config
 
 
@@ -778,9 +795,7 @@ class TestResolventPointWork:
         for rec, x_next in zip(result.history, nexts):
             xc, uc = rec.x.coords, rec.u.coords
             assert rec.gap_xu == pnorm(xc - uc, p)
-            cut = make_comparison_halfspace(
-                PrimalPoint(uc, bundle.space), PrimalPoint(xc, bundle.space), bundle.space
-            )
+            cut = _definition_cut(PrimalPoint(uc, bundle.space), PrimalPoint(xc, bundle.space))
             if cut is not None:
                 dual_set = add_cut(dual_set, cut)
             assert rec.feasibility_violation == max(
