@@ -47,8 +47,11 @@ from .sets import Box, ConstraintSet, PBall, WholeSpace, contains, project_primi
 from .space import (
     PrimalPoint,
     SpaceConfig,
+    all_finite,
+    any_nonzero,
     gauge_coords,
     kept,
+    min_entry,
     norm2,
     norm2_rows,
     pnorm,
@@ -322,7 +325,7 @@ def classify_problem(prob: ResolventProblem) -> str:
             ):
                 continue  # J* is the identity here, hence affine
             raise UnsupportedCombinationError(
-                f"unsupported bifunction {type(f).__name__} in Hilbert mode"
+                f"unsupported bifunction {type(f).__name__} at exponent 2"
             )
         if not isinstance(prob.perturbation, (ZeroPerturbation, AffineMap, DualityPerturbation)):
             raise UnsupportedCombinationError(
@@ -330,7 +333,7 @@ def classify_problem(prob: ResolventProblem) -> str:
             )
         if isinstance(prob.mixed, DualNormTerm) and prob.mixed.exponent != 2.0:
             raise UnsupportedCombinationError(
-                "Hilbert mode requires the dual-norm mixed term to use exponent 2"
+                "at exponent 2 the dual-norm mixed term must use exponent 2"
             )
         return "hilbert"
     ok = (
@@ -345,8 +348,9 @@ def classify_problem(prob: ResolventProblem) -> str:
     )
     if not ok:
         raise UnsupportedCombinationError(
-            "Banach mode supports only the shift-example class: inverse-duality "
-            "pairings, dual-norm mixed term, duality perturbation"
+            f"at exponent {space.exponent:g} only the shift-example class is supported: "
+            "inverse-duality pairings, the dual-norm mixed term of the conjugate "
+            "exponent, the duality perturbation"
         )
     return "banach_lp"
 
@@ -649,7 +653,7 @@ def _gap_hilbert(prob, uc, starts, max_iter=300):
             capped = 1
         rows.append(y[None, :])
     ys = np.concatenate(rows)
-    if not np.isfinite(ys).all():
+    if not all_finite(ys):
         raise ValueError("coordinates must be finite")  # as PrimalPoint refuses them
     # fmin skips a NaN value, as a comparison with the best so far would
     return min(least, float(np.fmin.reduce(_lhs_rows(prob, uc, ys)))), capped
@@ -703,7 +707,7 @@ def _gap_banach(prob, u, starts, max_iter=300):
 
 def _gap_holder(prob, u, ys):
     """min over the start rows ys of lhs(0, y), by evaluation alone."""
-    return float(_safe_values(prob, u, ys, _banach_inner_objective(prob, u)[0](ys)[0]).min())
+    return float(min_entry(_safe_values(prob, u, ys, _banach_inner_objective(prob, u)[0](ys)[0])))
 
 
 def resolvent_gap(
@@ -737,7 +741,7 @@ def resolvent_gap(
     starts = _gap_starts(prob, uc, 16, rng)
     if prob.kind == "hilbert":
         best, capped = _gap_hilbert(prob, uc, starts)
-    elif not uc.any() and prob.input_point.norm <= prob.r:
+    elif not any_nonzero(uc) and prob.input_point.norm <= prob.r:
         best, capped = _gap_holder(prob, u, starts), 0
     else:
         best, capped = _gap_banach(prob, u, starts)

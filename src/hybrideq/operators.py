@@ -21,6 +21,7 @@ from .space import (
     SpaceConfig,
     gauge_coords,
     lyapunov_phi,
+    min_entry,
 )
 
 
@@ -117,10 +118,11 @@ class OperatorFamily:
             raise ValueError(
                 f"combination weights at n={n} must have length {self.size + 1}"
             )
-        # written so that a NaN weight fails: min() of an array holding NaN is NaN
-        if not (w.min() >= 0.0 and abs(float(w.sum()) - 1.0) <= 1e-12):
+        # written so that a NaN weight fails: the least entry of an array
+        # holding NaN is NaN
+        if not (min_entry(w) >= 0.0 and abs(float(w.sum()) - 1.0) <= 1e-12):
             raise ValueError(f"combination weights at n={n} must lie on the simplex")
-        if not (w[0] * w[1:]).min() >= self.min_weight_product:
+        if not min_entry(w[0] * w[1:]) >= self.min_weight_product:
             raise ValueError(
                 f"combination weights at n={n} violate the weight-product floor "
                 f"{self.min_weight_product:g}"

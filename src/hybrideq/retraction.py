@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import AuditError
 from .sets import ConstraintSet, Frame, project_intersection, sample_feasible, worst_violation
-from .space import PrimalPoint, SpaceConfig, gauge_coords
+from .space import PrimalPoint, SpaceConfig, gauge_coords, max_entry
 
 
 @dataclass(frozen=True)
@@ -101,4 +101,4 @@ def retraction_vi_residual(
         anchor=wz,
         anchor_violation=gap,
     )
-    return float(((points - wz) @ direction).max(initial=-np.inf))
+    return float(max_entry((points - wz) @ direction, -np.inf))

@@ -34,13 +34,20 @@ from numpy.linalg._umath_linalg import lstsq as _lstsq_gufunc
 from .errors import InfeasibleError, NonConvergedError, UnsupportedCombinationError
 from .space import (
     PrimalPoint,
+    all_finite,
+    all_nonzero,
+    any_nonzero,
     duality_jacobian,
     gauge_coords,
     kept,
+    max_entry,
+    min_entry,
     norm2,
     norm2_rows,
     pnorm,
     pnorm_rows,
+    row_max,
+    row_min,
 )
 
 # Halfspace cuts whose unit normals differ by less than this chord length are
@@ -63,7 +70,7 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, which is refused before the call: LAPACK's dgelsd can spin on one
     without returning.
     """
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
     with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
         try:
@@ -88,7 +95,7 @@ class Halfspace:
 
     def __post_init__(self):
         normal = np.asarray(self.normal, dtype=float).copy()
-        if normal.ndim != 1 or not normal.any():
+        if normal.ndim != 1 or not any_nonzero(normal):
             raise ValueError("halfspace normal must be a nonzero vector")
         normal.setflags(write=False)
         object.__setattr__(self, "normal", normal)
@@ -259,11 +266,11 @@ def worst_violation(
             nrm = pnorm(v, base.exponent)
         worst = nrm - base.radius
     elif isinstance(base, Box):
-        worst = float(np.maximum(base.lower - v, v - base.upper).max(initial=-np.inf))
+        worst = float(max_entry(np.maximum(base.lower - v, v - base.upper), -np.inf))
     else:
         worst = -np.inf
     if cset.cuts:
-        cut = float((cset._cut_normals @ v - cset._cut_offsets).max())
+        cut = float(max_entry(cset._cut_normals @ v - cset._cut_offsets))
         if cut > worst or cut != cut:  # max(worst, cut) would drop a NaN cut
             worst = cut
     return worst
@@ -282,12 +289,12 @@ def _row_violations(cset: ConstraintSet, rows: np.ndarray) -> np.ndarray:
     if isinstance(base, PBall):
         worst = pnorm_rows(rows, base.exponent) - base.radius
     elif isinstance(base, Box):
-        worst = np.maximum(base.lower - rows, rows - base.upper).max(axis=1, initial=-np.inf)
+        worst = row_max(np.maximum(base.lower - rows, rows - base.upper), -np.inf)
     else:
         worst = np.full(rows.shape[0], -np.inf)
     if cset.cuts:
         products = np.matmul(cset._cut_normals[None], rows[:, :, None])[..., 0]
-        worst = np.maximum(worst, (products - cset._cut_offsets).max(axis=1))
+        worst = np.maximum(worst, row_max(products - cset._cut_offsets))
     return worst
 
 
@@ -313,10 +320,10 @@ def add_cut(cset: ConstraintSet, cut: Halfspace) -> ConstraintSet:
     cuts, store = cset.cuts, (normal, offset, row, level)
     if cuts:
         near = norm2_rows(cset._cut_rows - row) <= _PARALLEL_CHORD
-        if (cset._cut_levels[near] <= level[0]).any():
+        if any_nonzero(cset._cut_levels[near] <= level[0]):
             return cset  # an existing cut already dominates the new one
         old = (cset._cut_normals, cset._cut_offsets, cset._cut_rows, cset._cut_levels)
-        if near.any():  # the new cut dominates these; drop them
+        if any_nonzero(near):  # the new cut dominates these; drop them
             cuts = tuple(itertools.compress(cuts, ~near))
             old = tuple(x[~near] for x in old)
         store = tuple(np.concatenate(pair) for pair in zip(old, store))
@@ -534,12 +541,12 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
     idx = start.nonzero()[0] if start is not None else np.zeros(0, dtype=int)
     while idx.size:
         s = _lstsq(e[:, idx], f)
-        if s.min() > 0.0:
+        k = int(s.argmin())
+        if s[k] > 0.0:
             u[idx] = s
             passive[idx] = True
             resid = f - e @ u
             break
-        k = int(s.argmin())
         idx = np.concatenate((idx[:k], idx[k + 1 :]))
     tol = 10.0 * max(e.shape) * _EPS
     for _ in range(3 * n + 30):
@@ -557,7 +564,7 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
             continue
         blocked[:] = False
         passive = trial
-        while s.size and s.min() <= 0.0:
+        while s.size and min_entry(s) <= 0.0:
             # step from u toward s until the first passive entry reaches 0
             neg = s <= 0.0
             ratios = u[idx][neg] / (u[idx][neg] - s[neg])
@@ -588,7 +595,7 @@ def _ldp(a: np.ndarray, b: np.ndarray, v: np.ndarray, start: np.ndarray | None =
     a boolean mask over the rows, warm-starts the NNLS passive set.
     """
     excess = a @ v - b
-    shift = float(excess.max(initial=0.0))
+    shift = float(max_entry(excess, 0.0))
     if shift <= 0.0:
         return np.array(v), np.zeros(b.shape[0])
     e = np.concatenate((-a.T, (excess / shift)[None, :]))
@@ -629,8 +636,8 @@ def _kkt_residual(
         nz = pnorm(z, q)
     gz = gauge_coords(z, q, nz)
     worst = max(
-        float(np.abs(gz - v + nu * gz + a.T @ lam).max()),
-        float(np.abs(np.minimum(lam, b - a @ z)).max(initial=0.0)),
+        float(max_entry(np.abs(gz - v + nu * gz + a.T @ lam))),
+        float(max_entry(np.abs(np.minimum(lam, b - a @ z)), 0.0)),
     )
     if radius is not None:
         worst = max(worst, abs(min(nu * nz, radius - nz)))
@@ -690,9 +697,9 @@ def _dual_hessian(
     result is the same bit for bit either way.
     """
     if exponent < 2.0:
-        floor = 1e-150 * float(np.abs(c).max())
+        floor = 1e-150 * float(max_entry(np.abs(c)))
         low = np.abs(c) < floor
-        if low.any():
+        if any_nonzero(low):
             c, nc, point = np.where(low, np.copysign(floor, c), c), None, None
     jac = duality_jacobian(c, exponent, nc) if point is None else point.jacobian
     return 2.0 * s * (cols.T @ jac @ cols)
@@ -766,7 +773,7 @@ def _multiplier_newton(
     def dual(lam_, mu_):
         """(c, |c|_p, F); c is v itself where point's kept values serve it."""
         c = v - a.T @ lam_
-        if point is not None and not lam_.any() and c.tobytes() == v.tobytes():
+        if point is not None and not any_nonzero(lam_) and c.tobytes() == v.tobytes():
             c, nc = v, point.norm
         else:
             nc = pnorm(c, exponent)
@@ -803,7 +810,7 @@ def _multiplier_newton(
             resid = b[work] - rows @ w
             grad = 2.0 * resid
             cols = rows.T
-            err = float(np.abs(resid).max(initial=0.0))
+            err = float(max_entry(np.abs(resid), 0.0))
             if ball:
                 grad = np.concatenate((grad, [r2 - (s * nc) ** 2]))
                 cols = np.concatenate((cols, (s * c)[:, None]), axis=1)
@@ -1062,28 +1069,39 @@ def _pull_feasible_rows(
 
     Both ends lie in the convex base, so only the cuts bind on a segment:
     the ratio test over the cuts that cand - anchor moves toward gives the
-    exact step, which is then backed off by growing multiples of the unit
-    roundoff, eps, 2 eps, 4 eps, ..., until the point passes
-    worst_violation.  Every row still failing has failed the same number of
-    times, so the rows share one back-off.  `allowed` is at least the
-    anchor's own violation, so the anchor itself always passes.
+    exact step t, which is then backed off down the ladder t, t - eps,
+    t - 3 eps, t - 7 eps, ... (back-offs of eps, 2 eps, 4 eps, ..., eps the
+    unit roundoff) to the first step whose point passes worst_violation
+    and is still positive.  Every row still failing has failed the same
+    number of times, so the rows share one back-off.  Each pass tests two
+    steps of the ladder for every row in one `_row_violations` call on the
+    stacked rows, whose value for a row does not depend on the rows beside
+    it, so a row comes out as stepping down one step at a time gives it.
+    `allowed` is at least the anchor's own violation, so the anchor itself
+    always passes.
     """
     steps = cands - anchor
     rates = np.matmul(cset._cut_normals[None], steps[:, :, None])[..., 0]
     room = cset._cut_offsets + allowed - cset._cut_normals @ anchor
-    toward = rates > 0.0
-    ratios = np.where(toward, room / np.where(toward, rates, 1.0), np.inf)
-    t = np.minimum(np.maximum(ratios.min(axis=1, initial=1.0), 0.0), 1.0)
+    ratios = np.divide(room, rates, out=np.full(rates.shape, np.inf), where=rates > 0.0)
+    t = np.maximum(row_min(ratios, 1.0), 0.0)
     out = anchor[None, :].repeat(cands.shape[0], axis=0)  # rows that reach t = 0
     live = (t > 0.0).nonzero()[0]
     back = _EPS
     while live.size:
-        points = anchor + t[live, None] * steps[live]
+        k, ahead = live.size, steps[live]
+        lower = t[live] - back
+        tried = np.concatenate((t[live], lower))
+        points = anchor + tried[:, None] * np.concatenate((ahead, ahead))
         passed = _row_violations(cset, points) <= allowed
-        out[live[passed]] = points[passed]
-        live = live[~passed]
-        t[live] -= back
-        back *= 2.0
+        first = passed[:k]
+        second = passed[k:] & ~first & (lower > 0.0)
+        out[live[first]] = points[:k][first]
+        out[live[second]] = points[k:][second]
+        failed = ~(first | second)
+        live = live[failed]
+        t[live] = lower[failed] - 2.0 * back
+        back *= 4.0
         live = live[t[live] > 0.0]
     return out
 
@@ -1155,7 +1173,7 @@ def _draw_ball(base: PBall, rng: np.random.Generator, count: int, dim: int) -> n
     # scalar roots: numpy's vectorized power rounds differently
     radii = np.array([r**inv for r in rng.random(count).tolist()], dtype=float)
     norms = pnorm_rows(directions, base.exponent)
-    if norms.all():
+    if all_nonzero(norms):
         return directions / norms[:, None] * base.radius * radii[:, None]
     zero = norms == 0.0
     out = directions / np.where(zero, 1.0, norms)[:, None] * base.radius * radii[:, None]

@@ -48,7 +48,7 @@ from .sets import (
     contains,
     worst_violation,
 )
-from .space import PrimalPoint, SpaceConfig, gauge_coords, lyapunov_phi, pnorm
+from .space import PrimalPoint, SpaceConfig, any_nonzero, gauge_coords, lyapunov_phi, pnorm
 
 
 class StopReason(enum.Enum):
@@ -307,7 +307,7 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
 
             diff = x.coords - u.coords
             # pnorm reads only |diff_i|, so at u = 0 it is x's kept norm exactly
-            gap_xu = pnorm(diff, p) if u.coords.any() else x.norm
+            gap_xu = pnorm(diff, p) if any_nonzero(u.coords) else x.norm
             cut = _comparison_cut(u, x, diff, gap_xu)
             hint = active
             if cut is not None:

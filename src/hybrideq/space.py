@@ -96,11 +96,81 @@ def norm2_rows(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows * rows).sum(axis=1))
 
 
+# The reductions below give the bits of numpy's ndarray reductions without
+# numpy's ufunc.reduce machinery, which costs about 2 us a call on the
+# package's 3- to 200-entry arrays; np.count_nonzero, argmax and argmin cost
+# a third of that.  argmax and argmin return the first NaN, so a NaN
+# propagates as it does in max and min.  One difference remains: where the
+# largest (smallest) entry is a zero and the array holds both +0 and -0,
+# argmax (argmin) takes the first of them, and the reduction may return the
+# other sign.
+
+
+def any_nonzero(a: np.ndarray) -> bool:
+    """a.any(), bit for bit: np.count_nonzero counts NaN as nonzero, as any does."""
+    return np.count_nonzero(a) != 0
+
+
+def all_nonzero(a: np.ndarray) -> bool:
+    """a.all(), bit for bit: every entry, NaN included, counts as nonzero."""
+    return np.count_nonzero(a) == a.size
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(), bit for bit."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def max_entry(a: np.ndarray, initial: float | None = None):
+    """a.max(), or a.max(initial=initial), of a 1-D float array: the entry
+    at a.argmax(), then initial where that is smaller (not NaN) or a is
+    empty; equal bit for bit up to the sign of a zero."""
+    if initial is None:
+        return a[a.argmax()]
+    if not a.size:
+        return initial
+    top = a[a.argmax()]
+    return top if top >= initial or top != top else initial
+
+
+def min_entry(a: np.ndarray, initial: float | None = None):
+    """a.min(), or a.min(initial=initial), of a 1-D float array: the entry
+    at a.argmin(), then initial where that is larger (not NaN) or a is
+    empty; equal bit for bit up to the sign of a zero."""
+    if initial is None:
+        return a[a.argmin()]
+    if not a.size:
+        return initial
+    low = a[a.argmin()]
+    return low if low <= initial or low != low else initial
+
+
+def row_max(m: np.ndarray, initial: float | None = None) -> np.ndarray:
+    """m.max(axis=1), or m.max(axis=1, initial=initial), of a 2-D float
+    array: each row's entry at m.argmax(axis=1), then np.maximum with
+    initial, which keeps the row's entry on a tie as the reduction does; a
+    matrix without columns gives initial in every row.  Equal bit for bit
+    up to the sign of a zero."""
+    if initial is not None and not m.shape[1]:
+        return np.full(m.shape[0], initial)
+    top = m[np.arange(m.shape[0]), m.argmax(axis=1)]
+    return top if initial is None else np.maximum(initial, top)
+
+
+def row_min(m: np.ndarray, initial: float | None = None) -> np.ndarray:
+    """m.min(axis=1), or m.min(axis=1, initial=initial): row_max with
+    argmin and np.minimum."""
+    if initial is not None and not m.shape[1]:
+        return np.full(m.shape[0], initial)
+    low = m[np.arange(m.shape[0]), m.argmin(axis=1)]
+    return low if initial is None else np.minimum(initial, low)
+
+
 def _as_coords(values, dimension: int) -> np.ndarray:
     coords = np.asarray(values, dtype=float)
     if coords.shape != (dimension,):
         raise ValueError(f"expected a vector of length {dimension}, got shape {coords.shape}")
-    if not np.isfinite(coords).all():
+    if not all_finite(coords):
         raise ValueError("coordinates must be finite")
     coords = coords.copy()
     coords.setflags(write=False)
@@ -182,7 +252,7 @@ def pnorm(v: np.ndarray, exponent: float) -> float:
         nrm = float((np.abs(v) ** exponent).sum() ** (1.0 / exponent))
     if _SAFE_MIN <= nrm <= _SAFE_MAX:
         return nrm
-    top = float(np.abs(v).max(initial=0.0))
+    top = float(max_entry(np.abs(v), 0.0))
     if top == 0.0 or not np.isfinite(top):
         return nrm
     shift = int(np.frexp(top)[1])
@@ -214,7 +284,7 @@ def pnorm_rows(rows: np.ndarray, exponent: float) -> np.ndarray:
         inv = 1.0 / exponent
         sums = (np.abs(rows) ** exponent).sum(axis=1)
         norms = np.array([s**inv for s in sums.tolist()], dtype=float)
-    if not (norms.min(initial=_SAFE_MIN) >= _SAFE_MIN and norms.max(initial=0.0) <= _SAFE_MAX):
+    if not (min_entry(norms, _SAFE_MIN) >= _SAFE_MIN and max_entry(norms, 0.0) <= _SAFE_MAX):
         outside = ~((norms >= _SAFE_MIN) & (norms <= _SAFE_MAX))
         for i in outside.nonzero()[0]:
             norms[i] = pnorm(rows[i], exponent)

@@ -163,10 +163,28 @@ def pull_feasible_one(cset, anchor, cand, allowed):
     return np.array(anchor)
 
 
-def pull_feasible_rows_divided(cset, anchor, cands, allowed):
-    """`sets._pull_feasible_rows` with the ratio test it had before it
-    divided by np.where(toward, rates, 1.0): np.divide into an array of
-    inf, written only where the step moves toward the cut."""
+def violation_reduced(cset, v):
+    """`sets.worst_violation` of v through numpy's own max reductions."""
+    base = cset.base
+    if isinstance(base, PBall):
+        worst = pnorm(v, base.exponent) - base.radius
+    elif isinstance(base, Box):
+        worst = float(np.maximum(base.lower - v, v - base.upper).max(initial=-np.inf))
+    else:
+        worst = -np.inf
+    if cset.cuts:
+        cut = float((cset._cut_normals @ v - cset._cut_offsets).max())
+        if cut > worst or cut != cut:
+            worst = cut
+    return worst
+
+
+def pull_feasible_rows_one_step(cset, anchor, cands, allowed):
+    """`sets._pull_feasible_rows` as it was before it tested two steps of its
+    back-off ladder per pass: the ratio test, an np.divide into an array of
+    inf written only where the step moves toward the cut and the least
+    ratio by numpy's reduction, then one step of the ladder t, t - eps,
+    t - 3 eps, ... per pass, each point tested alone by `violation_reduced`."""
     steps = cands - anchor
     rates = np.matmul(cset._cut_normals[None], steps[:, :, None])[..., 0]
     room = cset._cut_offsets + allowed - cset._cut_normals @ anchor
@@ -178,7 +196,7 @@ def pull_feasible_rows_divided(cset, anchor, cands, allowed):
     back = np.finfo(float).eps
     while live.size:
         points = anchor + t[live, None] * steps[live]
-        passed = np.array([worst_violation(cset, point) <= allowed for point in points], dtype=bool)
+        passed = np.array([violation_reduced(cset, point) <= allowed for point in points], dtype=bool)
         out[live[passed]] = points[passed]
         live = live[~passed]
         t[live] -= back

@@ -45,6 +45,7 @@ from hybrideq.equilibrium import (
     PotentialBifunction,
     QuadraticPotential,
 )
+import hybrideq.solver as solver_module
 from hybrideq.space import DualPoint, gauge_coords, pnorm
 
 
@@ -260,20 +261,58 @@ def test_criterion_5_optimization_app_end_to_end():
             np.testing.assert_allclose(other.final_point, oracle, atol=1e-4)
 
 
-def test_criterion_6_mode_coincidence():
-    with _Budget("6 mode coincidence", 30.0):
+def test_criterion_6_hilbert_formulas(monkeypatch):
+    """At p = 2 the one loop is the Hilbert scheme: the cut of iteration n
+    is {z : |z - u_n|^2 <= |z - x_n|^2}, and x_{n+1} is the Euclidean
+    projection of x_1 onto Omega ∩ those cuts, shown by a KKT certificate
+    built here from the cut formula alone."""
+    with _Budget("6 Hilbert formulas", 30.0):
+        offered = []
+        real_add_cut = solver_module.add_cut
+
+        def recording_add_cut(cset, cut):
+            offered.append(cut)
+            return real_add_cut(cset, cut)
+
+        monkeypatch.setattr(solver_module, "add_cut", recording_add_cut)
         doc = load_scenario("hilbert_family").to_dict()
         doc["config"]["max_outer"] = 50
-        spec_h = load_scenario(doc)
-        spec_b = load_scenario({**doc, "config": {**doc["config"], "mode": "banach"}})
-        res_h = run(build_bundle(spec_h), build_config(spec_h))
-        res_b = run(build_bundle(spec_b), build_config(spec_b))
-        assert res_h.iterations == res_b.iterations == 50
+        spec = load_scenario(doc)
+        bundle = build_bundle(spec)
+        result = run(bundle, build_config(spec))
+        assert bundle.space.exponent == 2.0 and result.iterations == 50
+        radius = bundle.omega.base.radius  # Omega is the Euclidean ball about 0
+        x1 = bundle.anchor.coords
+        d = x1.shape[0]
+        iterates = [rec.x.coords for rec in result.history[1:]] + [result.x_star.coords]
+        assert len(offered) == 50  # no iteration had u_n = x_n
+        # the affine map z -> |z - u|^2 - |z - x|^2 is fixed by its values
+        # at 0 and at the unit vectors; the cut's a z - b must agree there
+        probes = np.concatenate((np.zeros((1, d)), np.eye(d)))
+        rows, levels = [], []
         worst = 0.0
-        for rh, rb in zip(res_h.history, res_b.history):
-            worst = max(worst, float(np.max(np.abs(rh.x.coords - rb.x.coords))))
-        worst = max(worst, float(np.max(np.abs(res_h.x_star.coords - res_b.x_star.coords))))
-        assert worst <= 1e-8, f"mode deviation {worst:.2e}"
+        for rec, cut, z in zip(result.history, offered, iterates):
+            x, u = rec.x.coords, rec.u.coords
+            formula = ((probes - u) ** 2).sum(axis=1) - ((probes - x) ** 2).sum(axis=1)
+            worst = max(worst, float(np.max(np.abs(probes @ cut.normal - cut.offset - formula))))
+            # the same cut from its formula: 2 <x - u, z> <= |x|^2 - |u|^2
+            rows.append(2.0 * (x - u))
+            levels.append(float(x @ x - u @ u))
+            a, b = np.array(rows), np.array(levels)
+            scale = np.linalg.norm(a, axis=1)
+            slack = (b - a @ z) / scale
+            # feasible: every cut so far and the ball hold at x_{n+1}
+            worst = max(worst, -float(slack.min()), float(np.linalg.norm(z)) - radius)
+            # stationarity x_1 - z = sum lam_k a_k / |a_k| + mu z / |z| over
+            # the rows active at z, with lam, mu >= 0
+            cols = [a[slack <= 1e-9].T / scale[slack <= 1e-9]]
+            if np.linalg.norm(z) >= radius - 1e-9:
+                cols.append(z[:, None] / np.linalg.norm(z))
+            normals = np.concatenate(cols, axis=1)
+            mult = np.linalg.lstsq(normals, x1 - z, rcond=None)[0]
+            worst = max(worst, -float(mult.min(initial=0.0)))
+            worst = max(worst, float(np.linalg.norm(x1 - z - normals @ mult)))
+        assert worst <= 1e-8, f"deviation from the Hilbert formulas {worst:.2e}"
 
 
 def test_criterion_7_negative_controls():

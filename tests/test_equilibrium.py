@@ -7,6 +7,7 @@ regularized objective rather than by the solver's own path.
 """
 
 import copy
+import dataclasses
 import time
 
 import numpy as np
@@ -765,7 +766,7 @@ class TestSupportMatrix:
         prob = ResolventProblem(
             (), ZeroTerm(), ZeroPerturbation(), ball, 1.0, PrimalPoint(np.zeros(4), space)
         )
-        with pytest.raises(UnsupportedCombinationError):
+        with pytest.raises(UnsupportedCombinationError, match="^at exponent 3 only the shift-example"):
             solve_resolvent_certified(prob, tol=1e-6)[0]
 
     def test_banach_potential_rejected(self):
@@ -779,5 +780,17 @@ class TestSupportMatrix:
             1.0,
             PrimalPoint(np.zeros(4), space),
         )
-        with pytest.raises(UnsupportedCombinationError):
+        with pytest.raises(UnsupportedCombinationError, match="^at exponent 3 only the shift-example"):
             classify_problem(prob)
+
+    def test_refusals_at_exponent_2_name_the_exponent(self):
+        prob = _projection_problem(np.zeros(2))
+        with pytest.raises(
+            UnsupportedCombinationError, match="^unsupported bifunction object at exponent 2$"
+        ):
+            classify_problem(dataclasses.replace(prob, bifunctions=(object(),)))
+        with pytest.raises(
+            UnsupportedCombinationError,
+            match="^at exponent 2 the dual-norm mixed term must use exponent 2$",
+        ):
+            classify_problem(dataclasses.replace(prob, mixed=DualNormTerm(3.0)))

@@ -192,7 +192,7 @@ class TestStrictValidation:
         ]
         doc["bundle"]["mixed_term"] = {"kind": "dual_norm"}
         doc["bundle"]["perturbation"] = {"kind": "duality"}
-        with pytest.raises(UnsupportedCombinationError):
+        with pytest.raises(UnsupportedCombinationError, match="^at exponent 3 only the shift-example"):
             load_scenario(doc)
 
 

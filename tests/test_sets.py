@@ -24,7 +24,7 @@ from _reference import (
     dykstra,
     hint_rows_rematched,
     linear_rows_restacked,
-    pull_feasible_rows_divided,
+    pull_feasible_rows_one_step,
     sample_feasible_one,
 )
 from hypothesis import assume, example, given, settings
@@ -825,6 +825,45 @@ class TestPullFeasible:
         for row in batch:
             assert worst_violation(cset, row) <= allowed
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["box", "ball2", "ball3"]),
+        d=st.integers(2, 8),
+        cuts=st.integers(1, 60),
+        violation=st.sampled_from([0.0, 1e-17, 1e-13, 1e-10]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_two_steps_per_pass_give_the_one_step_rows(self, kind, d, cuts, violation, seed):
+        # the anchor lies on up to two cuts, violating them by a small
+        # positive amount, so that rows moving toward one of them reach
+        # t = 0; rows drawn on the ball's sphere or the box's faces end where
+        # rounding can push a point out, which the back-off ladder repairs.
+        # Over seeds 0-399 of these inputs about 1 row in 6 passed at t - eps,
+        # 1 in 150 further down, and 1 in 300 stepped down to t <= 0
+        rng = np.random.default_rng(seed)
+        if kind == "box":
+            base = Box(-np.ones(d), np.ones(d))
+            anchor = rng.uniform(-0.9, 0.9, d)
+            face = np.clip(rng.uniform(-3.0, 3.0, (8, d)), -1.0, 1.0)
+        else:
+            base = PBall(1.0, 2.0 if kind == "ball2" else 3.0)
+            anchor = rng.uniform(0.0, 0.9) * rng.standard_normal(d)
+            anchor /= max(pnorm(anchor, base.exponent), 1.0)
+            sphere = rng.standard_normal((8, d))
+            face = sphere / np.array([pnorm(row, base.exponent) for row in sphere])[:, None]
+        normals = rng.standard_normal((cuts, d))
+        slack = rng.uniform(0.0, 0.5, cuts)
+        slack[rng.permutation(cuts)[: rng.integers(0, 3)]] = -violation
+        cset = ConstraintSet(
+            base, tuple(Halfspace(n, o) for n, o in zip(normals, normals @ anchor + slack))
+        )
+        allowed = max(worst_violation(cset, anchor), 0.0)
+        cands = np.concatenate(
+            (sample_feasible(ConstraintSet(base), rng, 16, dimension=d), face, anchor[None, :])
+        )
+        out = _pull_feasible_rows(cset, anchor, cands, allowed)
+        ref = pull_feasible_rows_one_step(cset, anchor, cands, allowed)
+        assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_zero_rates_give_the_divided_ratio_test(self):
@@ -837,7 +876,7 @@ class TestPullFeasible:
             cands = np.array([anchor, anchor + [0.0, 1.9], [1.9, 0.3], [-1.0, 1.9]])
             allowed = max(worst_violation(cset, anchor), 0.0)
             out = _pull_feasible_rows(cset, anchor, cands, allowed)
-            ref = pull_feasible_rows_divided(cset, anchor, cands, allowed)
+            ref = pull_feasible_rows_one_step(cset, anchor, cands, allowed)
             assert out.tobytes() == ref.tobytes()
             assert out[0].tobytes() == anchor.tobytes()
             for row in out:

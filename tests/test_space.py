@@ -25,11 +25,18 @@ from hybrideq import (
 from hybrideq.space import (
     _SAFE_MAX,
     _SAFE_MIN,
+    all_finite,
+    all_nonzero,
+    any_nonzero,
     duality_jacobian,
     gauge_coords,
     kept,
+    max_entry,
+    min_entry,
     norm2,
     norm2_rows,
+    row_max,
+    row_min,
 )
 
 
@@ -436,3 +443,103 @@ class TestEuclideanNorms:
         rows = np.array([[1.0, -1.0, 0.5], [0.0, 0.0, 1.0], [1e-300, 2.0, -3.0]]) * mag
         assert np.isinf(np.linalg.norm(rows, axis=1)).any()
         self._assert_same(rows)
+
+
+def _same_reduction(got, expected) -> bool:
+    """got is expected bit for bit, but for the sign of a zero and the
+    payload of a NaN, which the helpers leave to argmax and argmin."""
+    got, expected = np.float64(got), np.float64(expected)
+    if np.isnan(expected):
+        return bool(np.isnan(got))
+    if expected == 0.0:
+        return got == 0.0
+    return got.tobytes() == expected.tobytes()
+
+
+_ENTRIES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, np.nan])
+
+
+class TestReductions:
+    """The helpers of space.py are numpy's reductions: max, min, any and all,
+    the row forms and the finiteness test, with NaN propagating."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(_ENTRIES, max_size=30), initial=st.floats(-10.0, 10.0))
+    def test_vectors(self, entries, initial):
+        a = np.array(entries, dtype=float)
+        for b in (a, a > 0.0):
+            assert any_nonzero(b) == b.any()
+            assert all_nonzero(b) == b.all()
+        assert all_finite(a) == np.isfinite(a).all()
+        if a.size:
+            assert _same_reduction(max_entry(a), a.max())
+            assert _same_reduction(min_entry(a), a.min())
+        assert _same_reduction(max_entry(a, initial), a.max(initial=initial))
+        assert _same_reduction(min_entry(a, initial), a.min(initial=initial))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(0, 5),
+        d=st.integers(0, 6),
+        data=st.data(),
+        initial=st.sampled_from([-np.inf, 0.0, 1.0]),
+    )
+    def test_rows(self, k, d, data, initial):
+        m = np.array(data.draw(st.lists(_ENTRIES, min_size=k * d, max_size=k * d)), dtype=float)
+        m = m.reshape(k, d)
+        pairs = [(row_max(m, initial), m.max(axis=1, initial=initial))]
+        pairs.append((row_min(m, initial), m.min(axis=1, initial=initial)))
+        if d:
+            pairs += [(row_max(m), m.max(axis=1)), (row_min(m), m.min(axis=1))]
+        for got, expected in pairs:
+            assert got.shape == expected.shape == (k,)
+            assert all(_same_reduction(g, e) for g, e in zip(got, expected))
+
+    def test_nan_propagates(self):
+        a = np.array([1.0, np.nan, 3.0, -np.inf])
+        for value in (max_entry(a), min_entry(a), max_entry(a, 5.0), min_entry(a, -5.0)):
+            assert np.isnan(value)
+        m = np.array([[1.0, 2.0], [np.nan, 0.5], [4.0, np.nan]])
+        for rows in (row_max(m), row_min(m), row_max(m, -np.inf), row_min(m, 1.0)):
+            assert not np.isnan(rows[0]) and np.isnan(rows[1:]).all()
+        assert row_max(m)[0] == 2.0 and row_min(m, 1.0)[0] == 1.0
+
+    def test_empty_arrays_with_initial(self):
+        assert max_entry(np.zeros(0), 0.0) == 0.0 == np.zeros(0).max(initial=0.0)
+        assert min_entry(np.zeros(0), 1.0) == 1.0
+        np.testing.assert_array_equal(row_max(np.zeros((3, 0)), -np.inf), np.full(3, -np.inf))
+        np.testing.assert_array_equal(row_min(np.zeros((2, 0)), 1.0), np.ones(2))
+        assert row_max(np.zeros((0, 4)), -np.inf).shape == (0,) == row_min(np.zeros((0, 4))).shape
+        # without initial an empty reduction is refused, as numpy refuses it
+        for call in (lambda: max_entry(np.zeros(0)), lambda: row_min(np.zeros((2, 0)))):
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize(
+        "values, finite",
+        [([], True), ([0.0, -1e308], True), ([1.0, np.inf], False), ([-np.inf], False),
+         ([np.nan, 2.0], False), ([[1.0, 2.0], [3.0, np.nan]], False)],
+    )
+    def test_finiteness(self, values, finite):
+        a = np.array(values, dtype=float)
+        assert all_finite(a) == finite == np.isfinite(a).all()
+
+    def test_count_nonzero_on_floats_and_booleans(self):
+        floats = {
+            (): (False, True),
+            (0.0, -0.0): (False, False),
+            (0.0, np.nan): (True, False),
+            (1.0, np.nan, -2.0): (True, True),
+            (-0.0, 5e-324): (True, False),
+        }
+        for values, (some, every) in floats.items():
+            a = np.array(values, dtype=float)
+            assert (any_nonzero(a), all_nonzero(a)) == (some, every) == (a.any(), a.all())
+            b = a != 0.0  # NaN != 0 is True
+            assert (any_nonzero(b), all_nonzero(b)) == (b.any(), b.all())
+
+    def test_the_first_of_two_signed_zeros(self):
+        # the one difference the helpers allow: argmax takes the first zero
+        a = np.array([-1.0, -0.0, 0.0])
+        assert np.signbit(max_entry(a)) and max_entry(a) == a.max()
+        assert not np.signbit(min_entry(np.array([0.0, -0.0])))
