@@ -45,7 +45,7 @@ from .operators import (
     ShiftMap,
     jstar_nonexpansive_violation,
 )
-from .retraction import RetractionProblem, retraction_vi_residual, sunny_retract
+from .retraction import retraction_vi_residual, sunny_retract
 from .sets import (
     Box,
     ConstraintSet,
@@ -54,7 +54,6 @@ from .sets import (
     PBall,
     WholeSpace,
     add_cut,
-    contains,
     project_primitive,
     sample_feasible,
 )
@@ -63,7 +62,6 @@ from .solver import (
     ProblemBundle,
     SolverConfig,
     SolverResult,
-    StopReason,
     audit_result,
     run,
     step_y,
@@ -75,7 +73,6 @@ from .space import (
     duality_map,
     inverse_duality_map,
     lyapunov_phi,
-    pairing,
     pnorm,
 )
 

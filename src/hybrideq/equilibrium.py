@@ -43,7 +43,15 @@ from typing import Union
 import numpy as np
 
 from .errors import NonConvergedError, UnsupportedCombinationError
-from .sets import Box, ConstraintSet, PBall, WholeSpace, contains, project_primitive, sample_feasible
+from .sets import (
+    Box,
+    ConstraintSet,
+    PBall,
+    WholeSpace,
+    project_primitive,
+    sample_feasible,
+    worst_violation,
+)
 from .space import (
     PrimalPoint,
     SpaceConfig,
@@ -775,7 +783,7 @@ def _solve_banach(prob: ResolventProblem, tol: float, rng) -> tuple:
         s = (nx * inv_r - 1.0) / (len(prob.bifunctions) + 1.0 + inv_r)
         uc = (s / nx) * xc
     u = PrimalPoint(uc, prob.space)
-    if not contains(prob.feasible, u.coords, 0.0, u.norm, prob.space.exponent):
+    if not worst_violation(prob.feasible, u.coords, u.norm, prob.space.exponent) <= 0.0:
         raise NonConvergedError("the closed-form resolvent candidate lies outside Omega")
     gap, capped = resolvent_gap(prob, u, rng=rng)
     if gap > tol:

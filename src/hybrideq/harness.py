@@ -592,8 +592,8 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
     error = failed_iteration = None
     try:
         result = run(bundle, config)
-        outcome = result.stop_reason.value
         converged = result.converged
+        outcome = "converged" if converged else "iteration_cap"
         audits = audit_result(result, config)
         final = result.x_star
         rows = _rows_from_history(result.history)

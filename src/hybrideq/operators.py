@@ -5,6 +5,8 @@ when it has a J-fixed point p (a point with Tp = Jp) and
 phi(p, J*(Tx)) <= phi(p, x) for all feasible x.  The relaxed family
 T_n u = a_n Ju + (1 - a_n) Tu inherits the J-fixed points of T and, with
 1 - a_n >= 1/2, satisfies the residual-transfer (NST) property against T.
+A map's `apply` and a member's `apply_at` return the dual coordinates of
+their value as an array.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ class ShiftMap:
 
     space: SpaceConfig
 
-    def apply(self, x: PrimalPoint) -> DualPoint:
+    def apply(self, x: PrimalPoint) -> np.ndarray:
         shifted = np.concatenate(([0.0], x.coords[:-1]))
-        return DualPoint(gauge_coords(shifted, self.space.exponent), self.space)
+        return gauge_coords(shifted, self.space.exponent)
 
 
 @dataclass(frozen=True)
@@ -45,19 +47,26 @@ class JMap:
 
     space: SpaceConfig
 
-    def apply(self, x: PrimalPoint) -> DualPoint:
-        return DualPoint(x.dual_coords, self.space)
+    def apply(self, x: PrimalPoint) -> np.ndarray:
+        return x.dual_coords
 
 
 @dataclass(frozen=True)
 class CustomMap:
-    """User-supplied primal -> dual map; closedness is the caller's hypothesis."""
+    """User-supplied primal -> dual map; closedness is the caller's hypothesis.
+
+    fn returns a DualPoint of the map's space; one of another dimension or
+    exponent raises ValueError, since numpy would broadcast or blend it.
+    """
 
     space: SpaceConfig
     fn: Callable[[PrimalPoint], DualPoint]
 
-    def apply(self, x: PrimalPoint) -> DualPoint:
-        return self.fn(x)
+    def apply(self, x: PrimalPoint) -> np.ndarray:
+        w = self.fn(x)
+        if w.space != self.space:
+            raise ValueError(f"the map returned a point of {w.space}, not of {self.space}")
+        return w.coords
 
 
 @dataclass(frozen=True)
@@ -73,12 +82,10 @@ class RelaxedFamily:
             raise ValueError(f"relax weight at n={n} must lie in (0, 1) with 1 - a >= 1/2")
         return alpha
 
-    def apply_at(self, n: int, x: PrimalPoint) -> DualPoint:
-        space = self.base.space
+    def apply_at(self, n: int, x: PrimalPoint) -> np.ndarray:
+        """The dual coordinates of T_n x."""
         alpha = self.weight_at(n)
-        jx = x.dual_coords
-        tx = self.base.apply(x).coords
-        return DualPoint(alpha * jx + (1.0 - alpha) * tx, space)
+        return alpha * x.dual_coords + (1.0 - alpha) * self.base.apply(x)
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,6 @@ def jstar_nonexpansive_violation(
     worst = -np.inf
     for row in points:
         x = PrimalPoint(row, space)
-        tx = jmap.apply(x)
-        jtx = PrimalPoint(gauge_coords(tx.coords, q), space)
+        jtx = PrimalPoint(gauge_coords(jmap.apply(x), q), space)
         worst = max(worst, lyapunov_phi(fixed_point, jtx) - lyapunov_phi(fixed_point, x))
     return worst

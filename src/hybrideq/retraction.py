@@ -18,66 +18,51 @@ Euclidean projection of the anchor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AuditError
 from .sets import ConstraintSet, Frame, project_intersection, sample_feasible, worst_violation
-from .space import PrimalPoint, SpaceConfig, gauge_coords, max_entry
+from .space import PrimalPoint, gauge_coords, max_entry
 
 
-@dataclass(frozen=True)
-class RetractionProblem:
-    """Anchor point plus the dual-frame feasible set JC it is retracted onto;
-    the space is the anchor's."""
-
-    dual_feasible: ConstraintSet
-    anchor: PrimalPoint
-
-    def __post_init__(self):
-        if self.dual_feasible.frame != Frame.DUAL:
-            raise ValueError("dual_feasible must be tagged with the DUAL frame")
-
-    @property
-    def space(self) -> SpaceConfig:
-        return self.anchor.space
+def _require_dual(dual_set: ConstraintSet) -> None:
+    if dual_set.frame != Frame.DUAL:
+        raise ValueError("the set a retraction works on must be tagged with the DUAL frame")
 
 
-def sunny_retract(prob: RetractionProblem, tol: float = 1e-12, hint: tuple = ()) -> tuple:
-    """(R_C(anchor) = J*(w*), the active cuts), w* the minimizer of h over JC.
+def sunny_retract(dual_set: ConstraintSet, anchor: PrimalPoint, hint: tuple = ()) -> tuple:
+    """(R_C(anchor) = J*(w*), the active cuts), w* the minimizer of h over
+    the dual-frame set JC; ValueError for a set of another frame.
 
-    One call of `project_intersection` at the space's exponent solves the
+    One call of `project_intersection` at the anchor's exponent solves the
     convex program exactly through its cut multipliers (at p = 2 it is the
     Euclidean projection of the anchor).  The answer is returned only when
-    its KKT residual is within max(10 tol, 1e-10) (1 + |anchor|);
-    NonConvergedError is raised otherwise, and InfeasibleError when JC is
-    empty.  The projection starts from the `hint` cuts (the outer loop
-    passes the previous retraction's active cuts and its newest cut; none
-    by default), and the cuts whose multipliers are positive come back
-    for the next retraction's hint.  The anchor's kept norm, duality image
-    and Jacobian serve every retraction of it.
+    its KKT residual is within 1e-10 (1 + |anchor|); NonConvergedError is
+    raised otherwise, and InfeasibleError when JC is empty.  The
+    projection starts from the `hint` cuts (the outer loop passes the
+    previous retraction's active cuts and its newest cut; none by
+    default), and the cuts whose multipliers are positive come back for
+    the next retraction's hint.  The anchor's kept norm, duality image and
+    Jacobian serve every retraction of it.
     """
-    space, anchor = prob.space, prob.anchor
+    _require_dual(dual_set)
+    space = anchor.space
     w, active = project_intersection(
-        prob.dual_feasible,
-        anchor.coords,
-        tol=tol,
-        exponent=space.exponent,
-        hint=hint,
-        point=anchor,
+        dual_set, anchor.coords, exponent=space.exponent, hint=hint, point=anchor
     )
     return PrimalPoint(gauge_coords(w, space.conjugate), space), active
 
 
 def retraction_vi_residual(
-    prob: RetractionProblem,
+    dual_set: ConstraintSet,
+    anchor: PrimalPoint,
     z: PrimalPoint,
     samples: int = 200,
     rng: np.random.Generator | None = None,
     violation: float | None = None,
 ) -> float:
-    """Sampled maximum of <anchor - z, w_y - Jz> over feasible dual points w_y.
+    """Sampled maximum of <anchor - z, w_y - Jz> over the points w_y of the
+    dual-frame set; ValueError for a set of another frame.
 
     A correct retraction yields a value at tolerance-scale or below; a
     clearly positive value certifies that z is not the retraction of the
@@ -85,19 +70,19 @@ def retraction_vi_residual(
     otherwise.  `violation`, when given, is worst_violation(dual set, Jz),
     which the caller has evaluated; it is not evaluated again.
     """
+    _require_dual(dual_set)
     if rng is None:
         rng = np.random.default_rng(0)
-    space = prob.space
     wz = z.dual_coords
-    gap = worst_violation(prob.dual_feasible, wz) if violation is None else violation
+    gap = worst_violation(dual_set, wz) if violation is None else violation
     if gap > 1e-6:
         raise AuditError(f"z is not feasible: J(z) violates the dual set by {gap:g}")
-    direction = prob.anchor.coords - z.coords
+    direction = anchor.coords - z.coords
     points = sample_feasible(
-        prob.dual_feasible,
+        dual_set,
         rng,
         samples,
-        dimension=space.dimension,
+        dimension=anchor.space.dimension,
         anchor=wz,
         anchor_violation=gap,
     )

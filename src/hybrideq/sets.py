@@ -238,18 +238,6 @@ class ConstraintSet:
         return out
 
 
-def contains(
-    cset: ConstraintSet,
-    v: np.ndarray,
-    tol: float = 0.0,
-    nrm: float | None = None,
-    exponent: float | None = None,
-) -> bool:
-    """True iff v violates no base-set or cut constraint by more than tol;
-    nrm and exponent as in worst_violation."""
-    return worst_violation(cset, v, nrm, exponent) <= tol
-
-
 def worst_violation(
     cset: ConstraintSet, v: np.ndarray, nrm: float | None = None, exponent: float | None = None
 ) -> float:

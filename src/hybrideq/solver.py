@@ -21,7 +21,6 @@ residual.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -36,7 +35,7 @@ from .equilibrium import (
 )
 from .errors import SOLVER_ERRORS, NonConvergedError, UnsupportedCombinationError
 from .operators import OperatorFamily
-from .retraction import RetractionProblem, retraction_vi_residual, sunny_retract
+from .retraction import retraction_vi_residual, sunny_retract
 from .sets import (
     Box,
     ConstraintSet,
@@ -45,15 +44,9 @@ from .sets import (
     PBall,
     WholeSpace,
     add_cut,
-    contains,
     worst_violation,
 )
 from .space import PrimalPoint, SpaceConfig, any_nonzero, gauge_coords, lyapunov_phi, pnorm
-
-
-class StopReason(enum.Enum):
-    CONVERGED = "converged"
-    ITERATION_CAP = "iteration_cap"
 
 
 def _int_at_least(low: int):
@@ -135,7 +128,8 @@ class ProblemBundle:
 
     The space is the anchor's, and omega_dual, the dual-frame set JOmega the
     cuts accumulate on, is derived from Omega.  Raises ValueError unless
-    the anchor x_1 lies in Omega, and UnsupportedCombinationError for an
+    the anchor x_1 lies in Omega and every map of the family lives in the
+    anchor's space, and UnsupportedCombinationError for an
     Omega whose dual image is not representable or when the equilibrium
     data fall outside the resolvent's support matrix (the classification
     does not depend on r).
@@ -160,8 +154,10 @@ class ProblemBundle:
         anchor, space = self.anchor, self.anchor.space
         dual = ConstraintSet(_dual_image(self.omega.base, space), (), Frame.DUAL)
         object.__setattr__(self, "omega_dual", dual)
-        if not contains(self.omega, anchor.coords, 1e-9, anchor.norm, space.exponent):
+        if not worst_violation(self.omega, anchor.coords, anchor.norm, space.exponent) <= 1e-9:
             raise ValueError("anchor x_1 must lie in Omega")
+        if any(member.base.space != space for member in self.family.members):
+            raise ValueError("every map of the operator family must live in the anchor's space")
         classify_problem(
             ResolventProblem(
                 self.bifunctions, self.mixed, self.perturbation, self.omega, 1.0, anchor
@@ -204,7 +200,6 @@ class SolverResult:
     x_star: PrimalPoint
     converged: bool
     history: tuple
-    stop_reason: StopReason
 
     def __post_init__(self):
         object.__setattr__(self, "history", tuple(self.history))
@@ -225,7 +220,7 @@ def step_y(family: OperatorFamily, x: PrimalPoint, n: int) -> PrimalPoint:
     q = space.conjugate
     acc = weights[0] * x.coords
     for i, member in enumerate(family.members):
-        acc = acc + weights[i + 1] * gauge_coords(member.apply_at(n, x).coords, q)
+        acc = acc + weights[i + 1] * gauge_coords(member.apply_at(n, x), q)
     return PrimalPoint(acc, space)
 
 
@@ -279,7 +274,6 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
     # next one's NNLS passive set
     active = ()
     capped_total = 0
-    stop_reason = StopReason.ITERATION_CAP
     converged = False
 
     for n in range(1, config.max_outer + 1):
@@ -317,14 +311,14 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
                 if len(dual_set.cuts) > config.cut_cap:
                     raise NonConvergedError(f"accumulated cuts exceed the cap {config.cut_cap}")
 
-            retraction_problem = RetractionProblem(dual_set, anchor)
-            x_next, active = sunny_retract(retraction_problem, hint=hint)
+            x_next, active = sunny_retract(dual_set, anchor, hint=hint)
 
             # the one feasibility gate of J x_{n+1}: the audit and its sampler
             # read it, and it enters the feasibility record
             dual_gap = worst_violation(dual_set, x_next.dual_coords)
             retraction_residual = retraction_vi_residual(
-                retraction_problem,
+                dual_set,
+                anchor,
                 x_next,
                 samples=config.audit_samples,
                 rng=audit_rng,
@@ -361,11 +355,10 @@ def run(bundle: ProblemBundle, config: SolverConfig) -> SolverResult:
         )
         x = x_next
         if displacement <= config.outer_tol:
-            stop_reason = StopReason.CONVERGED
             converged = True
             break
 
-    return SolverResult(x, converged, tuple(history), stop_reason)
+    return SolverResult(x, converged, tuple(history))
 
 
 #: audit names and their tolerances; vanishing_gap is scaled by outer_tol.

@@ -216,7 +216,8 @@ class PrimalPoint:
 
 @dataclass(frozen=True)
 class DualPoint:
-    """A point of the dual space (q-norm side); houses values of J and of the maps T."""
+    """A point of the dual space (q-norm side): what `duality_map` returns,
+    `inverse_duality_map` takes and a CustomMap's function returns."""
 
     coords: np.ndarray
     space: SpaceConfig
@@ -291,11 +292,6 @@ def pnorm_rows(rows: np.ndarray, exponent: float) -> np.ndarray:
     return norms
 
 
-def pairing(primal: np.ndarray, dual: np.ndarray) -> float:
-    """Canonical duality pairing <x, w> (the dot product in coordinates)."""
-    return float(np.dot(primal, dual))
-
-
 def gauge_coords(v: np.ndarray, exponent: float, nrm: float | None = None) -> np.ndarray:
     """Coordinates of the normalized duality map for the given norm exponent.
 
@@ -357,17 +353,6 @@ def duality_jacobian(v: np.ndarray, exponent: float, nrm: float | None = None) -
     return jac
 
 
-def phi_coords(xc: np.ndarray, yc: np.ndarray, exponent: float) -> float:
-    """phi on raw coordinates: |x|^2 - 2 <x, Jy> + |y|^2 with the p-norm."""
-    jy = gauge_coords(yc, exponent)
-    return _phi(xc, pnorm(xc, exponent), jy, pnorm(yc, exponent))
-
-
-def _phi(xc: np.ndarray, nx: float, jy: np.ndarray, ny: float) -> float:
-    """phi from x's coordinates and norm and y's duality image and norm."""
-    return nx * nx - 2.0 * float(np.dot(xc, jy)) + ny * ny
-
-
 def lyapunov_phi(x: PrimalPoint, y: PrimalPoint) -> float:
     """The Lyapunov functional phi(x, y); nonnegative, zero iff x = y.
 
@@ -376,4 +361,5 @@ def lyapunov_phi(x: PrimalPoint, y: PrimalPoint) -> float:
     """
     if x.space != y.space:
         raise ValueError("x and y must live in the same space")
-    return _phi(x.coords, x.norm, y.dual_coords, y.norm)
+    nx, ny = x.norm, y.norm
+    return nx * nx - 2.0 * float(np.dot(x.coords, y.dual_coords)) + ny * ny

@@ -20,7 +20,6 @@ from hybrideq import (
     PBall,
     PrimalPoint,
     ResolventProblem,
-    RetractionProblem,
     SpaceConfig,
     ZeroPerturbation,
     ZeroTerm,
@@ -106,13 +105,12 @@ def test_criterion_2_retraction_suite():
             space = SpaceConfig(4, p)
             dual = _random_dual_set(space, rng)
             anchor = PrimalPoint(1.5 * rng.standard_normal(4), space)
-            prob = RetractionProblem(dual, anchor)
-            z, _ = sunny_retract(prob, tol=1e-10)
+            z, _ = sunny_retract(dual, anchor)
             residual = retraction_vi_residual(
-                prob, z, samples=80, rng=np.random.default_rng([202, case])
+                dual, anchor, z, samples=80, rng=np.random.default_rng([202, case])
             )
             assert residual <= 1e-6, f"case {case}: VI residual {residual:.2e}"
-            z2, _ = sunny_retract(RetractionProblem(dual, z), tol=1e-10)
+            z2, _ = sunny_retract(dual, z)
             assert pnorm(z2.coords - z.coords, 2.0) <= 1e-8, f"case {case}: idempotence"
             # phi decomposition: phi(x, Rx) + phi(Rx, z_ref) <= phi(x, z_ref)
             from hybrideq.sets import sample_feasible

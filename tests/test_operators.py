@@ -17,7 +17,7 @@ from hybrideq import (
     jstar_nonexpansive_violation,
     lyapunov_phi,
 )
-from hybrideq.space import DualPoint, gauge_coords, inverse_duality_map, pnorm
+from hybrideq.space import DualPoint, gauge_coords, pnorm
 
 H3 = SpaceConfig(3, 2.0)
 B8 = SpaceConfig(8, 3.0)
@@ -35,34 +35,34 @@ class TestShiftMap:
     def test_shift_in_hilbert(self):
         t = ShiftMap(H3)
         out = t.apply(PrimalPoint([1.0, 2.0, 3.0], H3))
-        np.testing.assert_allclose(out.coords, [0.0, 1.0, 2.0])
+        np.testing.assert_allclose(out, [0.0, 1.0, 2.0])
 
     def test_origin_is_j_fixed(self):
         t = ShiftMap(B8)
         zero = PrimalPoint(np.zeros(8), B8)
-        assert np.all(t.apply(zero).coords == 0.0)
+        assert np.all(t.apply(zero) == 0.0)
         jz = gauge_coords(zero.coords, 3.0)
-        np.testing.assert_allclose(t.apply(zero).coords, jz)
+        np.testing.assert_allclose(t.apply(zero), jz)
 
 
 class TestApplyMember:
     def test_hilbert_half_weights_example(self):
         fam = _family(H3, [("shift", 0.5)])
         out = fam.members[0].apply_at(1, PrimalPoint([1.0, 2.0, 3.0], H3))
-        np.testing.assert_allclose(out.coords, [0.5, 1.5, 2.5])
+        np.testing.assert_allclose(out, [0.5, 1.5, 2.5])
 
     def test_fixed_point_maps_to_its_j_image(self):
         fam = _family(B8, [("shift", 0.5)])
         zero = PrimalPoint(np.zeros(8), B8)
         out = fam.members[0].apply_at(3, zero)
-        np.testing.assert_allclose(out.coords, np.zeros(8), atol=1e-15)
+        np.testing.assert_allclose(out, np.zeros(8), atol=1e-15)
 
     def test_j_map_member_returns_j_image(self):
         fam = _family(B8, [("duality", 0.5)])
         rng = np.random.default_rng(0)
         x = PrimalPoint(rng.uniform(-0.4, 0.4, 8), B8)
         out = fam.members[0].apply_at(2, x)
-        np.testing.assert_allclose(out.coords, gauge_coords(x.coords, 3.0), atol=1e-14)
+        np.testing.assert_allclose(out, gauge_coords(x.coords, 3.0), atol=1e-14)
 
 
 class TestWeightSchedules:
@@ -132,13 +132,31 @@ class TestNonexpansiveViolation:
         omega = ConstraintSet(PBall(1.0, 3.0), (), Frame.PRIMAL)
         zero = PrimalPoint(np.zeros(8), B8)
         v = jstar_nonexpansive_violation(
-            CustomMap(B8, lambda x: fam.apply_at(4, x)),
+            CustomMap(B8, lambda x: DualPoint(fam.apply_at(4, x), B8)),
             zero,
             omega,
             samples=200,
             rng=np.random.default_rng(4),
         )
         assert v <= 1e-8
+
+
+class TestCustomMap:
+    def test_returns_the_points_coordinates(self):
+        w = DualPoint(np.arange(8.0), B8)
+        out = CustomMap(B8, lambda x: w).apply(PrimalPoint(np.zeros(8), B8))
+        np.testing.assert_array_equal(out, w.coords)
+
+    @pytest.mark.parametrize(
+        "other", [SpaceConfig(1, 3.0), SpaceConfig(8, 2.0)], ids=["dimension", "exponent"]
+    )
+    def test_a_point_of_another_space_is_refused(self, other):
+        # a 1-vector would broadcast into the 8-vector blend, and a point of
+        # exponent 2 would be blended as if it were of exponent 3
+        w = DualPoint(np.full(other.dimension, 0.5), other)
+        member = RelaxedFamily(CustomMap(B8, lambda x: w))
+        with pytest.raises(ValueError, match="returned a point of"):
+            member.apply_at(1, PrimalPoint(np.zeros(8), B8))
 
 
 class TestRelaxedConvexityChain:
@@ -152,8 +170,8 @@ class TestRelaxedConvexityChain:
         for _ in range(40):
             u = rng.standard_normal(8)
             u = PrimalPoint(0.8 * u / pnorm(u, 3.0), space)
-            blended = inverse_duality_map(fam.apply_at(1, u))
-            base_img = inverse_duality_map(base.apply(u))
+            blended = PrimalPoint(gauge_coords(fam.apply_at(1, u), space.conjugate), space)
+            base_img = PrimalPoint(gauge_coords(base.apply(u), space.conjugate), space)
             left = lyapunov_phi(zero, blended)
             right = 0.5 * lyapunov_phi(zero, u) + 0.5 * lyapunov_phi(zero, base_img)
             assert left <= right + 1e-8
@@ -173,8 +191,8 @@ class TestRelaxedFamilyIdentity:
         for n in range(1, 13):
             x = PrimalPoint(rng.uniform(-1.0, 1.0, 8), space)
             jx = x.dual_coords
-            member_res = pnorm(jx - member.apply_at(n, x).coords, q)
-            base_res = pnorm(jx - member.base.apply(x).coords, q)
+            member_res = pnorm(jx - member.apply_at(n, x), q)
+            base_res = pnorm(jx - member.base.apply(x), q)
             assert member_res == pytest.approx((1.0 - alpha) * base_res, rel=1e-12, abs=1e-15)
             if kind == "shift":
                 assert base_res > 0.0

@@ -15,7 +15,6 @@ from hybrideq import (
     Halfspace,
     PBall,
     PrimalPoint,
-    RetractionProblem,
     SpaceConfig,
     inverse_duality_map,
     lyapunov_phi,
@@ -41,10 +40,10 @@ def _dual_ball(space, cuts=()):
     )
 
 
-def _grid_minimize_h(prob, lo=-1.1, hi=1.1, steps=441):
+def _grid_minimize_h(dual, anchor, lo=-1.1, hi=1.1, steps=441):
     """Dense-grid minimizer of h(w) = |w|_q^2 - 2 <x, w> over the dual set."""
-    q = prob.space.conjugate
-    x = prob.anchor.coords
+    q = anchor.space.conjugate
+    x = anchor.coords
     axis = np.linspace(lo, hi, steps)
     best, best_h = None, np.inf
     from hybrideq.sets import worst_violation
@@ -52,7 +51,7 @@ def _grid_minimize_h(prob, lo=-1.1, hi=1.1, steps=441):
     for a in axis:
         for b in axis:
             w = np.array([a, b])
-            if worst_violation(prob.dual_feasible, w) <= 0.0:
+            if worst_violation(dual, w) <= 0.0:
                 h = pnorm(w, q) ** 2 - 2.0 * float(np.dot(x, w))
                 if h < best_h:
                     best, best_h = w, h
@@ -62,8 +61,7 @@ def _grid_minimize_h(prob, lo=-1.1, hi=1.1, steps=441):
 class TestHilbertMode:
     def test_unit_ball_metric_projection(self):
         s = SpaceConfig(2, 2.0)
-        prob = RetractionProblem(_dual_ball(s), PrimalPoint([2.0, 0.0], s))
-        z, _ = sunny_retract(prob, tol=1e-10)
+        z, _ = sunny_retract(_dual_ball(s), PrimalPoint([2.0, 0.0], s))
         np.testing.assert_allclose(z.coords, [1.0, 0.0], atol=1e-9)
 
     def test_agrees_with_dykstra_projection(self):
@@ -73,8 +71,7 @@ class TestHilbertMode:
             cuts = [(rng.standard_normal(3), rng.uniform(0.1, 0.5)) for _ in range(3)]
             dual = _dual_ball(s, cuts)
             anchor = PrimalPoint(2.0 * rng.standard_normal(3), s)
-            prob = RetractionProblem(dual, anchor)
-            z, _ = sunny_retract(prob, tol=1e-10)
+            z, _ = sunny_retract(dual, anchor)
             proj = dykstra(dual, anchor.coords, tol=1e-12, max_iter=50000)
             np.testing.assert_allclose(z.coords, proj, atol=1e-6)
 
@@ -83,17 +80,15 @@ class TestRetractionProperties:
     def test_feasible_anchor_is_fixed(self):
         s = SpaceConfig(2, 3.0)
         anchor = PrimalPoint([0.3, -0.2], s)
-        prob = RetractionProblem(_dual_ball(s), anchor)
-        z, _ = sunny_retract(prob, tol=1e-10)
+        z, _ = sunny_retract(_dual_ball(s), anchor)
         np.testing.assert_allclose(z.coords, anchor.coords, atol=1e-8)
 
     def test_idempotence(self):
         s = SpaceConfig(3, 3.0)
         dual = _dual_ball(s, [(np.array([1.0, 0.2, 0.0]), 0.25)])
         anchor = PrimalPoint([0.9, 0.7, -0.5], s)
-        prob = RetractionProblem(dual, anchor)
-        z, _ = sunny_retract(prob, tol=1e-10)
-        z2, _ = sunny_retract(RetractionProblem(dual, z), tol=1e-10)
+        z, _ = sunny_retract(dual, anchor)
+        z2, _ = sunny_retract(dual, z)
         assert pnorm(z2.coords - z.coords, 2.0) <= 1e-8
 
     def test_uniqueness_across_cut_orders(self):
@@ -111,7 +106,7 @@ class TestRetractionProperties:
         for _ in range(4):
             order = rng.permutation(len(cuts))
             dual = _dual_ball(s, [cuts[i] for i in order])
-            results.append(sunny_retract(RetractionProblem(dual, anchor))[0].coords)
+            results.append(sunny_retract(dual, anchor)[0].coords)
         for r in results[1:]:
             assert pnorm(r - results[0], 2.0) <= 1e-12
 
@@ -120,8 +115,7 @@ class TestRetractionProperties:
         s = SpaceConfig(3, 3.0)
         dual = _dual_ball(s, [(np.array([1.0, 0.0, 0.5]), 0.3)])
         anchor = PrimalPoint([1.5, -0.4, 0.8], s)
-        prob = RetractionProblem(dual, anchor)
-        z, _ = sunny_retract(prob, tol=1e-10)
+        z, _ = sunny_retract(dual, anchor)
         rng = np.random.default_rng(21)
         from hybrideq.sets import sample_feasible
 
@@ -136,24 +130,23 @@ class TestVIResidual:
     def test_interior_anchor_zero_residual(self):
         s = SpaceConfig(2, 3.0)
         anchor = PrimalPoint([0.2, 0.1], s)
-        prob = RetractionProblem(_dual_ball(s), anchor)
-        res = retraction_vi_residual(prob, anchor, samples=100)
+        res = retraction_vi_residual(_dual_ball(s), anchor, anchor, samples=100)
         assert res <= 1e-12
 
     def test_retraction_output_has_small_residual(self):
         s = SpaceConfig(2, 3.0)
         dual = _dual_ball(s, [(np.array([1.0, 0.0]), 0.0)])
         anchor = PrimalPoint([0.8, 0.8], s)
-        prob = RetractionProblem(dual, anchor)
-        z, _ = sunny_retract(prob, tol=1e-10)
-        res = retraction_vi_residual(prob, z, samples=300, rng=np.random.default_rng(1))
+        z, _ = sunny_retract(dual, anchor)
+        res = retraction_vi_residual(dual, anchor, z, samples=300, rng=np.random.default_rng(1))
         assert res <= 1e-6
 
     def test_wrong_point_flagged(self):
         s = SpaceConfig(2, 2.0)
-        prob = RetractionProblem(_dual_ball(s), PrimalPoint([2.0, 0.0], s))
-        wrong = PrimalPoint([0.0, 1.0], s)
-        res = retraction_vi_residual(prob, wrong, samples=200, rng=np.random.default_rng(2))
+        anchor, wrong = PrimalPoint([2.0, 0.0], s), PrimalPoint([0.0, 1.0], s)
+        res = retraction_vi_residual(
+            _dual_ball(s), anchor, wrong, samples=200, rng=np.random.default_rng(2)
+        )
         assert res > 0.5
 
     def test_passed_violation_changes_nothing(self):
@@ -161,22 +154,22 @@ class TestVIResidual:
         # sampler's pull-back, as the one computed inside does
         s = SpaceConfig(3, 3.0)
         dual = _dual_ball(s, [(np.array([1.0, 0.5, 0.0]), 0.1), (np.array([0.0, 1.0, -1.0]), 0.2)])
-        prob = RetractionProblem(dual, PrimalPoint([0.9, 0.7, -0.3], s))
-        z, _ = sunny_retract(prob)
-        own = retraction_vi_residual(prob, z, samples=50, rng=np.random.default_rng(5))
+        anchor = PrimalPoint([0.9, 0.7, -0.3], s)
+        z, _ = sunny_retract(dual, anchor)
+        own = retraction_vi_residual(dual, anchor, z, samples=50, rng=np.random.default_rng(5))
         gap = worst_violation(dual, z.dual_coords)
         passed = retraction_vi_residual(
-            prob, z, samples=50, rng=np.random.default_rng(5), violation=gap
+            dual, anchor, z, samples=50, rng=np.random.default_rng(5), violation=gap
         )
         assert passed == own
         with pytest.raises(AuditError):
-            retraction_vi_residual(prob, z, samples=50, violation=1e-3)
+            retraction_vi_residual(dual, anchor, z, samples=50, violation=1e-3)
 
     def test_infeasible_point_rejected(self):
         s = SpaceConfig(2, 2.0)
-        prob = RetractionProblem(_dual_ball(s), PrimalPoint([2.0, 0.0], s))
+        anchor = PrimalPoint([2.0, 0.0], s)
         with pytest.raises(ValueError):
-            retraction_vi_residual(prob, PrimalPoint([2.0, 2.0], s), samples=10)
+            retraction_vi_residual(_dual_ball(s), anchor, PrimalPoint([2.0, 2.0], s), samples=10)
 
 
 class TestBanachModeOracle:
@@ -184,11 +177,10 @@ class TestBanachModeOracle:
         s = SpaceConfig(2, 3.0)
         dual = _dual_ball(s, [(np.array([1.0, 0.0]), 0.0)])  # q-ball ∩ {w_1 <= 0}
         anchor = PrimalPoint([1.0, 1.0], s)
-        prob = RetractionProblem(dual, anchor)
-        z, _ = sunny_retract(prob, tol=1e-10)
-        res = retraction_vi_residual(prob, z, samples=400, rng=np.random.default_rng(3))
+        z, _ = sunny_retract(dual, anchor)
+        res = retraction_vi_residual(dual, anchor, z, samples=400, rng=np.random.default_rng(3))
         assert res <= 1e-6
-        w_grid = _grid_minimize_h(prob)
+        w_grid = _grid_minimize_h(dual, anchor)
         z_grid = gauge_coords(w_grid, s.conjugate)
         # grid resolution limits agreement to the grid pitch
         assert pnorm(z.coords - z_grid, 2.0) <= 2e-2
@@ -196,8 +188,11 @@ class TestBanachModeOracle:
     def test_problem_frame_validated(self):
         s = SpaceConfig(2, 3.0)
         primal = ConstraintSet(PBall(1.0, 3.0, Frame.PRIMAL), (), Frame.PRIMAL)
-        with pytest.raises(ValueError):
-            RetractionProblem(primal, PrimalPoint([0.0, 0.0], s))
+        anchor = PrimalPoint([0.0, 0.0], s)
+        with pytest.raises(ValueError, match="DUAL frame"):
+            sunny_retract(primal, anchor)
+        with pytest.raises(ValueError, match="DUAL frame"):
+            retraction_vi_residual(primal, anchor, anchor, samples=10)
 
 
 def _gate(v):
@@ -220,14 +215,15 @@ class TestExactEngine:
             ]
             dual = _dual_ball(s, cuts)
             anchor = PrimalPoint(2.0 * rng.standard_normal(d), s)
-            prob = RetractionProblem(dual, anchor)
             w, resid, _ = _generalized_projection(dual, anchor.coords, p, 1e-12)
             assert resid <= _gate(anchor.coords), f"case {case}: KKT residual {resid:.2e}"
-            z, _ = sunny_retract(prob)
+            z, _ = sunny_retract(dual, anchor)
             np.testing.assert_array_equal(z.coords, gauge_coords(w, s.conjugate))
-            vi = retraction_vi_residual(prob, z, samples=100, rng=np.random.default_rng(case))
+            vi = retraction_vi_residual(
+                dual, anchor, z, samples=100, rng=np.random.default_rng(case)
+            )
             assert vi <= 1e-9, f"case {case}: VI residual {vi:.2e}"
-            z2, _ = sunny_retract(RetractionProblem(dual, z))
+            z2, _ = sunny_retract(dual, z)
             assert pnorm(z2.coords - z.coords, 2.0) <= 1e-9, f"case {case}: idempotence"
             refs = sample_feasible(
                 dual, np.random.default_rng([case, 1]), 20, dimension=d, anchor=w
@@ -292,6 +288,5 @@ class TestExactEngine:
                     dual.cuts,
                     Frame.DUAL,
                 )
-                prob = RetractionProblem(dual, PrimalPoint([0.5, 0.5], space))
                 with pytest.raises(InfeasibleError):
-                    sunny_retract(prob)
+                    sunny_retract(dual, PrimalPoint([0.5, 0.5], space))

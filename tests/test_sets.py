@@ -41,7 +41,6 @@ from hybrideq import (
     UnsupportedCombinationError,
     WholeSpace,
     add_cut,
-    contains,
     project_primitive,
     sample_feasible,
 )
@@ -72,7 +71,7 @@ def _grid_nearest(cset, v, lo=-1.5, hi=1.5, steps=301):
     for a in axis:
         for b in axis:
             z = np.array([a, b])
-            if contains(cset, z, 0.0):
+            if worst_violation(cset, z) <= 0.0:
                 d = float(np.dot(z - v, z - v))
                 if d < best_d:
                     best, best_d = z, d
@@ -80,26 +79,28 @@ def _grid_nearest(cset, v, lo=-1.5, hi=1.5, steps=301):
 
 
 class TestContains:
+    """A set contains v within tol when worst_violation(set, v) <= tol."""
+
     def test_ball_membership(self):
         ball = ConstraintSet(PBall(1.0, 2.0))
-        assert contains(ball, np.array([0.0, 0.0]), 0.0)
-        assert not contains(ball, np.array([1.1, 0.0]), 1e-6)
+        assert worst_violation(ball, np.array([0.0, 0.0])) <= 0.0
+        assert not worst_violation(ball, np.array([1.1, 0.0])) <= 1e-6
 
     def test_cut_violation(self):
         cset = ConstraintSet(PBall(1.0, 2.0), (Halfspace([1.0, 0.0], 0.5),))
-        assert not contains(cset, np.array([0.6, 0.0]), 1e-6)
-        assert contains(cset, np.array([0.4, 0.0]), 0.0)
+        assert not worst_violation(cset, np.array([0.6, 0.0])) <= 1e-6
+        assert worst_violation(cset, np.array([0.4, 0.0])) <= 0.0
 
     def test_box_and_whole_space(self):
         box = ConstraintSet(Box([0.0, 0.0], [1.0, 1.0]))
-        assert contains(box, np.array([0.5, 1.0]), 0.0)
-        assert not contains(box, np.array([0.5, 1.1]), 1e-3)
-        assert contains(ConstraintSet(WholeSpace()), np.array([1e9, -1e9]), 0.0)
+        assert worst_violation(box, np.array([0.5, 1.0])) <= 0.0
+        assert not worst_violation(box, np.array([0.5, 1.1])) <= 1e-3
+        assert worst_violation(ConstraintSet(WholeSpace()), np.array([1e9, -1e9])) <= 0.0
 
     def test_nan_point_with_a_cut_is_not_contained(self):
         cset = ConstraintSet(WholeSpace(), (Halfspace([1.0, 0.0], 0.5),))
         assert np.isnan(worst_violation(cset, np.array([np.nan, 0.0])))
-        assert not contains(cset, np.array([np.nan, 0.0]), 0.0)
+        assert not worst_violation(cset, np.array([np.nan, 0.0])) <= 0.0
 
     @pytest.mark.parametrize("base", [WholeSpace(), Box([-1.0, -1.0], [1.0, 1.0]), PBall(1.0, 3.0)])
     @pytest.mark.parametrize("cuts", [(), (Halfspace([1.0, 0.0], 0.5), Halfspace([0.0, -1.0], 0.2))])
@@ -141,7 +142,6 @@ class TestKeptNorm:
         nrm = pnorm(v, p)
         alone = worst_violation(cset, v)
         assert np.float64(worst_violation(cset, v, nrm, p)).tobytes() == np.float64(alone).tobytes()
-        assert contains(cset, v, 0.0, nrm, p) == contains(cset, v, 0.0)
         if base == "other_ball" and point == "finite" and not cut:
             # the norm of the ball's own exponent, not the one passed
             assert alone == pnorm(v, p + 1.0) - 2.0 * mag != nrm - 2.0 * mag
@@ -274,7 +274,7 @@ class TestDykstra:
         )
         v = np.array([1.5, 1.5])
         z = dykstra(cset, v, tol=1e-12, max_iter=20000)
-        assert contains(cset, z, 1e-6)
+        assert worst_violation(cset, z) <= 1e-6
         dz = np.linalg.norm(v - z)
         samples = sample_feasible(cset, rng, 1000, dimension=2)
         dists = np.linalg.norm(samples - v, axis=1)

@@ -25,7 +25,6 @@ from hybrideq import (
     ShiftMap,
     SolverConfig,
     SpaceConfig,
-    StopReason,
     UnsupportedCombinationError,
     WholeSpace,
     audit_result,
@@ -48,7 +47,7 @@ import hybrideq.space as space_module
 from hybrideq.harness import build_config, load_scenario, read_scenario, run_scenario
 from hybrideq.sets import add_cut, worst_violation
 from hybrideq.solver import AUDIT_TOLERANCES
-from hybrideq.space import gauge_coords, lyapunov_phi, phi_coords, pnorm
+from hybrideq.space import gauge_coords, lyapunov_phi, pnorm
 
 H2 = SpaceConfig(2, 2.0)
 
@@ -121,6 +120,13 @@ def _definition_cut(u: PrimalPoint, x: PrimalPoint):
     return Halfspace(2.0 * diff, nx * nx - nu * nu, Frame.DUAL)
 
 
+def _fresh_phi(xc: np.ndarray, yc: np.ndarray, p: float) -> float:
+    """phi(x, y) = |x|^2 - 2 <x, Jy> + |y|^2 from raw coordinates, with every
+    norm and duality image evaluated afresh."""
+    nx, ny = pnorm(xc, p), pnorm(yc, p)
+    return nx * nx - 2.0 * float(np.dot(xc, gauge_coords(yc, p))) + ny * ny
+
+
 class TestComparisonHalfspace:
     """The definition the run's cuts are checked against, in
     TestRecordsMatchTheFormulas and TestResolventPointWork."""
@@ -176,7 +182,6 @@ class TestRun:
         config = SolverConfig(max_outer=10, outer_tol=1e-6)
         result = run(bundle, config)
         assert result.converged
-        assert result.stop_reason is StopReason.CONVERGED
         assert result.iterations == 1
         assert pnorm(result.x_star.coords, 3.0) <= 1e-9
 
@@ -216,6 +221,17 @@ class TestRun:
                 perturbation=ZeroPerturbation(), anchor=PrimalPoint([2.0, 0.0], space),
             )
 
+    @pytest.mark.parametrize(
+        "other", [SpaceConfig(8, 2.0), SpaceConfig(7, 3.0)], ids=["exponent", "dimension"]
+    )
+    def test_family_of_another_space_rejected(self, other):
+        # lp_shift_example's anchor is of SpaceConfig(8, 3.0); the run would
+        # fail at iteration 1 on an error that names another cause
+        bundle = load_scenario("lp_shift_example").problem
+        family = OperatorFamily([RelaxedFamily(ShiftMap(other))])
+        with pytest.raises(ValueError, match="operator family must live in the anchor's space"):
+            dataclasses.replace(bundle, family=family)
+
     def test_cut_cap_overflow_raises(self):
         rng = np.random.default_rng(5)
         start = rng.standard_normal(8)
@@ -238,7 +254,6 @@ class TestRun:
         bundle = _lp_bundle(anchor=np.zeros(8))
         config = SolverConfig(max_outer=0)
         result = run(bundle, config)
-        assert result.stop_reason is StopReason.ITERATION_CAP
         assert not result.converged
         assert result.iterations == 0
         np.testing.assert_allclose(result.x_star.coords, bundle.anchor.coords)
@@ -468,6 +483,23 @@ class TestIterationHook:
         assert result.iterations == 4
         assert events == ["step_y", "classify"] * 4
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_no_dual_point_is_built_in_an_iteration(self, monkeypatch, p):
+        # the maps hand step_y the dual coordinates of their values as arrays
+        start = np.random.default_rng(3).standard_normal(8)
+        bundle = _lp_bundle(p=p, anchor=0.8 * start / pnorm(start, p))
+        built = []
+        real_post_init = space_module.DualPoint.__post_init__
+
+        def post_init(point):
+            built.append(point)
+            real_post_init(point)
+
+        monkeypatch.setattr(space_module.DualPoint, "__post_init__", post_init)
+        result = run(bundle, SolverConfig(max_outer=4, audit_samples=8))
+        assert result.iterations == 4
+        assert built == []
+
 
 class TestAuditResult:
     def test_every_invariant_reported_once(self):
@@ -585,9 +617,9 @@ class TestRecordsMatchTheFormulas:
         nexts = [rec.x for rec in result.history[1:]] + [result.x_star]
         for rec, x_next in zip(result.history, nexts):
             xc, yc, uc = rec.x.coords, rec.y.coords, rec.u.coords
-            assert rec.phi_anchor == phi_coords(anchor, xc, p)
-            assert rec.fejer_slack == phi_coords(uc, rc, p) - phi_coords(xc, rc, p)
-            assert rec.fejer_slack_y == phi_coords(yc, rc, p) - phi_coords(xc, rc, p)
+            assert rec.phi_anchor == _fresh_phi(anchor, xc, p)
+            assert rec.fejer_slack == _fresh_phi(uc, rc, p) - _fresh_phi(xc, rc, p)
+            assert rec.fejer_slack_y == _fresh_phi(yc, rc, p) - _fresh_phi(xc, rc, p)
             assert rec.gap_xu == pnorm(xc - uc, p)
             assert rec.displacement == pnorm(x_next.coords - xc, p)
             fresh_u, fresh_x = PrimalPoint(uc, bundle.space), PrimalPoint(xc, bundle.space)
@@ -633,9 +665,9 @@ class TestRetractionHint:
             offered.append((cut, out.cuts[-1] is cut))
             return out
 
-        def retract(prob, **kwargs):
+        def retract(*args, **kwargs):
             hints.append(kwargs["hint"])
-            return retraction_module.sunny_retract(prob, **kwargs)
+            return retraction_module.sunny_retract(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, "add_cut", add_after_twin)
         monkeypatch.setattr(solver_module, "sunny_retract", retract)
