@@ -39,8 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(args) -> "ScenarioSpec":
-    """Apply the command-line overrides to a private copy of the scenario document, then
-    validate it once, without copying it again."""
+    """Apply the command-line overrides to the scenario's document, then load it.
+
+    read_scenario gives a document of the CLI's own (a built-in is copied,
+    a file is read), so it is edited in place."""
     doc = read_scenario(args.scenario)
     # a document of the wrong shape is left to validation to report
     if isinstance(doc, dict) and isinstance(doc.get("config", {}), dict):
@@ -51,7 +53,7 @@ def _load_with_overrides(args) -> "ScenarioSpec":
             config["outer_tol"] = args.tol
         if args.seed is not None:
             doc["seed"] = args.seed
-    return load_scenario(doc, handed_over=True)
+    return load_scenario(doc)
 
 
 def _report_exit_code(report) -> int:

@@ -322,8 +322,18 @@ def resolvent_lhs(prob: ResolventProblem, u: PrimalPoint, y: PrimalPoint) -> flo
 
 
 def classify_problem(prob: ResolventProblem) -> str:
-    """'hilbert' or 'banach_lp'; raises UnsupportedCombinationError otherwise."""
+    """'hilbert' or 'banach_lp'; raises UnsupportedCombinationError otherwise,
+    and when a J* pairing or the duality perturbation carries a space other
+    than the problem's."""
     space = prob.space
+    pairings = [f.g for f in prob.bifunctions if isinstance(f, PairingBifunction)]
+    for m in (*pairings, prob.perturbation):
+        if isinstance(m, (InverseDualityPairing, DualityPerturbation)) and m.space != space:
+            raise UnsupportedCombinationError(
+                f"{type(m).__name__}'s space (dimension {m.space.dimension}, exponent "
+                f"{m.space.exponent:g}) is not the problem's (dimension {space.dimension}, "
+                f"exponent {space.exponent:g})"
+            )
     if space.is_hilbert:
         for f in prob.bifunctions:
             if isinstance(f, PotentialBifunction):
@@ -432,21 +442,32 @@ def _forward_terms(prob: ResolventProblem):
     return forward, lipschitz, modulus
 
 
+def _forward_backward(prob, start, forward, step, target, max_iter) -> tuple:
+    """Forward-backward y <- prox of step*phi + indicator(Omega) at
+    y - step * forward(y), from start projected onto Omega, until a step
+    moves y by at most target; returns (y, settled), settled False when
+    max_iter steps all moved it further."""
+    y = project_primitive(start, prob.feasible.base)
+    for _ in range(max_iter):
+        y_new = _composite_prox(prob.mixed, prob.feasible, y - step * forward(y), step)
+        moved = norm2(y_new - y)
+        y = y_new
+        if moved <= target:
+            return y, True
+    return y, False
+
+
 def _solve_hilbert(prob: ResolventProblem, target: float, max_iter: int) -> np.ndarray:
     """Forward-backward from the projected input until a step moves u by at
     most target; raises NonConvergedError after max_iter steps."""
     forward, lipschitz, modulus = _forward_terms(prob)
     step = modulus / (lipschitz * lipschitz)
-    u = project_primitive(prob.input_point.coords, prob.feasible.base)
-    for _ in range(max_iter):
-        u_new = _composite_prox(prob.mixed, prob.feasible, u - step * forward(u), step)
-        moved = norm2(u_new - u)
-        u = u_new
-        if moved <= target:
-            return u
-    raise NonConvergedError(
-        f"forward-backward displacement did not reach {target:g} in {max_iter} iterations"
-    )
+    u, settled = _forward_backward(prob, prob.input_point.coords, forward, step, target, max_iter)
+    if not settled:
+        raise NonConvergedError(
+            f"forward-backward displacement did not reach {target:g} in {max_iter} iterations"
+        )
+    return u
 
 
 # -- Banach (shift-example class) solver ------------------------------------------
@@ -650,15 +671,9 @@ def _gap_hilbert(prob, uc, starts, max_iter=300):
         # with W = 0, lhs(u, y) = <lin, y - u> + phi(y) - phi(u)
         least = closed - (float(np.dot(lin, uc)) + mixed.value(uc))
     else:
-        y = project_primitive(uc, omega.base)
-        for _ in range(max_iter):
-            y_new = _composite_prox(mixed, omega, y - lin, 1.0)
-            moved = norm2(y_new - y)
-            y = y_new
-            if moved <= 1e-11:
-                break
-        else:
-            capped = 1
+        # step 1: y - 1.0 * lin is y - lin, bit for bit
+        y, settled = _forward_backward(prob, uc, lambda _: lin, 1.0, 1e-11, max_iter)
+        capped = int(not settled)
         rows.append(y[None, :])
     ys = np.concatenate(rows)
     if not all_finite(ys):

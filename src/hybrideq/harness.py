@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field, fields
 from os import PathLike
@@ -48,7 +49,7 @@ from .errors import (
 from .operators import JMap, OperatorFamily, RelaxedFamily, ShiftMap
 from .sets import Box, ConstraintSet, PBall, WholeSpace, sample_feasible
 from .solver import ProblemBundle, SolverConfig, audit_result, run
-from .space import PrimalPoint, SpaceConfig, kept
+from .space import PrimalPoint, SpaceConfig
 
 #: the per-iteration CSV's columns, in order, each with the history-record
 #: field it reads; the summary's rows carry the same keys
@@ -350,26 +351,12 @@ _BUNDLE_KEYS = {
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A fully validated scenario document."""
+    """A validated scenario: its name and the solver inputs and configuration
+    built from its document, of which it keeps nothing else."""
 
     name: str
-    space: dict
-    bundle: dict
-    config: dict
-    seed: int
-
-    def to_dict(self) -> dict:
-        return _copy_document({f.name: getattr(self, f.name) for f in fields(self)})
-
-    @kept
-    def problem(self) -> ProblemBundle:
-        """The solver inputs, built on first use and kept: one build per spec."""
-        return build_bundle(self)
-
-    @kept
-    def solver_config(self) -> SolverConfig:
-        """The solver configuration, built and checked on first use and kept."""
-        return build_config(self)
+    problem: ProblemBundle
+    solver_config: SolverConfig
 
 
 def _copy_document(doc):
@@ -387,8 +374,9 @@ def _copy_document(doc):
 def read_scenario(source):
     """The unvalidated scenario document of a built-in name, a JSON path, or a dict.
 
-    Any other source (a list, a number, None) is a validation error of the
-    scenario, as a document of that type is.
+    A built-in is copied, so that a caller may edit what it gets; a dict is
+    returned as it is.  Any other source (a list, a number, None) is a
+    validation error of the scenario, as a document of that type is.
     """
     if isinstance(source, dict):
         return source
@@ -407,87 +395,78 @@ def read_scenario(source):
         raise ScenarioParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def load_scenario(source, *, handed_over: bool = False) -> ScenarioSpec:
-    """Load and validate a scenario from a built-in name, a JSON path, or a dict.
+#: a scenario name is a file-name stem: the outputs are <name>_iterations.csv
+#: and <name>_summary.json in the output directory, and nowhere else
+_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 
-    The spec keeps the sections of the document.  A built-in name or a JSON
-    path is read into a document of its own; a dict is copied once, whole,
-    so that later edits by the caller cannot reach the spec.  With
-    `handed_over`, source is a document the caller gives up (the CLI's
-    overridden copy), validated as it is and not copied.
+
+def load_scenario(source) -> ScenarioSpec:
+    """Load, validate and build a scenario from a built-in name, a JSON path, or a dict.
+
+    The bundle is built and the config checked here, before any work
+    happens.  Nothing built shares a dict, list or array with the
+    document, so a dict source is read as it is, and editing it afterwards
+    cannot reach the spec.
     """
-    if handed_over:
-        doc = source
-    elif isinstance(source, dict):
-        doc = _copy_document(source)
-    else:
-        doc = read_scenario(source)
+    doc = read_scenario(source)
     _require_keys(
         doc,
         {"name", "space", "bundle", "config", "seed"},
         {"name", "space", "bundle"},
         "scenario",
     )
-    if not isinstance(doc.get("name"), str) or not doc["name"]:
-        _fail("scenario.name", "must be a nonempty string")
-    space = doc["space"]
-    _require_keys(space, {"dimension", "exponent"}, {"dimension", "exponent"}, "space")
-    dimension = _integer(space["dimension"], "space.dimension", minimum=1)
-    _checked("space.exponent", SpaceConfig, dimension, _number(space["exponent"], "space.exponent"))
-    seed = _checked("scenario", SolverConfig.check, "seed", doc.get("seed", 7))
-
-    spec = ScenarioSpec(
-        name=doc["name"],
-        space=space,
-        bundle=doc["bundle"],
-        config=doc.get("config", {}),
-        seed=seed,
+    name = doc["name"]
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        _fail("scenario.name", f"must be a file-name stem ({_NAME.pattern}), got {name!r}")
+    desc = doc["space"]
+    _require_keys(desc, {"dimension", "exponent"}, {"dimension", "exponent"}, "space")
+    dimension = _integer(desc["dimension"], "space.dimension", minimum=1)
+    space = _checked(
+        "space.exponent", SpaceConfig, dimension, _number(desc["exponent"], "space.exponent")
     )
-    # build the bundle and check the config before any work happens; the
-    # spec keeps both, so run_scenario does not build or check them again
-    spec.problem
-    spec.solver_config
-    return spec
+    seed = _checked("scenario", SolverConfig.check, "seed", doc.get("seed", 7))
+    bundle = build_bundle(doc["bundle"], space, seed)
+    reference = doc["bundle"].get("reference_solution")
+    config = build_config(doc.get("config", {}), reference, space, seed)
+    return ScenarioSpec(name, bundle, config)
 
 
 # -- construction ----------------------------------------------------------------
 
 
-def build_config(spec: ScenarioSpec) -> SolverConfig:
-    """The solver configuration, checking each config field as it is read.
+def build_config(desc: dict, reference, space: SpaceConfig, seed: int) -> SolverConfig:
+    """The solver configuration of the config section desc and the bundle
+    section's reference solution, checking each field as it is read.
 
     Raises ScenarioValidationError naming the offending field.
     """
-    _require_keys(spec.config, _CONFIG_FIELDS, (), "config")
+    _require_keys(desc, _CONFIG_FIELDS, (), "config")
     cfg = {
-        key: check(spec.config[key], f"config.{key}")
+        key: check(desc[key], f"config.{key}")
         for key, check in _CONFIG_FIELDS.items()
-        if key in spec.config
+        if key in desc
     }
     cfg.pop("mode", None)
     cfg.pop("retraction_tol", None)
     if "r" in cfg:
         cfg["r_schedule"] = cfg.pop("r")
-    space = spec.problem.space
-    reference = spec.bundle.get("reference_solution")
     if reference is not None:
         reference = PrimalPoint(
             _vector(reference, "bundle.reference_solution", space.dimension), space
         )
-    config = _checked("config", SolverConfig, reference_solution=reference, seed=spec.seed, **cfg)
+    config = _checked("config", SolverConfig, reference_solution=reference, seed=seed, **cfg)
     _checked("config.r", config.r_at, 1)  # r is constant: one call checks every n
     return config
 
 
-def build_bundle(spec: ScenarioSpec) -> ProblemBundle:
-    """Construct the solver inputs, checking each section against its kind table.
+def build_bundle(desc: dict, space: SpaceConfig, seed: int) -> ProblemBundle:
+    """Construct the solver inputs of the bundle section desc, checking each
+    section against its kind table; a random start is drawn from seed.
 
     Raises ScenarioValidationError naming the offending field, and
     UnsupportedCombinationError when the declared data fall outside the
     support matrix.
     """
-    space = SpaceConfig(int(spec.space["dimension"]), float(spec.space["exponent"]))
-    desc = spec.bundle
     _require_keys(desc, _BUNDLE_KEYS, ("base_set", "operators"), "bundle")
 
     def build(table, value, path):
@@ -521,7 +500,7 @@ def build_bundle(spec: ScenarioSpec) -> ProblemBundle:
 
     start = desc.get("start", "random_feasible")
     if start == "random_feasible":
-        rng = np.random.default_rng([spec.seed, 101])
+        rng = np.random.default_rng([seed, 101])
         coords = sample_feasible(omega, rng, 1, dimension=space.dimension)[0]
     else:
         coords = _vector(start, "bundle.start", space.dimension)
@@ -568,16 +547,6 @@ class RunReport:
         doc["audits"] = {name: dict(audit) for name, audit in self.audits.items()}
         doc["rows"] = [dict(row) for row in self.rows]
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunReport":
-        """The report of a summary; a key it leaves out takes its field's default."""
-        copied = {
-            "final_point": tuple(doc["final_point"]),
-            "audits": {name: dict(audit) for name, audit in doc["audits"].items()},
-            "rows": tuple(dict(row) for row in doc["rows"]),
-        }
-        return cls(**{**doc, **copied})
 
 
 def _rows_from_history(history) -> tuple:

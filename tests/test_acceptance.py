@@ -23,8 +23,6 @@ from hybrideq import (
     SpaceConfig,
     ZeroPerturbation,
     ZeroTerm,
-    build_bundle,
-    build_config,
     inverse_duality_map,
     jstar_nonexpansive_violation,
     load_scenario,
@@ -45,6 +43,7 @@ from hybrideq.equilibrium import (
     QuadraticPotential,
 )
 import hybrideq.solver as solver_module
+from hybrideq.harness import read_scenario
 from hybrideq.space import DualPoint, gauge_coords, pnorm
 
 
@@ -250,7 +249,7 @@ def test_criterion_5_optimization_app_end_to_end():
 
         # the solution set is a singleton, so the limit ignores the start
         for seed, start in ((11, [4.0, 4.0, 4.0]), (12, [-3.0, 0.0, 2.0])):
-            doc = load_scenario("optimization_app").to_dict()
+            doc = read_scenario("optimization_app")
             doc["seed"] = seed
             doc["bundle"]["start"] = start
             doc["config"]["audit_samples"] = 8  # only the limit matters here
@@ -273,11 +272,11 @@ def test_criterion_6_hilbert_formulas(monkeypatch):
             return real_add_cut(cset, cut)
 
         monkeypatch.setattr(solver_module, "add_cut", recording_add_cut)
-        doc = load_scenario("hilbert_family").to_dict()
+        doc = read_scenario("hilbert_family")
         doc["config"]["max_outer"] = 50
         spec = load_scenario(doc)
-        bundle = build_bundle(spec)
-        result = run(bundle, build_config(spec))
+        bundle = spec.problem
+        result = run(bundle, spec.solver_config)
         assert bundle.space.exponent == 2.0 and result.iterations == 50
         radius = bundle.omega.base.radius  # Omega is the Euclidean ball about 0
         x1 = bundle.anchor.coords

@@ -13,22 +13,27 @@ import pytest
 
 from hybrideq import (
     BUILTIN_SCENARIOS,
+    DualityPerturbation,
     NonConvergedError,
     OperatorFamily,
     PrimalPoint,
     RelaxedFamily,
-    RunReport,
     ScenarioParseError,
     ScenarioValidationError,
+    ScenarioSpec,
     ShiftMap,
     SolverConfig,
+    SpaceConfig,
     UnsupportedCombinationError,
-    build_bundle,
+    WeightedL1Term,
     emit_report,
     load_scenario,
     run_scenario,
 )
 from hybrideq.cli import main as cli_main
+from hybrideq.harness import read_scenario
+
+DATA = Path(__file__).resolve().parent / "data"
 
 TINY = {
     "name": "tiny",
@@ -56,13 +61,17 @@ class TestLoadScenario:
 
     def test_builtin_contents(self):
         lp = load_scenario("lp_shift_example")
-        assert lp.space == {"dimension": 8, "exponent": 3.0}
-        assert lp.bundle["perturbation"] == {"kind": "duality"}
-        assert lp.bundle["reference_solution"] == [0.0] * 8
-        assert lp.seed == 7
+        assert lp.problem.space == SpaceConfig(8, 3.0)
+        assert lp.problem.perturbation == DualityPerturbation(SpaceConfig(8, 3.0))
+        assert lp.solver_config.reference_solution.coords.tolist() == [0.0] * 8
+        assert lp.solver_config.seed == 7
         opt = load_scenario("optimization_app")
-        assert opt.bundle["mixed_term"] == {"kind": "weighted_l1", "weight": 0.3}
-        assert opt.bundle["bifunctions"][0]["center"] == [1.0, -2.0, 0.5]
+        assert opt.problem.mixed == WeightedL1Term(0.3)
+        assert opt.problem.bifunctions[0].psi.center.tolist() == [1.0, -2.0, 0.5]
+
+    def test_the_spec_is_the_built_problem_alone(self):
+        names = [f.name for f in dataclasses.fields(ScenarioSpec)]
+        assert names == ["name", "problem", "solver_config"]
 
     def test_dict_loads(self):
         spec = load_scenario(dict(TINY))
@@ -91,38 +100,129 @@ class TestLoadScenario:
             load_scenario(source)
         assert str(err.value) == f"scenario: expected an object, got {type(source).__name__}"
 
-    def test_each_document_is_copied_once(self, monkeypatch, tmp_path):
-        # a caller's dict and a built-in are copied once, whole; a JSON file
-        # and the CLI's overridden document are private already
+    @staticmethod
+    def _spy_copies(monkeypatch):
+        """The documents _copy_document copies from now on, each sub-document
+        too: the copy recurses through the spy."""
         import hybrideq.harness as harness_module
 
         real, copied = harness_module._copy_document, []
 
-        def spy(doc):  # the copy recurses through the spy too
+        def spy(doc):
             copied.append(doc)
             return real(doc)
 
         monkeypatch.setattr(harness_module, "_copy_document", spy)
+        return copied
 
-        def times_copied(obj):
-            return sum(c is obj for c in copied)
-
-        doc = json.loads(json.dumps(TINY))
-        spec = load_scenario(doc)
-        assert times_copied(doc) == times_copied(doc["bundle"]) == 1
-        doc["bundle"]["start"][0] = 0.5
-        doc["config"]["max_outer"] = 1
-        assert spec.bundle["start"] == [0.0, 0.0] and spec.config["max_outer"] == 5
-        builtin = BUILTIN_SCENARIOS["hilbert_family"]
-        spec = load_scenario("hilbert_family")
-        assert times_copied(builtin) == times_copied(builtin["bundle"]) == 1
-        assert spec.bundle == builtin["bundle"] and spec.bundle is not builtin["bundle"]
-        copied.clear()
+    def test_a_dict_source_is_never_copied(self, monkeypatch, tmp_path):
+        # nor a JSON file, read into a document of its own, through the CLI
+        copied = self._spy_copies(monkeypatch)
+        load_scenario(json.loads(json.dumps(TINY)))
+        load_scenario(_all_lists_document())
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(TINY))
-        load_scenario(str(path))
         assert cli_main(["solve", "--scenario", str(path), "--max-iter", "1", "--out", str(tmp_path)]) == 0
         assert copied == []
+
+    def test_editing_a_loaded_dict_leaves_the_spec_unchanged(self):
+        doc = _all_lists_document()
+        spec = load_scenario(doc)
+        before = _built_state(spec)
+        assert before == _built_state(load_scenario(_all_lists_document()))
+        # the box bounds, the weights, the centers, both matrices' rows and
+        # offsets, the start and the reference solution
+        assert _shift_every_list(doc) == 13
+        assert _built_state(spec) == before
+
+    def test_a_builtin_is_copied_once_by_read_scenario(self, monkeypatch):
+        copied = self._spy_copies(monkeypatch)
+        builtin = BUILTIN_SCENARIOS["hilbert_family"]
+        load_scenario("hilbert_family")
+        assert sum(c is builtin for c in copied) == sum(c is builtin["bundle"] for c in copied) == 1
+        copied.clear()
+        doc = read_scenario("hilbert_family")
+        assert sum(c is builtin for c in copied) == 1
+        assert doc == builtin and doc["bundle"] is not builtin["bundle"]
+
+    def test_a_cli_solve_leaves_the_builtins_unchanged(self, tmp_path):
+        before = json.dumps(BUILTIN_SCENARIOS)
+        argv = ["solve", "--scenario", "hilbert_family", "--max-iter", "1", "--seed", "3"]
+        assert cli_main([*argv, "--out", str(tmp_path)]) == 3  # its iteration cap
+        assert json.dumps(BUILTIN_SCENARIOS) == before
+
+
+def _all_lists_document():
+    """A document with a list in every place a scenario may hold one."""
+    return {
+        "name": "all_lists",
+        "space": {"dimension": 2, "exponent": 2.0},
+        "bundle": {
+            "base_set": {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+            "operators": [
+                {"kind": "shift", "relax_weight": 0.5},
+                {"kind": "duality", "relax_weight": 0.25},
+            ],
+            "combination_weights": [0.25, 0.25, 0.5],
+            "bifunctions": [
+                {"kind": "quadratic_potential", "center": [0.5, 0.0], "weight": 2.0},
+                {
+                    "kind": "affine_pairing",
+                    "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                    "offset": [0.0, 0.1],
+                },
+            ],
+            "mixed_term": {"kind": "quadratic", "center": [0.1, 0.2]},
+            "perturbation": {
+                "kind": "affine",
+                "matrix": [[1.0, 0.5], [-0.5, 1.0]],
+                "offset": [0.1, 0.0],
+            },
+            "start": [0.2, 0.3],
+            "reference_solution": [0.0, 0.0],
+        },
+        "config": {"max_outer": 5, "outer_tol": 1e-6, "r": 2.0},
+        "seed": 3,
+    }
+
+
+def _shift_every_list(doc) -> int:
+    """Add 0.125 to every number in every list of doc, in place; returns the
+    number of lists of numbers edited."""
+    if isinstance(doc, dict):
+        return sum(_shift_every_list(value) for value in doc.values())
+    if not isinstance(doc, list):
+        return 0
+    if doc and all(isinstance(value, (int, float)) for value in doc):
+        doc[:] = [value + 0.125 for value in doc]
+        return 1
+    return sum(_shift_every_list(value) for value in doc)
+
+
+def _built_state(spec):
+    """The values of every built object of _all_lists_document's spec."""
+    bundle, config = spec.problem, spec.solver_config
+    potential, pairing = bundle.bifunctions
+    return (
+        bundle.space,
+        bundle.omega.base.lower.tolist(),
+        bundle.omega.base.upper.tolist(),
+        [member.weight_at(1) for member in bundle.family.members],
+        np.asarray(bundle.family.weights_at(1)).tolist(),
+        potential.psi.center.tolist(),
+        potential.psi.weight,
+        pairing.g.matrix.tolist(),
+        pairing.g.offset.tolist(),
+        bundle.mixed.center.tolist(),
+        bundle.perturbation.matrix.tolist(),
+        bundle.perturbation.offset.tolist(),
+        bundle.anchor.coords.tolist(),
+        config.reference_solution.coords.tolist(),
+        config.max_outer,
+        config.outer_tol,
+        config.r_at(1),
+        config.seed,
+    )
 
 
 class TestStrictValidation:
@@ -285,6 +385,11 @@ def _fractional_max_outer(doc):
     doc["config"]["max_outer"] = 2.5
 
 
+def _escaping_name(doc):
+    # the outputs are written as <out>/<name>_iterations.csv and <name>_summary.json
+    doc["name"] = "../escaped/run"
+
+
 class TestRejectedAtLoad:
     """Data that a constructor or the solver refuses is a validation error
     naming its field, at load and through the CLI, never a traceback."""
@@ -310,6 +415,7 @@ class TestRejectedAtLoad:
         (_fractional_max_outer, "config.max_outer"),
         (_zero_r, "config.r"),
         (_misspelled_mode, "config.mode"),
+        (_escaping_name, "scenario.name"),
     ]
 
     @pytest.mark.parametrize("mutate, path", CASES)
@@ -481,17 +587,17 @@ class TestRunScenario:
     def test_spec_builds_and_checks_its_config_once(self, monkeypatch):
         import hybrideq.harness as harness_module
 
-        real, specs = harness_module.build_config, []
+        real, built = harness_module.build_config, []
 
-        def counted(spec):
-            specs.append(spec)
-            return real(spec)
+        def counted(*args):
+            built.append(real(*args))
+            return built[-1]
 
         monkeypatch.setattr(harness_module, "build_config", counted)
         spec = load_scenario(dict(TINY))
         run_scenario(spec)
         run_scenario(spec)
-        assert specs == [spec]
+        assert len(built) == 1 and built[0] is spec.solver_config
 
     def test_anchor_at_solution_converges_immediately(self):
         report = run_scenario(load_scenario(dict(TINY)))
@@ -510,17 +616,17 @@ class TestRunScenario:
 
     def test_report_round_trips_through_json(self):
         report = run_scenario(load_scenario(dict(TINY)))
-        doc = json.loads(json.dumps(report.to_dict()))
-        assert RunReport.from_dict(doc) == report
+        doc = report.to_dict()
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_report_dicts_copy_the_audits(self):
         report = run_scenario(load_scenario(dict(TINY)))
         doc = report.to_dict()
-        loaded = RunReport.from_dict(doc)
+        expected = json.loads(json.dumps(doc))
         for audit in doc["audits"].values():
             audit["passed"] = None
         assert report.audits and all(a["passed"] is True for a in report.audits.values())
-        assert loaded == report
+        assert report.to_dict() == expected
 
     def test_wide_shift_problem_runs_its_budget(self):
         # the d = 128 shift problem at scenario seed 4 once stopped at
@@ -573,8 +679,7 @@ class TestEmitReport:
     def test_summary_json_mirrors_report(self, tmp_path):
         report = self._report()
         _, json_path = emit_report(report, tmp_path)
-        loaded = RunReport.from_dict(json.loads(json_path.read_text()))
-        assert loaded == report
+        assert json.loads(json_path.read_text()) == report.to_dict()
 
     def test_missing_reference_writes_nan(self, tmp_path):
         doc = json.loads(json.dumps(TINY))
@@ -612,7 +717,7 @@ class TestCappedGapStarts:
     def test_shift_example_at_r_0_3_records_capped_starts(self, tmp_path):
         # the nonzero resolvent branch: a few gap searches end at their
         # 300-iteration cap with rows still moving
-        doc = load_scenario("lp_shift_example").to_dict()
+        doc = read_scenario("lp_shift_example")
         doc["config"]["r"] = 0.3
         report = run_scenario(load_scenario(doc))
         assert report.outcome == "converged" and report.capped_starts > 0
@@ -640,7 +745,7 @@ class TestCappedGapStarts:
 
         monkeypatch.setattr(solver_module, "solve_resolvent_certified", counting)
         monkeypatch.setattr(solver_module, "sunny_retract", failing_once_capped)
-        doc = load_scenario("lp_shift_example").to_dict()
+        doc = read_scenario("lp_shift_example")
         doc["config"]["r"] = 0.3
         report = run_scenario(load_scenario(doc))
         assert report.outcome == "non_converged" and report.failed_iteration == len(counts)
@@ -703,17 +808,43 @@ class TestCLI:
         import hybrideq.harness as harness_module
 
         real = harness_module.build_bundle
-        calls = []
+        seeds = []
 
-        def counted(spec):
-            calls.append(spec.name)
-            return real(spec)
+        def counted(*args):
+            seeds.append(args[-1])
+            return real(*args)
 
         monkeypatch.setattr(harness_module, "build_bundle", counted)
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(TINY))
         assert cli_main(["solve", "--scenario", str(path), "--max-iter", "2", "--seed", "5"]) == 0
-        assert calls == ["tiny"]
+        assert seeds == [5]
+
+    @pytest.mark.parametrize(
+        "name", ["../escaped/run", "sub/run", "..", ".hidden", "-run", "a b", "", 5]
+    )
+    def test_a_name_that_is_not_a_file_name_stem_exits_one(self, tmp_path, capsys, name):
+        doc = json.loads((DATA / "lp_shift_p15.json").read_text())
+        doc["name"] = name
+        (tmp_path / "work").mkdir()
+        path = tmp_path / "work" / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "work" / "out"
+        assert cli_main(["solve", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: scenario.name: must be a file-name stem "
+            f"([A-Za-z0-9_][A-Za-z0-9_.-]*), got {name!r}\n"
+        )
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json", "work"]
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda path: path.stem)
+    def test_a_loaded_dict_writes_the_cli_csv(self, tmp_path, path):
+        code = cli_main(["solve", "--scenario", str(path), "--out", str(tmp_path / "cli")])
+        doc = json.loads(path.read_text())
+        report = run_scenario(load_scenario(doc), out_dir=tmp_path / "dict")
+        assert code in (0, 3) and report.rows
+        name = f"{doc['name']}_iterations.csv"
+        assert (tmp_path / "dict" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
     def test_seed_override_changes_start(self, tmp_path):
         doc = json.loads(json.dumps(TINY))
@@ -722,8 +853,8 @@ class TestCLI:
         doc_b = json.loads(json.dumps(doc))
         doc_b["seed"] = 99
         spec_b = load_scenario(doc_b)
-        a = build_bundle(spec_a).anchor.coords
-        b = build_bundle(spec_b).anchor.coords
+        a = spec_a.problem.anchor.coords
+        b = spec_b.problem.anchor.coords
         assert not np.allclose(a, b)
 
 

@@ -44,7 +44,7 @@ import hybrideq.retraction as retraction_module
 import hybrideq.sets as sets_module
 import hybrideq.solver as solver_module
 import hybrideq.space as space_module
-from hybrideq.harness import build_config, load_scenario, read_scenario, run_scenario
+from hybrideq.harness import load_scenario, read_scenario, run_scenario
 from hybrideq.sets import add_cut, worst_violation
 from hybrideq.solver import AUDIT_TOLERANCES
 from hybrideq.space import gauge_coords, lyapunov_phi, pnorm
@@ -231,6 +231,30 @@ class TestRun:
         family = OperatorFamily([RelaxedFamily(ShiftMap(other))])
         with pytest.raises(ValueError, match="operator family must live in the anchor's space"):
             dataclasses.replace(bundle, family=family)
+
+    # a J* pairing or the duality perturbation of another space: at p = 2 the
+    # resolvent solve would take J* as the identity while its gap certificate
+    # applied the pairing's own J*
+    def test_duality_perturbation_of_another_space_rejected(self):
+        bundle = load_scenario("lp_shift_example").problem  # SpaceConfig(8, 3.0)
+        with pytest.raises(UnsupportedCombinationError, match="^DualityPerturbation's space "):
+            dataclasses.replace(bundle, perturbation=DualityPerturbation(SpaceConfig(8, 2.0)))
+
+    def test_pairing_of_another_space_rejected(self):
+        bundle = load_scenario("lp_shift_example").problem
+        pairing = PairingBifunction(InverseDualityPairing(SpaceConfig(8, 2.0)))
+        with pytest.raises(
+            UnsupportedCombinationError,
+            match=r"^InverseDualityPairing's space \(dimension 8, exponent 2\) is not the "
+            r"problem's \(dimension 8, exponent 3\)$",
+        ):
+            dataclasses.replace(bundle, bifunctions=(pairing,))
+
+    def test_pairing_of_another_space_rejected_at_p2(self):
+        bundle = load_scenario("optimization_app").problem  # SpaceConfig(3, 2.0)
+        pairing = PairingBifunction(InverseDualityPairing(SpaceConfig(3, 3.0)))
+        with pytest.raises(UnsupportedCombinationError, match="^InverseDualityPairing's space "):
+            dataclasses.replace(bundle, bifunctions=(*bundle.bifunctions, pairing))
 
     def test_cut_cap_overflow_raises(self):
         rng = np.random.default_rng(5)
@@ -569,7 +593,7 @@ class TestSampleStreams:
         assert result.iterations == iterations
         assert len(built) == 2
         assert drawn == {"gap": {id(built[0])}, "audit": {id(built[1])}}
-        spawned = np.random.SeedSequence(spec.seed).spawn(2)
+        spawned = np.random.SeedSequence(spec.solver_config.seed).spawn(2)
         assert states == [real_rng(s).bit_generator.state for s in spawned]
 
     @pytest.mark.parametrize("scenario", ["lp_shift_example", "hilbert_family"])
@@ -608,7 +632,7 @@ class TestRecordsMatchTheFormulas:
         doc = read_scenario(scenario)
         doc["config"]["max_outer"] = 15
         spec = load_scenario(doc)
-        bundle, config = spec.problem, build_config(spec)
+        bundle, config = spec.problem, spec.solver_config
         result = run(bundle, config)
         assert result.iterations == 15
         p = bundle.space.exponent
@@ -671,7 +695,7 @@ class TestRetractionHint:
 
         monkeypatch.setattr(solver_module, "add_cut", add_after_twin)
         monkeypatch.setattr(solver_module, "sunny_retract", retract)
-        doc = load_scenario("hilbert_family").to_dict()
+        doc = read_scenario("hilbert_family")
         doc["config"]["max_outer"] = 12
         assert run_scenario(load_scenario(doc)).iterations == 12
         assert len(hints) == len(offered) == 12
@@ -750,7 +774,7 @@ class TestResolventPointWork:
         # vectors validated and normed in an iteration are u alone
         del doc["bundle"]["reference_solution"]
         spec = load_scenario(doc)
-        bundle, config = spec.problem, build_config(spec)
+        bundle, config = spec.problem, spec.solver_config
         run_seen, iteration_seen, retracting = Counter(), [], []
 
         def record(kind, v):
