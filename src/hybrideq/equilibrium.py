@@ -20,8 +20,9 @@ Support matrix
 --------------
 * Hilbert mode (p = 2), potential bifunctions f(w, v) = psi(v) - psi(w)
   and/or affine dual pairings, any mixed-term kind, zero/affine/duality
-  perturbations: strongly monotone forward-backward splitting (the
-  (1/r)(u - x) term has modulus 1/r, making the forward map a contraction),
+  perturbations, Omega a 2-ball, box or whole space: strongly monotone
+  forward-backward splitting (the (1/r)(u - x) term has modulus 1/r,
+  making the forward map a contraction),
   certified by the exact minimum of the left side over y: one composite
   prox, or a closed-form support function when no potential is present
   (a descent from u for the classes without one).
@@ -37,6 +38,7 @@ Everything else raises UnsupportedCombinationError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -59,6 +61,7 @@ from .space import (
     any_nonzero,
     gauge_coords,
     kept,
+    max_entry,
     min_entry,
     norm2,
     norm2_rows,
@@ -301,6 +304,26 @@ class ResolventProblem:
         return classify_problem(self)
 
 
+# products under the normal range (2^-1022) round by less than 2^-106 of
+# a dot product of at least this size
+_PAIR_MIN = 2.0**-969
+
+
+def _pairing_over_r(a: np.ndarray, b: np.ndarray, pair: float, r: float) -> float:
+    """<a, b> / r, pair being np.dot(a, b).  Below _PAIR_MIN the products
+    may have lost bits under the normal range: a, b and r are then scaled
+    exactly by the powers of two that bring their largest entries into
+    [1/2, 1), and the quotient taken there is scaled back once."""
+    if not abs(pair) < _PAIR_MIN:
+        inv_r = 1.0 / r
+        # 1/r overflows for a subnormal r, and inf * 0 would be NaN: divide there
+        return inv_r * pair if inv_r < np.inf else pair / r
+    shift_a, shift_b = (math.frexp(float(max_entry(np.abs(w), 0.0)))[1] for w in (a, b))
+    unit_r, shift_r = math.frexp(r)
+    scaled = float(np.dot(np.ldexp(a, -shift_a), np.ldexp(b, -shift_b))) / unit_r
+    return math.ldexp(scaled, shift_a + shift_b - shift_r)
+
+
 def resolvent_lhs(prob: ResolventProblem, u: PrimalPoint, y: PrimalPoint) -> float:
     """Left side of the regularized equilibrium inequality at the pair (u, y);
     reads the points' kept duality images."""
@@ -311,10 +334,8 @@ def resolvent_lhs(prob: ResolventProblem, u: PrimalPoint, y: PrimalPoint) -> flo
         total += f.evaluate(ju, jy)
     total += prob.mixed.value(jy) - prob.mixed.value(ju)
     total += float(np.dot(yc - uc, prob.perturbation.apply(uc)))
-    pair = float(np.dot(uc - prob.input_point.coords, jy - ju))
-    inv_r = 1.0 / prob.r
-    # 1/r overflows for a subnormal r, and inf * 0 would be NaN: divide there
-    total += inv_r * pair if inv_r < np.inf else pair / prob.r
+    diff, step = uc - prob.input_point.coords, jy - ju
+    total += _pairing_over_r(diff, step, float(np.dot(diff, step)), prob.r)
     return total
 
 
@@ -352,6 +373,11 @@ def classify_problem(prob: ResolventProblem) -> str:
         if isinstance(prob.mixed, DualNormTerm) and prob.mixed.exponent != 2.0:
             raise UnsupportedCombinationError(
                 "at exponent 2 the dual-norm mixed term must use exponent 2"
+            )
+        base = prob.feasible.base
+        if isinstance(base, PBall) and base.exponent != 2.0:  # no Euclidean projection
+            raise UnsupportedCombinationError(
+                f"at exponent 2 a ball Omega must use exponent 2, not {base.exponent:g}"
             )
         return "hilbert"
     ok = (
@@ -524,15 +550,16 @@ def _banach_inner_objective(prob: ResolventProblem, u: PrimalPoint):
 
 
 def _project_rows(cset, ys):
-    """project_primitive onto the base set applied to each row of ys, bit for
-    bit; on a ball only the rows outside it go through the root-find."""
+    """Each row of ys moved into the base set: clipped to a box, kept on the
+    whole space, scaled onto the sphere of an e-ball it lies outside, y R /
+    |y|_e.  That is a feasible point, and at e = 2 project_primitive's
+    projection bit for bit (pnorm_rows has pnorm's bits)."""
     base = cset.base
     if not isinstance(base, PBall):
         return project_primitive(ys, base)  # clip and copy act row by row
-    out = np.array(ys)
-    # pnorm_rows has pnorm's bits, so this is _project_pball's own inside test
-    for i in np.nonzero(pnorm_rows(ys, base.exponent) > base.radius)[0]:
-        out[i] = project_primitive(ys[i], base)
+    out, norms = np.array(ys), pnorm_rows(ys, base.exponent)
+    outside = norms > base.radius
+    out[outside] = ys[outside] * (base.radius / norms[outside])[:, None]
     return out
 
 
@@ -549,12 +576,11 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
     at most tol * t, and otherwise grow t by 1.3 (capped at 1e6).
 
     Only the rows still searching are evaluated, and each call tries one
-    step of every row still backtracking, so every projection (and any
-    error it raises) is one the sequential rule reaches.  An accepted
-    trial's value and intermediates feed the next gradient.  Every
-    reduction is row-wise, so each row's trajectory depends only on its
-    own start.  Returns the final rows, their values and the number of
-    rows that reached max_iter still moving.
+    step of every row still backtracking, so every projection is one the
+    sequential rule reaches.  An accepted trial's value and intermediates
+    feed the next gradient.  Every reduction is row-wise, so each row's
+    trajectory depends only on its own start.  Returns the final rows,
+    their values and the number of rows that reached max_iter still moving.
     """
     ys = _project_rows(cset, np.asarray(starts, dtype=float))
     fy, parts = evaluate(ys)
@@ -608,29 +634,26 @@ def _gap_starts(prob: ResolventProblem, uc: np.ndarray, samples: int, rng) -> np
 
 
 def _linear_minimum(mixed, base, lin: np.ndarray):
-    """min over y in a box or ball of <lin, y> + phi(y) in closed form, or None.
+    """min over y in a box or 2-ball of <lin, y> + phi(y) in closed form, or None.
 
     For a zero or weighted-l1 term (weight lam, 0 for the zero term) it is
     the sum over coordinates of the least of the values at the interval
-    ends and at 0 on a box, and -R |(|lin| - lam)+|_e* on an e-ball of
-    radius R (e* = e / (e - 1)); for the dual-norm term on a 2-ball it is
-    -R (|lin| - 1)+.  Any other pair has none here.  On the whole space the
-    minimum is 0 or -inf, and at T_r(x) rounding in u decides which.
+    ends and at 0 on a box, and -R |(|lin| - lam)+| on a 2-ball of radius
+    R; for the dual-norm term on a 2-ball it is -R (|lin| - 1)+.  Any other
+    pair has none here.  On the whole space the minimum is 0 or -inf, and
+    at T_r(x) rounding in u decides which.
     """
     if isinstance(base, WholeSpace):
         return None
     if isinstance(mixed, DualNormTerm):
-        if isinstance(base, PBall) and base.exponent == 2.0:
-            return -base.radius * max(norm2(lin) - 1.0, 0.0)
-        return None
+        return -base.radius * max(norm2(lin) - 1.0, 0.0) if isinstance(base, PBall) else None
     if not isinstance(mixed, (ZeroTerm, WeightedL1Term)):
         return None
     lam = mixed.weight if isinstance(mixed, WeightedL1Term) else 0.0
     if isinstance(base, Box):
         ends = (base.lower, base.upper, np.minimum(np.maximum(0.0, base.lower), base.upper))
         return float(np.minimum.reduce([lin * y + lam * np.abs(y) for y in ends]).sum())
-    excess = np.maximum(np.abs(lin) - lam, 0.0)
-    return -base.radius * pnorm(excess, base.exponent / (base.exponent - 1.0))
+    return -base.radius * pnorm(np.maximum(np.abs(lin) - lam, 0.0), 2.0)
 
 
 def _gap_hilbert(prob, uc, starts, max_iter=300):
@@ -702,11 +725,15 @@ def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndar
         total += mixed.weight * np.abs(ys).sum(axis=1) - mixed.value(uc)
     elif not isinstance(mixed, ZeroTerm):
         total += np.array([mixed.value(y) for y in ys]) - mixed.value(uc)
-    total += row_dots(ys - uc, prob.perturbation.apply(uc))
-    pair = row_dots(ys - uc, uc - prob.input_point.coords)
+    steps = ys - uc
+    total += row_dots(steps, prob.perturbation.apply(uc))
+    diff = uc - prob.input_point.coords
+    pair = row_dots(steps, diff)
     inv_r = 1.0 / prob.r
-    total += inv_r * pair if inv_r < np.inf else pair / prob.r
-    return total
+    terms = inv_r * pair if inv_r < np.inf else pair / prob.r
+    for i in np.nonzero(np.abs(pair) < _PAIR_MIN)[0]:
+        terms[i] = _pairing_over_r(diff, steps[i], pair[i], prob.r)
+    return total + terms
 
 
 def _safe_values(prob, u, ys, values):

@@ -9,8 +9,8 @@ KKT check, serve it: a working-set Newton on the cut multipliers, run at
 unit scale, for every set at p != 2 and for a 2-ball ∩ cuts whose ball
 is active at p = 2; and at p = 2 a least-distance program solved through
 NNLS for the polyhedron of the linear rows.  A set without cuts is
-projected in closed form, or by a scalar multiplier search onto an
-e-ball (`project_primitive`).
+projected in closed form (`project_primitive`), an e-ball (e != 2) only
+in its own geometry, at exponent e / (e - 1).
 
 Each set stores its cuts' unit rows and levels once; `add_cut` extends
 that store, and both engines read it.  The NNLS engine can start from a
@@ -327,119 +327,9 @@ def add_cut(cset: ConstraintSet, cut: Halfspace) -> ConstraintSet:
 # -- primitive projections ---------------------------------------------------
 
 
-def _shrink_coords(vabs: np.ndarray, lam: float, e: float) -> np.ndarray:
-    """Solve t + lam*e*t^(e-1) = vabs coordinatewise for t in [0, vabs].
-
-    lam > 0 and e != 2 (_project_pball scales a 2-ball radially).  Closed
-    forms for e in {1.5, 3}; safeguarded Newton/bisection otherwise,
-    raising NonConvergedError at its 100-iteration cap.  For e > 2 the left
-    side is convex in t, so Newton starts from the upper bound
-    min(vabs, (vabs / (lam e))^(1/(e-1))) and descends monotonically to the
-    root.  This is the coordinatewise stationarity condition of the
-    Euclidean projection onto an e-norm ball.
-    """
-    if e == 1.5:
-        # quadratic in s = sqrt(t): s^2 + 1.5*lam*s - vabs = 0
-        # (rationalized root; the textbook form cancels catastrophically)
-        b = 1.5 * lam
-        s = 2.0 * vabs / (b + np.sqrt(b * b + 4.0 * vabs))
-        return s * s
-    if e == 3.0:
-        # quadratic in t: 3*lam*t^2 + t - vabs = 0 (rationalized root)
-        return 2.0 * vabs / (1.0 + np.sqrt(1.0 + 12.0 * lam * vabs))
-    lo = np.zeros(vabs.shape)
-    hi = vabs.copy()
-    if e >= 2.0:
-        t = np.minimum(vabs, (vabs / (lam * e)) ** (1.0 / (e - 1.0)))
-    else:
-        t = 0.5 * vabs
-    for _ in range(100):
-        g = t + lam * e * np.where(t > 0, t, 1.0) ** (e - 1.0) - vabs
-        g = np.where(vabs == 0.0, 0.0, g)
-        lo = np.where(g < 0, t, lo)
-        hi = np.where(g > 0, t, hi)
-        dg = 1.0 + lam * e * (e - 1.0) * np.where(t > 0, t, 1.0) ** (e - 2.0)
-        step = np.where(vabs == 0.0, 0.0, g / dg)
-        t_new = t - step
-        # a step that rounds to nothing has converged; do not bisect it away
-        bad = ((t_new <= lo) | (t_new >= hi)) & (t_new != t)
-        t_new = np.where(bad, 0.5 * (lo + hi), t_new)
-        if (np.abs(t_new - t) <= 1e-15 * (1.0 + t_new)).all():
-            return np.where(vabs == 0.0, 0.0, t_new)
-        t = t_new
-    raise NonConvergedError("p-ball projection: coordinate Newton iteration cap reached")
-
-
-def _project_pball(v: np.ndarray, ball: PBall) -> np.ndarray:
-    """Euclidean projection onto an e-norm ball.
-
-    Solves sum_i t_i(lam)^e = R^e for the multiplier lam by a doubling
-    bracket from a radial-scaling guess, followed by bisection-safeguarded
-    Newton, tolerance 1e-12 max(lam, radius^(2-e)) on the multiplier.  The
-    point returned lies in the ball: one the multiplier's tolerance leaves
-    outside is scaled back onto the sphere.
-    """
-    e = ball.exponent
-    radius = ball.radius
-    nrm = pnorm(v, e)
-    if nrm <= radius:
-        return np.array(v, dtype=float)
-    if e == 2.0:
-        return v * (radius / nrm)
-    vabs = np.abs(v)
-    target = radius**e
-
-    def excess(lam):
-        return float((_shrink_coords(vabs, lam, e) ** e).sum()) - target
-
-    # radial-scaling guess from the largest coordinate's equation
-    vmax = float(vabs.max())
-    t_guess = max(vmax * radius / nrm, 1e-30)
-    lo, hi = 0.0, max((vmax - t_guess) / (e * t_guess ** (e - 1.0)), 1e-8)
-    iters = 0
-    while excess(hi) > 0.0:
-        lo, hi = hi, hi * 4.0
-        iters += 1
-        if iters >= 200:
-            raise NonConvergedError("p-ball projection: multiplier bracket did not close")
-    lam = 0.5 * (lo + hi)
-    # the multiplier scales as radius^(2-e) when v and the ball scale together
-    unit = radius ** (2.0 - e)
-    for _ in range(200):
-        t = _shrink_coords(vabs, lam, e)
-        g = float((t**e).sum()) - target
-        if g > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 1e-12 * max(unit, lam):
-            break
-        # Newton step on the multiplier, clipped into the bracket
-        pos = t > 0
-        tp = t[pos]
-        dt = -e * tp ** (e - 1.0) / (1.0 + lam * e * (e - 1.0) * tp ** (e - 2.0))
-        dg = float((e * tp ** (e - 1.0) * dt).sum())
-        lam_new = lam - g / dg if dg != 0.0 else 0.5 * (lo + hi)
-        if not (lo < lam_new < hi):
-            lam_new = 0.5 * (lo + hi)
-        if abs(lam_new - lam) <= 1e-12 * max(unit, lam):
-            lam = lam_new
-            break
-        lam = lam_new
-    else:
-        raise NonConvergedError("p-ball projection: multiplier iteration cap reached")
-    t = _shrink_coords(vabs, lam, e)
-    # a multiplier settled to 1e-12 can leave t outside the ball by as much;
-    # a search over the ball must not step out of it, so scale t back onto
-    # the sphere
-    t_nrm = pnorm(t, e)
-    if t_nrm > radius:
-        t = t * (radius / t_nrm)
-    return np.sign(v) * t
-
-
 def project_primitive(v: np.ndarray, primitive) -> np.ndarray:
-    """Euclidean-nearest point of a halfspace, box, whole space, or norm ball."""
+    """Euclidean-nearest point of a halfspace, box, whole space, or 2-ball;
+    a ball of another exponent raises UnsupportedCombinationError."""
     v = np.asarray(v, dtype=float)
     if isinstance(primitive, Halfspace):
         gap = primitive.violation(v)
@@ -450,8 +340,14 @@ def project_primitive(v: np.ndarray, primitive) -> np.ndarray:
         return np.minimum(np.maximum(v, primitive.lower), primitive.upper)
     if isinstance(primitive, WholeSpace):
         return v.copy()
+    if isinstance(primitive, PBall) and primitive.exponent == 2.0:
+        nrm = pnorm(v, 2.0)
+        return v.copy() if nrm <= primitive.radius else v * (primitive.radius / nrm)
     if isinstance(primitive, PBall):
-        return _project_pball(v, primitive)
+        raise UnsupportedCombinationError(
+            f"no Euclidean projection onto a ball of exponent {primitive.exponent:g}; "
+            "project in its own geometry, exponent e / (e - 1)"
+        )
     raise TypeError(f"cannot project onto {type(primitive).__name__}")
 
 
@@ -1020,7 +916,7 @@ def project_intersection(
     at; NonConvergedError is raised otherwise, and InfeasibleError when the
     intersection is empty.  A set without cuts is projected by
     `project_primitive`.  The Euclidean projection onto a ball of another
-    exponent with cuts has no engine and raises
+    exponent, with or without cuts, has no engine and raises
     UnsupportedCombinationError.
 
     The `hint` is a tuple of cuts, typically the active cuts of the
@@ -1037,13 +933,9 @@ def project_intersection(
     v = np.asarray(v, dtype=float)
     if exponent != 2.0:
         z, _, active = _generalized_projection(cset, v, exponent, tol, point)
-    elif not cset.cuts:
+    elif not cset.cuts or isinstance(cset.base, PBall) and cset.base.exponent != 2.0:
+        # project_primitive refuses a ball of exponent != 2, so with cuts too
         return project_primitive(v, cset.base), ()
-    elif isinstance(cset.base, PBall) and cset.base.exponent != 2.0:
-        raise UnsupportedCombinationError(
-            f"no Euclidean projection onto a ball of exponent {cset.base.exponent:g} "
-            "with cuts; project in its own geometry, exponent e / (e - 1)"
-        )
     else:
         z, _, active = _least_distance(cset, v, tol, hint)
     return z, active

@@ -390,6 +390,77 @@ def _escaping_name(doc):
     doc["name"] = "../escaped/run"
 
 
+def _set(name, *keys, value):
+    """The mutation `name` that sets doc[keys[0]][keys[1]]... to value."""
+
+    def mutate(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    mutate.__name__ = name
+    return mutate
+
+
+def _drop_exponent(doc):
+    del doc["space"]["exponent"]
+
+
+def _short_matrix(doc):
+    doc["bundle"]["bifunctions"] = [{"kind": "affine_pairing", "matrix": [[1, 0]], "offset": [0, 0]}]
+
+
+#: the schema's own refusals, one per message: (mutation, path, message)
+SCHEMA_CASES = [
+    (_set("_space_not_an_object", "space", value=[2, 2.0]), "space", "expected an object, got list"),
+    (_drop_exponent, "space", "missing required key 'exponent'"),
+    (_set("_string_exponent", "space", "exponent", value="2"), "space.exponent", "must be a number"),
+    (
+        _set("_negative_radius", "bundle", "base_set", "radius", value=-1.0),
+        "bundle.base_set.radius",
+        "must be positive",
+    ),
+    (_set("_zero_dimension", "space", "dimension", value=0), "space.dimension", "must be at least 1"),
+    (
+        _set("_string_in_start", "bundle", "start", value=[0.0, "0"]),
+        "bundle.start",
+        "must be a list of numbers",
+    ),
+    (
+        _set("_long_start", "bundle", "start", value=[0.0, 0.0, 0.0]),
+        "bundle.start",
+        "must have length 2",
+    ),
+    (_short_matrix, "bundle.bifunctions[0].matrix", "must be a 2x2 matrix (list of rows)"),
+    (
+        _set("_mixed_term_not_an_object", "bundle", "mixed_term", value="zero"),
+        "bundle.mixed_term",
+        "expected an object, got str",
+    ),
+    (
+        _set("_perturbation_without_kind", "bundle", "perturbation", value={}),
+        "bundle.perturbation",
+        "missing required key 'kind'",
+    ),
+    (
+        _set("_unknown_base_set", "bundle", "base_set", "kind", value="simplex"),
+        "bundle.base_set.kind",
+        "unknown kind 'simplex'",
+    ),
+    (
+        _set("_no_operators", "bundle", "operators", value=[]),
+        "bundle.operators",
+        "must be a nonempty list",
+    ),
+    (
+        _set("_bifunctions_not_a_list", "bundle", "bifunctions", value={}),
+        "bundle.bifunctions",
+        "must be a list",
+    ),
+]
+
+
 class TestRejectedAtLoad:
     """Data that a constructor or the solver refuses is a validation error
     naming its field, at load and through the CLI, never a traceback."""
@@ -416,7 +487,7 @@ class TestRejectedAtLoad:
         (_zero_r, "config.r"),
         (_misspelled_mode, "config.mode"),
         (_escaping_name, "scenario.name"),
-    ]
+    ] + [(mutate, path) for mutate, path, _ in SCHEMA_CASES]
 
     @pytest.mark.parametrize("mutate, path", CASES)
     def test_load_names_the_field(self, mutate, path):
@@ -434,6 +505,14 @@ class TestRejectedAtLoad:
         scenario.write_text(json.dumps(doc))
         assert cli_main(["solve", "--scenario", str(scenario)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("mutate, path, message", SCHEMA_CASES)
+    def test_schema_refusal_reads_its_message(self, mutate, path, message):
+        doc = json.loads(json.dumps(TINY))
+        mutate(doc)
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(doc)
+        assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_negative_seed_override_exits_one_with_error_line(self, capsys, command):
@@ -804,6 +883,22 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    def test_tol_override_reaches_outer_tol(self, tmp_path, monkeypatch):
+        import hybrideq.cli as cli_module
+
+        specs = []
+
+        def kept(doc):
+            specs.append(load_scenario(doc))
+            return specs[-1]
+
+        monkeypatch.setattr(cli_module, "load_scenario", kept)
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY))
+        assert cli_main(["solve", "--scenario", str(path), "--tol", "0.125", "--max-iter", "0"]) == 3
+        assert [spec.solver_config.outer_tol for spec in specs] == [0.125]
+        assert TINY["config"]["outer_tol"] == 1e-6
+
     def test_solve_builds_the_bundle_once(self, tmp_path, monkeypatch):
         import hybrideq.harness as harness_module
 
@@ -842,9 +937,18 @@ class TestCLI:
         code = cli_main(["solve", "--scenario", str(path), "--out", str(tmp_path / "cli")])
         doc = json.loads(path.read_text())
         report = run_scenario(load_scenario(doc), out_dir=tmp_path / "dict")
-        assert code in (0, 3) and report.rows
+        # lp_shift_p10_small_r stops at iteration 1 by design: no rows, and
+        # its summary carries the flagged gap
+        assert code in (0, 3) and (report.rows or report.failed_iteration == 1)
         name = f"{doc['name']}_iterations.csv"
         assert (tmp_path / "dict" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+        summaries = [
+            json.loads((tmp_path / side / f"{doc['name']}_summary.json").read_text())
+            for side in ("dict", "cli")
+        ]
+        for summary in summaries:
+            del summary["wall_time"]
+        assert summaries[0] == summaries[1]
 
     def test_seed_override_changes_start(self, tmp_path):
         doc = json.loads(json.dumps(TINY))
