@@ -311,10 +311,10 @@ _PAIR_MIN = 2.0**-969
 
 def _pairing_over_r(a: np.ndarray, b: np.ndarray, pair: float, r: float) -> float:
     """<a, b> / r, pair being np.dot(a, b).  Below _PAIR_MIN the products
-    may have lost bits under the normal range: a, b and r are then scaled
-    exactly by the powers of two that bring their largest entries into
-    [1/2, 1), and the quotient taken there is scaled back once."""
-    if not abs(pair) < _PAIR_MIN:
+    may have lost bits under the normal range (unless a or b is 0, which
+    _lhs_rows checks of a): a, b and r are then scaled exactly by powers of
+    two into [1/2, 1), and the quotient taken there is scaled back once."""
+    if not abs(pair) < _PAIR_MIN or not any_nonzero(b):
         inv_r = 1.0 / r
         # 1/r overflows for a subnormal r, and inf * 0 would be NaN: divide there
         return inv_r * pair if inv_r < np.inf else pair / r
@@ -731,7 +731,7 @@ def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndar
     pair = row_dots(steps, diff)
     inv_r = 1.0 / prob.r
     terms = inv_r * pair if inv_r < np.inf else pair / prob.r
-    for i in np.nonzero(np.abs(pair) < _PAIR_MIN)[0]:
+    for i in np.nonzero(np.abs(pair) < _PAIR_MIN)[0] if any_nonzero(diff) else ():
         terms[i] = _pairing_over_r(diff, steps[i], pair[i], prob.r)
     return total + terms
 
