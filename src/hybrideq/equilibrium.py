@@ -304,16 +304,15 @@ class ResolventProblem:
         return classify_problem(self)
 
 
-# products under the normal range (2^-1022) round by less than 2^-106 of
-# a dot product of at least this size
+# products under 2^-1022 move a dot product this large by under 2^-106 of it
 _PAIR_MIN = 2.0**-969
 
 
 def _pairing_over_r(a: np.ndarray, b: np.ndarray, pair: float, r: float) -> float:
-    """<a, b> / r, pair being np.dot(a, b).  Below _PAIR_MIN the products
-    may have lost bits under the normal range (unless a or b is 0, which
-    _lhs_rows checks of a): a, b and r are then scaled exactly by powers of
-    two into [1/2, 1), and the quotient taken there is scaled back once."""
+    """<a, b> / r, pair being np.dot(a, b).  Below _PAIR_MIN, unless b is 0,
+    the products may have lost bits under the normal range: a, b and r are
+    then scaled exactly by powers of two into [1/2, 1), and the quotient
+    taken there is scaled back once."""
     if not abs(pair) < _PAIR_MIN or not any_nonzero(b):
         inv_r = 1.0 / r
         # 1/r overflows for a subnormal r, and inf * 0 would be NaN: divide there
@@ -712,7 +711,8 @@ def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndar
     order.  Quadratic potentials, the weighted-l1 term and the linear terms
     are formed for all rows at once from the same products, their dot
     products being `row_dots`; a zero term adds nothing, and any other
-    term is evaluated row by row.
+    term is evaluated row by row.  A small pairing goes through
+    `_pairing_over_r` unless u = x, where every product is an exact 0.
     """
     total = np.zeros(ys.shape[0])
     for f in prob.bifunctions:
