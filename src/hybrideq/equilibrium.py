@@ -68,6 +68,7 @@ from .space import (
     pnorm,
     pnorm_rows,
     row_dots,
+    row_max,
 )
 
 # -- potentials ---------------------------------------------------------------
@@ -308,19 +309,24 @@ class ResolventProblem:
 _PAIR_MIN = 2.0**-969
 
 
-def _pairing_over_r(a: np.ndarray, b: np.ndarray, pair: float, r: float) -> float:
-    """<a, b> / r, pair being np.dot(a, b).  Below _PAIR_MIN, unless b is 0,
-    the products may have lost bits under the normal range: a, b and r are
-    then scaled exactly by powers of two into [1/2, 1), and the quotient
-    taken there is scaled back once."""
-    if not abs(pair) < _PAIR_MIN or not any_nonzero(b):
-        inv_r = 1.0 / r
-        # 1/r overflows for a subnormal r, and inf * 0 would be NaN: divide there
-        return inv_r * pair if inv_r < np.inf else pair / r
-    shift_a, shift_b = (math.frexp(float(max_entry(np.abs(w), 0.0)))[1] for w in (a, b))
-    unit_r, shift_r = math.frexp(r)
-    scaled = float(np.dot(np.ldexp(a, -shift_a), np.ldexp(b, -shift_b))) / unit_r
-    return math.ldexp(scaled, shift_a + shift_b - shift_r)
+def _pairings_over_r(a: np.ndarray, bs: np.ndarray, r: float) -> np.ndarray:
+    """<a, b> / r for each row b of bs: (1 / r) np.dot(b, a), or np.dot(b, a) / r
+    where 1 / r overflows (a subnormal r), since inf * 0 would be NaN.
+
+    A pairing below _PAIR_MIN of a nonzero a and row may have lost bits
+    under the normal range: a, b and r are then scaled exactly by powers of
+    two into [1/2, 1), and the quotient taken there is scaled back once."""
+    pairs = row_dots(bs, a)
+    inv_r = 1.0 / r
+    out = inv_r * pairs if inv_r < np.inf else pairs / r
+    small = np.abs(pairs) < _PAIR_MIN
+    if any_nonzero(bs[small]) and any_nonzero(a):
+        rows, shift_a = bs[small], math.frexp(float(max_entry(np.abs(a))))[1]
+        shift_b = np.frexp(row_max(np.abs(rows)))[1]
+        unit_r, shift_r = math.frexp(r)
+        scaled = row_dots(np.ldexp(rows, -shift_b[:, None]), np.ldexp(a, -shift_a)) / unit_r
+        out[small] = np.ldexp(scaled, shift_a + shift_b - shift_r)
+    return out
 
 
 def resolvent_lhs(prob: ResolventProblem, u: PrimalPoint, y: PrimalPoint) -> float:
@@ -333,8 +339,7 @@ def resolvent_lhs(prob: ResolventProblem, u: PrimalPoint, y: PrimalPoint) -> flo
         total += f.evaluate(ju, jy)
     total += prob.mixed.value(jy) - prob.mixed.value(ju)
     total += float(np.dot(yc - uc, prob.perturbation.apply(uc)))
-    diff, step = uc - prob.input_point.coords, jy - ju
-    total += _pairing_over_r(diff, step, float(np.dot(diff, step)), prob.r)
+    total += float(_pairings_over_r(uc - prob.input_point.coords, (jy - ju)[None, :], prob.r)[0])
     return total
 
 
@@ -551,8 +556,9 @@ def _banach_inner_objective(prob: ResolventProblem, u: PrimalPoint):
 def _project_rows(cset, ys):
     """Each row of ys moved into the base set: clipped to a box, kept on the
     whole space, scaled onto the sphere of an e-ball it lies outside, y R /
-    |y|_e.  That is a feasible point, and at e = 2 project_primitive's
-    projection bit for bit (pnorm_rows has pnorm's bits)."""
+    |y|_e.  A scaled row's norm is R to within a few ulps, as with
+    project_primitive's 2-ball formula, which it is at e = 2 bit for bit
+    (pnorm_rows has pnorm's bits)."""
     base = cset.base
     if not isinstance(base, PBall):
         return project_primitive(ys, base)  # clip and copy act row by row
@@ -560,6 +566,26 @@ def _project_rows(cset, ys):
     outside = norms > base.radius
     out[outside] = ys[outside] * (base.radius / norms[outside])[:, None]
     return out
+
+
+def _step_rows(base, ys, gs, steps):
+    """y - t g for each row y, gradient g and step t, before _project_rows.
+
+    On an e-ball, e != 2, a step that leaves the ball is first projected
+    onto the halfspace <n, w> <= R that linearizes the ball at y, n the
+    gradient of |.|_e at y (at the step where y = 0).  Radial scaling alone
+    would stop a row on the sphere where g is parallel to y; this stops it
+    where -g is an outward normal, as the Euclidean projection does."""
+    trial = ys - steps[:, None] * gs
+    if isinstance(base, PBall) and base.exponent != 2.0:
+        e, out = base.exponent, pnorm_rows(trial, base.exponent) > base.radius
+        if any_nonzero(out):
+            z, y = trial[out], ys[out]
+            at = np.where((y != 0.0).any(axis=1)[:, None], y, z)
+            n = (np.abs(at) / pnorm_rows(at, e)[:, None]) ** (e - 1.0) * np.sign(at)
+            excess = np.maximum(np.einsum("ij,ij->i", n, z) - base.radius, 0.0)
+            trial[out] = z - (excess / row_dots(n))[:, None] * n
+    return trial
 
 
 # A row's line search tries at most _HALVINGS steps t, t/2, t/4, ...
@@ -595,7 +621,7 @@ def _pgd_search(evaluate, gradient, cset, starts, max_iter, tol):
         pending = np.arange(live.size)  # positions in live still backtracking
         for _ in range(_HALVINGS):
             base_y, base_g, steps = y0[pending], g[pending], tl[pending]
-            trial = _project_rows(cset, base_y - steps[:, None] * base_g)
+            trial = _project_rows(cset, _step_rows(cset.base, base_y, base_g, steps))
             f_trial, trial_parts = evaluate(trial)
             delta = trial - base_y
             model = (
@@ -711,8 +737,7 @@ def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndar
     order.  Quadratic potentials, the weighted-l1 term and the linear terms
     are formed for all rows at once from the same products, their dot
     products being `row_dots`; a zero term adds nothing, and any other
-    term is evaluated row by row.  A small pairing goes through
-    `_pairing_over_r` unless u = x, where every product is an exact 0.
+    term is evaluated row by row; the pairings are `_pairings_over_r`'s.
     """
     total = np.zeros(ys.shape[0])
     for f in prob.bifunctions:
@@ -727,13 +752,7 @@ def _lhs_rows(prob: ResolventProblem, uc: np.ndarray, ys: np.ndarray) -> np.ndar
         total += np.array([mixed.value(y) for y in ys]) - mixed.value(uc)
     steps = ys - uc
     total += row_dots(steps, prob.perturbation.apply(uc))
-    diff = uc - prob.input_point.coords
-    pair = row_dots(steps, diff)
-    inv_r = 1.0 / prob.r
-    terms = inv_r * pair if inv_r < np.inf else pair / prob.r
-    for i in np.nonzero(np.abs(pair) < _PAIR_MIN)[0] if any_nonzero(diff) else ():
-        terms[i] = _pairing_over_r(diff, steps[i], pair[i], prob.r)
-    return total + terms
+    return total + _pairings_over_r(uc - prob.input_point.coords, steps, prob.r)
 
 
 def _safe_values(prob, u, ys, values):

@@ -8,6 +8,7 @@ from hybrideq.equilibrium import (
     PotentialBifunction,
     _composite_prox,
     _project_rows,
+    _step_rows,
 )
 from hybrideq.sets import (
     _PARALLEL_CHORD,
@@ -50,11 +51,12 @@ def pgd_sequential(evaluate, gradient, cset, start, max_iter=300, tol=1e-9):
     """The gap search's projected gradient from one start, one trial per halving.
 
     From step t (1 at first) it tries t, t/2, ... (at most 40 halvings)
-    until the projected trial passes the Armijo model, and stops when the
-    line search fails or the point moves by at most tol * t; otherwise t
-    grows by 1.3, capped at 1e6.  evaluate and gradient are the batched
-    objective of equilibrium._banach_inner_objective, applied to one row;
-    the model's dot products are einsum reductions.  Returns (y, value).
+    until the trial, `_step_rows` moved into the set by `_project_rows`,
+    passes the Armijo model, and stops when the line search fails or the
+    point moves by at most tol * t; otherwise t grows by 1.3, capped at
+    1e6.  evaluate and gradient are the batched objective of
+    equilibrium._banach_inner_objective, applied to one row; the model's
+    dot products are einsum reductions.  Returns (y, value).
     """
     y = _project_rows(cset, np.asarray(start, dtype=float)[None, :])
     f, parts = evaluate(y)
@@ -62,7 +64,7 @@ def pgd_sequential(evaluate, gradient, cset, start, max_iter=300, tol=1e-9):
     for _ in range(max_iter):
         g = gradient(parts)
         for _ in range(40):
-            trial = _project_rows(cset, y - t * g)
+            trial = _project_rows(cset, _step_rows(cset.base, y, g, np.array([t])))
             f_trial, trial_parts = evaluate(trial)
             delta = trial - y
             model = (

@@ -58,11 +58,12 @@ from hybrideq.equilibrium import (
     _linear_minimum,
     _pgd_search,
     _project_rows,
+    _step_rows,
     classify_problem,
 )
 from hybrideq import equilibrium
 from hybrideq.harness import BUILTIN_SCENARIOS, load_scenario, run_scenario
-from hybrideq.space import gauge_coords, lyapunov_phi, pnorm
+from hybrideq.space import gauge_coords, lyapunov_phi, pnorm, pnorm_rows
 
 HILBERT2 = SpaceConfig(2, 2.0)
 BALL2 = ConstraintSet(PBall(1.0, 2.0), (), Frame.PRIMAL)
@@ -558,6 +559,64 @@ class TestGapSearch:
             assert projected[~inside].tobytes() == scaled.tobytes()
             landed = np.array([pnorm(row, e) for row in projected[~inside]])
             assert np.all(np.abs(landed - radius) <= 4.0 * np.finfo(float).eps * radius)
+
+
+    @pytest.mark.parametrize("e", [1.2, 1.5, 3.0, 10.0])
+    def test_a_step_against_the_outward_normal_stays_on_the_sphere(self, e):
+        # on the sphere of an e-ball, -g an outward normal: the Euclidean
+        # projection of y - t g is y, and so is the search's trial, while
+        # scaling y - t g radially lands elsewhere on the sphere
+        rng = np.random.default_rng(int(10 * e))
+        ball = ConstraintSet(PBall(2.0, e), (), Frame.PRIMAL)
+        y = rng.standard_normal((20, 5))
+        y *= 2.0 / pnorm_rows(y, e)[:, None]
+        g = -(np.abs(y) ** (e - 1.0) * np.sign(y)) * rng.uniform(0.1, 3.0, (20, 1))
+        steps = rng.uniform(0.01, 2.0, 20)
+        trial = _project_rows(ball, _step_rows(ball.base, y, g, steps))
+        np.testing.assert_allclose(trial, y, rtol=0, atol=1e-12)
+        radial = _project_rows(ball, y - steps[:, None] * g)
+        assert np.abs(radial - y).max() > 1e-3
+
+    @pytest.mark.parametrize("base", ["ball2", "box", "whole", "inside"])
+    def test_a_step_is_the_plain_gradient_step_elsewhere(self, base):
+        # a 2-ball, a box, the whole space, or a step that stays inside an
+        # e-ball: the step is y - t g bit for bit
+        rng = np.random.default_rng(3)
+        y, g = rng.standard_normal((30, 4)), rng.standard_normal((30, 4))
+        steps = rng.uniform(0.0, 2.0, 30)
+        sets = {
+            "ball2": PBall(1.0, 2.0),
+            "box": Box(-np.ones(4), np.ones(4)),
+            "whole": WholeSpace(),
+            "inside": PBall(1e3, 1.5),
+        }
+        stepped = _step_rows(sets[base], y, g, steps)
+        assert stepped.tobytes() == (y - steps[:, None] * g).tobytes()
+
+    @pytest.mark.parametrize(
+        "index, parent_gap", [(82, 2.2123861121396023e-05), (375, 7.105752044651135e-05)]
+    )
+    def test_a_perturbed_candidate_below_exponent_2_is_flagged(self, index, parent_gap):
+        # candidates of a perturbed-closed-form sweep, p = 1.2 and 1.5: the
+        # negative minimum lies on the sphere, and a descent that scaled its
+        # steps radially stopped short of it and reported gap 0.  The gap is
+        # the one the Euclidean projection onto the e-ball found
+        rng = np.random.default_rng([index, 30])
+        p = float(rng.choice([1.2, 1.5, 3.0, 6.0, 10.0]))
+        d = int(rng.choice([1, 2, 4, 8, 32]))
+        eps = 10.0 ** rng.uniform(-7.0, 0.0)
+        r = float(rng.choice([0.3, 1.0]))
+        x = rng.standard_normal(d)
+        x *= rng.uniform(0.2, 2.0) / pnorm(x, p)
+        nx = pnorm(x, p)
+        u = (nx / r - 1.0) / (2.0 + 1.0 / r) / nx * x  # T_r(x), as nx > r here
+        u = u + eps * rng.standard_normal(d)
+        u = u / max(pnorm(u, p), 1.0)
+        prob = _lp_problem(x, r=r, d=d, p=p)
+        gap, _ = resolvent_gap(
+            prob, PrimalPoint(u, prob.space), rng=np.random.default_rng([index, 31])
+        )
+        assert gap == pytest.approx(parent_gap, rel=1e-9)
 
 
 class TestHilbertExactGap:
