@@ -12,14 +12,16 @@ OUT/drift_base_s and OUT/drift_head_s (s being default, 11 or 4294967296),
 the directories csv_drift.py reads.
 
 One line is printed for each case whose exit code, NAME_iterations.csv
-bytes or NAME_summary.json (less wall_time) differ between the trees, then
-a count of the cases that differ.  The names of the grid and workload
-documents, which csv_drift.py takes, are written to OUT/grid_names and
-OUT/workload_names.  Always exits 0: the report informs, it does not gate.
+bytes, NAME_summary.json (less wall_time) or stdout (less its wall_time
+line) differ between the trees, then a count of the cases that differ.
+The names of the grid and workload documents, which csv_drift.py takes,
+are written to OUT/grid_names and OUT/workload_names.  Always exits 0:
+the report informs, it does not gate.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,8 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent
 WORKFLOW = SCRIPTS.parent / "workflows" / "tier1.yml"
 SEEDS = ("default", "11", "4294967296")
+# the line of solve's stdout report that holds the solve's wall time
+WALL_TIME_LINE = re.compile(r'^  "wall_time": .*\n', re.MULTILINE)
 
 
 def ci_documents() -> list:
@@ -56,11 +60,13 @@ def _written(src: Path, script: str, out: Path) -> list:
     return [out / f"{name}.json" for name in done.stdout.split()]
 
 
-def _solve(src: Path, scenario, seed: str, out: Path) -> int:
+def _solve(src: Path, scenario, seed: str, out: Path) -> tuple:
+    """The solve's exit code and its stdout less the wall_time line."""
     seed_args = () if seed == "default" else ("--seed", seed)
-    return _python(
+    done = _python(
         src, "-m", "hybrideq.cli", "solve", "--scenario", scenario, *seed_args, "--out", out
-    ).returncode
+    )
+    return done.returncode, WALL_TIME_LINE.sub("", done.stdout)
 
 
 def _summary(path: Path):
@@ -87,19 +93,21 @@ def main(argv) -> int:
         dirs = {tree: out / f"drift_{tree}_{seed}" for tree in ("base", "head")}
         for scenario in scenarios:
             name = Path(scenario).stem
-            codes = {
-                tree: _solve(src, scenario, seed, dirs[tree])
+            (base_code, base_out), (head_code, head_out) = (
+                _solve(src, scenario, seed, dirs[tree])
                 for tree, src in (("base", base_src), ("head", head_src))
-            }
+            )
             diffs = []
-            if codes["base"] != codes["head"]:
-                diffs.append(f"exit code {codes['base']} -> {codes['head']}")
+            if base_code != head_code:
+                diffs.append(f"exit code {base_code} -> {head_code}")
             csvs = [_bytes(dirs[tree] / f"{name}_iterations.csv") for tree in dirs]
             if csvs[0] != csvs[1]:
                 diffs.append("CSV bytes")
             summaries = [_summary(dirs[tree] / f"{name}_summary.json") for tree in dirs]
             if summaries[0] != summaries[1]:
                 diffs.append("summary")
+            if base_out != head_out:
+                diffs.append("stdout")
             cases += 1
             if diffs:
                 differing += 1

@@ -85,7 +85,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        print(json.dumps({k: v for k, v in report.to_dict().items() if k != "rows"}, indent=2))
+        print(json.dumps(report.to_dict(rows=False), indent=2))
         return _report_exit_code(report)
 
     # verify: run without writing outputs, report only the audit outcome

@@ -541,11 +541,14 @@ class RunReport:
     # over the whole run (up to the failure when the run failed)
     capped_starts: int = 0
 
-    def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+    def to_dict(self, rows: bool = True) -> dict:
+        """The report as JSON values, in field order; without the `rows`
+        key when rows is False, which copies no row."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if rows or f.name != "rows"}
         doc["final_point"] = list(self.final_point)
         doc["audits"] = {name: dict(audit) for name, audit in self.audits.items()}
-        doc["rows"] = [dict(row) for row in self.rows]
+        if rows:
+            doc["rows"] = [dict(row) for row in self.rows]
         return doc
 
 
@@ -601,10 +604,15 @@ def run_scenario(spec: ScenarioSpec, out_dir=None) -> RunReport:
     return report
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    return f"{value:.17g}"
+# one CSV row: every column with 17 significant digits; "%.17g" prints an
+# int as str() would ("%.17g" % 5 is "5")
+_ROW_FORMAT = ",".join(["%.17g"] * len(_CSV_COLUMNS))
+
+
+def _csv_row(row: dict) -> str:
+    """The row's columns in CSV order, one line without its newline; None
+    is written as nan."""
+    return _ROW_FORMAT % tuple(math.nan if row[c] is None else row[c] for c, _ in _CSV_COLUMNS)
 
 
 def emit_report(report: RunReport, out_dir) -> tuple:
@@ -618,10 +626,8 @@ def emit_report(report: RunReport, out_dir) -> tuple:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{report.scenario}_iterations.csv"
     json_path = out / f"{report.scenario}_summary.json"
-    columns = [column for column, _ in _CSV_COLUMNS]
-    lines = [",".join(columns)]
-    # the integer columns print as str() would: f"{5:.17g}" is "5"
-    lines.extend(",".join(_fmt(row[column]) for column in columns) for row in report.rows)
+    lines = [",".join(column for column, _ in _CSV_COLUMNS)]
+    lines.extend(_csv_row(row) for row in report.rows)
     csv_path.write_text("\n".join(lines) + "\n", newline="\n")
     json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", newline="\n")
     return csv_path, json_path

@@ -68,13 +68,21 @@ def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a solve on these small matrices.  An SVD that does not converge (a NaN
     in a) raises LinAlgError, as np.linalg.lstsq does, and so does an inf in
     a, which is refused before the call: LAPACK's dgelsd can spin on one
-    without returning.
+    without returning.  The multiplier Newton's solves come here; the NNLS,
+    which tests its whole matrix once, calls `_lstsq_finite`.
     """
     if not all_finite(a):
         raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return _lstsq_finite(a, b[:, None])
+
+
+def _lstsq_finite(a: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """_lstsq(a, column[:, 0]) for an a known to be finite: the gufunc call
+    alone, under np.linalg.lstsq's error state, which holds for this call
+    and nothing around it."""
     with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
         try:
-            x = _lstsq_gufunc(a, b[:, None], _EPS * max(a.shape), signature="ddd->ddid")[0]
+            x = _lstsq_gufunc(a, column, _EPS * max(a.shape), signature="ddd->ddid")[0]
         except FloatingPointError:
             raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares") from None
     return x[:, 0]
@@ -143,6 +151,16 @@ class Box:
         rows.setflags(write=False)
         levels.setflags(write=False)
         return rows, levels
+
+    @kept
+    def _span(self):
+        """upper - lower as a read-only array, the scale of a uniform draw;
+        None when an entry is not finite (an infinite bound, or bounds whose
+        difference overflows)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = self.upper - self.lower
+        span.setflags(write=False)
+        return span if all_finite(span) else None
 
 
 @dataclass(frozen=True)
@@ -416,7 +434,14 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
     set, so a start that ends on the cold start's passive set returns its
     answer bit for bit, after one least-squares solve when it holds
     exactly that set.
+
+    E is tested for finiteness once, and a finite E's solves call
+    `_lstsq_finite` on one right-hand column built once.  A non-finite E
+    goes through `_lstsq` solve by solve, which refuses only a column
+    subset holding a non-finite entry, so either way the answers,
+    residuals and exceptions are those of a `_lstsq` call per solve.
     """
+    solve, rhs = (_lstsq_finite, f[:, None]) if all_finite(e) else (_lstsq, f)
     n = e.shape[1]
     u = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -424,7 +449,7 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
     resid = np.array(f)
     idx = start.nonzero()[0] if start is not None else np.zeros(0, dtype=int)
     while idx.size:
-        s = _lstsq(e[:, idx], f)
+        s = solve(e[:, idx], rhs)
         k = int(s.argmin())
         if s[k] > 0.0:
             u[idx] = s
@@ -442,7 +467,7 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
         trial = passive.copy()
         trial[j] = True
         idx = trial.nonzero()[0]
-        s = _lstsq(e[:, idx], f)
+        s = solve(e[:, idx], rhs)
         if s[idx.searchsorted(j)] <= 0.0:
             blocked[j] = True
             continue
@@ -458,7 +483,7 @@ def _nnls(e: np.ndarray, f: np.ndarray, start: np.ndarray | None = None):
             passive &= u > 0.0
             u[~passive] = 0.0
             idx = passive.nonzero()[0]
-            s = _lstsq(e[:, idx], f)
+            s = solve(e[:, idx], rhs)
         u[:] = 0.0
         u[idx] = s
         resid = f - e @ u
@@ -1008,7 +1033,14 @@ def sample_feasible(
     The candidates are drawn and tested as one batch of rows, which
     returns bit for bit what testing them one at a time returns.  Box and
     whole-space candidates are drawn in one call, which consumes the
-    random stream as the one-row calls do.  Ball candidates take two
+    random stream as the one-row calls do.  A box draws lower + span *
+    rng.random((count, dim)), span = upper - lower: numpy's C uniform
+    computes this formula on the same stream, so the rows are
+    rng.uniform(lower, upper, size=(count, dim)) bit for bit, without the
+    argument handling that is most of that call's time.  As rng.uniform
+    does, a span that is not finite raises OverflowError before anything
+    is drawn, but without numpy's RuntimeWarning on the subtraction.
+    Ball candidates take two
     calls, every direction first and then every radius, so one candidate
     draws its direction and then its radius, but more than one do not
     interleave the two as one-row calls would.
@@ -1027,7 +1059,9 @@ def sample_feasible(
         if allowed > 1e-9:
             anchor = None  # an infeasible anchor cannot guide the pull-back
     if isinstance(base, Box):
-        out = rng.uniform(base.lower, base.upper, size=(count, dim))
+        if base._span is None:
+            raise OverflowError("Range exceeds valid bounds")
+        out = base.lower + base._span * rng.random((count, dim))
     elif isinstance(base, PBall):
         out = _draw_ball(base, rng, count, dim)
     else:

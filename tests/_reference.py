@@ -14,6 +14,7 @@ from hybrideq.sets import (
     _PARALLEL_CHORD,
     Box,
     PBall,
+    _lstsq,
     project_intersection,
     worst_violation,
 )
@@ -45,6 +46,68 @@ def dykstra(cset, v, tol=1e-11, max_iter=2000):
         if moved <= tol and worst_violation(cset, x) <= 10.0 * tol:
             return x
     raise NonConvergedError(f"Dykstra did not converge in {max_iter} sweeps")
+
+
+def nnls_per_solve(e, f, start=None):
+    """`sets._nnls` with every least-squares solve a `sets._lstsq` call on
+    its column subset, which checks that subset for finiteness."""
+    n = e.shape[1]
+    u = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    blocked = np.zeros(n, dtype=bool)
+    resid = np.array(f)
+    idx = start.nonzero()[0] if start is not None else np.zeros(0, dtype=int)
+    while idx.size:
+        s = _lstsq(e[:, idx], f)
+        k = int(s.argmin())
+        if s[k] > 0.0:
+            u[idx] = s
+            passive[idx] = True
+            resid = f - e @ u
+            break
+        idx = np.delete(idx, k)
+    tol = 10.0 * max(e.shape) * np.finfo(float).eps
+    for _ in range(3 * n + 30):
+        w = e.T @ resid
+        w[passive | blocked] = -np.inf
+        j = int(w.argmax())
+        if w[j] <= tol:
+            return u, resid
+        trial = passive.copy()
+        trial[j] = True
+        idx = np.flatnonzero(trial)
+        s = _lstsq(e[:, idx], f)
+        if s[np.searchsorted(idx, j)] <= 0.0:
+            blocked[j] = True
+            continue
+        blocked[:] = False
+        passive = trial
+        while s.size and s.min() <= 0.0:
+            neg = s <= 0.0
+            ratios = u[idx][neg] / (u[idx][neg] - s[neg])
+            k = int(ratios.argmin())
+            u[idx] += ratios[k] * (s - u[idx])
+            u[idx[np.flatnonzero(neg)[k]]] = 0.0
+            passive &= u > 0.0
+            u[~passive] = 0.0
+            idx = np.flatnonzero(passive)
+            s = _lstsq(e[:, idx], f)
+        u[:] = 0.0
+        u[idx] = s
+        resid = f - e @ u
+    raise NonConvergedError("NNLS exchange cap reached")
+
+
+def csv_row_joined(row, columns):
+    """One CSV row as `harness.emit_report` wrote it field by field: each
+    value formatted with f"{value:.17g}", None as nan, joined by commas."""
+
+    def fmt(value):
+        if value is None:
+            return "nan"
+        return f"{value:.17g}"
+
+    return ",".join(fmt(row[column]) for column in columns)
 
 
 def pgd_sequential(evaluate, gradient, cset, start, max_iter=300, tol=1e-9):

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _reference import csv_row_joined
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hybrideq import (
     BUILTIN_SCENARIOS,
@@ -31,7 +35,7 @@ from hybrideq import (
     run_scenario,
 )
 from hybrideq.cli import main as cli_main
-from hybrideq.harness import read_scenario
+from hybrideq.harness import _CSV_COLUMNS, _csv_row, read_scenario
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -770,6 +774,29 @@ class TestEmitReport:
         row = csv_path.read_text().split("\n")[1].split(",")
         assert row[6] == "nan"
 
+    # the named edge values: ints, None, infinities, NaN, a negative zero,
+    # subnormals and the largest double
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.none(),
+                st.integers(-(2**1023), 2**1023),
+                st.integers(-(2**63), 2**63 - 1).map(np.int64),
+                st.floats(),
+                st.floats().map(np.float64),
+            ),
+            min_size=len(_CSV_COLUMNS),
+            max_size=len(_CSV_COLUMNS),
+        )
+    )
+    @example(values=[5, None, math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308])
+    @example(values=[0, -7, 2.225073858507201e-308, -5e-324, -math.nan, 0.1, None, 2**53 + 1])
+    def test_csv_row_matches_the_field_by_field_join(self, values):
+        row = {column: value for (column, _), value in zip(_CSV_COLUMNS, values)}
+        columns = [column for column, _ in _CSV_COLUMNS]
+        assert _csv_row(row) == csv_row_joined(row, columns)
+
     def test_rerun_after_another_scenario_is_bit_identical(self, tmp_path):
         # the retraction's warm start is carried inside one run only, so a
         # run between two identical ones cannot change the second
@@ -852,6 +879,15 @@ class TestCLI:
         assert code == 0
         assert (tmp_path / "out" / "tiny_iterations.csv").exists()
         assert (tmp_path / "out" / "tiny_summary.json").exists()
+
+    def test_solve_prints_the_summary_less_its_rows(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY))
+        assert cli_main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "tiny_summary.json").read_text())
+        assert summary["rows"]
+        del summary["rows"]
+        assert capsys.readouterr().out == json.dumps(summary, indent=2) + "\n"
 
     def test_solve_iteration_cap_exits_three(self, tmp_path):
         path = tmp_path / "tiny.json"

@@ -24,6 +24,7 @@ from _reference import (
     dykstra,
     hint_rows_rematched,
     linear_rows_restacked,
+    nnls_per_solve,
     pull_feasible_rows_one_step,
     sample_feasible_one,
 )
@@ -590,6 +591,116 @@ class TestWarmStartedNNLS:
         assert _same_cuts(active, stronger.cuts)
 
 
+def _nnls_outcome(nnls, e, f, start):
+    """(u and f - E u as bytes, or the exception's class and message; the
+    class and message of each warning) of one NNLS call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            u, resid = nnls(e, f, start)
+            result = (u.tobytes(), resid.tobytes())
+        except (np.linalg.LinAlgError, NonConvergedError) as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestNNLSFiniteCheck:
+    """_nnls tests E for finiteness once and then solves through
+    _lstsq_finite; tests/_reference.py's nnls_per_solve checks each column
+    subset through _lstsq.  Answers, residuals, exceptions and warnings
+    must be the same."""
+
+    # random E of 1-8 rows and 1-14 columns at magnitudes up to 1e200,
+    # where E^T r overflows and warns, some with repeated columns
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(1, 8),
+        n=st.integers(1, 14),
+        repeat=st.booleans(),
+        e_exp=st.sampled_from([-100, 0, 100, 200]),
+        start_kind=st.sampled_from(["none", "random", "all"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_matrices(self, m, n, repeat, e_exp, start_kind, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal((m, n)) * 10.0**e_exp
+        if repeat and n > 1:
+            e[:, -1] = e[:, 0]
+        f = rng.standard_normal(m) * 10.0**e_exp
+        start = {"none": None, "random": rng.random(n) < 0.5, "all": np.ones(n, dtype=bool)}
+        start = start[start_kind]
+        assert _nnls_outcome(_nnls, e, f, start) == _nnls_outcome(nnls_per_solve, e, f, start)
+
+    # the least-distance programs of a 3-box and its cuts, as box_starts
+    # builds them: E has d + 1 = 4 rows, and a start of four columns makes
+    # its first solve square
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cuts=st.integers(0, 8),
+        keep_cold=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_square_starts_of_box_programs(self, cuts, keep_cold, seed):
+        rng = np.random.default_rng(seed)
+        normals = rng.standard_normal((cuts, 3))
+        unit = normals / np.linalg.norm(normals, axis=1)[:, None]
+        a = np.concatenate((np.eye(3), -np.eye(3), unit))
+        b = np.concatenate((np.ones(6), rng.uniform(0.05, 0.6, cuts)))
+        v = 3.0 * rng.standard_normal(3)
+        excess = a @ v - b
+        shift = float(np.max(excess))
+        assume(shift > 0.0)
+        e = np.vstack([-a.T, excess / shift])
+        f = np.zeros(4)
+        f[-1] = 1.0
+        start = np.zeros(a.shape[0], dtype=bool)
+        start[rng.choice(a.shape[0], 4, replace=False)] = True
+        if keep_cold:
+            start = _nnls(e, f)[0] > 0.0
+        assert _nnls_outcome(_nnls, e, f, start) == _nnls_outcome(nnls_per_solve, e, f, start)
+
+    # one entry of E, anywhere, is NaN or an infinity: both paths give the
+    # same answer or the same refusal
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 10),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        with_start=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nonfinite_matrices(self, m, n, bad, with_start, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal((m, n))
+        e[rng.integers(m), rng.integers(n)] = bad
+        f = rng.standard_normal(m)
+        start = rng.random(n) < 0.5 if with_start else None
+        assert _nnls_outcome(_nnls, e, f, start) == _nnls_outcome(nnls_per_solve, e, f, start)
+
+    def test_both_outcomes_of_a_nonfinite_matrix_occur(self):
+        # E^T f rates every column, the inf one at -inf, at or below zero:
+        # nothing enters and u = 0 comes back; once a column enters, the
+        # inf times a zero of u makes the residual NaN, and the inf column
+        # enters and is refused
+        e = np.array([[1.0, 0.0, np.inf], [0.0, 1.0, 0.0]])
+        for f, expected in (
+            ([-1.0, -2.0], (np.zeros(3).tobytes(), np.array([-1.0, -2.0]).tobytes())),
+            ([1.0, 2.0], (np.linalg.LinAlgError, "SVD did not converge in Linear Least Squares")),
+        ):
+            f = np.array(f)
+            got = _nnls_outcome(_nnls, e, f, None)
+            assert got[0] == expected and got == _nnls_outcome(nnls_per_solve, e, f, None)
+
+    def test_a_finite_matrix_still_warns_on_overflow(self):
+        # the least-squares error state covers the gufunc call alone: E^T r
+        # overflowing in the exchanges still warns
+        rng = np.random.default_rng(0)
+        e, f = rng.standard_normal((4, 6)) * 1e200, rng.standard_normal(4) * 1e200
+        result, warned = _nnls_outcome(_nnls, e, f, None)
+        assert isinstance(result[0], bytes)
+        assert (RuntimeWarning, "overflow encountered in matmul") in warned
+
+
 class TestLstsq:
     """sets._lstsq is np.linalg.lstsq(a, b, rcond=None)[0] through LAPACK's
     gufunc alone: the same bits, the same error and the same silence."""
@@ -1004,6 +1115,56 @@ class TestSampleFeasible:
         assert np.all(np.isfinite(points))
         for row in points:
             assert worst_violation(cset, row) <= 1e-9 * magnitude
+
+
+class TestBoxDraw:
+    """A box's candidates, lower + span * rng.random((count, d)), against
+    rng.uniform(lower, upper, size=(count, d)) on the same stream."""
+
+    @pytest.mark.parametrize("count", [0, 1, 24])
+    @pytest.mark.parametrize("magnitude", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("d", [2, 3, 128])
+    def test_equals_numpy_uniform_bit_for_bit(self, d, magnitude, count):
+        rng = np.random.default_rng([d, count])
+        for seed in range(20):
+            lower = magnitude * rng.standard_normal(d)
+            upper = lower + magnitude * rng.random(d) * 10.0 ** rng.integers(-3, 4, d)
+            upper[0] = lower[0]  # a flat side
+            box = Box(lower, upper)
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = sample_feasible(ConstraintSet(box), ours, count)
+                expected = numpys.uniform(box.lower, box.upper, size=(count, d))
+            assert got.shape == (count, d) and got.tobytes() == expected.tobytes()
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
+    @pytest.mark.parametrize("count", [0, 24])
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            ([-1e308, 0.0], [1e308, 1.0]),  # the span overflows
+            ([-np.inf, 0.0], [0.0, 1.0]),
+            ([0.0, 0.0], [1.0, np.inf]),
+            ([np.inf, 0.0], [np.inf, 1.0]),  # inf - inf is NaN
+        ],
+    )
+    def test_a_span_that_is_not_finite_raises_before_drawing(self, lower, upper, count):
+        box = Box(lower, upper)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^Range exceeds valid bounds$"):
+                sample_feasible(ConstraintSet(box), rng, count)
+        assert rng.bit_generator.state == state
+        # numpy refuses the same box, after warning on its subtraction
+        # where the span overflows or is NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(OverflowError, match="^Range exceeds valid bounds$"):
+                rng.uniform(box.lower, box.upper, size=(count, 2))
+        assert rng.bit_generator.state == state
 
 
 def _sampler_case(rng, base_kind, d, cuts, magnitude):
